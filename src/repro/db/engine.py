@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 from repro import faults
+from repro._compat import np
 from repro.budget import estimate_cube_cells
 from repro.db.adapters.base import (
     StorageAdapter,
@@ -32,15 +33,11 @@ from repro.db.cache import CacheEntry, ResultCache
 from repro.db.columnar import ExecutionBackend
 from repro.db.cube import ALL, CubeQuery
 from repro.db.gather import (
+    CellView,
     SpaceEvalRequest,
     SpaceResults,
     answer_candidates,
-    as_int_list,
-    flatnonzero,
-    full_mask,
-    map_ints,
-    select_where,
-    unique_values,
+    distinct_ids,
 )
 from repro.db.query import AggregateSpec, ColumnRef, SimpleAggregateQuery, STAR
 from repro.db.schema import Database
@@ -424,12 +421,12 @@ class QueryEngine:
         space). No ``SimpleAggregateQuery`` objects are built on this path
         (except in NAIVE mode, the per-query reference): candidates are
         answered from cube cells by integer gather, and the returned
-        :class:`~repro.db.gather.SpaceResults` carries one compact value
-        id per candidate.
+        :class:`~repro.db.gather.SpaceResults` carries one value per
+        candidate.
         """
         results = SpaceResults.for_space(space)
         if mask is None:
-            mask = full_mask(len(space))
+            mask = np.ones(len(space), dtype=bool)
         self.evaluate_spaces([SpaceEvalRequest(space, mask, results)])
         return results
 
@@ -445,7 +442,7 @@ class QueryEngine:
         active: list[tuple[SpaceEvalRequest, object]] = []
         total = 0
         for request in requests:
-            positions = flatnonzero(request.mask)
+            positions = np.flatnonzero(request.mask)
             if len(positions) == 0:
                 continue
             total += len(positions)
@@ -474,12 +471,12 @@ class QueryEngine:
         for request, positions in active:
             encoding = request.space.encoding()
             table_ids = encoding.tables_id[positions]
-            for tid in unique_values(table_ids):
+            for tid in distinct_ids(table_ids).tolist():
                 tables = encoding.table_sets[tid]
                 if not tables:
                     tables = frozenset({self.database.single_table().name})
                 table_groups.setdefault(tables, []).append(
-                    (request, select_where(positions, table_ids, tid), encoding)
+                    (request, positions[table_ids == tid], encoding)
                 )
 
         for tables, slices in table_groups.items():
@@ -491,7 +488,7 @@ class QueryEngine:
         memo: dict[SimpleAggregateQuery, Value] = {}
         for request, positions in active:
             results = request.results
-            for position in as_int_list(positions):
+            for position in positions.tolist():
                 query = request.space.query_at(position)
                 value = memo.get(query, missing)
                 if value is missing:
@@ -517,9 +514,10 @@ class QueryEngine:
         dims_groups: dict[frozenset[ColumnRef], list] = {}
         for request, positions, encoding in slices:
             subset_ids = request.space.subset_index[positions]
+            # Column sets in order of the first subset that uses each.
             dims_of = {
-                si: assignment[encoding.subset_col_sets[si]]
-                for si in unique_values(subset_ids)
+                sid: assignment[encoding.col_sets[sid]]
+                for sid in encoding.col_set_id[distinct_ids(subset_ids)].tolist()
             }
             distinct = list(dict.fromkeys(dims_of.values()))
             if len(distinct) == 1:
@@ -528,16 +526,13 @@ class QueryEngine:
                 )
                 continue
             dim_id_of = {dims: index for index, dims in enumerate(distinct)}
-            subset_dim = {si: dim_id_of[dims] for si, dims in dims_of.items()}
-            candidate_dim = map_ints(
-                subset_ids, subset_dim, len(request.space.subsets)
-            )
+            set_dim = np.full(len(encoding.col_sets), -1, dtype=np.intp)
+            for sid, dims in dims_of.items():
+                set_dim[sid] = dim_id_of[dims]
+            candidate_dim = set_dim[encoding.col_set_id[subset_ids]]
             for dims in distinct:
-                sub_positions = select_where(
-                    positions, candidate_dim, dim_id_of[dims]
-                )
                 dims_groups.setdefault(dims, []).append(
-                    (request, sub_positions, encoding)
+                    (request, positions[candidate_dim == dim_id_of[dims]], encoding)
                 )
 
         for dims, group_slices in dims_groups.items():
@@ -550,10 +545,10 @@ class QueryEngine:
             for request, positions, encoding in group_slices:
                 specs.update(
                     encoding.basis_specs[sid]
-                    for sid in unique_values(encoding.basis_spec_id[positions])
+                    for sid in distinct_ids(encoding.basis_spec_id[positions]).tolist()
                 )
-            entries = self._cells_for(
-                tables, ordered_dims, literal_map, specs, cache
+            view = CellView(
+                self._cells_for(tables, ordered_dims, literal_map, specs, cache)
             )
             for request, positions, encoding in group_slices:
                 answer_candidates(
@@ -561,7 +556,7 @@ class QueryEngine:
                     request.space,
                     positions,
                     ordered_dims,
-                    entries,
+                    view,
                     budget=self.budget,
                 )
                 self.stats.gathered_candidates += len(positions)

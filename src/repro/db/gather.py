@@ -1,48 +1,44 @@
-"""Zero-materialization evaluation of factorized candidate spaces.
+"""Array-native evaluation of factorized candidate spaces.
 
 The per-query evaluation path materializes a ``SimpleAggregateQuery``
 object for every candidate of every claim, hashes it through sets and
-dicts, and rebuilds a predicate dict plus a cell-key tuple per query —
-work that dominates warm-cache corpus runs once physical cube execution
-is cached away. This module answers the *factorized* candidate space
-directly: the paper's observation that "one cube query can serve the
-whole cross product" extends naturally to the answering side, because a
-candidate's cell key depends only on its predicate subset, not on the
-(function x column x subset) triple itself.
+dicts, and rebuilds a predicate dict plus a cell-key tuple per query.
+This module answers the *factorized* candidate space directly: the
+paper's observation that "one cube query can serve the whole cross
+product" extends to the answering side, because a candidate's cell key
+depends only on its predicate subset, not on the (function x column x
+subset) triple itself.
 
-Per (tables, dims, spec) group the kernels therefore:
+Python touches a *distinct cell* or a *distinct subset*, never a
+candidate:
 
-1. build one cube cell key per *distinct predicate subset* used in the
-   group (``SpaceEncoding.cell_key`` reads the per-dimension literal-code
-   matrix computed at ``build_candidates`` time),
-2. look every subset key up in the cached cell table exactly once,
-   interning the resulting value into a compact per-space
-   :class:`ValueTable`,
-3. fan the per-subset value ids out to all candidates with one integer
-   gather (NumPy fancy indexing, with a pure-Python fallback mirroring
-   :mod:`repro.db.columnar`).
+1. per (tables, dims) group the engine derives one :class:`CellView` of
+   the cache entries it fetched: one ``key -> row`` index over the cells
+   that exist and one row-aligned value column per basis aggregate, with a
+   trailing row holding that aggregate's empty-group value;
+2. :func:`answer_candidates` builds one cell key per distinct predicate
+   subset of a claim (``SpaceEncoding.cell_keys``), resolves each to a row
+   with one ``index.get`` — shared by every aggregate — and fills the
+   claim's candidates by fancy indexing;
+3. ratio functions are one vectorized ``100.0 * numerator / denominator``
+   over their candidates (Percentage divides by the all-``ALL`` cell,
+   Conditional Probability by the condition-only cell), NULL where the
+   denominator is zero or NULL.
 
-Ratio functions become two lookups plus a division per *distinct*
-(numerator, denominator) pair: Percentage divides by the all-``ALL``
-cell, Conditional Probability by the condition-only cell.
-
-Results live in :class:`SpaceResults`: an ``int32`` value-id per
-candidate (-1 = not evaluated) plus the value table — the array currency
-that :meth:`EvaluationOutcome.from_value_ids` and the EM loop carry
-across iterations instead of ``dict[SimpleAggregateQuery, Value]``.
+Results live in :class:`SpaceResults`: per candidate the exact value
+object, its float64 image, and a ``done`` flag — what
+:meth:`EvaluationOutcome.from_value_ids` and the EM loop carry across
+iterations instead of ``dict[SimpleAggregateQuery, Value]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Any
 
-try:  # pragma: no cover - exercised via monkeypatching in tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-from repro.db.aggregates import ratio_value
+from repro._compat import np
+from repro.db.cube import ALL
 from repro.db.values import Value
 
 if TYPE_CHECKING:  # CandidateSpace is duck-typed to keep db free of model
@@ -57,139 +53,56 @@ KIND_PERCENTAGE = 1  # basis count / all-ALL count
 KIND_CONDITIONAL = 2  # basis count / condition-only count
 
 
-def numpy_available() -> bool:
-    """True when the vectorized gather kernels can run."""
-    return _np is not None
-
-
-# ----------------------------------------------------------------------
-# Small array helpers (NumPy when available, pure Python otherwise)
-# ----------------------------------------------------------------------
-
-
-def full_mask(n: int) -> Any:
-    """An all-True candidate mask of length ``n``."""
-    if _np is not None:
-        return _np.ones(n, dtype=bool)
-    return [True] * n
-
-
-def flatnonzero(mask: Any) -> Any:
-    """Indices of the True entries of a boolean mask."""
-    if _np is not None:
-        return _np.flatnonzero(_np.asarray(mask))
-    return [i for i, value in enumerate(mask) if value]
-
-
-def unique_values(array: Any) -> list[int]:
-    """Sorted distinct ints of an integer array."""
-    if _np is not None:
-        return [int(v) for v in _np.unique(_np.asarray(array))]
-    return sorted({int(v) for v in array})
-
-
-def select_where(values: Any, keys: Any, key: int) -> Any:
-    """``values[keys == key]`` for parallel integer arrays."""
-    if _np is not None:
-        values = _np.asarray(values)
-        return values[_np.asarray(keys) == key]
-    return [v for v, k in zip(values, keys) if int(k) == key]
-
-
-def map_ints(values: Any, mapping: dict[int, int], size: int) -> Any:
-    """``mapping[v]`` per element, via a dense LUT when vectorized."""
-    if _np is not None:
-        lut = _np.full(size, -1, dtype=_np.int64)
-        for key, value in mapping.items():
-            lut[key] = value
-        return lut[_np.asarray(values)]
-    return [mapping[int(v)] for v in values]
-
-
-def as_int_list(array: Any) -> list[int]:
-    """Plain Python ints of an integer array (for per-element loops)."""
-    if _np is not None and not isinstance(array, list):
-        return [int(v) for v in _np.asarray(array).tolist()]
-    return [int(v) for v in array]
-
-
-# ----------------------------------------------------------------------
-# Value interning and per-space results
-# ----------------------------------------------------------------------
-
-
-class ValueTable:
-    """Distinct evaluation results of one space, interned to small ids.
-
-    Keys include the value's type so ``3`` and ``3.0`` stay distinct (the
-    per-query oracle preserves the exact cell objects; so does this).
-    """
-
-    __slots__ = ("values", "_ids")
-
-    def __init__(self) -> None:
-        self.values: list[Value] = []
-        self._ids: dict[tuple[type, Value], int] = {}
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def intern(self, value: Value) -> int:
-        key = (value.__class__, value)
-        vid = self._ids.get(key)
-        if vid is None:
-            vid = len(self.values)
-            self._ids[key] = vid
-            self.values.append(value)
-        return vid
+def distinct_ids(ids: Any) -> Any:
+    """Sorted distinct values of an array of small non-negative ints, in
+    one counting pass (``np.unique`` would sort every candidate)."""
+    return np.flatnonzero(np.bincount(ids))
 
 
 class SpaceResults:
     """Evaluation results aligned with one candidate space.
 
-    ``value_ids[i]`` is the id of candidate ``i``'s result in ``table``
-    (-1 = not evaluated yet). Instances persist across EM iterations as
-    the array-shaped replacement for the oracle path's result dict; the
-    engine fills newly scoped candidates in place.
+    ``values[i]`` is candidate ``i``'s result exactly as the cube produced
+    it (``int``, ``float`` or None), ``numbers[i]`` the same as float64
+    (NaN for NULL) for vectorized comparison, and ``done[i]`` whether the
+    candidate has been evaluated at all. Instances persist across EM
+    iterations as the array-shaped replacement for the oracle path's
+    result dict; the engine fills newly scoped candidates in place.
     """
 
-    __slots__ = ("value_ids", "table")
+    __slots__ = ("values", "numbers", "done")
 
-    def __init__(self, n_candidates: int, table: ValueTable | None = None) -> None:
-        self.table = table if table is not None else ValueTable()
-        if _np is not None:
-            self.value_ids = _np.full(n_candidates, -1, dtype=_np.int32)
-        else:
-            self.value_ids = [-1] * n_candidates
+    def __init__(self, n_candidates: int) -> None:
+        self.values = np.empty(n_candidates, dtype=object)  # all None
+        self.numbers = np.full(n_candidates, np.nan)
+        self.done = np.zeros(n_candidates, dtype=bool)
 
     @classmethod
     def for_space(cls, space) -> "SpaceResults":
         return cls(len(space))
 
     def __len__(self) -> int:
-        return len(self.value_ids)
+        return len(self.done)
 
     def evaluated_mask(self) -> Any:
         """Boolean array: which candidates have a result."""
-        if _np is not None and not isinstance(self.value_ids, list):
-            return self.value_ids >= 0
-        return [vid >= 0 for vid in self.value_ids]
+        return self.done
 
     def any_evaluated(self) -> bool:
-        if _np is not None and not isinstance(self.value_ids, list):
-            return bool((self.value_ids >= 0).any())
-        return any(vid >= 0 for vid in self.value_ids)
+        return bool(self.done.any())
 
     def has_value_at(self, position: int) -> bool:
-        return int(self.value_ids[position]) >= 0
+        return bool(self.done[position])
 
     def value_at(self, position: int) -> Value:
         """Result of candidate ``position`` (None when not evaluated)."""
-        vid = int(self.value_ids[position])
-        return self.table.values[vid] if vid >= 0 else None
+        return self.values[position]
 
     def set_value(self, position: int, value: Value) -> None:
-        self.value_ids[position] = self.table.intern(value)
+        self.values[position] = value
+        is_number = isinstance(value, (int, float))
+        self.numbers[position] = value if is_number else np.nan
+        self.done[position] = True
 
 
 @dataclass
@@ -205,9 +118,42 @@ class SpaceEvalRequest:
     results: SpaceResults
 
 
-# ----------------------------------------------------------------------
-# Gather kernels
-# ----------------------------------------------------------------------
+class CellView:
+    """Row-aligned view of one (tables, dims) group's cache entries.
+
+    Derived per ``evaluate_spaces`` call and dropped with it: the cache,
+    the disk tier, scrub and audit keep ``CacheEntry.cells`` as the one
+    stored representation.
+    """
+
+    __slots__ = ("index", "spec_row", "values", "numbers")
+
+    def __init__(self, entries: "dict[AggregateSpec, CacheEntry]") -> None:
+        keys = dict.fromkeys(
+            chain.from_iterable(entry.cells for entry in entries.values())
+        )
+        #: cell key -> row, over the cells that exist in any entry
+        self.index = dict(zip(keys, range(len(keys))))
+        #: basis aggregate -> row of ``values`` / ``numbers``
+        self.spec_row = {spec: row for row, spec in enumerate(entries)}
+        n_cells = len(keys)
+        #: (aggregates x cells + 1); the last column is the empty group
+        self.values = np.empty((len(entries), n_cells + 1), dtype=object)
+        for row, entry in enumerate(entries.values()):
+            empty = entry.empty_value()
+            self.values[row, :n_cells] = list(
+                map(entry.cells.get, keys, repeat(empty))
+            )
+            self.values[row, n_cells] = empty
+        self.numbers = self.values.astype(np.float64)  # None -> NaN
+
+    def rows_of(self, keys: list[tuple]) -> np.ndarray:
+        """Row of each cell key (the empty-group row when it has no cell)."""
+        return np.fromiter(
+            map(self.index.get, keys, repeat(len(self.index))),
+            dtype=np.intp,
+            count=len(keys),
+        )
 
 
 def answer_candidates(
@@ -215,154 +161,59 @@ def answer_candidates(
     space,
     positions: Any,
     dims: "tuple[ColumnRef, ...]",
-    entries: "dict[AggregateSpec, CacheEntry]",
+    view: CellView,
     budget=None,
 ) -> None:
     """Answer every candidate at ``positions`` from cached cube cells.
 
     ``positions`` index into ``space``; all of them share one base
-    relation and one covering dimension set, whose cells (one
-    :class:`~repro.db.cache.CacheEntry` per basis aggregate) are in
-    ``entries``. Writes value ids into ``results`` in place. ``budget``
-    (optional :class:`repro.budget.ResourceBudget`) re-checks the
-    candidate limit for callers that gather without going through
+    relation and one covering dimension set, whose cells are in ``view``.
+    Fills ``results`` in place. ``budget`` (optional
+    :class:`repro.budget.ResourceBudget`) re-checks the candidate limit
+    for callers that gather without going through
     ``QueryEngine.evaluate_spaces`` (which already bounds the batch).
     """
     if budget is not None:
         budget.check_candidates(len(positions), "gather")
-    if _np is not None:
-        _answer_numpy(results, space, positions, dims, entries)
-    else:
-        _answer_python(results, space, positions, dims, entries)
-
-
-def _answer_numpy(results, space, positions, dims, entries) -> None:
     enc = space.encoding()
-    positions = _np.asarray(positions)
-    value_ids = results.value_ids
-    table = results.table
+    # One cell lookup per distinct subset, shared by all aggregates.
+    subset_ids = space.subset_index[positions]
+    used = distinct_ids(subset_ids)
+    subset_rows = np.zeros(len(enc.subset_codes), dtype=np.intp)
+    subset_rows[used] = view.rows_of(enc.cell_keys(used, dims))
+    cell_rows = subset_rows[subset_ids]
+    spec_rows = np.fromiter(
+        (view.spec_row.get(spec, -1) for spec in enc.basis_specs),
+        dtype=np.intp,
+        count=len(enc.basis_specs),
+    )[enc.basis_spec_id[positions]]
+    values = view.values[spec_rows, cell_rows]
+    numbers = view.numbers[spec_rows, cell_rows]
 
-    subset_ids = _np.asarray(space.subset_index)[positions]
-    used, sub_inv = _np.unique(subset_ids, return_inverse=True)
-    keys = [enc.cell_key(int(s), dims) for s in used]
+    ratio = np.flatnonzero(enc.fn_kind[space.fn_index[positions]] != KIND_PLAIN)
+    if len(ratio):
+        # Denominator row per condition pair; Percentage candidates carry
+        # pair id -1, which indexes the all-ALL row appended last.
+        denominator_rows = view.rows_of(
+            enc.cond_keys(dims) + [(ALL,) * len(dims)]
+        )
+        numerator = numbers[ratio]
+        denominator = view.numbers[
+            spec_rows[ratio],
+            denominator_rows[enc.cond_pair_id[positions[ratio]]],
+        ]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            quotient = 100.0 * numerator / denominator
+        # Basis cells of ratio functions are counts, so NaN means NULL.
+        undefined = (
+            np.isnan(numerator) | np.isnan(denominator) | (denominator == 0)
+        )
+        quotient[undefined] = np.nan
+        quotient_values = quotient.astype(object)
+        quotient_values[undefined] = None
+        values[ratio] = quotient_values
+        numbers[ratio] = quotient
 
-    spec_ids = _np.asarray(enc.basis_spec_id)[positions]
-    kinds = _np.asarray(enc.fn_kind)[_np.asarray(space.fn_index)[positions]]
-    cond_ids = _np.asarray(enc.cond_pair_id)[positions]
-
-    unique_specs = _np.unique(spec_ids)
-    for spec_local in unique_specs:
-        spec = enc.basis_specs[int(spec_local)]
-        entry = entries[spec]
-        cells_get = entry.cells.get
-        empty = entry.empty_value()
-        if len(unique_specs) == 1:
-            sub_sel = sub_inv
-            kind_sel = kinds
-            pos_sel = positions
-            pair_all = cond_ids
-        else:
-            in_spec = spec_ids == spec_local
-            sub_sel = sub_inv[in_spec]
-            kind_sel = kinds[in_spec]
-            pos_sel = positions[in_spec]
-            pair_all = cond_ids[in_spec]
-
-        # One cell lookup per distinct subset this spec touches.
-        needed = _np.unique(sub_sel)
-        cell_values: list[Value] = [None] * len(used)
-        for u in needed.tolist():
-            cell_values[u] = cells_get(keys[u], empty)
-
-        plain = kind_sel == KIND_PLAIN
-        all_plain = bool(plain.all())
-        if all_plain or plain.any():
-            # Intern only subsets that plain candidates actually use, so
-            # the carried ValueTable never accumulates unused values.
-            subset_list = (
-                needed if all_plain else _np.unique(sub_sel[plain])
-            ).tolist()
-            dense = _np.full(len(used), -1, dtype=_np.int32)
-            intern = table.intern
-            for u in subset_list:
-                dense[u] = intern(cell_values[u])
-            if all_plain:
-                value_ids[pos_sel] = dense[sub_sel]
-                continue
-            value_ids[pos_sel[plain]] = dense[sub_sel[plain]]
-
-        pct = kind_sel == KIND_PERCENTAGE
-        if pct.any():
-            denominator = cells_get(tuple(_all_key(dims)), empty)
-            subset_list = (
-                needed if bool(pct.all()) else _np.unique(sub_sel[pct])
-            ).tolist()
-            dense = _np.full(len(used), -1, dtype=_np.int32)
-            intern = table.intern
-            for u in subset_list:
-                dense[u] = intern(ratio_value(cell_values[u], denominator))
-            value_ids[pos_sel[pct]] = dense[sub_sel[pct]]
-
-        cond = kind_sel == KIND_CONDITIONAL
-        if cond.any():
-            pair_sel = pair_all[cond]
-            denominator_of: dict[int, Value] = {}
-            for p in _np.unique(pair_sel).tolist():
-                denominator_of[p] = cells_get(enc.cond_key(p, dims), empty)
-            # One division per distinct (subset, condition) combination.
-            radix = int(pair_sel.max()) + 1
-            combos = sub_sel[cond].astype(_np.int64) * radix + pair_sel
-            ucombo, combo_inv = _np.unique(combos, return_inverse=True)
-            combo_vids = _np.empty(len(ucombo), dtype=_np.int32)
-            intern = table.intern
-            for index, code in enumerate(ucombo.tolist()):
-                u, p = divmod(int(code), radix)
-                combo_vids[index] = intern(
-                    ratio_value(cell_values[u], denominator_of[p])
-                )
-            value_ids[pos_sel[cond]] = combo_vids[combo_inv]
-
-
-def _answer_python(results, space, positions, dims, entries) -> None:
-    enc = space.encoding()
-    value_ids = results.value_ids
-    table = results.table
-    subset_index = space.subset_index
-    fn_index = space.fn_index
-    basis_spec_id = enc.basis_spec_id
-    fn_kind = enc.fn_kind
-    cond_pair_id = enc.cond_pair_id
-
-    key_of: dict[int, tuple] = {}
-    memo: dict[tuple[int, int, int], int] = {}  # (spec, subset, pair) -> vid
-    for position in as_int_list(positions):
-        si = int(subset_index[position])
-        spec_id = int(basis_spec_id[position])
-        kind = int(fn_kind[int(fn_index[position])])
-        pair = int(cond_pair_id[position]) if kind == KIND_CONDITIONAL else -1
-        memo_key = (spec_id, si, pair if kind == KIND_CONDITIONAL else -kind - 1)
-        vid = memo.get(memo_key)
-        if vid is None:
-            entry = entries[enc.basis_specs[spec_id]]
-            empty = entry.empty_value()
-            key = key_of.get(si)
-            if key is None:
-                key = key_of[si] = enc.cell_key(si, dims)
-            numerator = entry.cells.get(key, empty)
-            if kind == KIND_PLAIN:
-                value = numerator
-            elif kind == KIND_PERCENTAGE:
-                denominator = entry.cells.get(tuple(_all_key(dims)), empty)
-                value = ratio_value(numerator, denominator)
-            else:
-                denominator = entry.cells.get(enc.cond_key(pair, dims), empty)
-                value = ratio_value(numerator, denominator)
-            vid = table.intern(value)
-            memo[memo_key] = vid
-        value_ids[position] = vid
-
-
-def _all_key(dims: Sequence) -> list:
-    from repro.db.cube import ALL
-
-    return [ALL for _ in dims]
+    results.values[positions] = values
+    results.numbers[positions] = numbers
+    results.done[positions] = True

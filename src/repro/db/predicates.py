@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.db.refs import ColumnRef
 from repro.db.values import Value, normalize_string, values_equal
@@ -15,17 +15,26 @@ class Predicate:
 
     column: ColumnRef
     value: Value
+    #: Canonical value form used for grouping and cache keys; derived from
+    #: ``value`` once, so it takes no part in equality, hashing or repr.
+    normalized_value: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.column.is_star:
             raise QueryError("predicates cannot restrict '*'")
         if self.value is None:
             raise QueryError("predicates cannot compare against NULL")
+        object.__setattr__(
+            self, "normalized_value", normalize_string(self.value)
+        )
 
-    @property
-    def normalized_value(self) -> str:
-        """Canonical value form used for grouping and cache keys."""
-        return normalize_string(self.value)
+    def __getstate__(self) -> dict:
+        # Pickles carry only the declared values, as they always have.
+        return {"column": self.column, "value": self.value}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__dict__["normalized_value"] = normalize_string(self.value)
 
     def matches(self, cell: Value) -> bool:
         return values_equal(cell, self.value)

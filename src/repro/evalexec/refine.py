@@ -12,7 +12,7 @@ Two implementations share that batching structure:
   to end. Each claim contributes a scope *mask* over its candidate space;
   the engine answers the spaces by cell gather
   (``QueryEngine.evaluate_spaces``), and iteration-to-iteration reuse is
-  carried as per-claim :class:`~repro.db.gather.SpaceResults` (value-id
+  carried as per-claim :class:`~repro.db.gather.SpaceResults` (value
   arrays) instead of a ``dict[SimpleAggregateQuery, Value]``.
 - :func:`refine_by_eval` (the per-query oracle): materializes candidate
   queries and evaluates them through ``QueryEngine.evaluate``. Kept as
@@ -98,7 +98,7 @@ def refine_by_eval_space(
 
     ``carried`` maps claims to :class:`~repro.db.gather.SpaceResults`
     reused across EM iterations: candidates already answered in an earlier
-    iteration keep their value ids and only newly scoped ones reach the
+    iteration keep their values and only newly scoped ones reach the
     engine. Pass None to re-evaluate from scratch (the Table 6
     "no result reuse" rungs).
     """
@@ -124,7 +124,7 @@ def refine_by_eval_space(
             results = SpaceResults.for_space(space)
             if carried is not None:
                 carried[claim] = results
-        need = mask & ~np.asarray(results.evaluated_mask())
+        need = mask & ~results.evaluated_mask()
         requests.append(SpaceEvalRequest(space, need, results))
         masks[claim] = mask
         held[claim] = results

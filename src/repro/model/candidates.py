@@ -20,13 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 from repro._compat import np, require_numpy
 
 from repro.db.aggregates import AggregateFunction
 from repro.db.cube import ALL
-from repro.db.gather import KIND_CONDITIONAL, KIND_PERCENTAGE, KIND_PLAIN
+from repro.db.gather import (
+    KIND_CONDITIONAL,
+    KIND_PERCENTAGE,
+    KIND_PLAIN,
+    distinct_ids,
+)
 from repro.db.query import AggregateSpec, ColumnRef, SimpleAggregateQuery
 from repro.fragments.fragments import (
     ColumnFragment,
@@ -67,6 +72,8 @@ class SpaceEncoding:
     - ``subset_codes``: per predicate subset, one literal code per
       predicate column (0 = that column unrestricted) — the
       per-dimension literal-code vector a cube cell key maps onto;
+    - ``col_set_id`` / ``col_sets``: the predicate-column set of each
+      subset, as an id into the space's few distinct sets;
     - ``tables_id`` / ``table_sets``: base-relation table set per
       candidate (empty set = the database's single table);
     - ``basis_spec_id`` / ``basis_specs``: the cube-computable aggregate
@@ -83,7 +90,8 @@ class SpaceEncoding:
         "col_pos",
         "literals",
         "subset_codes",
-        "subset_col_sets",
+        "col_sets",
+        "col_set_id",
         "table_sets",
         "tables_id",
         "basis_specs",
@@ -91,124 +99,114 @@ class SpaceEncoding:
         "fn_kind",
         "cond_pairs",
         "cond_pair_id",
+        "_cond_codes",
+        "_key_parts",
     )
 
     def __init__(self, space: "CandidateSpace") -> None:
-        subsets = space.subsets
+        matrix = space.subset_matrix
+        fragments = space.predicates
+        n_subsets = len(matrix)
+        # One entry per (subset, predicate) pair, subset-then-slot order.
+        pair_subset, pair_slot = np.nonzero(matrix >= 0)
+        pair_fragment = matrix[pair_subset, pair_slot]
+        used = distinct_ids(pair_fragment).tolist()
+
+        # Python below touches each distinct fragment once; everything per
+        # subset or per candidate is a scatter/gather over these arrays.
         self.pred_columns: list[ColumnRef] = sorted(
-            {fragment.column for subset in subsets for fragment in subset}
+            {fragments[f].column for f in used}
         )
         self.col_pos = {column: j for j, column in enumerate(self.pred_columns)}
         literal_sets: list[set[str]] = [set() for _ in self.pred_columns]
-        for subset in subsets:
-            for fragment in subset:
-                literal_sets[self.col_pos[fragment.column]].add(
-                    fragment.predicate.normalized_value
-                )
+        for f in used:
+            predicate = fragments[f].predicate
+            literal_sets[self.col_pos[predicate.column]].add(
+                predicate.normalized_value
+            )
         self.literals = [sorted(values) for values in literal_sets]
         literal_code = [
             {literal: code + 1 for code, literal in enumerate(column_literals)}
             for column_literals in self.literals
         ]
+        table_names = sorted(
+            {fragments[f].column.table for f in used if fragments[f].column.table}
+        )
+        table_pos = {name: t for t, name in enumerate(table_names)}
+        fragment_col = np.zeros(len(fragments), dtype=np.intp)
+        fragment_code = np.zeros(len(fragments), dtype=np.int32)
+        fragment_table = np.full(len(fragments), -1, dtype=np.intp)
+        for f in used:
+            predicate = fragments[f].predicate
+            j = fragment_col[f] = self.col_pos[predicate.column]
+            fragment_code[f] = literal_code[j][predicate.normalized_value]
+            fragment_table[f] = table_pos.get(predicate.column.table, -1)
 
-        n_subsets = len(subsets)
         self.subset_codes = np.zeros(
             (n_subsets, len(self.pred_columns)), dtype=np.int32
         )
-        self.subset_col_sets: list[frozenset[ColumnRef]] = []
-        subset_tables: list[frozenset[str]] = []
-        for si, subset in enumerate(subsets):
-            self.subset_col_sets.append(
-                frozenset(fragment.column for fragment in subset)
-            )
-            subset_tables.append(
-                frozenset(
-                    fragment.column.table
-                    for fragment in subset
-                    if fragment.column.table
-                )
-            )
-            for fragment in subset:
-                j = self.col_pos[fragment.column]
-                self.subset_codes[si, j] = literal_code[j][
-                    fragment.predicate.normalized_value
-                ]
+        self.subset_codes[pair_subset, fragment_col[pair_fragment]] = (
+            fragment_code[pair_fragment]
+        )
+        self._key_parts: list[np.ndarray] = []
+        for column_literals in self.literals:
+            parts = np.empty(len(column_literals) + 1, dtype=object)
+            parts[0] = ALL
+            parts[1:] = column_literals
+            self._key_parts.append(parts)
 
-        column_tables = [
-            frozenset({fragment.column.table})
-            if fragment.column.table
-            else frozenset()
-            for fragment in space.columns
+        # Distinct predicate-column sets, and which one each subset uses.
+        self.col_set_id, first = _first_seen(_row_keys(self.subset_codes != 0))
+        self.col_sets: list[frozenset[ColumnRef]] = [
+            frozenset(
+                self.pred_columns[j] for j in np.flatnonzero(self.subset_codes[si])
+            )
+            for si in first.tolist()
         ]
 
         # Table set per candidate. Both factors have very few distinct
         # table sets, so dedup over (column-variant, subset-variant) pairs
         # rather than raw (column, subset) pairs.
-        self.table_sets: list[frozenset[str]] = []
-        set_index: dict[frozenset[str], int] = {}
-        if len(space.fn_index):
-            subset_variants: list[frozenset[str]] = []
-            subset_variant_index: dict[frozenset[str], int] = {}
-            subset_tid = np.empty(max(n_subsets, 1), dtype=np.int64)
-            for si, tables in enumerate(subset_tables):
-                tid = subset_variant_index.get(tables)
-                if tid is None:
-                    tid = subset_variant_index[tables] = len(subset_variants)
-                    subset_variants.append(tables)
-                subset_tid[si] = tid
-            column_variants: list[frozenset[str]] = []
-            column_variant_index: dict[frozenset[str], int] = {}
-            column_tid = np.empty(len(column_tables), dtype=np.int64)
-            for ci, tables in enumerate(column_tables):
-                tid = column_variant_index.get(tables)
-                if tid is None:
-                    tid = column_variant_index[tables] = len(column_variants)
-                    column_variants.append(tables)
-                column_tid[ci] = tid
-            radix = max(len(subset_variants), 1)
-            pair_codes = (
-                column_tid[space.col_index] * radix
-                + subset_tid[space.subset_index]
-            )
-            unique_pairs, inverse = np.unique(pair_codes, return_inverse=True)
-            pair_ids = np.empty(len(unique_pairs), dtype=np.int32)
-            for index, code in enumerate(unique_pairs.tolist()):
-                ctid, stid = divmod(int(code), radix)
-                tables = column_variants[ctid] | subset_variants[stid]
-                tid = set_index.get(tables)
-                if tid is None:
-                    tid = set_index[tables] = len(self.table_sets)
-                    self.table_sets.append(tables)
-                pair_ids[index] = tid
-            self.tables_id = pair_ids[inverse].astype(np.int32)
-        else:
-            self.tables_id = np.zeros(0, dtype=np.int32)
+        in_table = fragment_table[pair_fragment] >= 0
+        subset_has = np.zeros((n_subsets, len(table_names)), dtype=bool)
+        subset_has[
+            pair_subset[in_table], fragment_table[pair_fragment[in_table]]
+        ] = True
+        subset_tid, first = _first_seen(_row_keys(subset_has))
+        subset_variants = [
+            frozenset(table_names[t] for t in np.flatnonzero(subset_has[si]))
+            for si in first.tolist()
+        ]
+        column_tables = [
+            frozenset({fragment.column.table} if fragment.column.table else ())
+            for fragment in space.columns
+        ]
+        column_variants = list(dict.fromkeys(column_tables))
+        column_tid = np.array(
+            [column_variants.index(tables) for tables in column_tables],
+            dtype=np.int64,
+        )
+        radix = max(len(subset_variants), 1)
+        self.tables_id, self.table_sets = _ids_by_code(
+            column_tid[space.col_index] * radix + subset_tid[space.subset_index],
+            lambda code: column_variants[code // radix]
+            | subset_variants[code % radix],
+        )
 
         # Basis aggregate per candidate, deduplicated over (fn, col) pairs.
-        self.basis_specs: list[AggregateSpec] = []
-        spec_index: dict[AggregateSpec, int] = {}
         n_columns = max(len(space.columns), 1)
-        if len(space.fn_index):
-            fc_codes = space.fn_index.astype(np.int64) * n_columns + space.col_index
-            unique_fc, inverse = np.unique(fc_codes, return_inverse=True)
-            spec_ids = np.empty(len(unique_fc), dtype=np.int32)
-            for index, code in enumerate(unique_fc.tolist()):
-                fi, ci = divmod(int(code), n_columns)
-                function = space.functions[fi].function
-                column = space.columns[ci].column
-                basis = (
-                    AggregateSpec(AggregateFunction.COUNT, column)
-                    if function.is_ratio
-                    else AggregateSpec(function, column)
-                )
-                sid = spec_index.get(basis)
-                if sid is None:
-                    sid = spec_index[basis] = len(self.basis_specs)
-                    self.basis_specs.append(basis)
-                spec_ids[index] = sid
-            self.basis_spec_id = spec_ids[inverse].astype(np.int32)
-        else:
-            self.basis_spec_id = np.zeros(0, dtype=np.int32)
+
+        def basis_of(code: int) -> AggregateSpec:
+            function = space.functions[code // n_columns].function
+            column = space.columns[code % n_columns].column
+            if function.is_ratio:
+                return AggregateSpec(AggregateFunction.COUNT, column)
+            return AggregateSpec(function, column)
+
+        self.basis_spec_id, self.basis_specs = _ids_by_code(
+            space.fn_index.astype(np.int64) * n_columns + space.col_index,
+            basis_of,
+        )
 
         self.fn_kind = np.array(
             [
@@ -222,47 +220,66 @@ class SpaceEncoding:
             dtype=np.int8,
         )
 
-        # Condition (column, literal-code) pair per conditional candidate.
+        # Condition (column, literal-code) pair per conditional candidate;
+        # pair ids follow first appearance in (subset, condition) order.
         self.cond_pairs: list[tuple[int, int]] = []
-        pair_index: dict[tuple[int, int], int] = {}
         self.cond_pair_id = np.full(len(space.fn_index), -1, dtype=np.int32)
         cond_positions = np.flatnonzero(space.cond_k >= 0)
         if len(cond_positions):
-            radix = int(space.cond_k.max()) + 1
-            codes = (
-                space.subset_index[cond_positions].astype(np.int64) * radix
-                + space.cond_k[cond_positions]
+            cond_subset = space.subset_index[cond_positions]
+            cond_slot = space.cond_k[cond_positions]
+            cond_fragment = matrix[cond_subset, cond_slot]
+            radix = int(cond_slot.max()) + 1
+            ordered = matrix[
+                np.divmod(
+                    distinct_ids(cond_subset.astype(np.int64) * radix + cond_slot),
+                    radix,
+                )
+            ]
+            ids, first = _first_seen(
+                fragment_col[ordered] * (int(fragment_code.max()) + 1)
+                + fragment_code[ordered]
             )
-            unique_codes, inverse = np.unique(codes, return_inverse=True)
-            ids = np.empty(len(unique_codes), dtype=np.int32)
-            for index, code in enumerate(unique_codes.tolist()):
-                si, k = divmod(int(code), radix)
-                predicate = subsets[si][k].predicate
-                j = self.col_pos[predicate.column]
-                pair = (j, literal_code[j][predicate.normalized_value])
-                pid = pair_index.get(pair)
-                if pid is None:
-                    pid = pair_index[pair] = len(self.cond_pairs)
-                    self.cond_pairs.append(pair)
-                ids[index] = pid
-            self.cond_pair_id[cond_positions] = ids[inverse]
+            self.cond_pairs = [
+                (int(fragment_col[f]), int(fragment_code[f]))
+                for f in ordered[first].tolist()
+            ]
+            fragment_pair = np.full(len(fragments), -1, dtype=np.int32)
+            fragment_pair[ordered] = ids
+            self.cond_pair_id[cond_positions] = fragment_pair[cond_fragment]
+        # Like ``subset_codes``, one row per condition pair: only the
+        # condition's own column is restricted.
+        self._cond_codes = np.zeros(
+            (len(self.cond_pairs), len(self.pred_columns)), dtype=np.int32
+        )
+        for pair_id, (j, code) in enumerate(self.cond_pairs):
+            self._cond_codes[pair_id, j] = code
 
-    def cell_key(self, subset_id: int, dims: tuple[ColumnRef, ...]) -> tuple:
-        """Cube cell key addressing ``subset_id``'s predicate combination."""
-        row = self.subset_codes[subset_id]
+    def cell_keys(
+        self, subset_ids: np.ndarray, dims: tuple[ColumnRef, ...]
+    ) -> list[tuple]:
+        """Cube cell keys addressing the given subsets' predicate
+        combinations (one per subset id, in order)."""
+        return self._keys(self.subset_codes[subset_ids], dims)
+
+    def cond_keys(self, dims: tuple[ColumnRef, ...]) -> list[tuple]:
+        """Per condition pair, the cube cell key restricting only the
+        condition's column."""
+        return self._keys(self._cond_codes, dims)
+
+    def _keys(self, codes: np.ndarray, dims: tuple[ColumnRef, ...]) -> list[tuple]:
+        """One cell key over ``dims`` per row of literal codes (0 = ALL)."""
+        if not dims:
+            return [()] * len(codes)
         parts = []
         for dim in dims:
             j = self.col_pos.get(dim)
-            code = int(row[j]) if j is not None else 0
-            parts.append(self.literals[j][code - 1] if code else ALL)
-        return tuple(parts)
-
-    def cond_key(self, pair_id: int, dims: tuple[ColumnRef, ...]) -> tuple:
-        """Cube cell key restricting only the condition's column."""
-        j, code = self.cond_pairs[pair_id]
-        column = self.pred_columns[j]
-        literal = self.literals[j][code - 1]
-        return tuple(literal if dim == column else ALL for dim in dims)
+            parts.append(
+                [ALL] * len(codes)
+                if j is None
+                else self._key_parts[j][codes[:, j]].tolist()
+            )
+        return list(zip(*parts))
 
     def add_literals(
         self,
@@ -270,39 +287,92 @@ class SpaceEncoding:
         literal_union: dict[ColumnRef, set[str]],
     ) -> None:
         """Union the literals of the given subsets into ``literal_union``."""
-        for si in np.unique(subset_ids).tolist():
-            row = self.subset_codes[int(si)]
-            for j, code in enumerate(row.tolist()):
-                if code:
-                    literal_union.setdefault(self.pred_columns[j], set()).add(
-                        self.literals[j][code - 1]
-                    )
+        codes = self.subset_codes[distinct_ids(subset_ids)]
+        for j, column in enumerate(self.pred_columns):
+            used = np.unique(codes[:, j])
+            used = used[used > 0]
+            if len(used):
+                literal_union.setdefault(column, set()).update(
+                    self._key_parts[j][used].tolist()
+                )
 
     def column_sets_used(
         self, subset_ids: np.ndarray
     ) -> set[frozenset[ColumnRef]]:
         """Distinct predicate-column sets among the given subsets."""
         return {
-            self.subset_col_sets[int(si)] for si in np.unique(subset_ids)
+            self.col_sets[i]
+            for i in distinct_ids(self.col_set_id[subset_ids]).tolist()
         }
+
+
+def _ids_by_code(codes: np.ndarray, make) -> tuple[np.ndarray, list]:
+    """Per element of ``codes`` (small non-negative ints), the id of
+    ``make(code)`` among the distinct objects made, numbered by first
+    appearance over the distinct codes in ascending order; and the objects."""
+    objects: list = []
+    index: dict = {}
+    distinct = distinct_ids(codes)
+    lut = np.zeros(int(distinct[-1]) + 1 if len(distinct) else 0, dtype=np.int32)
+    for code in distinct.tolist():
+        made = make(code)
+        made_id = index.get(made)
+        if made_id is None:
+            made_id = index[made] = len(objects)
+            objects.append(made)
+        lut[code] = made_id
+    return lut[codes], objects
+
+
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids for integer ``keys`` numbered by first appearance, and the
+    position where each id first appears."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    return rank[inverse], first[order]
+
+
+def _row_keys(present: np.ndarray) -> np.ndarray:
+    """One int64 per row of a boolean matrix, equal exactly for equal rows.
+
+    Rows are bit-packed a chunk of columns at a time; between chunks the
+    keys are re-ranked to below the row count, so they cannot overflow
+    however wide the matrix is (one chunk covers every realistic width).
+    """
+    step = 62 - len(present).bit_length()
+    keys = np.zeros(len(present), dtype=np.int64)
+    for start in range(0, present.shape[1], step):
+        chunk = present[:, start : start + step]
+        if start:
+            keys = np.unique(keys, return_inverse=True)[1]
+        keys = (keys << chunk.shape[1]) + chunk @ (
+            np.int64(1) << np.arange(chunk.shape[1], dtype=np.int64)
+        )
+    return keys
 
 
 @dataclass
 class CandidateSpace:
     """Factorized candidate space for one claim.
 
-    Candidates are triples into ``functions`` x ``columns`` x ``subsets``
-    (``fn_index`` / ``col_index`` / ``subset_index``); conditional
+    Candidates are triples into ``functions`` x ``columns`` x predicate
+    subsets (``fn_index`` / ``col_index`` / ``subset_index``); conditional
     candidates additionally record which subset predicate is the condition
-    (``cond_k``, -1 otherwise). ``queries`` materializes real
-    ``SimpleAggregateQuery`` objects lazily — the evaluation hot path works
-    on the index arrays alone.
+    (``cond_k``, -1 otherwise). A predicate subset is one row of
+    ``subset_matrix``: ids into ``predicates``, padded with -1. The tuple
+    list ``subsets`` and the ``queries`` materialize lazily — the
+    evaluation hot path works on the index arrays alone.
     """
 
     claim: Claim
     functions: list[FunctionFragment]
     columns: list[ColumnFragment]
-    subsets: list[tuple[PredicateFragment, ...]]
+    #: predicate fragments the subsets draw from, best keyword score first
+    predicates: list[PredicateFragment]
+    #: (n_subsets x max_predicates) ids into ``predicates``, -1 = no predicate
+    subset_matrix: np.ndarray
     #: log keyword probability per function / column / subset
     fn_keyword_log: np.ndarray
     col_keyword_log: np.ndarray
@@ -312,6 +382,10 @@ class CandidateSpace:
     col_index: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
     subset_index: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
     cond_k: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int32))
+    #: lazily materialized predicate tuples (see :attr:`subsets`)
+    _subsets: list[tuple[PredicateFragment, ...]] | None = field(
+        default=None, repr=False, compare=False
+    )
     #: lazily materialized query objects (see :attr:`queries`)
     _queries: list[SimpleAggregateQuery] | None = field(
         default=None, repr=False, compare=False
@@ -331,6 +405,25 @@ class CandidateSpace:
     #: lazily built Θ slot arrays, cached per PriorLayout identity
     _prior_slots: tuple | None = field(default=None, repr=False, compare=False)
 
+    @property
+    def subsets(self) -> list[tuple[PredicateFragment, ...]]:
+        """Predicate subsets as fragment tuples, materialized on first
+        access (query building and ``position_of`` only)."""
+        if self._subsets is None:
+            fragments = self.predicates
+            self._subsets = [
+                tuple(fragments[f] for f in row if f >= 0)
+                for row in self.subset_matrix.tolist()
+            ]
+        return self._subsets
+
+    def subset_at(self, subset_id: int) -> tuple[PredicateFragment, ...]:
+        """One predicate subset, without materializing the others."""
+        if self._subsets is not None:
+            return self._subsets[subset_id]
+        row = self.subset_matrix[subset_id].tolist()
+        return tuple(self.predicates[f] for f in row if f >= 0)
+
     def prior_arrays(self) -> tuple:
         """Flat restriction structure for the Θ prior term (cached).
 
@@ -341,22 +434,16 @@ class CandidateSpace:
         log-odds with one ``np.add.at`` instead of nested Python sums.
         """
         if self._prior_arrays is None:
-            columns: list[ColumnRef] = []
-            column_pos: dict[ColumnRef, int] = {}
-            flat_subset: list[int] = []
-            flat_column: list[int] = []
-            for si, subset in enumerate(self.subsets):
-                for fragment in subset:
-                    j = column_pos.get(fragment.column)
-                    if j is None:
-                        j = column_pos[fragment.column] = len(columns)
-                        columns.append(fragment.column)
-                    flat_subset.append(si)
-                    flat_column.append(j)
+            matrix = self.subset_matrix
+            flat_subset, slot = np.nonzero(matrix >= 0)
+            fragment = matrix[flat_subset, slot]
+            flat_column, first = _first_seen(
+                _column_ids(self.predicates)[fragment]
+            )
             self._prior_arrays = (
-                columns,
-                np.asarray(flat_subset, dtype=np.intp),
-                np.asarray(flat_column, dtype=np.intp),
+                [self.predicates[f].column for f in fragment[first].tolist()],
+                flat_subset,
+                flat_column.astype(np.intp),
             )
         return self._prior_arrays
 
@@ -415,6 +502,7 @@ class CandidateSpace:
         verdict / reporting / interactive consumers pay for real objects.
         """
         if self._queries is None:
+            self.subsets  # materialize once, not per candidate
             fn_list = self.fn_index.tolist()
             col_list = self.col_index.tolist()
             subset_list = self.subset_index.tolist()
@@ -509,7 +597,7 @@ def _build_query(
     space: CandidateSpace, fi: int, ci: int, si: int, k: int
 ) -> SimpleAggregateQuery:
     spec = AggregateSpec(space.functions[fi].function, space.columns[ci].column)
-    predicates = tuple(fragment.predicate for fragment in space.subsets[si])
+    predicates = tuple(fragment.predicate for fragment in space.subset_at(si))
     if k >= 0:
         condition = predicates[k]
         event = predicates[:k] + predicates[k + 1 :]
@@ -535,13 +623,16 @@ def build_candidates(
     fn_keyword_log = _normalized_log_scores(fn_values)
     col_keyword_log = _normalized_log_scores(col_values)
 
-    subsets, subset_keyword_log = _predicate_subsets(scores, config)
+    predicates, subset_matrix, subset_keyword_log = _predicate_subsets(
+        scores, config
+    )
 
     space = CandidateSpace(
         claim=claim,
         functions=functions,
         columns=columns,
-        subsets=subsets,
+        predicates=predicates,
+        subset_matrix=subset_matrix,
         fn_keyword_log=fn_keyword_log,
         col_keyword_log=col_keyword_log,
         subset_keyword_log=subset_keyword_log,
@@ -563,35 +654,69 @@ def _normalized_log_scores(raw: list[float]) -> np.ndarray:
     return np.log(array / array.sum())
 
 
+def _column_ids(fragments: list[PredicateFragment]) -> np.ndarray:
+    """A small int per fragment, equal exactly for equal columns."""
+    ids: dict[ColumnRef, int] = {}
+    return np.fromiter(
+        (ids.setdefault(fragment.column, len(ids)) for fragment in fragments),
+        dtype=np.intp,
+        count=len(fragments),
+    )
+
+
+def _index_combinations(n: int, size: int) -> np.ndarray:
+    """``combinations(range(n), size)`` as an (n_combinations x size) array."""
+    if size == 2:
+        return np.column_stack(np.triu_indices(n, 1))
+    return np.fromiter(
+        chain.from_iterable(combinations(range(n), size)), dtype=np.intp
+    ).reshape(-1, size)
+
+
 def _predicate_subsets(
     scores: RelevanceScores, config: CandidateConfig
-) -> tuple[list[tuple[PredicateFragment, ...]], np.ndarray]:
+) -> tuple[list[PredicateFragment], np.ndarray, np.ndarray]:
+    """Predicate fragments (best first), the subset matrix over them, and
+    the log keyword probability of each subset."""
     fragments = sorted(
         scores.predicates, key=lambda f: -scores.predicates[f]
     )
     total = sum(scores.predicates.values()) or 1.0
-    log_share = {
-        fragment: math.log(max(scores.predicates[fragment], 1e-12) / total)
-        for fragment in fragments
-    }
-    subsets: list[tuple[PredicateFragment, ...]] = [()]
-    subset_logs: list[float] = [0.0]
-    for size in range(1, config.max_predicates + 1):
-        for combo in combinations(fragments, size):
-            columns = {fragment.column for fragment in combo}
-            if len(columns) != size:
-                continue  # one restriction per column
-            subsets.append(combo)
-            subset_logs.append(sum(log_share[f] for f in combo))
-    if len(subsets) > config.max_subsets:
+    log_share = np.array(
+        [
+            math.log(max(scores.predicates[fragment], 1e-12) / total)
+            for fragment in fragments
+        ],
+        dtype=float,
+    )
+    column_id = _column_ids(fragments)
+    width = config.max_predicates
+    blocks = [np.full((1, width), -1, dtype=np.int32)]  # the empty subset
+    block_logs = [np.zeros(1)]
+    for size in range(1, width + 1):
+        combos = _index_combinations(len(fragments), size)
+        if size > 1:  # one restriction per column
+            columns = np.sort(column_id[combos], axis=1)
+            combos = combos[(columns[:, 1:] != columns[:, :-1]).all(axis=1)]
+        block = np.full((len(combos), width), -1, dtype=np.int32)
+        block[:, :size] = combos
+        blocks.append(block)
+        # Left-to-right over the slots: the float order of sum().
+        logs = log_share[combos[:, 0]]
+        for slot in range(1, size):
+            logs = logs + log_share[combos[:, slot]]
+        block_logs.append(logs)
+    matrix = np.concatenate(blocks)
+    subset_logs = np.concatenate(block_logs)
+    if len(matrix) > config.max_subsets:
         # Keep the empty set plus the highest-scoring subsets.
-        order = sorted(
-            range(1, len(subsets)), key=lambda i: -subset_logs[i]
-        )[: config.max_subsets - 1]
-        keep = [0] + sorted(order)
-        subsets = [subsets[i] for i in keep]
-        subset_logs = [subset_logs[i] for i in keep]
-    return subsets, np.asarray(subset_logs)
+        order = np.argsort(-subset_logs[1:], kind="stable")[
+            : config.max_subsets - 1
+        ]
+        keep = np.concatenate(([0], np.sort(order + 1)))
+        matrix = matrix[keep]
+        subset_logs = subset_logs[keep]
+    return fragments, matrix, subset_logs
 
 
 def _index_candidates(space: CandidateSpace, config: CandidateConfig) -> None:
@@ -601,22 +726,22 @@ def _index_candidates(space: CandidateSpace, config: CandidateConfig) -> None:
     columns next, subsets inner; conditional candidates expand each subset
     of size >= 2 once per condition choice.
     """
-    fn_idx: list[int] = []
-    col_idx: list[int] = []
-    subset_idx: list[int] = []
-    cond_idx: list[int] = []
-    n_subsets = len(space.subsets)
-    all_subsets = range(n_subsets)
-    no_condition = [-1] * n_subsets
+    n_subsets = len(space.subset_matrix)
+    all_subsets = np.arange(n_subsets, dtype=np.int32)
+    no_condition = np.full(n_subsets, -1, dtype=np.int32)
     # Conditional expansion template: (subset, condition position) pairs in
     # subset order, reused for every valid (function, column) pair.
-    cond_subsets: list[int] = []
-    cond_choices: list[int] = []
-    for si, subset in enumerate(space.subsets):
-        size = len(subset)
-        if size >= 2:
-            cond_subsets.extend([si] * size)
-            cond_choices.extend(range(size))
+    filled = space.subset_matrix >= 0
+    cond_subsets, cond_choices = np.nonzero(filled)
+    expands = filled.sum(axis=1)[cond_subsets] >= 2
+    cond_subsets = cond_subsets[expands].astype(np.int32)
+    cond_choices = cond_choices[expands].astype(np.int32)
+
+    fn_idx: list[int] = []
+    col_idx: list[int] = []
+    counts: list[int] = []
+    subset_blocks: list[np.ndarray] = []
+    cond_blocks: list[np.ndarray] = []
     for fi, fn_fragment in enumerate(space.functions):
         function = fn_fragment.function
         is_conditional = (
@@ -627,21 +752,16 @@ def _index_candidates(space: CandidateSpace, config: CandidateConfig) -> None:
         for ci, col_fragment in enumerate(space.columns):
             if not _valid_pair(function, col_fragment):
                 continue
-            if is_conditional:
-                count = len(cond_subsets)
-                fn_idx.extend([fi] * count)
-                col_idx.extend([ci] * count)
-                subset_idx.extend(cond_subsets)
-                cond_idx.extend(cond_choices)
-            else:
-                fn_idx.extend([fi] * n_subsets)
-                col_idx.extend([ci] * n_subsets)
-                subset_idx.extend(all_subsets)
-                cond_idx.extend(no_condition)
-    space.fn_index = np.asarray(fn_idx, dtype=np.int32)
-    space.col_index = np.asarray(col_idx, dtype=np.int32)
-    space.subset_index = np.asarray(subset_idx, dtype=np.int32)
-    space.cond_k = np.asarray(cond_idx, dtype=np.int32)
+            fn_idx.append(fi)
+            col_idx.append(ci)
+            subset_blocks.append(cond_subsets if is_conditional else all_subsets)
+            cond_blocks.append(cond_choices if is_conditional else no_condition)
+            counts.append(len(subset_blocks[-1]))
+    space.fn_index = np.repeat(np.asarray(fn_idx, dtype=np.int32), counts)
+    space.col_index = np.repeat(np.asarray(col_idx, dtype=np.int32), counts)
+    empty = [np.zeros(0, dtype=np.int32)]
+    space.subset_index = np.concatenate(subset_blocks or empty)
+    space.cond_k = np.concatenate(cond_blocks or empty)
 
 
 def _valid_pair(function: AggregateFunction, column: ColumnFragment) -> bool:

@@ -93,7 +93,7 @@ def query_and_learn(
     priors = Priors.uniform(catalog) if config.use_priors else None
 
     # Iteration-to-iteration result reuse: the factorized path carries
-    # per-claim value-id arrays (SpaceResults); the per-query oracle path
+    # per-claim value arrays (SpaceResults); the per-query oracle path
     # carries a result dict keyed by materialized queries.
     known_results: dict[SimpleAggregateQuery, Value] = {}
     space_results: dict[Claim, SpaceResults] = {}

@@ -14,9 +14,9 @@ is computed once per claim (:class:`EvaluationOutcome`) and re-used by
 every :func:`compute_distribution` call. Two constructors feed it: the
 per-query oracle path (:meth:`EvaluationOutcome.from_results`, a result
 dict keyed by materialized queries) and the factorized default path
-(:meth:`EvaluationOutcome.from_value_ids`, compact value-id arrays from
-``QueryEngine.evaluate_space`` — ``rounds_to`` runs once per distinct
-value id instead of once per candidate).
+(:meth:`EvaluationOutcome.from_value_ids`, per-candidate value arrays from
+``QueryEngine.evaluate_space`` — a vectorized near-filter discards the
+candidates that cannot match and ``rounds_to`` runs on the rest).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.db.query import SimpleAggregateQuery
 from repro.db.values import Value
 from repro.model.candidates import CandidateSpace
 from repro.model.priors import Priors
-from repro.nlp.numbers import rounds_to
+from repro.nlp.numbers import near_claimed, rounds_to
 
 _NEG_INF = float("-inf")
 
@@ -43,7 +43,7 @@ class EvaluationOutcome:
 
     Exactly one of ``evaluations`` (per-query oracle path: the
     document-wide result pool) and ``space_results`` (factorized path:
-    value ids per candidate) is set; consumers go through the accessor
+    value arrays per candidate) is set; consumers go through the accessor
     methods so both representations behave identically.
     """
 
@@ -162,26 +162,33 @@ class EvaluationOutcome:
     ) -> "EvaluationOutcome":
         """Build the outcome from factorized space results.
 
-        ``results`` carries one value id per candidate (-1 = not
-        evaluated); ``scope_mask`` restricts which candidates count as
-        evaluated this EM iteration (None = all with results). The
-        rounding check runs once per distinct value id in the space's
-        value table and fans out by integer gather.
+        ``scope_mask`` restricts which candidates count as evaluated this
+        EM iteration (None = all with results). The match vector comes
+        from the conservative vectorized near-filter on
+        ``results.numbers``; the exact ``rounds_to`` then runs once per
+        distinct surviving value, so verdicts are those of checking every
+        candidate.
         """
         claimed = space.claim.claimed_value
-        ids = np.asarray(results.value_ids)
-        evaluated = ids >= 0
+        evaluated = results.done.copy()  # the engine fills ``done`` in place
         if scope_mask is not None:
-            evaluated = evaluated & np.asarray(scope_mask)
+            evaluated &= np.asarray(scope_mask)
         matches = np.zeros(len(space), dtype=bool)
-        if evaluated.any():
-            values = results.table.values
-            match_by_id = np.fromiter(
-                (rounds_to(value, claimed) for value in values),
-                dtype=bool,
-                count=len(values),
-            )
-            matches[evaluated] = match_by_id[ids[evaluated]]
+        candidates = np.flatnonzero(evaluated)
+        near = candidates[near_claimed(results.numbers[candidates], claimed)]
+        if len(near):
+            verdict_of: dict[tuple[type, Value], bool] = {}
+            hits = []
+            for position, value in zip(
+                near.tolist(), results.values[near].tolist()
+            ):
+                key = (value.__class__, value)  # 3 and 3.0 stay distinct
+                hit = verdict_of.get(key)
+                if hit is None:
+                    hit = verdict_of[key] = rounds_to(value, claimed)
+                if hit:
+                    hits.append(position)
+            matches[hits] = True
         return cls(
             None,
             evaluated,
@@ -305,7 +312,7 @@ def _prior_term(space: CandidateSpace, priors: Priors) -> np.ndarray:
     odds = odds_table[odds_slots]
     # Sequential accumulation in (subset, fragment) order: identical float
     # addition order to the per-fragment Python sum it replaces.
-    subset_prior = np.zeros(len(space.subsets))
+    subset_prior = np.zeros(len(space.subset_matrix))
     np.add.at(subset_prior, flat_subset, odds[flat_column])
     return (
         fn_table[fn_slots][space.fn_index]

@@ -11,6 +11,7 @@ remaining concatenations.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 
 from repro.nlp.wordnet import vocabulary
 
@@ -47,8 +48,10 @@ _BOUNDARY_RE = re.compile(
 )
 
 
-def _dictionary() -> set[str]:
-    return vocabulary() | _EXTRA_WORDS
+_DICTIONARY = frozenset(vocabulary() | _EXTRA_WORDS)
+#: The same words in order: the words extending a prefix are one bisect
+#: range, not a scan of the dictionary.
+_SORTED_DICTIONARY = sorted(_DICTIONARY)
 
 
 def decompose_identifier(name: str, min_part: int = 2) -> list[str]:
@@ -78,11 +81,13 @@ def abbreviation_expansions(token: str, limit: int = 3) -> list[str]:
     token = token.lower()
     if len(token) < 4 or token.isdigit():
         return []
-    expansions = [
-        word
-        for word in _dictionary()
-        if word != token and word.startswith(token)
-    ]
+    words = _SORTED_DICTIONARY
+    expansions = []
+    index = bisect_left(words, token)
+    while index < len(words) and words[index].startswith(token):
+        if words[index] != token:
+            expansions.append(words[index])
+        index += 1
     expansions.sort(key=lambda word: (len(word), word))
     return expansions[:limit]
 
@@ -91,7 +96,7 @@ def _split_concatenation(word: str, min_part: int) -> list[str]:
     """Greedy longest-match dictionary split; unsplittable text kept whole."""
     if word.isdigit() or len(word) <= min_part:
         return [word]
-    words = _dictionary()
+    words = _DICTIONARY
     if word in words:
         return [word]
     result: list[str] = []

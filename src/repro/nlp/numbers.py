@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from repro._compat import np
 from repro.nlp.tokens import Token
 
 _UNITS = {
@@ -69,14 +70,6 @@ def extract_number_mentions(tokens: list[Token]) -> list[NumberMention]:
     return mentions
 
 
-#: Memo for :func:`rounds_to`: the check walks up to ``max_digits``
-#: roundings per call and is invoked once per distinct evaluation result
-#: per claim — results (counts, sums) and claimed values repeat heavily
-#: across claims, documents, and EM iterations of one database.
-_ROUNDS_MEMO: dict[tuple, bool] = {}
-_ROUNDS_MEMO_LIMIT = 1 << 17
-
-
 def rounds_to(result: float | int | None, claimed: float, max_digits: int = 12) -> bool:
     """True if ``result`` rounded to *some* number of significant digits
     equals ``claimed`` (the paper's admissible rounding)."""
@@ -86,26 +79,45 @@ def rounds_to(result: float | int | None, claimed: float, max_digits: int = 12) 
         return False
     if math.isnan(result) or math.isinf(result):
         return False
-    key = (result, claimed, max_digits)
-    cached = _ROUNDS_MEMO.get(key)
-    if cached is None:
-        if len(_ROUNDS_MEMO) >= _ROUNDS_MEMO_LIMIT:
-            _ROUNDS_MEMO.clear()
-        cached = _ROUNDS_MEMO[key] = _rounds_to_uncached(
-            result, claimed, max_digits
-        )
-    return cached
-
-
-def _rounds_to_uncached(
-    result: float | int, claimed: float, max_digits: int
-) -> bool:
+    # Early exit: the near-filter of :func:`near_claimed` on one value.
+    magnitude = 10.0 ** math.floor(math.log10(abs(result))) if result else 0.0
+    if not abs(result - claimed) <= 0.5 * magnitude + _near_slack(
+        abs(result), abs(claimed)
+    ):
+        return False
     if _close(result, claimed):
         return True
     for digits in range(1, max_digits + 1):
         if _close(round_to_significant(result, digits), claimed):
             return True
     return False
+
+
+def near_claimed(numbers, claimed: float):
+    """Conservative vectorized pre-filter for :func:`rounds_to`.
+
+    ``numbers`` is a float64 array of results; the returned mask is True
+    wherever ``rounds_to(result, claimed)`` *can* hold, so the exact check
+    needs to run on the survivors only. Rounding to ``d >= 1`` significant
+    digits moves a value by at most half a unit of its leading digit,
+    ``0.5 * 10**floor(log10(|v|))`` (the magnitude expression of
+    :func:`round_to_significant`; zero rounds to zero), and ``_close``
+    adds its relative and absolute tolerance on top. NaN never survives.
+    """
+    size = np.abs(numbers)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        magnitude = 10.0 ** np.floor(np.log10(size))  # 0 for 0, inf for inf
+        return np.abs(numbers - claimed) <= 0.5 * magnitude + _near_slack(
+            size, abs(claimed)
+        )
+
+
+def _near_slack(size, claimed_size):
+    """Upper bound on what ``_close`` tolerates between ``claimed`` and a
+    rounding of a value of magnitude ``size`` (a rounding stays below
+    ``1.5 * size``), with room for the float error of the filter's own
+    arithmetic."""
+    return 2e-9 * (size + claimed_size) + 2e-9
 
 
 def round_to_significant(value: float, digits: int) -> float:

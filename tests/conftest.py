@@ -2,7 +2,7 @@
 
 Also owns the no-NumPy collection policy: the CI matrix includes a leg
 with only pytest+hypothesis installed, where the pure-Python
-columnar/gather/CSR kernels run for real. The probabilistic model layer
+columnar/CSR kernels run for real. The probabilistic model layer
 has no fallback (see ``repro._compat``), so tests that drive the full
 pipeline are skipped there — by path below, or via the ``needs_numpy``
 marker for individual tests.

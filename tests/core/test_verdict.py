@@ -22,7 +22,8 @@ def make_space(claim, queries):
         claim=claim,
         functions=[FunctionFragment(function=AggregateFunction.COUNT)],
         columns=[ColumnFragment()],
-        subsets=[()],
+        predicates=[],
+        subset_matrix=np.full((1, 0), -1, dtype=np.int32),
         fn_keyword_log=np.zeros(1),
         col_keyword_log=np.zeros(1),
         subset_keyword_log=np.zeros(1),

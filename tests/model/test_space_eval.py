@@ -7,8 +7,7 @@ here asserts that the zero-materialization path
 produces identical verdicts, probabilities, evaluated/match vectors, and
 per-candidate values — across all three execution modes, both physical
 backends, full and budgeted evaluation scopes, ratio and
-conditional-probability candidates, and empty-group cells. One test
-monkeypatches the NumPy guard to exercise the pure-Python gather fallback.
+conditional-probability candidates, and empty-group cells.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import repro.db.gather as gather
 from repro.db import Column, ColumnType, Database, QueryEngine, Table
 from repro.db.columnar import ExecutionBackend
 from repro.db.engine import EngineConfig, EngineStats, ExecutionMode
-from repro.db.gather import SpaceResults, ValueTable
+from repro.db.gather import SpaceResults
 from repro.evalexec import ScopeConfig, refine_by_eval, refine_by_eval_space
 from repro.fragments import FragmentIndex, extract_fragments
 from repro.matching import keyword_match
@@ -71,7 +70,8 @@ def assert_same_outcome(space, oracle, spacey):
     assert np.array_equal(oracle.matches, spacey.matches)
     for position in np.flatnonzero(spacey.evaluated).tolist():
         expected = oracle.result_at(space, position)
-        actual = spacey.result_at(space, position)
+        actual = spacey.space_results.value_at(position)
+        # Same value and same Python type: 3 is not 3.0, 0 is not None.
         assert expected == actual and type(expected) is type(actual), (
             position,
             expected,
@@ -240,34 +240,6 @@ class TestMultiClaimDocument:
             assert again[claim].evaluated.all()
 
 
-class TestPythonFallback:
-    """The pure-Python gather kernels must equal the NumPy kernels."""
-
-    def test_fallback_matches_numpy(self, nfl_pipeline, monkeypatch):
-        database, _, claims, spaces = nfl_pipeline
-        engine_np = QueryEngine(database)
-        with_numpy = refine_by_eval_space(spaces, None, engine_np)
-
-        monkeypatch.setattr(gather, "_np", None)
-        engine_py = QueryEngine(database)
-        without_numpy = refine_by_eval_space(spaces, None, engine_py)
-        for claim in claims:
-            space = spaces[claim]
-            assert np.array_equal(
-                with_numpy[claim].evaluated,
-                np.asarray(without_numpy[claim].evaluated),
-            )
-            assert np.array_equal(
-                with_numpy[claim].matches,
-                np.asarray(without_numpy[claim].matches),
-            )
-            for position in range(len(space)):
-                expected = with_numpy[claim].result_at(space, position)
-                actual = without_numpy[claim].result_at(space, position)
-                assert expected == actual and type(expected) is type(actual)
-        assert_same_stats(engine_np.stats, engine_py.stats)
-
-
 class TestLazyMaterialization:
     """The default path must never build per-candidate query objects."""
 
@@ -356,14 +328,52 @@ class TestConditionalCoverage:
         assert zero_seen and none_seen
 
 
-class TestSpaceResults:
-    def test_value_table_interns_by_type_and_value(self):
-        table = ValueTable()
-        assert table.intern(3) == table.intern(3)
-        assert table.intern(3) != table.intern(3.0)
-        assert table.intern(None) != table.intern(0)
-        assert table.values[table.intern(3)] == 3
+class TestRatioDenominators:
+    """Zero and NULL denominators, for Percentage and for every
+    conditional-probability (event, condition) pair.
 
+    No database produces a NULL count, so the cases are planted in the
+    engine's cached cells; the per-query path answering from the same
+    cache (``ratio_value`` per candidate) is the oracle.
+    """
+
+    @pytest.mark.parametrize("planted", [0, None, 7, 2.5])
+    @pytest.mark.parametrize("target", ["all", "conditions"])
+    def test_planted_denominators(self, nfl_pipeline, planted, target):
+        from repro.db.cube import ALL
+
+        database, _, claims, spaces = nfl_pipeline
+        space = spaces[claims[0]]
+        engine = QueryEngine(database)
+        engine.evaluate_space(space)
+        for entry in engine.cache._entries.values():
+            for key in list(entry.cells):
+                restricted = sum(part is not ALL for part in key)
+                if restricted == (0 if target == "all" else 1):
+                    entry.cells[key] = planted
+        cube_queries = engine.stats.cube_queries
+
+        results = engine.evaluate_space(space)
+        oracle = engine.evaluate(space.queries)
+        assert engine.stats.cube_queries == cube_queries  # all from cache
+        kinds = space.encoding().fn_kind[space.fn_index]
+        nulls = {gather.KIND_PERCENTAGE: 0, gather.KIND_CONDITIONAL: 0}
+        for position, query in enumerate(space.queries):
+            expected = oracle[query]
+            actual = results.value_at(position)
+            assert expected == actual and type(expected) is type(actual), (
+                str(query), expected, actual,
+            )
+            if actual is None and kinds[position] in nulls:
+                nulls[kinds[position]] += 1
+            number = results.numbers[position]
+            assert (number != number) if actual is None else number == actual
+        if planted in (0, None):
+            hit = gather.KIND_PERCENTAGE if target == "all" else gather.KIND_CONDITIONAL
+            assert nulls[hit] > 0
+
+
+class TestSpaceResults:
     def test_set_and_read_back(self):
         results = SpaceResults(4)
         assert not results.any_evaluated()

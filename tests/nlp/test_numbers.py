@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.nlp.numbers import (
@@ -186,3 +188,94 @@ def _spell(number: int) -> str:
     if rest:
         text += f" and {_spell(rest)}"
     return text
+
+
+def exhaustive_rounds_to(value, claimed, max_digits=12):
+    """``rounds_to`` without its early exit: every rounding is tried."""
+    if math.isclose(value, claimed, rel_tol=1e-9, abs_tol=1e-9):
+        return True
+    return any(
+        math.isclose(
+            round_to_significant(value, digits), claimed,
+            rel_tol=1e-9, abs_tol=1e-9,
+        )
+        for digits in range(1, max_digits + 1)
+    )
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)  # incl. subnormals
+#: Results the cube can produce, weighted towards where the magnitude
+#: expression is fragile: powers of ten and their float neighbours, zeros,
+#: ints that float64 cannot hold exactly, subnormal and huge floats.
+_RESULTS = st.one_of(
+    _FINITE,
+    st.builds(
+        lambda exponent, step, sign: sign * (
+            10.0 ** exponent if step == 0
+            else math.nextafter(10.0 ** exponent, step * math.inf)
+        ),
+        st.integers(min_value=-320, max_value=308),
+        st.sampled_from([-1, 0, 1]),
+        st.sampled_from([-1.0, 1.0]),
+    ),
+    st.sampled_from([0, 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308]),
+    st.integers(min_value=-(10 ** 6), max_value=10 ** 6),
+    st.integers(min_value=2 ** 53, max_value=2 ** 80),
+    st.integers(min_value=-(2 ** 80), max_value=-(2 ** 53)),
+)
+
+
+@st.composite
+def result_and_claim(draw):
+    """A result with a claimed value that often is one of its roundings,
+    or sits a hair inside or outside one."""
+    value = draw(_RESULTS)
+    kind = draw(st.sampled_from(["free", "tiny", "rounding", "edge"]))
+    if kind == "free":
+        return value, draw(_FINITE)
+    if kind == "tiny":  # where only the absolute tolerance can match
+        return value, draw(st.sampled_from([-1, 1])) * draw(
+            st.sampled_from([0.0, 5e-10, 1e-9, 1.5e-9, 1e-8])
+        )
+    try:
+        claimed = float(
+            round_to_significant(value, draw(st.integers(1, 12)))
+        )
+    except OverflowError:  # the rounding of a huge float left float range
+        return value, draw(_FINITE)
+    if kind == "edge":
+        claimed *= 1.0 + draw(st.sampled_from([-1, 1])) * draw(
+            st.sampled_from([5e-10, 1e-9, 2e-9, 1e-8])
+        )
+    return value, claimed
+
+
+@settings(max_examples=2000, deadline=None)
+@given(result_and_claim())
+def test_early_exit_never_rejects_an_admissible_rounding(pair):
+    """The scalar near-filter is conservative, so ``rounds_to`` answers
+    exactly what trying every rounding answers."""
+    value, claimed = pair
+    try:
+        expected = exhaustive_rounds_to(value, claimed)
+    except OverflowError:
+        assume(False)
+    assert rounds_to(value, claimed) == expected
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(result_and_claim(), min_size=1, max_size=8))
+def test_array_near_filter_is_conservative(pairs):
+    """``rounds_to(value, claimed)`` implies ``near_claimed`` keeps it."""
+    np = pytest.importorskip("numpy")
+    from repro.nlp.numbers import near_claimed
+
+    claimed = pairs[0][1]
+    values = [value for value, _ in pairs]
+    kept = near_claimed(np.array(values, dtype=np.float64), claimed)
+    for value, keep in zip(values, kept.tolist()):
+        try:
+            admissible = exhaustive_rounds_to(value, claimed)
+        except OverflowError:
+            continue
+        assert keep or not admissible, (value, claimed)

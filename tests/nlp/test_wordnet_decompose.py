@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.nlp.decompose import decompose_identifier
+from repro.nlp import decompose
+from repro.nlp.decompose import abbreviation_expansions, decompose_identifier
 from repro.nlp.wordnet import expand_keywords, synonyms, vocabulary
 
 
@@ -68,3 +69,35 @@ class TestDecompose:
 
     def test_empty(self):
         assert decompose_identifier("") == []
+
+
+class TestAbbreviationExpansions:
+    def test_bridges_abbreviation_to_dictionary_word(self):
+        assert "indefinite" in abbreviation_expansions("indef")
+
+    def test_short_and_numeric_tokens_have_none(self):
+        assert abbreviation_expansions("ind") == []
+        assert abbreviation_expansions("2016") == []
+
+    def test_matches_linear_scan_of_the_dictionary(self):
+        """The bisect range returns what scanning every word returns."""
+        words = sorted(decompose._DICTIONARY)
+
+        def linear(token, limit=3):
+            token = token.lower()
+            if len(token) < 4 or token.isdigit():
+                return []
+            found = [w for w in words if w != token and w.startswith(token)]
+            found.sort(key=lambda word: (len(word), word))
+            return found[:limit]
+
+        # Prefixes of dictionary words (4+ letters, whole words included),
+        # the same with a miss appended, mixed case, and the range's edges.
+        tokens = {word[:cut] for word in words[::3] for cut in range(4, len(word) + 1)}
+        tokens |= {token + "q" for token in list(tokens)[::7]}
+        tokens |= {token.upper() for token in list(tokens)[::11]}
+        tokens |= {words[0], words[-1], words[-1] + "z", "zzzz", "aaaa"}
+        assert len(tokens) > 300
+        for token in sorted(tokens):
+            for limit in (1, 3, 50):
+                assert abbreviation_expansions(token, limit) == linear(token, limit), token
