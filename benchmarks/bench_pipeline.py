@@ -64,10 +64,11 @@ def test_pipeline_throughput(capsys):
     rows = []
     results = {}
     with tempfile.TemporaryDirectory(prefix="bench_pipeline_") as cache_dir:
+        cached = AggCheckerConfig().with_engine(cache_dir=cache_dir)
         plans = [
             ("sequential", AggCheckerConfig(), 1),
-            ("parallel", AggCheckerConfig(cache_dir=cache_dir), workers),
-            ("warm_cache", AggCheckerConfig(cache_dir=cache_dir), workers),
+            ("parallel", cached, workers),
+            ("warm_cache", cached, workers),
         ]
         for name, config, n_workers in plans:
             run, seconds = _timed(corpus, config, cases, n_workers)

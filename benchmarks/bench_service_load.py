@@ -388,7 +388,7 @@ def test_service_chaos_soak(capsys, tmp_path):
 
     server = create_async_server(
         port=0,
-        config=AggCheckerConfig(cache_dir=str(cache_dir)),
+        config=AggCheckerConfig().with_engine(cache_dir=cache_dir),
         queue_dir=queue_dir,
         queue_capacity=256,
         workers=2,

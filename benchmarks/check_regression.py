@@ -95,24 +95,6 @@ SPECS: dict[str, tuple] = {
         if (os.cpu_count() or 1) < (_lookup(p, "results.parallel.workers") or 1)
         else (),
     ),
-    "BENCH_model.json": (
-        lambda p: _params(p, "numpy", "cases"),
-        lambda p: {
-            "candidate_scoring_speedup": _lookup(
-                p, "candidate_scoring.speedup"
-            ),
-            "warm_cache_speedup": _lookup(p, "warm_cache_speedup"),
-        },
-        lambda p: (),
-    ),
-    "BENCH_matching.json": (
-        lambda p: _params(
-            p, "numpy", "matching.rows", "matching.documents",
-            "matching.claims",
-        ),
-        lambda p: {"batched_matching_speedup": _lookup(p, "matching.speedup")},
-        lambda p: (),
-    ),
     "BENCH_service.json": (
         lambda p: _params(
             p, "numpy", "databases", "rows_per_database", "claims"

@@ -120,11 +120,8 @@ class ShadowAuditor:
         self.disk_bypassed_groups = 0
         self.recent_divergences: "deque[dict]" = deque(maxlen=32)
         self._rng = rng if rng is not None else random.Random()
-        self._disk = (
-            DiskCubeCache(service.config.cache_dir)
-            if service.config.cache_dir
-            else None
-        )
+        cache_dir = service.config.engine.cache_dir
+        self._disk = DiskCubeCache(cache_dir) if cache_dir else None
         self._oracles: "OrderedDict[str, _OracleEntry]" = OrderedDict()
         self._lock = threading.Lock()
         self._tasks: "deque[_AuditTask]" = deque()

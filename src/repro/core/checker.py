@@ -27,7 +27,7 @@ from repro.errors import BudgetExceeded, DeadlineExceeded
 from repro.db.schema import Database
 from repro.fragments.extract import extract_fragments
 from repro.fragments.indexer import FragmentIndex
-from repro.matching.matcher import keyword_match, keyword_match_batch
+from repro.matching.matcher import keyword_match_batch
 from repro.model.candidates import build_candidates
 from repro.model.em import InferenceResult, query_and_learn
 from repro.model.priors import Priors
@@ -176,11 +176,10 @@ class AggChecker:
             database, self.config.extraction, data_dictionary
         )
         self.index = FragmentIndex(self.catalog)
-        if self.config.batch_matching:
-            # Compile the matching artifacts (shared vocabulary, CSR
-            # postings, idf/norm arrays) up front: checkers are pooled per
-            # database, so every document reuses them.
-            self.index.compiled()
+        # Compile the matching artifacts (shared vocabulary, CSR postings,
+        # idf/norm arrays) up front: checkers are pooled per database, so
+        # every document reuses them.
+        self.index.compiled()
         self.engine = QueryEngine(database, self.config.engine)
 
     def check_html(self, html: str) -> CheckReport:
@@ -269,8 +268,7 @@ class AggChecker:
         faults.fire("checker.stage", "match")
         if deadline is not None:
             deadline.check("match")
-        matcher = keyword_match_batch if self.config.batch_matching else keyword_match
-        scores = matcher(
+        scores = keyword_match_batch(
             claims,
             self.index,
             self.config.context,

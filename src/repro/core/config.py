@@ -4,29 +4,22 @@ One frozen object bundles every knob of the pipeline; the ablation harness
 derives variants from the default via :func:`dataclasses.replace`.
 
 Engine construction knobs (execution mode, storage backend, disk-cache
-directory, space/time budgets' companion ``disk_cache_min_rows``) live in
-one nested :class:`~repro.db.engine.EngineConfig` under ``engine``; the
-old flat fields (``execution_mode=``, ``backend=``, ``cache_dir=``,
-``disk_cache_min_rows=``) are kept as deprecated constructor shims and
-read-only properties so existing call sites keep working while emitting
-:class:`DeprecationWarning`.
+directory, ``disk_cache_min_rows``) live in one nested
+:class:`~repro.db.engine.EngineConfig` under ``engine`` and are read as
+``config.engine.<field>``; :meth:`AggCheckerConfig.with_engine` derives
+variants.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
-from repro.db.engine import EngineConfig, ExecutionBackend, ExecutionMode
+from repro.db.engine import EngineConfig, ExecutionMode
 from repro.fragments.extract import ExtractionConfig
 from repro.matching.context import ContextConfig
 from repro.model.candidates import CandidateConfig
 from repro.model.em import EmConfig
 from repro.text.claims import ClaimDetectionConfig
-
-#: Sentinel distinguishing "not passed" from an explicit None in the
-#: deprecated flat-field constructor shims.
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -56,10 +49,6 @@ class AggCheckerConfig:
     #: Share predicate fragments across the document's claims (paper
     #: Section 6.3 pools literals "for any claim in the document").
     pool_predicates: bool = True
-    #: Score all of a document's claim contexts against the compiled
-    #: fragment index in one vectorized pass per category (bit-identical
-    #: to the per-claim oracle, which False falls back to).
-    batch_matching: bool = True
     #: Wall-clock execution budget per claim, in seconds (None = no
     #: deadline). A document gets ``claim_deadline * n_claims`` (claims
     #: are verified jointly); when it expires the checker degrades
@@ -92,66 +81,8 @@ class AggCheckerConfig:
         return replace(self, context=replace(self.context, **changes))
 
 
-# Write-side compatibility: the old flat engine kwargs remain accepted by
-# the constructor (with a DeprecationWarning) via a wrapper around the
-# generated ``__init__``. They are deliberately NOT dataclass ``InitVar``s:
-# ``dataclasses.replace`` re-reads InitVar-with-default values through
-# ``getattr`` and would echo the *old* engine's flat values back into the
-# constructor, clobbering an explicit ``engine=`` replacement (this is how
-# ``with_engine`` would silently become a no-op). A plain keyword shim is
-# invisible to ``replace``.
-_dataclass_init = AggCheckerConfig.__init__
-
-
-def _compat_init(
-    self,
-    *args,
-    execution_mode=_UNSET,
-    backend=_UNSET,
-    cache_dir=_UNSET,
-    disk_cache_min_rows=_UNSET,
-    **kwargs,
-):
-    _dataclass_init(self, *args, **kwargs)
-    overrides = {
-        name: value
-        for name, value in (
-            ("mode", execution_mode),
-            ("backend", backend),
-            ("cache_dir", cache_dir),
-            ("disk_cache_min_rows", disk_cache_min_rows),
-        )
-        if value is not _UNSET
-    }
-    if overrides:
-        warnings.warn(
-            "AggCheckerConfig(execution_mode=/backend=/cache_dir=/"
-            "disk_cache_min_rows=) is deprecated; pass "
-            "engine=EngineConfig(...) or use with_engine()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        object.__setattr__(self, "engine", replace(self.engine, **overrides))
-
-
-_compat_init.__wrapped__ = _dataclass_init
-AggCheckerConfig.__init__ = _compat_init
-
-# Read-side compatibility: the old flat fields remain readable (now
-# properties over the nested EngineConfig). Assigned after class creation
-# so the dataclass machinery does not treat them as fields; note
-# ``config.backend`` is now the canonical backend *name* string, not an
-# ExecutionBackend enum member.
-AggCheckerConfig.execution_mode = property(lambda self: self.engine.mode)
-AggCheckerConfig.backend = property(lambda self: self.engine.backend)
-AggCheckerConfig.cache_dir = property(lambda self: self.engine.cache_dir)
-AggCheckerConfig.disk_cache_min_rows = property(
-    lambda self: self.engine.disk_cache_min_rows
-)
-
 __all__ = [
     "AggCheckerConfig",
     "EngineConfig",
-    "ExecutionBackend",
     "ExecutionMode",
 ]

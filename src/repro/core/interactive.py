@@ -126,9 +126,9 @@ class InteractiveSession:
         self, claim: Claim, query: SimpleAggregateQuery, feature: ResolutionFeature
     ) -> Resolution:
         distribution = self._distribution_of(claim)
-        # On the factorized evaluation path this consults the claim's own
-        # candidate results; queries outside the claim's space (e.g.
-        # another claim's candidate) fall through to the engine below.
+        # Consults the claim's own candidate results; queries outside the
+        # claim's space (e.g. another claim's candidate) fall through to
+        # the engine below.
         evaluated = (
             distribution.outcome is not None
             and distribution.outcome.is_evaluated(distribution.space, query)

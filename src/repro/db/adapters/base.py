@@ -11,8 +11,8 @@ every layer above the adapter (result cache, disk cube cache, audit
 oracle, trust ladder) is storage-agnostic.
 
 Adapters register themselves by name (``columnar``, ``row``, ``sqlite``,
-``duckdb``); the registry is the successor of the old two-value
-``ExecutionBackend`` enum as the engine's public backend surface. An
+``duckdb``); registry names are the engine's public backend surface
+(``ExecutionBackend`` is only the in-memory ``JoinGraph`` switch). An
 adapter may be *registered* but not *available* (DuckDB is an optional
 extra); creation then raises :class:`~repro.errors.MissingDependencyError`
 with an install hint instead of an ImportError at import time.
@@ -24,7 +24,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
-from repro.db.columnar import ExecutionBackend
 from repro.db.values import Value
 from repro.errors import MissingDependencyError, QueryError
 
@@ -154,11 +153,9 @@ def adapter_names() -> list[str]:
     return [name for name in _BUILTIN_ORDER if name in _REGISTRY] + extras
 
 
-def canonical_backend_name(backend: "str | ExecutionBackend") -> str:
-    """Normalize a backend spelling (enum or string) to a registry name."""
+def canonical_backend_name(backend: str) -> str:
+    """Normalize a backend name's spelling to its registry name."""
     _ensure_builtin()
-    if isinstance(backend, ExecutionBackend):
-        return backend.value
     name = str(backend).strip().lower()
     if name not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
@@ -166,14 +163,12 @@ def canonical_backend_name(backend: "str | ExecutionBackend") -> str:
     return name
 
 
-def adapter_class(backend: "str | ExecutionBackend") -> type[StorageAdapter]:
+def adapter_class(backend: str) -> type[StorageAdapter]:
     """Resolve a backend name to its adapter class."""
     return _REGISTRY[canonical_backend_name(backend)]
 
 
-def create_adapter(
-    backend: "str | ExecutionBackend", database: "Database"
-) -> StorageAdapter:
+def create_adapter(backend: str, database: "Database") -> StorageAdapter:
     """Instantiate the named adapter for ``database``.
 
     Raises :class:`~repro.errors.MissingDependencyError` for registered

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import os
 import time
-import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
@@ -30,7 +29,6 @@ from repro.db.adapters.base import (
 )
 from repro.db.aggregates import AggregateFunction, ratio_value
 from repro.db.cache import CacheEntry, ResultCache
-from repro.db.columnar import ExecutionBackend
 from repro.db.cube import ALL, CubeQuery
 from repro.db.gather import (
     CellView,
@@ -80,8 +78,7 @@ class EngineConfig:
     """Everything needed to construct a :class:`QueryEngine`.
 
     One frozen value threads from :class:`~repro.core.config.AggCheckerConfig`
-    through the CLI and service layer down to engine construction, replacing
-    the old kwarg sprawl (``mode=..., backend=..., disk_cache=...``). Derive
+    through the CLI and service layer down to engine construction. Derive
     variants with :func:`dataclasses.replace`.
     """
 
@@ -93,8 +90,7 @@ class EngineConfig:
     paper_max_predicates: int = 3
     #: Storage-adapter name (``columnar``, ``row``, ``sqlite``,
     #: ``duckdb``, or any :func:`~repro.db.adapters.register_adapter`-ed
-    #: extra). Accepts a legacy ``ExecutionBackend`` enum member and
-    #: normalizes it to its registry name.
+    #: extra), normalized to its registry spelling.
     backend: str = "columnar"
     #: Directory for the persistent cube-cell disk cache (None disables
     #: the disk tier). The engine constructs its own
@@ -114,11 +110,6 @@ class EngineConfig:
             object.__setattr__(self, "cache_dir", os.fspath(self.cache_dir))
 
 
-#: Sentinel distinguishing "not passed" from an explicit None in the
-#: deprecated QueryEngine keyword shims.
-_UNSET = object()
-
-
 @dataclass
 class EngineStats:
     """Counters for the processing experiments (Table 6).
@@ -129,11 +120,12 @@ class EngineStats:
     pooled (corpus totals, parallel-shard merging, per-document deltas).
     """
 
-    #: Logical evaluation requests. The per-query path counts distinct
-    #: queries after cross-claim dedup; the factorized space path counts
-    #: per candidate per claim (a query shared by two claims counts
-    #: twice) — materializing queries just to dedup a counter would
-    #: defeat the zero-materialization path.
+    #: Logical evaluation requests. ``evaluate_spaces`` (the production
+    #: route) counts per candidate per claim — a query shared by two
+    #: claims counts twice; materializing queries just to dedup a counter
+    #: would defeat the zero-materialization path. The list reference
+    #: ``evaluate`` counts distinct queries after dedup, ``evaluate_one``
+    #: one per call.
     queries_requested: int = 0
     physical_queries: int = 0
     cube_queries: int = 0
@@ -253,56 +245,19 @@ class QueryEngine:
     """Evaluates batches of Simple Aggregate Queries against one database.
 
     Construction takes an :class:`EngineConfig` (``QueryEngine(db)`` or
-    ``QueryEngine(db, EngineConfig(backend="sqlite"))``). The pre-adapter
-    keyword signature (``mode=``, ``backend=``, ``disk_cache=``, ...) still
-    works but emits :class:`DeprecationWarning`; a bare ``ExecutionMode``
-    second positional argument is likewise shimmed.
+    ``QueryEngine(db, EngineConfig(backend="sqlite"))``); a bare
+    ``ExecutionMode`` as the second argument is sugar for
+    ``EngineConfig(mode=...)``.
     """
 
     def __init__(
         self,
         database: Database,
         config: "EngineConfig | ExecutionMode | None" = None,
-        *,
-        mode=_UNSET,
-        cover_strategy=_UNSET,
-        paper_max_predicates=_UNSET,
-        backend=_UNSET,
-        disk_cache=_UNSET,
-        disk_cache_min_rows=_UNSET,
     ) -> None:
-        positional_mode = _UNSET
         if isinstance(config, ExecutionMode):
-            if mode is not _UNSET:
-                raise TypeError("mode given both positionally and by keyword")
-            # Documented sugar, not a deprecated kwarg: QueryEngine(db,
-            # ExecutionMode.NAIVE) reads naturally and does not warn.
-            positional_mode = config
-            config = None
-        overrides = {
-            name: value
-            for name, value in (
-                ("mode", mode),
-                ("cover_strategy", cover_strategy),
-                ("paper_max_predicates", paper_max_predicates),
-                ("backend", backend),
-                ("disk_cache_min_rows", disk_cache_min_rows),
-            )
-            if value is not _UNSET
-        }
-        if overrides or disk_cache is not _UNSET:
-            warnings.warn(
-                "passing QueryEngine settings as keyword arguments is "
-                "deprecated; construct an EngineConfig and pass it as the "
-                "second argument (disk_cache= is replaced by "
-                "EngineConfig.cache_dir)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if positional_mode is not _UNSET:
-            overrides.setdefault("mode", positional_mode)
-        base = config if config is not None else EngineConfig()
-        self.config = replace(base, **overrides) if overrides else base
+            config = EngineConfig(mode=config)
+        self.config = config if config is not None else EngineConfig()
 
         self.database = database
         self.mode = self.config.mode
@@ -315,12 +270,11 @@ class QueryEngine:
         self.backend = self.adapter.name
         self.join_graph = self.adapter.join_graph
 
-        if disk_cache is _UNSET or disk_cache is None:
-            disk_cache = None
-            if self.config.cache_dir is not None:
-                from repro.db.diskcache import DiskCubeCache
+        disk_cache = None
+        if self.config.cache_dir is not None:
+            from repro.db.diskcache import DiskCubeCache
 
-                disk_cache = DiskCubeCache(self.config.cache_dir)
+            disk_cache = DiskCubeCache(self.config.cache_dir)
         # Tiny databases recompute a cube faster than a disk round-trip
         # (the 0.62x warm-cache regression in BENCH_pipeline.json): below
         # the row threshold the disk tier is skipped outright, counted so
@@ -402,7 +356,15 @@ class QueryEngine:
     def evaluate(
         self, queries: Iterable[SimpleAggregateQuery]
     ) -> dict[SimpleAggregateQuery, Value]:
-        """Evaluate a batch, sharing work according to the engine mode."""
+        """Evaluate an ad-hoc query list, sharing work according to the
+        engine mode.
+
+        The reference entry point: it decomposes a batch over the same
+        ``_cover_assignment``/``_cells_for`` as :meth:`evaluate_spaces`,
+        one query object at a time, and is what the tests compare the
+        factorized route against. Nothing under ``src/repro`` calls it and
+        no option selects it.
+        """
         batch = list(dict.fromkeys(queries))
         self.stats.queries_requested += len(batch)
         if self.mode is ExecutionMode.NAIVE:
@@ -437,7 +399,7 @@ class QueryEngine:
         pooled across the whole batch, candidates grouped by base-relation
         table set, covering cube dimension sets chosen per group — so the
         physical work (cube queries, cache traffic) is identical to the
-        per-query path. Each request's ``results`` is filled in place.
+        list reference's. Each request's ``results`` is filled in place.
         """
         active: list[tuple[SpaceEvalRequest, object]] = []
         total = 0

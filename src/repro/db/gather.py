@@ -1,9 +1,10 @@
 """Array-native evaluation of factorized candidate spaces.
 
-The per-query evaluation path materializes a ``SimpleAggregateQuery``
-object for every candidate of every claim, hashes it through sets and
-dicts, and rebuilds a predicate dict plus a cell-key tuple per query.
-This module answers the *factorized* candidate space directly: the
+Answering a query list (``QueryEngine.evaluate``) materializes a
+``SimpleAggregateQuery`` object for every candidate of every claim, hashes
+it through sets and dicts, and rebuilds a predicate dict plus a cell-key
+tuple per query. This module answers the *factorized* candidate space
+directly: the
 paper's observation that "one cube query can serve the whole cross
 product" extends to the answering side, because a candidate's cell key
 depends only on its predicate subset, not on the (function x column x
@@ -28,7 +29,7 @@ candidate:
 Results live in :class:`SpaceResults`: per candidate the exact value
 object, its float64 image, and a ``done`` flag — what
 :meth:`EvaluationOutcome.from_value_ids` and the EM loop carry across
-iterations instead of ``dict[SimpleAggregateQuery, Value]``.
+iterations.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ class SpaceResults:
     it (``int``, ``float`` or None), ``numbers[i]`` the same as float64
     (NaN for NULL) for vectorized comparison, and ``done[i]`` whether the
     candidate has been evaluated at all. Instances persist across EM
-    iterations as the array-shaped replacement for the oracle path's
-    result dict; the engine fills newly scoped candidates in place.
+    iterations; the engine fills newly scoped candidates in place.
     """
 
     __slots__ = ("values", "numbers", "done")

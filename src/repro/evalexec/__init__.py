@@ -5,13 +5,11 @@
 and produces per-claim evaluation outcomes for the probabilistic model.
 """
 
-from repro.evalexec.refine import refine_by_eval, refine_by_eval_space
-from repro.evalexec.scope import ScopeConfig, pick_scope, scope_mask
+from repro.evalexec.refine import refine_by_eval_space
+from repro.evalexec.scope import ScopeConfig, scope_mask
 
 __all__ = [
     "ScopeConfig",
-    "pick_scope",
-    "refine_by_eval",
     "refine_by_eval_space",
     "scope_mask",
 ]

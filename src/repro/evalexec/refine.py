@@ -6,18 +6,12 @@ one batch: the engine merges them into a small number of cube queries and
 caches cells across claims and EM iterations — exactly the sharing
 structure the paper exploits (Sections 6.2-6.3).
 
-Two implementations share that batching structure:
-
-- :func:`refine_by_eval_space` (the default): claims stay factorized end
-  to end. Each claim contributes a scope *mask* over its candidate space;
-  the engine answers the spaces by cell gather
-  (``QueryEngine.evaluate_spaces``), and iteration-to-iteration reuse is
-  carried as per-claim :class:`~repro.db.gather.SpaceResults` (value
-  arrays) instead of a ``dict[SimpleAggregateQuery, Value]``.
-- :func:`refine_by_eval` (the per-query oracle): materializes candidate
-  queries and evaluates them through ``QueryEngine.evaluate``. Kept as
-  the bit-identical reference implementation and for the Table 6 ladder's
-  historical measurements.
+Claims stay factorized end to end. Each claim contributes a scope *mask*
+over its candidate space; the engine answers the spaces by cell gather
+(``QueryEngine.evaluate_spaces``), and iteration-to-iteration reuse is
+carried as per-claim :class:`~repro.db.gather.SpaceResults` (value
+arrays). No option selects another route; the list entry point
+``QueryEngine.evaluate`` is the reference tests compare this against.
 """
 
 from __future__ import annotations
@@ -28,63 +22,12 @@ from repro._compat import np
 
 from repro.db.engine import QueryEngine
 from repro.db.gather import SpaceEvalRequest, SpaceResults
-from repro.db.query import SimpleAggregateQuery
-from repro.db.values import Value
-from repro.evalexec.scope import ScopeConfig, pick_scope, scope_mask
+from repro.evalexec.scope import ScopeConfig, scope_mask
 from repro.text.claims import Claim
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle with model
     from repro.model.candidates import CandidateSpace
     from repro.model.probability import ClaimDistribution, EvaluationOutcome
-
-
-def refine_by_eval(
-    spaces: "dict[Claim, CandidateSpace]",
-    preliminary: "dict[Claim, ClaimDistribution] | None",
-    engine: QueryEngine,
-    scope_config: ScopeConfig | None = None,
-    known_results: dict[SimpleAggregateQuery, Value] | None = None,
-) -> "dict[Claim, EvaluationOutcome]":
-    """Evaluate scoped candidates and build per-claim outcomes.
-
-    ``known_results`` carries results from earlier EM iterations so only
-    newly scoped queries hit the engine (the engine's own cache would also
-    absorb them; this avoids even the merge bookkeeping).
-    """
-    from repro.model.probability import EvaluationOutcome
-
-    known = known_results if known_results is not None else {}
-    config = scope_config or ScopeConfig()
-    full_scope = config.max_evaluations_per_claim is None
-
-    scoped: dict[Claim, list[SimpleAggregateQuery]] = {}
-    # Insertion-ordered dict, not a set: the engine's batch order (and with
-    # it cube literal grouping) must not depend on string-hash
-    # randomization across interpreter runs.
-    to_evaluate: dict[SimpleAggregateQuery, None] = {}
-    for claim, space in spaces.items():
-        if full_scope:
-            queries = space.queries
-        else:
-            log_scores = None
-            if preliminary is not None and claim in preliminary:
-                log_scores = preliminary[claim].log_scores
-            queries = pick_scope(space, log_scores, config)
-        scoped[claim] = queries
-        for query in queries:
-            if query not in known:
-                to_evaluate[query] = None
-
-    if to_evaluate:
-        known.update(engine.evaluate(to_evaluate))
-
-    outcomes: dict[Claim, EvaluationOutcome] = {}
-    for claim, space in spaces.items():
-        restriction = None if full_scope else set(scoped[claim])
-        outcomes[claim] = EvaluationOutcome.from_results(
-            space, known, scoped=restriction
-        )
-    return outcomes
 
 
 def refine_by_eval_space(

@@ -16,8 +16,6 @@ from typing import TYPE_CHECKING
 
 from repro._compat import np
 
-from repro.db.query import SimpleAggregateQuery
-
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.model
     from repro.model.candidates import CandidateSpace
 
@@ -29,33 +27,15 @@ class ScopeConfig:
     max_evaluations_per_claim: int | None = None
 
 
-def pick_scope(
-    space: CandidateSpace,
-    preliminary_log_scores: np.ndarray | None,
-    config: ScopeConfig | None = None,
-) -> list[SimpleAggregateQuery]:
-    """Queries worth evaluating for one claim, most promising first.
-
-    Materializes query objects; the factorized evaluation path uses
-    :func:`scope_mask` instead and never builds them.
-    """
-    config = config or ScopeConfig()
-    budget = config.max_evaluations_per_claim
-    if budget is None or budget >= len(space):
-        return list(space.queries)
-    if preliminary_log_scores is None or len(preliminary_log_scores) != len(space):
-        return list(space.queries)[:budget]
-    order = np.argsort(-preliminary_log_scores, kind="stable")[:budget]
-    return [space.queries[i] for i in order]
-
-
 def scope_mask(
     space: CandidateSpace,
     preliminary_log_scores: np.ndarray | None,
     config: ScopeConfig | None = None,
 ) -> np.ndarray:
-    """Boolean candidate mask selecting the same scope as
-    :func:`pick_scope`, without materializing any queries."""
+    """Boolean mask over the candidates worth evaluating for one claim
+    (paper ``PickScope``): the whole space, or under a budget the
+    ``budget`` best by preliminary score (ties keep space order; with no
+    scores, the first ``budget`` candidates)."""
     config = config or ScopeConfig()
     n = len(space)
     budget = config.max_evaluations_per_claim

@@ -48,7 +48,8 @@ class RelevanceScores:
     functions: dict[FunctionFragment, float]
     columns: dict[ColumnFragment, float]
     predicates: dict[PredicateFragment, float]
-    #: catalog positions aligned with dict order (None on the oracle path)
+    #: catalog positions aligned with dict order (None from the reference
+    #: ``FragmentIndex.retrieve``)
     function_ids: list[int] | None = field(default=None, compare=False)
     column_ids: list[int] | None = field(default=None, compare=False)
     predicate_ids: list[int] | None = field(default=None, compare=False)

@@ -16,7 +16,7 @@ no serialization cost; under ``spawn`` it is pickled once per worker.
 Per-case :class:`~repro.harness.metrics.CaseResult` objects travel back
 pickled and are merged in corpus order, so a parallel
 :class:`~repro.harness.runner.CorpusRun` is indistinguishable from a
-sequential one. Combine with ``AggCheckerConfig.cache_dir`` to let
+sequential one. Combine with ``EngineConfig.cache_dir`` to let
 concurrent workers share one warm disk cube cache.
 
 **Failure model.** A worker that dies (SIGKILL, OOM, segfault) breaks the

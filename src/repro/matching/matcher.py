@@ -1,16 +1,17 @@
 """Relevance-score computation per claim (paper Algorithm 1).
 
-Two implementations of ``KeywordMatch`` coexist:
-
-- :func:`keyword_match` — the per-claim reference oracle: one keyword
-  context extraction plus one :meth:`FragmentIndex.retrieve` per claim;
-- :func:`keyword_match_batch` — the batched front end: contexts for the
-  whole document are extracted with a shared dependency-tree cache,
-  analyzed once each, and scored against the compiled CSR category
+- :func:`keyword_match_batch` is the matcher the pipeline runs: contexts
+  for the whole document are extracted with a shared dependency-tree
+  cache, analyzed once each, and scored against the compiled CSR category
   indexes in one vectorized pass per category
-  (:meth:`CompiledFragmentIndex.retrieve_batch`). Scores are
-  float-for-float identical to the oracle; when NumPy is absent the
-  compiled path degrades to a pure-Python kernel over the same arrays.
+  (:meth:`CompiledFragmentIndex.retrieve_batch`); when NumPy is absent
+  the compiled path degrades to a pure-Python kernel over the same
+  arrays.
+- :func:`keyword_match` is Algorithm 1 written plainly — one keyword
+  context extraction plus one :meth:`FragmentIndex.retrieve` per claim.
+  It is the reference the matching tests hold the batch scores
+  float-for-float equal to; nothing under ``src/repro`` calls it and no
+  option selects it.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ def keyword_match(
     """Map each claim to relevance scores over query fragments.
 
     This is the paper's ``KeywordMatch``: extract the claim's weighted
-    keyword context (Algorithm 2), then query the fragment indexes. Kept
-    as the reference oracle for :func:`keyword_match_batch`.
+    keyword context (Algorithm 2), then query the fragment indexes. The
+    reference for :func:`keyword_match_batch` (see the module docstring).
     """
     scores: dict[Claim, RelevanceScores] = {}
     for claim in claims:

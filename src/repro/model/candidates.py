@@ -390,10 +390,6 @@ class CandidateSpace:
     _queries: list[SimpleAggregateQuery] | None = field(
         default=None, repr=False, compare=False
     )
-    #: lazily built query -> position map (see :meth:`position_index`)
-    _positions: dict[SimpleAggregateQuery, int] | None = field(
-        default=None, repr=False, compare=False
-    )
     #: lazily built factor lookup tables (see :meth:`position_of`)
     _locator: tuple | None = field(default=None, repr=False, compare=False)
     #: lazily built integer encoding (see :meth:`encoding`)
@@ -489,8 +485,6 @@ class CandidateSpace:
         return fn_slots, col_slots, odds_slots
 
     def __len__(self) -> int:
-        if self._queries is not None:
-            return len(self._queries)
         return len(self.fn_index)
 
     @property
@@ -513,11 +507,6 @@ class CandidateSpace:
             ]
         return self._queries
 
-    @queries.setter
-    def queries(self, value: list[SimpleAggregateQuery]) -> None:
-        self._queries = value
-        self._positions = None
-
     def query_at(self, position: int) -> SimpleAggregateQuery:
         """Materialize the single candidate at ``position``."""
         if self._queries is not None:
@@ -536,29 +525,13 @@ class CandidateSpace:
             self._encoding = SpaceEncoding(self)
         return self._encoding
 
-    def position_index(self) -> dict[SimpleAggregateQuery, int]:
-        """Candidate position by query, built once per space.
-
-        Lets result consumers (e.g. ``EvaluationOutcome.from_results``)
-        index an evaluated subset into the space without a linear scan per
-        query; built lazily because it materializes every query.
-        """
-        if self._positions is None or len(self._positions) != len(self.queries):
-            self._positions = {
-                query: index for index, query in enumerate(self.queries)
-            }
-        return self._positions
-
     def position_of(self, query: SimpleAggregateQuery) -> int | None:
         """Position of ``query`` in the space (None if absent).
 
-        Uses the materialized :meth:`position_index` when queries already
-        exist; otherwise locates the query through the factor lookup
-        tables so a single membership probe (e.g. ``rank_of`` on the
-        ground-truth query) does not force materialization.
+        Locates the query through factor lookup tables, so a membership
+        probe (e.g. ``rank_of`` on the ground-truth query) does not
+        materialize the space's queries.
         """
-        if self._queries is not None:
-            return self.position_index().get(query)
         if self._locator is None:
             fn_pos: dict[AggregateFunction, int] = {}
             for index, fragment in enumerate(self.functions):

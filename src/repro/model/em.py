@@ -15,9 +15,7 @@ from typing import TYPE_CHECKING
 from repro._compat import require_numpy
 from repro.db.engine import QueryEngine
 from repro.db.gather import SpaceResults
-from repro.db.query import SimpleAggregateQuery
-from repro.db.values import Value
-from repro.evalexec.refine import refine_by_eval, refine_by_eval_space
+from repro.evalexec.refine import refine_by_eval_space
 from repro.evalexec.scope import ScopeConfig
 from repro.fragments.fragments import FragmentCatalog
 from repro.model.candidates import CandidateSpace
@@ -47,22 +45,6 @@ class EmConfig:
     #: Keep evaluation results across EM iterations (the paper's result
     #: cache; disabled for the Table 6 "naive"/"merging only" rows).
     reuse_results: bool = True
-    #: Answer candidates through the factorized space path (cell gather,
-    #: no per-candidate query objects). False falls back to the per-query
-    #: oracle, kept as the reference: results are bit-identical, with one
-    #: documented nuance — verdict/interactive result lookups consult the
-    #: claim's own evaluated candidates, while the oracle consults the
-    #: document-wide result pool. Verdicts can differ only for a claim
-    #: whose *top* candidate was never in its own scope in any iteration,
-    #: which requires a degenerate budget (``max_evaluations_per_claim``
-    #: of 0): with any positive budget, unevaluated candidates carry zero
-    #: probability and can never rank first. Interactive sessions asking
-    #: for a query outside the claim's own space (e.g. another claim's
-    #: candidate) re-evaluate it through the engine instead of reading the
-    #: pool; an engine-less session raises for such queries. Also,
-    #: ``EngineStats.queries_requested`` counts logical candidate requests
-    #: before cross-claim dedup on this path (see its docstring).
-    space_eval: bool = True
 
 
 @dataclass
@@ -92,10 +74,7 @@ def query_and_learn(
     config = config or EmConfig()
     priors = Priors.uniform(catalog) if config.use_priors else None
 
-    # Iteration-to-iteration result reuse: the factorized path carries
-    # per-claim value arrays (SpaceResults); the per-query oracle path
-    # carries a result dict keyed by materialized queries.
-    known_results: dict[SimpleAggregateQuery, Value] = {}
+    # Iteration-to-iteration result reuse: per-claim value arrays.
     space_results: dict[Claim, SpaceResults] = {}
     outcomes: dict[Claim, EvaluationOutcome] = {}
     distributions: dict[Claim, ClaimDistribution] = {}
@@ -121,22 +100,13 @@ def query_and_learn(
                         )
                         for claim, space in spaces.items()
                     }
-                if config.space_eval:
-                    outcomes = refine_by_eval_space(
-                        spaces,
-                        preliminary,
-                        engine,
-                        config.scope,
-                        space_results if config.reuse_results else None,
-                    )
-                else:
-                    outcomes = refine_by_eval(
-                        spaces,
-                        preliminary,
-                        engine,
-                        config.scope,
-                        known_results if config.reuse_results else None,
-                    )
+                outcomes = refine_by_eval_space(
+                    spaces,
+                    preliminary,
+                    engine,
+                    config.scope,
+                    space_results if config.reuse_results else None,
+                )
             distributions = {
                 claim: compute_distribution(
                     space, priors, outcomes.get(claim), config.p_true
@@ -154,9 +124,9 @@ def query_and_learn(
 
         # M-step: re-estimate Θ from maximum-likelihood queries.
         ml_queries = [
-            distribution.top_query()
+            query
             for distribution in distributions.values()
-            if distribution.top_query() is not None
+            if (query := distribution.top_query()) is not None
         ]
         new_priors = priors.update_from(ml_queries, config.prior_smoothing)
         moved = priors.distance(new_priors)

@@ -49,25 +49,15 @@ class PriorLayout:
 class Priors:
     """Θ = <p_f..., p_a..., p_r...> (paper Eq. 1).
 
-    Log-space tables (``log_function_prior`` etc.) are computed lazily and
-    cached per instance: the E-step consults them once per fragment per
-    claim per iteration, and recomputing ``math.log`` there dominated the
-    prior term. :meth:`update_from` returns a *new* instance, so the
-    caches invalidate naturally on every M-step.
+    The layout-aligned log arrays the E-step gathers from
+    (:meth:`log_tables`) are built lazily, once per instance.
+    :meth:`update_from` returns a *new* instance, so they invalidate
+    naturally on every M-step.
     """
 
     functions: dict[AggregateFunction, float]
     columns: dict[ColumnRef, float]
     restrictions: dict[ColumnRef, float]
-    _log_functions: dict[AggregateFunction, float] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _log_columns: dict[ColumnRef, float] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _log_odds: dict[ColumnRef, float] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _layout: "PriorLayout | None" = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -152,42 +142,6 @@ class Priors:
             1.0 - _MIN_PRIOR,
         )
 
-    # -- cached log tables (built once per instance) --------------------
-
-    def log_function_prior(self, function: AggregateFunction) -> float:
-        table = self._log_functions
-        if table is None:
-            table = self._log_functions = {
-                key: math.log(value) for key, value in self.functions.items()
-            }
-        value = table.get(function)
-        if value is None:
-            value = table[function] = math.log(self.function_prior(function))
-        return value
-
-    def log_column_prior(self, column: ColumnRef) -> float:
-        table = self._log_columns
-        if table is None:
-            table = self._log_columns = {
-                key: math.log(value) for key, value in self.columns.items()
-            }
-        value = table.get(column)
-        if value is None:
-            value = table[column] = math.log(self.column_prior(column))
-        return value
-
-    def log_restriction_odds(self, column: ColumnRef) -> float:
-        """``log p_r - log (1 - p_r)`` for a restricted column (Eq. 1's
-        per-restriction factor after the common ``1 - p_r`` cancels)."""
-        table = self._log_odds
-        if table is None:
-            table = self._log_odds = {}
-        value = table.get(column)
-        if value is None:
-            p = self.restriction_prior(column)
-            value = table[column] = math.log(p) - math.log(1.0 - p)
-        return value
-
     # -- aligned array tables (the E-step gather path) -------------------
 
     def layout(self) -> PriorLayout:
@@ -199,9 +153,8 @@ class Priors:
     def log_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Layout-aligned ``(log p_f, log p_a, log-odds p_r)`` arrays.
 
-        Built once per instance with the same ``math.log`` calls as the
-        scalar accessors (bit-identical values); the final slot of each
-        table holds the out-of-vocabulary fallback.
+        Built once per instance; the final slot of each table holds the
+        out-of-vocabulary fallback.
         """
         if self._log_tables is None:
             fn_table = np.empty(len(self.functions) + 1)

@@ -11,12 +11,11 @@ log Pr(Q = q | S, E) = log Pr(S|q) + log Pr(E|q) + log Pr(q) + const
 
 Evaluation results never change between EM iterations, so the match vector
 is computed once per claim (:class:`EvaluationOutcome`) and re-used by
-every :func:`compute_distribution` call. Two constructors feed it: the
-per-query oracle path (:meth:`EvaluationOutcome.from_results`, a result
-dict keyed by materialized queries) and the factorized default path
-(:meth:`EvaluationOutcome.from_value_ids`, per-candidate value arrays from
-``QueryEngine.evaluate_space`` — a vectorized near-filter discards the
-candidates that cannot match and ``rounds_to`` runs on the rest).
+every :func:`compute_distribution` call. One constructor feeds it,
+:meth:`EvaluationOutcome.from_value_ids`, from the per-candidate value
+arrays ``QueryEngine.evaluate_spaces`` fills: a vectorized near-filter
+discards the candidates that cannot match and ``rounds_to`` runs on the
+rest.
 """
 
 from __future__ import annotations
@@ -39,42 +38,27 @@ _NEG_INF = float("-inf")
 @dataclass
 class EvaluationOutcome:
     """Evaluation results for one claim's candidates, aligned with the
-    candidate space (computed once, reused across EM iterations).
+    candidate space (computed once, reused across EM iterations): the
+    engine-filled :class:`~repro.db.gather.SpaceResults` plus the masks
+    derived from it."""
 
-    Exactly one of ``evaluations`` (per-query oracle path: the
-    document-wide result pool) and ``space_results`` (factorized path:
-    value arrays per candidate) is set; consumers go through the accessor
-    methods so both representations behave identically.
-    """
-
-    evaluations: dict[SimpleAggregateQuery, Value] | None
+    space_results: SpaceResults
     evaluated: np.ndarray  # bool per candidate
     matches: np.ndarray  # bool per candidate (rounds to claimed value)
-    space_results: SpaceResults | None = None
-    #: whether *any* results exist document-wide (mirrors the oracle
-    #: path's non-empty result pool even when this claim evaluated none)
+    #: whether *any* results exist document-wide, even when this claim
+    #: evaluated none (without any there is nothing to compare against)
     pool_nonempty: bool = False
 
     def has_results(self) -> bool:
         """True when any evaluation results exist for the document."""
-        if self.evaluations is not None:
-            return bool(self.evaluations)
         return self.pool_nonempty
 
-    def result_at(self, space: CandidateSpace, position: int) -> Value:
+    def result_at(self, position: int) -> Value:
         """Result of the candidate at ``position`` (None if unevaluated)."""
-        if self.space_results is not None:
-            return self.space_results.value_at(position)
-        if self.evaluations is None:
-            return None
-        return self.evaluations.get(space.query_at(position))
+        return self.space_results.value_at(position)
 
     def result_for(self, space: CandidateSpace, query: SimpleAggregateQuery) -> Value:
         """Result of ``query`` (None when it has no recorded result)."""
-        if self.evaluations is not None:
-            return self.evaluations.get(query)
-        if self.space_results is None:
-            return None
         position = space.position_of(query)
         if position is None:
             return None
@@ -82,75 +66,8 @@ class EvaluationOutcome:
 
     def is_evaluated(self, space: CandidateSpace, query: SimpleAggregateQuery) -> bool:
         """Whether ``query`` has a recorded evaluation result."""
-        if self.evaluations is not None:
-            return query in self.evaluations
-        if self.space_results is None:
-            return False
         position = space.position_of(query)
         return position is not None and self.space_results.has_value_at(position)
-
-    @classmethod
-    def from_results(
-        cls,
-        space: CandidateSpace,
-        results: dict[SimpleAggregateQuery, Value],
-        scoped: set[SimpleAggregateQuery] | None = None,
-    ) -> "EvaluationOutcome":
-        """Build the outcome for one claim from a per-query result dict.
-
-        ``results`` may be the document-wide result pool; ``scoped``
-        restricts which of this claim's candidates count as evaluated
-        (None = every candidate with a result). Results are indexed once:
-        a single pass collects candidate positions and de-duplicated
-        result values, the rounding check runs once per distinct value,
-        and the ``evaluated``/``matches`` arrays are filled in bulk —
-        per-element ndarray writes are what made the old per-candidate
-        loop dominate EM iterations.
-        """
-        claimed = space.claim.claimed_value
-        n = len(space)
-        evaluated = np.zeros(n, dtype=bool)
-        matches = np.zeros(n, dtype=bool)
-
-        positions: list[int] = []
-        value_ids: list[int] = []
-        id_of: dict[Value, int] = {}
-        distinct: list[Value] = []
-        missing = object()
-        results_get = results.get
-        if scoped is None:
-            pairs = enumerate(space.queries)
-        else:
-            position_of = space.position_index()
-            pairs = (
-                (position_of[query], query)
-                for query in scoped
-                if query in position_of
-            )
-        for position, query in pairs:
-            value = results_get(query, missing)
-            if value is missing:
-                continue
-            positions.append(position)
-            value_id = id_of.get(value)
-            if value_id is None:
-                value_id = len(distinct)
-                id_of[value] = value_id
-                distinct.append(value)
-            value_ids.append(value_id)
-
-        if positions:
-            distinct_matches = np.fromiter(
-                (rounds_to(value, claimed) for value in distinct),
-                dtype=bool,
-                count=len(distinct),
-            )
-            index = np.asarray(positions, dtype=np.intp)
-            evaluated[index] = True
-            matches[index] = distinct_matches[
-                np.asarray(value_ids, dtype=np.intp)
-            ]
-        return cls(results, evaluated, matches)
 
     @classmethod
     def from_value_ids(
@@ -189,13 +106,7 @@ class EvaluationOutcome:
                 if hit:
                     hits.append(position)
             matches[hits] = True
-        return cls(
-            None,
-            evaluated,
-            matches,
-            space_results=results,
-            pool_nonempty=pool_nonempty,
-        )
+        return cls(results, evaluated, matches, pool_nonempty)
 
 
 @dataclass
@@ -237,7 +148,7 @@ class ClaimDistribution:
         """Evaluation result of the candidate at ``position``."""
         if self.outcome is None:
             return None
-        return self.outcome.result_at(self.space, position)
+        return self.outcome.result_at(position)
 
     def result_of(self, query: SimpleAggregateQuery) -> Value:
         if self.outcome is None:

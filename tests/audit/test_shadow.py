@@ -47,7 +47,7 @@ class TestSampling:
     """Producer-side behavior, without a live service."""
 
     def _auditor(self, **kwargs):
-        stub = SimpleNamespace(config=SimpleNamespace(cache_dir=None))
+        stub = SimpleNamespace(config=AggCheckerConfig())
         kwargs.setdefault("rate", 1.0)
         kwargs.setdefault("rng", random.Random(7))
         return ShadowAuditor(stub, **kwargs)
@@ -88,9 +88,9 @@ class TestSampling:
             )
         )
         oracle = ShadowAuditor(stub, rate=1.0).oracle_config()
-        assert oracle.execution_mode is ExecutionMode.NAIVE
-        assert oracle.backend == "row"
-        assert oracle.cache_dir is None
+        assert oracle.engine.mode is ExecutionMode.NAIVE
+        assert oracle.engine.backend == "row"
+        assert oracle.engine.cache_dir is None
         assert oracle.claim_deadline is None
         assert oracle.max_rows_materialized is None
         assert oracle.max_cube_cells is None

@@ -66,6 +66,34 @@ def pytest_collection_modifyitems(config, items):
         ):
             item.add_marker(skip)
 
+
+def outcome_from(space, results, scoped=None):
+    """An ``EvaluationOutcome`` for ``space`` from a ``{query: value}``
+    mapping, built the way production builds one: a ``SpaceResults`` filled
+    by position, then ``from_value_ids``. Queries outside the space are
+    ignored; ``scoped`` (queries) restricts which candidates count as
+    evaluated.
+    """
+    import numpy as np
+
+    from repro.db.gather import SpaceResults
+    from repro.model.probability import EvaluationOutcome
+
+    filled = SpaceResults.for_space(space)
+    for query, value in results.items():
+        position = space.position_of(query)
+        if position is not None:
+            filled.set_value(position, value)
+    mask = None
+    if scoped is not None:
+        found = map(space.position_of, scoped)
+        mask = np.zeros(len(space), dtype=bool)
+        mask[[position for position in found if position is not None]] = True
+    return EvaluationOutcome.from_value_ids(
+        space, filled, mask, pool_nonempty=bool(results)
+    )
+
+
 NFL_ROWS = [
     ("Ray Rice", "BAL", "2", "domestic violence", 2014),
     ("Sean Payton", "NO", "16", "bounty scandal", 2012),

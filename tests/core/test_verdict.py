@@ -10,12 +10,14 @@ from repro.core.verdict import VerdictStatus, make_verdict, render_markup
 from repro.db import AggregateFunction, AggregateSpec, STAR
 from repro.db.query import SimpleAggregateQuery
 from repro.model.candidates import CandidateSpace
-from repro.model.probability import EvaluationOutcome, compute_distribution
+from repro.model.probability import compute_distribution
 from repro.text import Document, detect_claims
+from tests.conftest import outcome_from
 
 
-def make_space(claim, queries):
-    """A minimal candidate space with uniform keyword scores."""
+def make_space(claim, n=1):
+    """A minimal candidate space: ``n`` copies of ``COUNT_STAR`` with
+    uniform keyword scores."""
     from repro.fragments.fragments import ColumnFragment, FunctionFragment
 
     space = CandidateSpace(
@@ -28,11 +30,10 @@ def make_space(claim, queries):
         col_keyword_log=np.zeros(1),
         subset_keyword_log=np.zeros(1),
     )
-    space.queries = queries
-    n = len(queries)
     space.fn_index = np.zeros(n, dtype=np.int32)
     space.col_index = np.zeros(n, dtype=np.int32)
     space.subset_index = np.zeros(n, dtype=np.int32)
+    space.cond_k = np.full(n, -1, dtype=np.int32)
     return space
 
 
@@ -47,43 +48,43 @@ COUNT_STAR = SimpleAggregateQuery(AggregateSpec(AggregateFunction.COUNT, STAR))
 
 class TestMakeVerdict:
     def test_verified_when_top_matches(self, claim):
-        space = make_space(claim, [COUNT_STAR])
-        outcome = EvaluationOutcome.from_results(space, {COUNT_STAR: 4})
+        space = make_space(claim)
+        outcome = outcome_from(space, {COUNT_STAR: 4})
         distribution = compute_distribution(space, None, outcome)
         verdict = make_verdict(claim, distribution)
         assert verdict.status is VerdictStatus.VERIFIED
         assert verdict.top_result == 4
 
     def test_erroneous_when_top_mismatches(self, claim):
-        space = make_space(claim, [COUNT_STAR])
-        outcome = EvaluationOutcome.from_results(space, {COUNT_STAR: 9})
+        space = make_space(claim)
+        outcome = outcome_from(space, {COUNT_STAR: 9})
         distribution = compute_distribution(space, None, outcome)
         verdict = make_verdict(claim, distribution)
         assert verdict.status is VerdictStatus.ERRONEOUS
 
     def test_rounding_admissible(self, claim):
         # 3.64 claimed as 4 (1 significant digit): verified.
-        space = make_space(claim, [COUNT_STAR])
-        outcome = EvaluationOutcome.from_results(space, {COUNT_STAR: 3.64})
+        space = make_space(claim)
+        outcome = outcome_from(space, {COUNT_STAR: 3.64})
         distribution = compute_distribution(space, None, outcome)
         assert make_verdict(claim, distribution).status is VerdictStatus.VERIFIED
 
     def test_unresolved_without_candidates(self, claim):
-        space = make_space(claim, [])
+        space = make_space(claim, 0)
         distribution = compute_distribution(space, None, None)
         verdict = make_verdict(claim, distribution)
         assert verdict.status is VerdictStatus.UNRESOLVED
         assert verdict.status.flagged
 
     def test_unresolved_without_evaluations(self, claim):
-        space = make_space(claim, [COUNT_STAR])
+        space = make_space(claim)
         distribution = compute_distribution(space, None, None)
         verdict = make_verdict(claim, distribution)
         assert verdict.status is VerdictStatus.UNRESOLVED
 
     def test_hover_text(self, claim):
-        space = make_space(claim, [COUNT_STAR])
-        outcome = EvaluationOutcome.from_results(space, {COUNT_STAR: 4})
+        space = make_space(claim)
+        outcome = outcome_from(space, {COUNT_STAR: 4})
         verdict = make_verdict(
             claim, compute_distribution(space, None, outcome)
         )
@@ -92,8 +93,8 @@ class TestMakeVerdict:
 
 class TestRenderMarkup:
     def _verdict(self, claim, result):
-        space = make_space(claim, [COUNT_STAR])
-        outcome = EvaluationOutcome.from_results(space, {COUNT_STAR: result})
+        space = make_space(claim)
+        outcome = outcome_from(space, {COUNT_STAR: result})
         return make_verdict(claim, compute_distribution(space, None, outcome))
 
     def test_ok_marker(self, claim):
@@ -105,7 +106,7 @@ class TestRenderMarkup:
         assert markup.startswith("[ERR 4 -> 9]")
 
     def test_unresolved_marker(self, claim):
-        space = make_space(claim, [])
+        space = make_space(claim, 0)
         verdict = make_verdict(claim, compute_distribution(space, None, None))
         assert render_markup([verdict]).startswith("[? 4]")
 

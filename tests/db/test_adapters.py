@@ -1,10 +1,8 @@
-"""The storage-adapter API: registry, capabilities, EngineConfig, the
-deprecation shims over the old flat constructor kwargs, and predictive
-cardinality estimates feeding budget admission."""
+"""The storage-adapter API: registry, capabilities, EngineConfig, and
+predictive cardinality estimates feeding budget admission."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 
 import pytest
@@ -74,10 +72,13 @@ class TestRegistry:
         names = adapter_names()
         assert names[:4] == ["columnar", "row", "sqlite", "duckdb"]
 
-    def test_canonical_name_accepts_enum_and_string(self):
-        assert canonical_backend_name(ExecutionBackend.ROW) == "row"
+    def test_canonical_name_normalizes_spelling(self):
         assert canonical_backend_name("  SQLite ") == "sqlite"
         assert canonical_backend_name("columnar") == "columnar"
+
+    def test_enum_member_is_not_a_backend_name(self):
+        with pytest.raises(QueryError, match="unknown storage backend"):
+            canonical_backend_name(ExecutionBackend.ROW)
 
     def test_unknown_backend_is_a_query_error(self):
         with pytest.raises(QueryError, match="unknown storage backend"):
@@ -125,7 +126,6 @@ class TestCapabilities:
 
 class TestEngineConfig:
     def test_backend_canonicalized_at_construction(self):
-        assert EngineConfig(backend=ExecutionBackend.ROW).backend == "row"
         assert EngineConfig(backend="SQLITE").backend == "sqlite"
 
     def test_cache_dir_fspathed(self, tmp_path):
@@ -134,6 +134,11 @@ class TestEngineConfig:
     def test_unknown_backend_rejected_eagerly(self):
         with pytest.raises(QueryError):
             EngineConfig(backend="orc")
+
+    def test_enum_backend_rejected_eagerly(self):
+        # ExecutionBackend is the in-memory JoinGraph switch, not a name.
+        with pytest.raises(QueryError):
+            EngineConfig(backend=ExecutionBackend.ROW)
 
     def test_replace_with_engine_round_trip(self):
         config = AggCheckerConfig()
@@ -145,62 +150,16 @@ class TestEngineConfig:
         swapped = replace(varied, engine=EngineConfig(backend="row"))
         assert swapped.engine.backend == "row"
 
-    def test_replace_does_not_warn(self):
-        config = AggCheckerConfig()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            replace(config, predicate_hits=3)
-            config.with_engine(backend="row")
-
-
-class TestDeprecationShims:
-    def test_engine_keyword_backend_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="EngineConfig"):
-            engine = QueryEngine(small_db(), backend="row")
-        assert engine.backend == "row"
-
-    def test_engine_disk_cache_keyword_warns(self, tmp_path):
-        from repro.db.diskcache import DiskCubeCache
-
-        with pytest.warns(DeprecationWarning, match="cache_dir"):
-            engine = QueryEngine(small_db(), disk_cache=DiskCubeCache(tmp_path))
-        assert engine.disk_cache is not None
-
-    def test_positional_mode_is_sugar_not_deprecated(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            engine = QueryEngine(small_db(), ExecutionMode.NAIVE)
+    def test_positional_mode_is_sugar(self):
+        engine = QueryEngine(small_db(), ExecutionMode.NAIVE)
         assert engine.mode is ExecutionMode.NAIVE
+        assert engine.config == EngineConfig(mode=ExecutionMode.NAIVE)
 
-    def test_positional_mode_conflicts_with_keyword(self):
-        with pytest.raises(TypeError, match="positionally"):
-            QueryEngine(small_db(), ExecutionMode.NAIVE, mode=ExecutionMode.MERGED)
-
-    def test_config_flat_kwargs_warn_and_map(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="with_engine"):
-            config = AggCheckerConfig(
-                execution_mode=ExecutionMode.NAIVE,
-                backend="row",
-                cache_dir=str(tmp_path),
-                disk_cache_min_rows=7,
-            )
-        assert config.engine.mode is ExecutionMode.NAIVE
-        assert config.engine.backend == "row"
-        assert config.engine.cache_dir == str(tmp_path)
-        assert config.engine.disk_cache_min_rows == 7
-
-    def test_config_flat_reads_are_properties(self):
-        config = AggCheckerConfig()
-        assert config.execution_mode is config.engine.mode
-        assert config.backend == config.engine.backend == "columnar"
-        assert config.cache_dir is None
-        assert config.disk_cache_min_rows is None
-
-    def test_modern_construction_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            QueryEngine(small_db(), EngineConfig(mode=ExecutionMode.NAIVE))
-            AggCheckerConfig(engine=EngineConfig(backend="row"))
+    def test_flat_keywords_are_gone(self, tmp_path):
+        with pytest.raises(TypeError):
+            QueryEngine(small_db(), backend="row")
+        with pytest.raises(TypeError):
+            AggCheckerConfig(cache_dir=str(tmp_path))
 
 
 class TestCardinalityEstimates:

@@ -149,8 +149,8 @@ def test_joined_queries_match_rowwise_oracle(database, queries):
     """Property: hash join on key codes reproduces the row-wise equi-join
     (NULL keys and dangling foreign keys drop identically) for every mode."""
     for mode in (ExecutionMode.NAIVE, ExecutionMode.MERGED_CACHED):
-        row = QueryEngine(database, EngineConfig(mode=mode, backend=ExecutionBackend.ROW)).evaluate(queries)
-        col = QueryEngine(database, EngineConfig(mode=mode, backend=ExecutionBackend.COLUMNAR)).evaluate(
+        row = QueryEngine(database, EngineConfig(mode=mode, backend="row")).evaluate(queries)
+        col = QueryEngine(database, EngineConfig(mode=mode, backend="columnar")).evaluate(
             queries
         )
         for query in set(queries):
@@ -167,9 +167,9 @@ def test_joined_queries_match_rowwise_oracle(database, queries):
 def test_engine_modes_match_across_backends(database, queries):
     """Property: the full engine ladder agrees between backends, including
     repeat evaluation through the result cache."""
-    naive_row = QueryEngine(database, EngineConfig(mode=ExecutionMode.NAIVE, backend=ExecutionBackend.ROW
+    naive_row = QueryEngine(database, EngineConfig(mode=ExecutionMode.NAIVE, backend="row"
     )).evaluate(queries)
-    engine = QueryEngine(database, EngineConfig(mode=ExecutionMode.MERGED_CACHED, backend=ExecutionBackend.COLUMNAR
+    engine = QueryEngine(database, EngineConfig(mode=ExecutionMode.MERGED_CACHED, backend="columnar"
     ))
     engine.evaluate(queries)  # populate the cache
     cached = engine.evaluate(queries)  # answer from cached columnar cells
@@ -248,10 +248,10 @@ class TestPurePythonFallback:
         ]
         queries = [parse_query(sql, nfl_db) for sql in sqls]
         for mode in ExecutionMode:
-            row = QueryEngine(nfl_db, EngineConfig(mode=mode, backend=ExecutionBackend.ROW)).evaluate(
+            row = QueryEngine(nfl_db, EngineConfig(mode=mode, backend="row")).evaluate(
                 queries
             )
-            col = QueryEngine(nfl_db, EngineConfig(mode=mode, backend=ExecutionBackend.COLUMNAR
+            col = QueryEngine(nfl_db, EngineConfig(mode=mode, backend="columnar"
             )).evaluate(queries)
             for query in queries:
                 assert_value_equal(row[query], col[query], f"{mode} {query}")
@@ -263,9 +263,9 @@ class TestPurePythonFallback:
             "SELECT Avg(goals) FROM players",
         ]
         queries = [parse_query(sql, star_db) for sql in sqls]
-        row = QueryEngine(star_db, EngineConfig(mode=ExecutionMode.MERGED_CACHED, backend=ExecutionBackend.ROW
+        row = QueryEngine(star_db, EngineConfig(mode=ExecutionMode.MERGED_CACHED, backend="row"
         )).evaluate(queries)
-        col = QueryEngine(star_db, EngineConfig(mode=ExecutionMode.MERGED_CACHED, backend=ExecutionBackend.COLUMNAR
+        col = QueryEngine(star_db, EngineConfig(mode=ExecutionMode.MERGED_CACHED, backend="columnar"
         )).evaluate(queries)
         for query in queries:
             assert_value_equal(row[query], col[query], str(query))

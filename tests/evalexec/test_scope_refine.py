@@ -1,4 +1,4 @@
-"""Unit tests for PickScope and RefineByEval."""
+"""Unit tests for PickScope (``scope_mask``) and RefineByEval."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 np = pytest.importorskip("numpy")  # the model layer has no pure-Python fallback
 
 from repro.db import Column, ColumnType, Database, QueryEngine, Table
-from repro.evalexec import ScopeConfig, pick_scope, refine_by_eval
+from repro.evalexec import ScopeConfig, refine_by_eval_space, scope_mask
 from repro.fragments import FragmentIndex, extract_fragments
 from repro.matching import keyword_match
 from repro.model import build_candidates, compute_distribution
@@ -44,56 +44,69 @@ def setup():
     return database, claims, spaces
 
 
-class TestPickScope:
+class TestScopeMask:
     def test_full_scope_by_default(self, setup):
         _, claims, spaces = setup
         space = spaces[claims[0]]
-        scoped = pick_scope(space, None, ScopeConfig())
-        assert len(scoped) == len(space)
+        mask = scope_mask(space, None, ScopeConfig())
+        assert mask.dtype == bool and len(mask) == len(space)
+        assert mask.all()
 
     def test_budget_limits(self, setup):
         _, claims, spaces = setup
         space = spaces[claims[0]]
-        scoped = pick_scope(space, None, ScopeConfig(max_evaluations_per_claim=10))
-        assert len(scoped) == 10
+        mask = scope_mask(space, None, ScopeConfig(max_evaluations_per_claim=10))
+        # Without scores: the first ``budget`` candidates in space order.
+        assert np.flatnonzero(mask).tolist() == list(range(10))
 
     def test_budget_prefers_likely_candidates(self, setup):
         _, claims, spaces = setup
         space = spaces[claims[0]]
         distribution = compute_distribution(space)
-        scoped = pick_scope(
+        mask = scope_mask(
             space,
             distribution.log_scores,
             ScopeConfig(max_evaluations_per_claim=5),
         )
-        top = distribution.top_queries(5)
-        assert set(scoped) == {query for query, _ in top}
+        assert set(np.flatnonzero(mask).tolist()) == set(
+            distribution.top_positions(5)
+        )
+
+    def test_ties_keep_space_order(self, setup):
+        _, claims, spaces = setup
+        space = spaces[claims[0]]
+        scores = np.zeros(len(space))
+        scores[7] = 1.0
+        mask = scope_mask(space, scores, ScopeConfig(max_evaluations_per_claim=4))
+        assert np.flatnonzero(mask).tolist() == [0, 1, 2, 7]
 
     def test_budget_larger_than_space(self, setup):
         _, claims, spaces = setup
         space = spaces[claims[0]]
-        scoped = pick_scope(
+        mask = scope_mask(
             space, None, ScopeConfig(max_evaluations_per_claim=10**9)
         )
-        assert len(scoped) == len(space)
+        assert mask.all() and len(mask) == len(space)
 
 
 class TestRefineByEval:
     def test_outcomes_cover_all_claims(self, setup):
         database, claims, spaces = setup
         engine = QueryEngine(database)
-        outcomes = refine_by_eval(spaces, None, engine)
+        outcomes = refine_by_eval_space(spaces, None, engine)
         assert set(outcomes) == set(spaces)
         for claim, outcome in outcomes.items():
             assert outcome.evaluated.all()
 
-    def test_known_results_avoid_reevaluation(self, setup):
+    def test_carried_results_avoid_reevaluation(self, setup):
         database, claims, spaces = setup
         engine = QueryEngine(database)
-        known = {}
-        refine_by_eval(spaces, None, engine, known_results=known)
+        carried = {}
+        refine_by_eval_space(spaces, None, engine, carried=carried)
+        assert set(carried) == set(spaces)
         first_requested = engine.stats.queries_requested
-        refine_by_eval(spaces, None, engine, known_results=known)
+        assert first_requested == sum(len(space) for space in spaces.values())
+        refine_by_eval_space(spaces, None, engine, carried=carried)
         assert engine.stats.queries_requested == first_requested
 
     def test_budget_restricts_evaluated(self, setup):
@@ -102,7 +115,7 @@ class TestRefineByEval:
         preliminary = {
             claim: compute_distribution(space) for claim, space in spaces.items()
         }
-        outcomes = refine_by_eval(
+        outcomes = refine_by_eval_space(
             spaces,
             preliminary,
             engine,
@@ -117,7 +130,7 @@ class TestRefineByEval:
         preliminary = {
             claim: compute_distribution(space) for claim, space in spaces.items()
         }
-        outcomes = refine_by_eval(
+        outcomes = refine_by_eval_space(
             spaces,
             preliminary,
             engine,
@@ -129,7 +142,7 @@ class TestRefineByEval:
     def test_some_claim_matches_ground_result(self, setup):
         database, claims, spaces = setup
         engine = QueryEngine(database)
-        outcomes = refine_by_eval(spaces, None, engine)
+        outcomes = refine_by_eval_space(spaces, None, engine)
         # The '9 suspensions overall' claim matches Count(*) = 9.
         claim_nine = next(c for c in claims if c.claimed_value == 9)
         assert outcomes[claim_nine].matches.any()

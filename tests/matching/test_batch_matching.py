@@ -4,8 +4,8 @@
 same fragments retrieved, same dict insertion order, exactly equal float
 scores — across context ablations, hits budgets, score ties, empty
 keyword contexts, and the pure-Python (no NumPy) fallback. A corpus-level
-regression pins that full runs produce identical verdicts with batching
-on and off.
+regression pins that full runs produce identical verdicts when the
+reference is patched in as the pipeline's matcher.
 """
 
 from __future__ import annotations
@@ -312,14 +312,17 @@ class TestAlignedArrays:
 
 class TestCorpusRegression:
     @pytest.mark.needs_numpy
-    def test_run_corpus_identical_with_batching_on_and_off(self):
+    def test_run_corpus_identical_with_reference_matcher(self, monkeypatch):
         from repro.core.config import AggCheckerConfig
         from repro.corpus.generator import CorpusConfig, generate_corpus
         from repro.harness import run_corpus
 
         corpus = generate_corpus(CorpusConfig(n_articles=3))
-        on = run_corpus(corpus, AggCheckerConfig(batch_matching=True))
-        off = run_corpus(corpus, AggCheckerConfig(batch_matching=False))
+        batch = run_corpus(corpus, AggCheckerConfig())
+        monkeypatch.setattr(
+            "repro.core.checker.keyword_match_batch", keyword_match
+        )
+        reference = run_corpus(corpus, AggCheckerConfig())
 
         def signature(run):
             return [
@@ -335,9 +338,9 @@ class TestCorpusRegression:
                 for result in run.results
             ]
 
-        assert signature(on) == signature(off)
-        assert on.metrics.recall == off.metrics.recall
-        assert on.metrics.precision == off.metrics.precision
+        assert signature(batch) == signature(reference)
+        assert batch.metrics.recall == reference.metrics.recall
+        assert batch.metrics.precision == reference.metrics.precision
 
     def test_checker_reuses_compiled_index(self, nfl_index):
         from repro.core.checker import AggChecker

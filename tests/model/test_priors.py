@@ -109,6 +109,32 @@ class TestAccessors:
         assert priors.column_prior(unknown) > 0
         assert 0 < priors.restriction_prior(unknown) < 1
 
+    @pytest.mark.needs_numpy
+    def test_log_tables_are_logs_of_the_scalar_accessors(self, catalog):
+        """The E-step's gather tables, slot by slot, fallback slot last."""
+        import math
+
+        priors = Priors.uniform(catalog).update_from(
+            [count_star(Predicate(GAMES, "indef")), count_star()]
+        )
+        fn_table, col_table, odds_table = priors.log_tables()
+        layout = priors.layout()
+        unknown = ColumnRef("zzz", "zzz")
+
+        def log_odds(column):
+            p = priors.restriction_prior(column)
+            return math.log(p) - math.log(1.0 - p)
+
+        assert len(fn_table) == len(layout.fn_slot) + 1
+        for function, slot in layout.fn_slot.items():
+            assert fn_table[slot] == math.log(priors.function_prior(function))
+        for column, slot in layout.col_slot.items():
+            assert col_table[slot] == math.log(priors.column_prior(column))
+        assert col_table[-1] == math.log(priors.column_prior(unknown))
+        for column, slot in layout.odds_slot.items():
+            assert odds_table[slot] == log_odds(column)
+        assert odds_table[-1] == log_odds(unknown)
+
 
 @settings(max_examples=30, deadline=None)
 @given(n_games=st.integers(min_value=0, max_value=20), n_cat=st.integers(min_value=0, max_value=20))

@@ -16,8 +16,8 @@ from repro.model import (
     compute_distribution,
     query_and_learn,
 )
-from repro.model.probability import EvaluationOutcome
 from repro.text import detect_claims, parse_html
+from tests.conftest import outcome_from
 
 PAPER_HTML = """
 <title>The NFL's Uneven History Of Punishing Domestic Violence</title>
@@ -71,7 +71,7 @@ class TestComputeDistribution:
         claim_three = next(c for c in claims if c.claimed_value == 3)
         space = spaces[claim_three]
         results = engine.evaluate(space.queries)
-        outcome = EvaluationOutcome.from_results(space, results)
+        outcome = outcome_from(space, results)
         without = compute_distribution(space, None, None)
         with_eval = compute_distribution(space, None, outcome)
         truth = parse_query(
@@ -89,7 +89,7 @@ class TestComputeDistribution:
         space = spaces[claims[0]]
         # Evaluate only the first 10 candidates.
         results = engine.evaluate(space.queries[:10])
-        outcome = EvaluationOutcome.from_results(space, results)
+        outcome = outcome_from(space, results)
         distribution = compute_distribution(space, None, outcome)
         assert distribution.probabilities[10:].sum() == pytest.approx(0.0)
 
@@ -119,7 +119,7 @@ class TestComputeDistribution:
         _, catalog, claims, spaces, engine = pipeline
         space = spaces[claims[0]]
         results = engine.evaluate(space.queries)
-        outcome = EvaluationOutcome.from_results(space, results)
+        outcome = outcome_from(space, results)
         distribution = compute_distribution(
             space, Priors.uniform(catalog), outcome
         )
@@ -196,6 +196,20 @@ class TestQueryAndLearn:
         assert hits(full, 1) >= 1
         assert hits(full, 5) >= 2
 
+    def test_mstep_ranks_each_claim_once_per_iteration(self, pipeline, monkeypatch):
+        from repro.model.probability import ClaimDistribution
+
+        calls = []
+        top_query = ClaimDistribution.top_query
+        monkeypatch.setattr(
+            ClaimDistribution,
+            "top_query",
+            lambda self: calls.append(self) or top_query(self),
+        )
+        _, catalog, _, spaces, engine = pipeline
+        result = query_and_learn(spaces, catalog, engine)
+        assert len(calls) == result.iterations * len(spaces)
+
     def test_iterations_bounded(self, pipeline):
         _, catalog, _, spaces, engine = pipeline
         result = query_and_learn(
@@ -234,11 +248,12 @@ def reference_outcome(space, results, scoped=None):
     return evaluated, matches
 
 
-class TestFromResultsVectorized:
-    """The bulk-indexed ``from_results`` must match the per-candidate loop."""
+class TestOutcomeMatchesPerCandidateLoop:
+    """``from_value_ids`` (near-filter, then ``rounds_to`` per distinct
+    value) must match checking every candidate."""
 
     def _assert_matches_reference(self, space, results, scoped=None):
-        outcome = EvaluationOutcome.from_results(space, results, scoped)
+        outcome = outcome_from(space, results, scoped)
         evaluated, matches = reference_outcome(space, results, scoped)
         assert np.array_equal(outcome.evaluated, evaluated)
         assert np.array_equal(outcome.matches, matches)
@@ -268,6 +283,19 @@ class TestFromResultsVectorized:
         results[foreign] = 123.0
         self._assert_matches_reference(space, results, set(space.queries[:20]) | {foreign})
 
+    def test_foreign_query_has_no_result(self, pipeline):
+        db, _, claims, spaces, engine = pipeline
+        space = spaces[claims[0]]
+        outcome = outcome_from(space, engine.evaluate(space.queries))
+        foreign = parse_query(
+            "SELECT Sum(Year) FROM nflsuspensions WHERE Team = 'BAL'", db
+        )
+        assert not outcome.is_evaluated(space, foreign)
+        assert outcome.result_for(space, foreign) is None
+        own = space.query_at(3)
+        assert outcome.is_evaluated(space, own)
+        assert outcome.result_for(space, own) == outcome.result_at(3)
+
     def test_odd_values(self, pipeline):
         _, _, claims, spaces, _ = pipeline
         space = spaces[claims[0]]
@@ -283,12 +311,3 @@ class TestFromResultsVectorized:
         space = spaces[claims[0]]
         self._assert_matches_reference(space, {})
         self._assert_matches_reference(space, {}, set())
-
-    def test_position_index_covers_space(self, pipeline):
-        _, _, claims, spaces, _ = pipeline
-        space = spaces[claims[0]]
-        index = space.position_index()
-        assert len(index) == len(space)
-        assert index is space.position_index()  # cached
-        for position, query in enumerate(space.queries):
-            assert index[query] == position

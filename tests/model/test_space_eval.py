@@ -1,13 +1,16 @@
-"""Bit-identity of the factorized space evaluation path vs the per-query oracle.
+"""Bit-identity of the factorized evaluation route against its references.
 
-The per-query path (materialize every candidate, ``QueryEngine.evaluate``,
-``EvaluationOutcome.from_results``) is the reference semantics. Every test
-here asserts that the zero-materialization path
-(``QueryEngine.evaluate_space`` + ``EvaluationOutcome.from_value_ids``)
-produces identical verdicts, probabilities, evaluated/match vectors, and
-per-candidate values — across all three execution modes, both physical
-backends, full and budgeted evaluation scopes, ratio and
-conditional-probability candidates, and empty-group cells.
+The production route is ``refine_by_eval_space``: ``QueryEngine.
+evaluate_spaces`` (cell gather) + ``EvaluationOutcome.from_value_ids``.
+Two references hold it in place. The list entry point — materialize the
+scoped candidates with ``query_at``, ``QueryEngine.evaluate`` them on an
+engine of the same mode and backend, check every value with ``rounds_to``
+— must give the same per-candidate values, evaluated/match vectors and
+physical-work stats. The same route on a NAIVE engine over the row
+adapter (one physical query per candidate: what the shadow auditor runs)
+must give the same values, probabilities and verdicts. Both across all
+three execution modes, both in-memory backends, full and budgeted scopes,
+ratio and conditional-probability candidates, and empty-group cells.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ from hypothesis import strategies as st
 
 import repro.db.gather as gather
 from repro.db import Column, ColumnType, Database, QueryEngine, Table
-from repro.db.columnar import ExecutionBackend
 from repro.db.engine import EngineConfig, EngineStats, ExecutionMode
 from repro.db.gather import SpaceResults
-from repro.evalexec import ScopeConfig, refine_by_eval, refine_by_eval_space
+from repro.evalexec import ScopeConfig, refine_by_eval_space
 from repro.fragments import FragmentIndex, extract_fragments
 from repro.matching import keyword_match
 from repro.model import EmConfig, build_candidates, compute_distribution, query_and_learn
@@ -33,18 +35,22 @@ from repro.model.candidates import CandidateConfig
 from repro.model.probability import EvaluationOutcome
 from repro.core.verdict import make_verdict
 from repro.fragments.indexer import RelevanceScores
+from repro.nlp.numbers import rounds_to
 from repro.text import Document, detect_claims
 
 from tests.conftest import NFL_ROWS
 from tests.db.strategies import nullheavy_databases, small_databases
 
 MODES = list(ExecutionMode)
-BACKENDS = list(ExecutionBackend)
+BACKENDS = ["columnar", "row"]
+#: One physical query per candidate, no cube, no cache, row-wise executor.
+ORACLE = EngineConfig(mode=ExecutionMode.NAIVE, backend="row")
 
-#: EngineStats fields that must match between the two paths. Excluded:
-#: ``query_seconds`` (wall clock), ``gathered_candidates`` (by definition
-#: only the space path counts them), and ``queries_requested`` (the space
-#: path counts logical candidate evaluations before cross-claim dedup).
+#: EngineStats fields that must match between ``evaluate_spaces`` and the
+#: list reference. Excluded: ``query_seconds`` (wall clock),
+#: ``gathered_candidates`` (only ``evaluate_spaces`` counts them), and
+#: ``queries_requested`` (``evaluate_spaces`` counts logical candidate
+#: evaluations before cross-claim dedup).
 COMPARABLE_STATS = (
     "physical_queries",
     "cube_queries",
@@ -65,18 +71,71 @@ def make_claim(value):
     return claims[0]
 
 
-def assert_same_outcome(space, oracle, spacey):
+def same_value(expected, actual):
+    # Same value and same Python type: 3 is not 3.0, 0 is not None.
+    return expected == actual and type(expected) is type(actual)
+
+
+def reference_scope(space, log_scores, budget):
+    """PickScope written out: the ``budget`` best candidates by score."""
+    mask = np.zeros(len(space), dtype=bool)
+    if budget is None or budget >= len(space):
+        mask[:] = True
+    else:
+        mask[np.argsort(-log_scores, kind="stable")[:budget]] = True
+    return mask
+
+
+def assert_matches_list_reference(outcomes, spaces, masks, engine):
+    """``outcomes`` against one ``engine.evaluate`` batch of the scoped
+    candidates of every claim plus a ``rounds_to`` check per candidate."""
+    scoped = {
+        claim: [
+            (position, space.query_at(position))
+            for position in np.flatnonzero(masks[claim]).tolist()
+        ]
+        for claim, space in spaces.items()
+    }
+    values = engine.evaluate(
+        [query for pairs in scoped.values() for _, query in pairs]
+    )
+    for claim, pairs in scoped.items():
+        outcome = outcomes[claim]
+        assert np.array_equal(outcome.evaluated, masks[claim])
+        matches = np.zeros(len(spaces[claim]), dtype=bool)
+        for position, query in pairs:
+            expected = values[query]
+            actual = outcome.result_at(position)
+            assert same_value(expected, actual), (position, expected, actual)
+            matches[position] = rounds_to(expected, claim.claimed_value)
+        assert np.array_equal(outcome.matches, matches)
+
+
+def close_value(expected, actual):
+    # Across backends: NULL-ness exact; numbers up to accumulation order
+    # and int-vs-float spelling (the row executor's 0 is columnar's 0.0).
+    if expected is None or actual is None:
+        return expected is actual
+    return actual == pytest.approx(expected)
+
+
+def assert_same_outcome(oracle, spacey):
     assert np.array_equal(oracle.evaluated, spacey.evaluated)
     assert np.array_equal(oracle.matches, spacey.matches)
     for position in np.flatnonzero(spacey.evaluated).tolist():
-        expected = oracle.result_at(space, position)
-        actual = spacey.space_results.value_at(position)
-        # Same value and same Python type: 3 is not 3.0, 0 is not None.
-        assert expected == actual and type(expected) is type(actual), (
-            position,
-            expected,
-            actual,
-        )
+        expected = oracle.result_at(position)
+        actual = spacey.result_at(position)
+        assert close_value(expected, actual), (position, expected, actual)
+
+
+def assert_same_verdict(claim, d_oracle, d_new):
+    assert np.array_equal(d_oracle.probabilities, d_new.probabilities)
+    v_oracle = make_verdict(claim, d_oracle)
+    v_new = make_verdict(claim, d_new)
+    assert v_oracle.status is v_new.status
+    assert v_oracle.top_query == v_new.top_query
+    assert close_value(v_oracle.top_result, v_new.top_result)
+    assert v_oracle.probability_correct == v_new.probability_correct
 
 
 def assert_same_stats(old: EngineStats, new: EngineStats, names=COMPARABLE_STATS):
@@ -106,8 +165,8 @@ def random_scores(draw, catalog) -> RelevanceScores:
     return RelevanceScores(functions, columns, predicates)
 
 
-class TestSpacePathMatchesOracle:
-    """Randomized single-claim refinement: both paths, bit for bit."""
+class TestSpacePathMatchesReferences:
+    """Randomized single-claim refinement against both references."""
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -123,31 +182,35 @@ class TestSpacePathMatchesOracle:
         preliminary = None
         if budget is not None:
             preliminary = {claim: compute_distribution(space)}
+        spaces = {claim: space}
 
-        engine_old = QueryEngine(database, EngineConfig(mode=mode, backend=backend))
-        engine_new = QueryEngine(database, EngineConfig(mode=mode, backend=backend))
-        oracle = refine_by_eval({claim: space}, preliminary, engine_old, config)
-        spacey = refine_by_eval_space(
-            {claim: space}, preliminary, engine_new, config
-        )
-        assert_same_outcome(space, oracle[claim], spacey[claim])
-        assert_same_stats(engine_old.stats, engine_new.stats)
+        engine_config = EngineConfig(mode=mode, backend=backend)
+        engine_new = QueryEngine(database, engine_config)
+        spacey = refine_by_eval_space(spaces, preliminary, engine_new, config)
+
+        # Reference 1: the list entry point, same mode and backend.
+        engine_list = QueryEngine(database, engine_config)
+        log_scores = preliminary[claim].log_scores if preliminary else None
+        masks = {claim: reference_scope(space, log_scores, budget)}
+        assert_matches_list_reference(spacey, spaces, masks, engine_list)
+        assert_same_stats(engine_list.stats, engine_new.stats)
         # Single claim, no duplicate candidates: even the logical request
-        # count matches between the two paths.
+        # count matches between the two entry points.
         assert (
-            engine_old.stats.queries_requested
+            engine_list.stats.queries_requested
             == engine_new.stats.queries_requested
         )
 
-        # Downstream: identical distributions and verdicts.
-        d_old = compute_distribution(space, None, oracle[claim])
-        d_new = compute_distribution(space, None, spacey[claim])
-        assert np.array_equal(d_old.probabilities, d_new.probabilities)
-        v_old = make_verdict(claim, d_old)
-        v_new = make_verdict(claim, d_new)
-        assert v_old.status is v_new.status
-        assert v_old.top_query == v_new.top_query
-        assert v_old.top_result == v_new.top_result
+        # Reference 2: the same route on the NAIVE/row oracle engine.
+        oracle = refine_by_eval_space(
+            spaces, preliminary, QueryEngine(database, ORACLE), config
+        )
+        assert_same_outcome(oracle[claim], spacey[claim])
+        assert_same_verdict(
+            claim,
+            compute_distribution(space, None, oracle[claim]),
+            compute_distribution(space, None, spacey[claim]),
+        )
 
 
 @pytest.fixture(scope="module")
@@ -181,49 +244,49 @@ def nfl_pipeline():
 
 
 class TestMultiClaimDocument:
-    """Cross-claim batches share cube work identically on both paths."""
+    """Cross-claim batches share cube work exactly as the list reference
+    does, and agree with the oracle engine."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_physical_work_identical(self, nfl_pipeline, mode):
         database, _, claims, spaces = nfl_pipeline
-        engine_old = QueryEngine(database, EngineConfig(mode=mode))
+        engine_list = QueryEngine(database, EngineConfig(mode=mode))
         engine_new = QueryEngine(database, EngineConfig(mode=mode))
-        oracle = refine_by_eval(spaces, None, engine_old)
         spacey = refine_by_eval_space(spaces, None, engine_new)
+        masks = {
+            claim: np.ones(len(space), dtype=bool)
+            for claim, space in spaces.items()
+        }
+        assert_matches_list_reference(spacey, spaces, masks, engine_list)
+        assert_same_stats(engine_list.stats, engine_new.stats)
+        oracle = refine_by_eval_space(
+            spaces, None, QueryEngine(database, ORACLE)
+        )
         for claim in claims:
-            assert_same_outcome(spaces[claim], oracle[claim], spacey[claim])
-        assert_same_stats(engine_old.stats, engine_new.stats)
+            assert_same_outcome(oracle[claim], spacey[claim])
 
     @pytest.mark.parametrize("budget", [None, 25])
     def test_query_and_learn_identical(self, nfl_pipeline, budget):
         database, catalog, claims, spaces = nfl_pipeline
-        scope = ScopeConfig(max_evaluations_per_claim=budget)
+        config = EmConfig(scope=ScopeConfig(max_evaluations_per_claim=budget))
         result_new = query_and_learn(
-            spaces,
-            catalog,
-            QueryEngine(database),
-            EmConfig(scope=scope, space_eval=True),
+            spaces, catalog, QueryEngine(database), config
         )
-        result_old = query_and_learn(
-            spaces,
-            catalog,
-            QueryEngine(database),
-            EmConfig(scope=scope, space_eval=False),
+        result_oracle = query_and_learn(
+            spaces, catalog, QueryEngine(database, ORACLE), config
         )
-        assert result_new.iterations == result_old.iterations
-        assert result_new.priors.functions == result_old.priors.functions
-        assert result_new.priors.columns == result_old.priors.columns
-        assert result_new.priors.restrictions == result_old.priors.restrictions
+        assert result_new.iterations == result_oracle.iterations
+        assert result_new.priors.functions == result_oracle.priors.functions
+        assert result_new.priors.columns == result_oracle.priors.columns
+        assert (
+            result_new.priors.restrictions == result_oracle.priors.restrictions
+        )
         for claim in claims:
-            d_new = result_new.distributions[claim]
-            d_old = result_old.distributions[claim]
-            assert np.array_equal(d_new.probabilities, d_old.probabilities)
-            v_new = make_verdict(claim, d_new)
-            v_old = make_verdict(claim, d_old)
-            assert v_new.status is v_old.status
-            assert v_new.top_query == v_old.top_query
-            assert v_new.top_result == v_old.top_result
-            assert v_new.probability_correct == v_old.probability_correct
+            assert_same_verdict(
+                claim,
+                result_oracle.distributions[claim],
+                result_new.distributions[claim],
+            )
 
     def test_carried_results_skip_reevaluation(self, nfl_pipeline):
         database, _, claims, spaces = nfl_pipeline
@@ -241,9 +304,9 @@ class TestMultiClaimDocument:
 
 
 class TestLazyMaterialization:
-    """The default path must never build per-candidate query objects."""
+    """Evaluation must never build per-candidate query objects."""
 
-    def test_space_eval_leaves_queries_unmaterialized(self, nfl_pipeline):
+    def test_evaluation_leaves_queries_unmaterialized(self, nfl_pipeline):
         database, catalog, claims, spaces_src = nfl_pipeline
         # Fresh spaces: the module fixture may have been materialized by
         # other tests.
@@ -266,21 +329,19 @@ class TestLazyMaterialization:
         rebuilt = [space.query_at(i) for i in range(len(space))]
         assert rebuilt == space.queries
 
-    def test_position_of_matches_index(self, nfl_pipeline):
+    def test_position_of_inverts_query_at(self, nfl_pipeline):
         _, catalog, claims, spaces = nfl_pipeline
         index = FragmentIndex(catalog)
         scores = keyword_match(claims, index)
         space = build_candidates(claims[0], scores[claims[0]])
-        probe = [0, 1, len(space) // 2, len(space) - 1]
-        queries = [space.query_at(i) for i in probe]
-        # Factorized lookup (no materialization).
-        for expected, query in zip(probe, queries):
-            assert space.position_of(query) == expected
+        for position in range(len(space)):
+            assert space.position_of(space.query_at(position)) == position
+        # Factor lookup, no materialization.
         assert space._queries is None
-        # After materialization the dict index takes over; same answers.
-        all_queries = space.queries
-        for expected, query in zip(probe, queries):
-            assert space.position_of(query) == all_queries.index(query)
+        # Materializing changes nothing.
+        probe = [0, 1, len(space) // 2, len(space) - 1]
+        for position in probe:
+            assert space.position_of(space.queries[position]) == position
 
     def test_position_of_foreign_query_is_none(self, nfl_pipeline):
         database, _, claims, spaces = nfl_pipeline
@@ -320,7 +381,7 @@ class TestConditionalCoverage:
         zero_seen = none_seen = False
         for position, query in enumerate(space.queries):
             value = results.value_at(position)
-            assert value == oracle[query] and type(value) is type(oracle[query])
+            assert same_value(oracle[query], value)
             if value == 0 and query.predicates:
                 zero_seen = True
             if value is None:
@@ -333,7 +394,7 @@ class TestRatioDenominators:
     conditional-probability (event, condition) pair.
 
     No database produces a NULL count, so the cases are planted in the
-    engine's cached cells; the per-query path answering from the same
+    engine's cached cells; the list reference answering from the same
     cache (``ratio_value`` per candidate) is the oracle.
     """
 
@@ -361,9 +422,7 @@ class TestRatioDenominators:
         for position, query in enumerate(space.queries):
             expected = oracle[query]
             actual = results.value_at(position)
-            assert expected == actual and type(expected) is type(actual), (
-                str(query), expected, actual,
-            )
+            assert same_value(expected, actual), (str(query), expected, actual)
             if actual is None and kinds[position] in nulls:
                 nulls[kinds[position]] += 1
             number = results.numbers[position]
