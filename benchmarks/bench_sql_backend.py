@@ -3,8 +3,14 @@
 Sweeps the same synthetic claim-query workload over the ``row``,
 ``columnar``, and ``sqlite`` adapters and writes ``BENCH_sql.json``:
 
-- per-size engine timings (one merged-cube evaluate() per fresh engine),
-  with the sqlite leg running **out-of-core** against a SQLite file;
+- per-size engine timings, clocked from before ``QueryEngine(...)`` to the
+  end of the first merged-cube evaluate() on that fresh engine, so work an
+  adapter does at construction or on first use (the sqlite tier's shadow
+  columns) is inside the number; the sqlite leg runs **out-of-core**
+  against a SQLite file, and ``sqlite_build_seconds`` is the one-off part
+  of ``sqlite_seconds``: that first run minus a second evaluate() of the
+  same batch on the same engine (MERGED mode caches no results, so the
+  second run re-executes every statement over the shadows already built);
 - the tentpole acceptance proof: at the largest size the file-backed
   sqlite engine verifies the whole batch under a materialization budget
   orders of magnitude below the table, with
@@ -110,19 +116,28 @@ def write_sqlite_file(rows: list[tuple], path: str) -> str:
 
 
 def time_evaluate(database: Database, backend: str, repeats: int):
-    """Best-of-N evaluate() on a fresh engine (no cross-run cache)."""
-    best, values = float("inf"), None
+    """Best-of-N construction + first evaluate() (no cross-run cache).
+
+    Returns ``(seconds, build_seconds, values)``; ``build_seconds`` is
+    what the first run cost over a repeat on the same engine.
+    """
+    best, build, values = float("inf"), 0.0, None
     for _ in range(repeats):
+        queries = [parse_query(sql, database) for sql in QUERY_SQLS]
+        started = time.perf_counter()
         engine = QueryEngine(
             database, EngineConfig(mode=ExecutionMode.MERGED, backend=backend)
         )
-        queries = [parse_query(sql, database) for sql in QUERY_SQLS]
-        started = time.perf_counter()
         results = engine.evaluate(queries)
-        best = min(best, time.perf_counter() - started)
-        values = [results[query] for query in queries]
+        first = time.perf_counter() - started
+        started = time.perf_counter()
+        engine.evaluate(queries)
+        again = time.perf_counter() - started
         engine.close()
-    return best, values
+        if first < best:
+            best, build = first, max(first - again, 0.0)
+        values = [results[query] for query in queries]
+    return best, build, values
 
 
 def assert_identical(reference, actual, context: str) -> None:
@@ -208,11 +223,15 @@ def test_sql_backend_scaling(capsys):
             path = write_sqlite_file(rows, os.path.join(tmp, f"{n_rows}.sqlite"))
             file_db = load_sqlite_database(path)
             repeats = 3 if n_rows <= 100_000 else 2
-            row_seconds, row_values = time_evaluate(database, "row", repeats)
-            col_seconds, col_values = time_evaluate(
+            row_seconds, _, row_values = time_evaluate(
+                database, "row", repeats
+            )
+            col_seconds, _, col_values = time_evaluate(
                 database, "columnar", repeats
             )
-            sql_seconds, sql_values = time_evaluate(file_db, "sqlite", repeats)
+            sql_seconds, sql_build, sql_values = time_evaluate(
+                file_db, "sqlite", repeats
+            )
             assert_identical(row_values, sql_values, f"sqlite@{n_rows}")
             # The columnar kernels promote through float64, so the
             # contract there is value equality, not type identity.
@@ -225,6 +244,7 @@ def test_sql_backend_scaling(capsys):
                     "row_seconds": round(row_seconds, 6),
                     "columnar_seconds": round(col_seconds, 6),
                     "sqlite_seconds": round(sql_seconds, 6),
+                    "sqlite_build_seconds": round(sql_build, 6),
                     "sqlite_rows_per_sec": round(
                         n_rows / max(sql_seconds, 1e-9)
                     ),
@@ -237,6 +257,7 @@ def test_sql_backend_scaling(capsys):
                     f"{row_seconds * 1e3:.1f}ms",
                     f"{col_seconds * 1e3:.1f}ms",
                     f"{sql_seconds * 1e3:.1f}ms",
+                    f"{sql_build * 1e3:.1f}ms",
                     f"x{speedup:.1f}",
                 ]
             )
@@ -255,7 +276,10 @@ def test_sql_backend_scaling(capsys):
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     table = format_table(
         "SQL backend scaling (row vs columnar vs sqlite pushdown)",
-        ["Rows", "Row-wise", "Columnar", "SQLite", "SQLite vs row"],
+        [
+            "Rows", "Row-wise", "Columnar", "SQLite", "of it build",
+            "SQLite vs row",
+        ],
         rows_out,
     )
     with capsys.disabled():

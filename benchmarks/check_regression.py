@@ -113,8 +113,11 @@ SPECS: dict[str, tuple] = {
             tuple(entry.get("rows") for entry in p.get("results", [])),
         ),
         lambda p: {
-            # Pushdown must keep beating the row-wise tier at the
-            # largest swept size.
+            # Pushdown beats the row-wise tier at the largest swept size,
+            # shadow build inside the clock: recorded at 1.24x row (1M
+            # rows). The floor (tolerance x baseline = 0.62x) sits above
+            # the 0.55x that a Python call per row used to cost, so a
+            # statement that calls back into Python again trips it.
             "sqlite_speedup_vs_row": (p.get("results") or [{}])[-1].get(
                 "sqlite_speedup_vs_row"
             ),

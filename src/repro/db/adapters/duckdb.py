@@ -6,60 +6,29 @@ package is importable, and :func:`~repro.db.adapters.base.create_adapter`
 raises :class:`~repro.errors.MissingDependencyError` with an install hint
 when it is not. Nothing in this module touches DuckDB at import time.
 
-Storage model: every column is VARCHAR and cells are stored as their
-``str()`` form (NULLs stay NULL). The engine's scalar semantics are
-normalize/coerce functions over that string form, registered as Python
-UDFs with ``null_handling="special"`` so NULLs reach them; the SQL text
-itself is shared verbatim with the SQLite adapter via
+Storage model: the shadow tables of
+:mod:`repro.db.adapters.sqlbase`, typed — codes ``BIGINT``, numbers
+``DOUBLE``, the raw-number flag ``TINYINT`` — and filled by the shared
+encoder. No Python function is registered on the connection; the SQL
+text is shared verbatim with the SQLite adapter via
 :class:`~repro.db.adapters.sqlbase.SqlAdapterBase`.
 
-Documented deviations from the bit-identical SQLite tier (DuckDB scalar
-UDFs require fixed result types):
-
-- ``rnum`` returns DOUBLE, so naive-path SUM/MIN/MAX over all-integer
-  columns come back as floats (equal in value);
-- ``float('inf')`` cells round-trip through ``"inf"`` text, which
-  ``coerce_number`` rejects — infinities count as non-numeric here.
+Documented deviation from the bit-identical SQLite tier: a DuckDB column
+has one type, so numbers are DOUBLE and naive-path SUM/MIN/MAX over
+all-integer columns come back as floats (equal in value). Native
+``GROUPING SETS`` in place of the ``UNION ALL`` arms is left for a later
+change.
 """
 
 from __future__ import annotations
 
 from repro.db.adapters.base import AdapterCapabilities, register_adapter
 from repro.db.adapters.sqlbase import SqlAdapterBase
-from repro.db.sql import quote_identifier
-from repro.db.values import (
-    Value,
-    coerce_number,
-    is_missing,
-    normalize_string,
-    values_equal,
-)
 
 try:  # pragma: no cover - exercised only where duckdb is installed
     import duckdb as _duckdb
 except ImportError:  # pragma: no cover
     _duckdb = None
-
-
-def _store_cell(value: Value) -> str | None:
-    return None if value is None else str(value)
-
-
-def _udf_norm(value: str | None) -> str:
-    return normalize_string(value)
-
-
-def _udf_num(value: str | None) -> float | None:
-    number = coerce_number(value)
-    return None if number is None else float(number)
-
-
-def _udf_miss(value: str | None) -> int:
-    return 1 if is_missing(value) else 0
-
-
-def _udf_eq(left: str | None, right: str | None) -> int:
-    return 1 if values_equal(left, right) else 0
 
 
 @register_adapter
@@ -77,49 +46,6 @@ class DuckdbAdapter(SqlAdapterBase):
 
     def _connect(self):
         assert _duckdb is not None, "guarded by available()"
-        varchar = _duckdb.typing.VARCHAR
         connection = _duckdb.connect(":memory:")
-        connection.create_function(
-            "rnorm", _udf_norm, [varchar], varchar, null_handling="special"
-        )
-        connection.create_function(
-            "rnum",
-            _udf_num,
-            [varchar],
-            _duckdb.typing.DOUBLE,
-            null_handling="special",
-        )
-        connection.create_function(
-            "rmiss",
-            _udf_miss,
-            [varchar],
-            _duckdb.typing.BIGINT,
-            null_handling="special",
-        )
-        connection.create_function(
-            "req",
-            _udf_eq,
-            [varchar, varchar],
-            _duckdb.typing.BIGINT,
-            null_handling="special",
-        )
-        self._load_tables(connection)
+        self._load_tables(connection, "BIGINT", "DOUBLE", "TINYINT")
         return connection
-
-    def _load_tables(self, connection) -> None:
-        for table in self.database.tables:
-            name = quote_identifier(table.name)
-            columns = ", ".join(
-                f"{quote_identifier(column.name)} VARCHAR"
-                for column in table.columns
-            )
-            connection.execute(f"CREATE TABLE {name} ({columns})")
-            marks = ", ".join("?" for _ in table.columns)
-            rows = [
-                tuple(_store_cell(cell) for cell in row)
-                for row in table.rows
-            ]
-            if rows:
-                connection.executemany(
-                    f"INSERT INTO {name} VALUES ({marks})", rows
-                )

@@ -3,53 +3,68 @@
 The engine's semantics are defined by the row-wise reference path:
 case-insensitive normalized-string equality, forgiving numeric coercion
 (``"$1,200"`` is 1200), NULL-and-blank missingness. A SQL engine knows
-none of that, so the scalar layer stays in Python — four deterministic
-UDFs registered on the connection:
+none of that — but all of it is a pure function of the stored cell, so
+it is computed once per distinct cell value, in Python, and the SQL
+engine only ever sees integers and numbers. Every source table ``i`` has
+a **shadow** with three images per source column ``j``:
 
-- ``rnorm(x)``  → :func:`~repro.db.values.normalize_string`
-- ``rnum(x)``   → :func:`~repro.db.values.coerce_number` (NULL if not numeric)
-- ``rmiss(x)``  → 1 if :func:`~repro.db.values.is_missing` else 0
-- ``req(x, y)`` → 1 if :func:`~repro.db.values.values_equal` else 0
+- ``c{j}k`` — the dictionary code of
+  :func:`~repro.db.values.normalize_string` (a
+  :class:`~repro.db.columnar.ColumnDictionary` code: 0 is the missing
+  bucket; a NULL cell stays SQL NULL, because NULL joins nothing and
+  equals nothing while a blank string does both). Columns linked by a
+  foreign key share one dictionary, so joins are integer equi-joins;
+- ``c{j}n`` — :func:`~repro.db.values.coerce_number` of the *raw* cell,
+  integer or float as the reference path would see it, NULL if not
+  numeric;
+- ``c{j}r`` — 1 if the raw cell is itself a number (not a string that
+  spells one), which is when :func:`~repro.db.values.values_equal`
+  compares numerically against a non-string predicate value.
 
-while joins, grouping, and aggregation push down as generated SQL. Cube
-queries emulate ``GROUP BY GROUPING SETS`` with one ``UNION ALL`` arm per
-dimension subset over a shared base CTE (SQLite has no native GROUPING
-SETS); each arm computes the same mergeable partials as the row path's
-``_Partial`` accumulator, and finalization happens in Python with the
-identical branching, which is what makes verdicts bit-identical.
-
-All statements are parameterized (qmark style, identifiers quoted via
-:func:`repro.db.sql.quote_identifier`); no cell value or claim literal is
-ever interpolated into SQL text.
+Generated statements name only ``t{i}`` and ``c{j}{k,n,r}`` — no source
+identifier, cell value or claim literal is ever interpolated into SQL
+text. What is bound (qmark style) is the dictionary *code* of each cube
+literal and predicate value, looked up in Python, plus the number of a
+non-string predicate value; bucket codes in result rows decode back to
+the normalized literals. Cube queries emulate ``GROUP BY GROUPING SETS``
+with one ``UNION ALL`` arm per dimension subset over a shared base CTE
+(SQLite has no native GROUPING SETS); each arm computes the same
+mergeable partials as the row path's ``_Partial`` accumulator with
+native ``COUNT/SUM/MIN/MAX``, and finalization happens in Python with
+the identical branching, which is what makes verdicts bit-identical.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from typing import TYPE_CHECKING
 
 from repro.db.adapters.base import SimpleResult, StorageAdapter
 from repro.db.aggregates import AggregateFunction, ratio_value
-from repro.db.columnar import ExecutionBackend
+from repro.db.columnar import ColumnDictionary, ExecutionBackend
 from repro.db.cube import ALL, CellKey, CubeResult
 from repro.db.joins import JoinGraph, JoinPath
 from repro.db.query import AggregateSpec, ColumnRef
-from repro.db.sql import quote_identifier
-from repro.db.values import DEFAULT_LITERAL, Value
+from repro.db.values import (
+    DEFAULT_LITERAL,
+    Value,
+    coerce_number,
+)
 from repro.errors import JoinPathError, QueryError
 
 if TYPE_CHECKING:
     from repro.budget import ResourceBudget
     from repro.db.cube import CubeQuery
+    from repro.db.predicates import Predicate
     from repro.db.query import SimpleAggregateQuery
-    from repro.db.schema import Database
+    from repro.db.schema import Database, Table
 
 #: Partial-aggregate fields an arm can compute per aggregation column,
 #: in result-row layout order.
 _FIELD_ORDER = ("count", "distinct", "ncount", "total", "minimum", "maximum")
 
-#: Fields needed per aggregate function (star COUNT needs only ``rows``,
-#: which every arm computes).
+#: Fields needed per aggregate function (star COUNT needs only the row
+#: count, which every statement computes).
 _FIELDS_BY_FN = {
     AggregateFunction.COUNT: ("count",),
     AggregateFunction.COUNT_DISTINCT: ("distinct",),
@@ -59,64 +74,114 @@ _FIELDS_BY_FN = {
     AggregateFunction.MAX: ("ncount", "maximum"),
 }
 
+#: The partial fields computed over a column's code image; the rest are
+#: computed over its number image.
+_CODE_FIELDS = ("count", "distinct")
 
-def _column_expr(ref: ColumnRef) -> str:
-    return f"{quote_identifier(ref.table)}.{quote_identifier(ref.column)}"
+#: Bucket code of the cube's ``InOrDefault`` default (real codes are >= 0).
+_DEFAULT_CODE = -1
 
+#: Shadow rows encoded per ``executemany`` when loading a database.
+_LOAD_CHUNK = 10_000
 
-def join_clause(join_graph: JoinGraph, tables: frozenset[str]) -> str:
-    """``FROM``/``JOIN`` text for the join tree covering ``tables``.
-
-    Mirrors the row-wise hash join exactly: inner equi-joins on
-    ``rnorm()`` equality with SQL-NULL keys excluded on both sides
-    (blank-string keys *do* join — they normalize to ``""`` like the
-    reference path).
-    """
-    path: JoinPath = join_graph.join_path(tables)
-    sql = quote_identifier(path.tables[0])
-    joined = {path.tables[0]}
-    pending = list(path.edges)
-    while pending:
-        edge = next(
-            (
-                fk
-                for fk in pending
-                if fk.source_table in joined or fk.target_table in joined
-            ),
-            None,
-        )
-        if edge is None:
-            raise JoinPathError("disconnected join tree")
-        pending.remove(edge)
-        if edge.source_table in joined:
-            known = _column_expr(ColumnRef(edge.source_table, edge.source_column))
-            new_table, new_key = edge.target_table, edge.target_column
-        else:
-            known = _column_expr(ColumnRef(edge.target_table, edge.target_column))
-            new_table, new_key = edge.source_table, edge.source_column
-        incoming = _column_expr(ColumnRef(new_table, new_key))
-        sql += (
-            f" JOIN {quote_identifier(new_table)} ON {known} IS NOT NULL"
-            f" AND {incoming} IS NOT NULL"
-            f" AND rnorm({known}) = rnorm({incoming})"
-        )
-        joined.add(new_table)
-    return sql
+#: Signed-64-bit range of a SQL INTEGER.
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _predicate_condition(predicate) -> tuple[str, Value]:
-    """``req(col, ?) = 1`` plus its bind parameter."""
-    return f"req({_column_expr(predicate.column)}, ?) = 1", predicate.value
+def _storable(number: float | int | None) -> float | int | None:
+    """Demote an integer beyond 64 bits to float (no SQL INTEGER holds
+    it; a documented deviation for such extremes)."""
+    if isinstance(number, int) and not _INT64_MIN <= number <= _INT64_MAX:
+        return float(number)
+    return number
+
+
+class ShadowDictionary(ColumnDictionary):
+    """A column's code space plus the memo of its cells' shadow images."""
+
+    __slots__ = ("_images",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._images: dict[tuple[type, Value], tuple] = {}
+
+    def images(self, cell: Value) -> tuple:
+        """``(k, n, r)`` of one raw cell (see the module docstring).
+
+        Memoized per distinct raw value *and type*: ``1``, ``1.0``,
+        ``True`` and ``"1"`` hash alike but normalize or coerce apart.
+        """
+        if cell is None:
+            return (None, None, None)
+        key = (cell.__class__, cell)
+        images = self._images.get(key)
+        if images is None:
+            number = coerce_number(cell)
+            stored = _storable(number)
+            # An int beyond 64 bits is kept as the decimal string it
+            # normalizes to: coerced like one, compared like one.
+            native = (
+                number is not None
+                and stored is number
+                and not isinstance(cell, str)
+            )
+            images = (self.intern(cell), stored, 1 if native else None)
+            self._images[key] = images
+        return images
+
+
+def _field_expr(field: str, k: str, n: str) -> str:
+    """One partial field over a column's non-missing code (``k``: NULL
+    for code 0 too) and number (``n``)."""
+    if field == "count":
+        return f"COUNT({k})"
+    if field == "distinct":
+        return f"COUNT(DISTINCT {k})"
+    if field == "ncount":
+        return f"COUNT({n})"
+    if field == "total":
+        return f"SUM({n})"
+    if field == "minimum":
+        return f"MIN({n})"
+    if field == "maximum":
+        return f"MAX({n})"
+    raise QueryError(f"unknown partial field {field!r}")
+
+
+def _finalize(
+    spec: AggregateSpec, group_rows: int, fields: dict[str, Value]
+) -> Value:
+    """Mirror of ``_Partial.finalize`` over SQL-computed partial fields."""
+    fn = spec.function
+    if spec.column.is_star:
+        if fn is AggregateFunction.COUNT:
+            return group_rows
+        raise QueryError(f"unsupported star aggregate {fn}")
+    if fn is AggregateFunction.COUNT:
+        return fields["count"]
+    if fn is AggregateFunction.COUNT_DISTINCT:
+        return fields["distinct"]
+    if fields["ncount"] == 0:
+        return None
+    if fn is AggregateFunction.SUM:
+        return fields["total"]
+    if fn is AggregateFunction.AVG:
+        return fields["total"] / fields["ncount"]
+    if fn is AggregateFunction.MIN:
+        return fields["minimum"]
+    if fn is AggregateFunction.MAX:
+        return fields["maximum"]
+    raise QueryError(f"unsupported basis aggregate {fn}")
 
 
 class _CubePlan:
     """A compiled cube statement plus the recipe to decode its rows."""
 
-    __slots__ = ("sql", "params", "n_dims", "columns", "needs")
+    __slots__ = ("sql", "params", "n_dims", "columns", "needs", "literals")
 
-    def __init__(self, cube: "CubeQuery", join_graph: JoinGraph) -> None:
+    def __init__(self, cube: "CubeQuery", adapter: "SqlAdapterBase") -> None:
         tables = cube.tables or frozenset(
-            {join_graph.database.single_table().name}
+            {adapter.database.single_table().name}
         )
         n_dims = len(cube.dimensions)
         # Aggregation columns (deduped) and the partial fields each needs.
@@ -131,33 +196,48 @@ class _CubePlan:
             )
         self.columns = sorted(self.needs, key=str)
         self.n_dims = n_dims
-
-        params: list[Value] = []
-        bucket_exprs: list[str] = []
-        for index, (dim, literals) in enumerate(cube.literals):
-            expr = f"rnorm({_column_expr(dim)})"
-            ordered = sorted(literals)
-            if ordered:
-                marks = ", ".join("?" for _ in ordered)
-                bucket = (
-                    f"CASE WHEN {expr} IN ({marks}) THEN {expr} ELSE ? END"
-                )
-                params.extend(ordered)
-            else:
-                bucket = "?"
-            params.append(DEFAULT_LITERAL)
-            bucket_exprs.append(f"{bucket} AS b{index}")
-        value_exprs = [
-            f"{_column_expr(column)} AS a{j}"
-            for j, column in enumerate(self.columns)
-        ]
-        select_list = ", ".join(bucket_exprs + value_exprs) or "1 AS one"
-        # Double-underscored CTE name so a user table named "base" cannot
-        # shadow (or be shadowed by) the cube's shared scan.
-        cte = quote_identifier("__cube_base__")
-        base = (
-            f"SELECT {select_list} FROM {join_clause(join_graph, tables)}"
+        # The FROM clause first: on a file-backed database it is what
+        # builds the shadows whose dictionaries the literals look up.
+        source = adapter.join_clause(
+            tables, (*cube.dimensions, *self.columns)
         )
+
+        params: list[int] = []
+        select_list: list[str] = []
+        #: Per dimension, the code -> normalized literal table.
+        self.literals: list[list[str]] = []
+        for index, (dim, literals) in enumerate(cube.literals):
+            dictionary = adapter.dictionary(dim)
+            self.literals.append(dictionary.values)
+            codes = sorted(
+                code
+                for code in map(dictionary.code_of, literals)
+                if code is not None
+            )
+            expr = adapter.image(dim, "k")
+            if codes and codes[0] == 0:
+                # "" is a literal of interest: NULL cells bucket with it.
+                expr = f"COALESCE({expr}, 0)"
+            if codes:
+                marks = ", ".join("?" for _ in codes)
+                select_list.append(
+                    f"CASE WHEN {expr} IN ({marks}) THEN {expr}"
+                    f" ELSE {_DEFAULT_CODE} END AS b{index}"
+                )
+                params.extend(codes)
+            else:
+                select_list.append(f"{_DEFAULT_CODE} AS b{index}")
+        for j, column in enumerate(self.columns):
+            if self.needs[column][0] in _CODE_FIELDS:
+                select_list.append(
+                    f"NULLIF({adapter.image(column, 'k')}, 0) AS k{j}"
+                )
+            if self.needs[column][-1] not in _CODE_FIELDS:
+                select_list.append(f"{adapter.image(column, 'n')} AS n{j}")
+        # Double-underscored CTE name so no shadow table can collide
+        # with the cube's shared scan.
+        cte = '"__cube_base__"'
+        base = f"SELECT {', '.join(select_list) or '1 AS one'} FROM {source}"
 
         arms: list[str] = []
         for size in range(n_dims + 1):
@@ -168,8 +248,17 @@ class _CubePlan:
                 ]
                 aggs = ["COUNT(*)"]
                 for j, column in enumerate(self.columns):
+                    # CAST to DOUBLE: the reference _Partial accumulates
+                    # sums in a float (``total = 0.0``), so cube SUM/AVG
+                    # are float even over integers.
                     aggs.extend(
-                        _field_expr(field, f"a{j}")
+                        _field_expr(
+                            field,
+                            f"k{j}",
+                            f"CAST(n{j} AS DOUBLE)"
+                            if field == "total"
+                            else f"n{j}",
+                        )
                         for field in self.needs[column]
                     )
                 arm = f"SELECT {', '.join(keys + aggs)} FROM {cte}"
@@ -191,7 +280,12 @@ class _CubePlan:
         rows_scanned = 0
         for row in rows:
             key = tuple(
-                part if part is not None else ALL for part in row[:n_dims]
+                ALL
+                if code is None
+                else DEFAULT_LITERAL
+                if code == _DEFAULT_CODE
+                else literals[code]
+                for code, literals in zip(row, self.literals)
             )
             group_rows = row[n_dims]
             if all(part is ALL for part in key):
@@ -211,7 +305,7 @@ class _CubePlan:
                 )
                 offset += len(fields)
             cells[key] = {
-                spec: _finalize_cube(spec, group_rows, partials)
+                spec: _finalize(spec, group_rows, partials.get(spec.column))
                 for spec in cube.aggregates
             }
             if budget is not None:
@@ -221,59 +315,13 @@ class _CubePlan:
         return CubeResult(cube, cells, rows_scanned=rows_scanned)
 
 
-def _field_expr(field: str, x: str) -> str:
-    if field == "count":
-        return f"COUNT(CASE WHEN rmiss({x}) = 0 THEN 1 END)"
-    if field == "distinct":
-        return f"COUNT(DISTINCT CASE WHEN rmiss({x}) = 0 THEN rnorm({x}) END)"
-    if field == "ncount":
-        return f"COUNT(rnum({x}))"
-    if field == "total":
-        # CAST to REAL: the reference _Partial accumulates sums in a float
-        # (``total = 0.0``), so cube SUM/AVG are float even over integers.
-        return f"SUM(CAST(rnum({x}) AS REAL))"
-    if field == "minimum":
-        return f"MIN(rnum({x}))"
-    if field == "maximum":
-        return f"MAX(rnum({x}))"
-    raise QueryError(f"unknown partial field {field!r}")
-
-
-def _finalize_cube(
-    spec: AggregateSpec,
-    group_rows: int,
-    partials: dict[ColumnRef, dict[str, Value]],
-) -> Value:
-    """Mirror of ``_Partial.finalize`` over SQL-computed partial fields."""
-    fn = spec.function
-    if spec.column.is_star:
-        if fn is AggregateFunction.COUNT:
-            return group_rows
-        raise QueryError(f"unsupported star aggregate {fn}")
-    fields = partials[spec.column]
-    if fn is AggregateFunction.COUNT:
-        return fields["count"]
-    if fn is AggregateFunction.COUNT_DISTINCT:
-        return fields["distinct"]
-    if fields["ncount"] == 0:
-        return None
-    if fn is AggregateFunction.SUM:
-        return fields["total"]
-    if fn is AggregateFunction.AVG:
-        return fields["total"] / fields["ncount"]
-    if fn is AggregateFunction.MIN:
-        return fields["minimum"]
-    if fn is AggregateFunction.MAX:
-        return fields["maximum"]
-    raise QueryError(f"unsupported basis aggregate {fn}")
-
-
 class SqlAdapterBase(StorageAdapter):
     """Template for adapters that push execution into a SQL engine.
 
-    Subclasses provide ``_connect()`` (a DB-API connection with the four
-    UDFs registered). Everything else — statement generation, paged
-    fetching, partial finalization, cardinality pushdown — is shared.
+    Subclasses provide ``_connect()`` (a DB-API connection holding the
+    shadow tables). Everything else — shadow encoding, statement
+    generation, paged fetching, partial finalization, cardinality
+    pushdown — is shared.
     """
 
     #: Rows fetched per page when draining cube results (keeps peak
@@ -286,6 +334,26 @@ class SqlAdapterBase(StorageAdapter):
         # .relation() — materialization stays inside the SQL engine.
         self.join_graph = JoinGraph(database, backend=ExecutionBackend.ROW)
         self._count_memo: dict[frozenset[str], int] = {}
+        #: Shadow position of every table and column.
+        self._positions: dict[str, tuple[int, dict[str, int]]] = {
+            table.name: (
+                i,
+                {column.name: j for j, column in enumerate(table.columns)},
+            )
+            for i, table in enumerate(database.tables)
+        }
+        self._dictionaries = {
+            (table.name, column.name): ShadowDictionary()
+            for table in database.tables
+            for column in table.columns
+        }
+        for fk in database.foreign_keys:
+            # FK-linked columns share one code space: joins compare codes.
+            merged = self._dictionaries[fk.target_table, fk.target_column]
+            absorbed = self._dictionaries[fk.source_table, fk.source_column]
+            for key, dictionary in self._dictionaries.items():
+                if dictionary is absorbed:
+                    self._dictionaries[key] = merged
         self._connection = self._connect()
 
     def _connect(self):  # pragma: no cover - abstract hook
@@ -300,6 +368,117 @@ class SqlAdapterBase(StorageAdapter):
         self.pushdown_queries += 1
         return self._connection.execute(sql, params)
 
+    # -- shadow schema -------------------------------------------------
+
+    def dictionary(self, ref: ColumnRef) -> ShadowDictionary:
+        return self._dictionaries[ref.table, ref.column]
+
+    def image(self, ref: ColumnRef, image: str) -> str:
+        """SQL expression of one shadow image (``k``/``n``/``r``)."""
+        i, columns = self._positions[ref.table]
+        return f"t{i}.c{columns[ref.column]}{image}"
+
+    def _source(self, table: str, columns: set[str]) -> str:
+        """``FROM`` item exposing ``columns``' images of ``table`` under
+        the alias ``t{i}``. Loaded shadows hold every column."""
+        return f"t{self._positions[table][0]}"
+
+    def _load_tables(
+        self, connection, k_type="", n_type="", r_type=""
+    ) -> None:
+        """Create and fill one shadow table per table of a loaded
+        database (the adapter's only copy of the data). Engines with
+        typed columns name the three image types."""
+        for table in self.database.tables:
+            i, columns = self._positions[table.name]
+            ddl = ", ".join(
+                f"c{j}k {k_type}, c{j}n {n_type}, c{j}r {r_type}"
+                for j in columns.values()
+            )
+            connection.execute(f"CREATE TABLE t{i} ({ddl})")
+            marks = ", ".join("?" for _ in range(3 * len(columns)))
+            rows = self._shadow_rows(table)
+            while chunk := list(islice(rows, _LOAD_CHUNK)):
+                connection.executemany(
+                    f"INSERT INTO t{i} VALUES ({marks})", chunk
+                )
+
+    def _shadow_rows(self, table: "Table"):
+        """Each row of ``table`` as its flat ``k, n, r, k, n, r, ...``."""
+        coders = [
+            self._dictionaries[table.name, column.name].images
+            for column in table.columns
+        ]
+        for row in table.rows:
+            shadow: list[Value] = []
+            for images, cell in zip(coders, row):
+                shadow += images(cell)
+            yield shadow
+
+    def join_clause(self, tables: frozenset[str], refs=()) -> str:
+        """``FROM``/``JOIN`` text for the join tree covering ``tables``,
+        exposing the columns in ``refs``.
+
+        Mirrors the row-wise hash join exactly: inner equi-joins on the
+        normalized key, here its shared dictionary code, with SQL-NULL
+        keys excluded on both sides by ``=`` itself (blank-string keys
+        *do* join — code 0 equals code 0 like ``""`` equals ``""``).
+        """
+        path: JoinPath = self.join_graph.join_path(tables)
+        used: dict[str, set[str]] = {table: set() for table in path.tables}
+        for ref in refs:
+            if not ref.is_star:
+                used[ref.table].add(ref.column)
+        for fk in path.edges:
+            used[fk.source_table].add(fk.source_column)
+            used[fk.target_table].add(fk.target_column)
+        sql = self._source(path.tables[0], used[path.tables[0]])
+        joined = {path.tables[0]}
+        pending = list(path.edges)
+        while pending:
+            edge = next(
+                (
+                    fk
+                    for fk in pending
+                    if fk.source_table in joined or fk.target_table in joined
+                ),
+                None,
+            )
+            if edge is None:
+                raise JoinPathError("disconnected join tree")
+            pending.remove(edge)
+            source = ColumnRef(edge.source_table, edge.source_column)
+            target = ColumnRef(edge.target_table, edge.target_column)
+            new_table = (
+                edge.target_table
+                if edge.source_table in joined
+                else edge.source_table
+            )
+            sql += (
+                f" JOIN {self._source(new_table, used[new_table])}"
+                f" ON {self.image(source, 'k')} = {self.image(target, 'k')}"
+            )
+            joined.add(new_table)
+        return sql
+
+    def _predicate_condition(
+        self, predicate: "Predicate"
+    ) -> tuple[str, list[Value]]:
+        """``values_equal(cell, value)`` over the shadow images, plus its
+        bind parameters. A value absent from the dictionary binds NULL,
+        which equals nothing."""
+        column, value = predicate.column, predicate.value
+        k = self.image(column, "k")
+        code = self.dictionary(column).code_of(predicate.normalized_value)
+        number = None if isinstance(value, str) else coerce_number(value)
+        if number is None:
+            return f"{k} = ?", [code]
+        return (
+            f"CASE WHEN {self.image(column, 'r')} = 1"
+            f" THEN {self.image(column, 'n')} = ? ELSE {k} = ? END",
+            [_storable(number), code],
+        )
+
     # -- cardinality ---------------------------------------------------
 
     def estimated_cardinality(self, tables: frozenset[str]) -> int:
@@ -310,10 +489,10 @@ class SqlAdapterBase(StorageAdapter):
         key = frozenset(tables)
         cached = self._count_memo.get(key)
         if cached is None:
-            cursor = self._execute(
-                f"SELECT COUNT(*) FROM {join_clause(self.join_graph, key)}"
-            )
-            cached = cursor.fetchone()[0]
+            source = self.join_clause(key)
+            cached = self._execute(
+                f"SELECT COUNT(*) FROM {source}"
+            ).fetchone()[0]
             self._count_memo[key] = cached
         return cached
 
@@ -322,7 +501,7 @@ class SqlAdapterBase(StorageAdapter):
     def execute_cube(
         self, cube: "CubeQuery", budget: "ResourceBudget | None" = None
     ) -> CubeResult:
-        plan = _CubePlan(cube, self.join_graph)
+        plan = _CubePlan(cube, self)
         cursor = self._execute(plan.sql, plan.params)
         return plan.decode(cube, self._pages(cursor), budget)
 
@@ -338,71 +517,47 @@ class SqlAdapterBase(StorageAdapter):
 
     def execute_simple(self, query: "SimpleAggregateQuery") -> SimpleResult:
         tables = self._query_tables(query)
+        column = query.aggregate.column
+        source = self.join_clause(
+            tables, (column, *(p.column for p in query.all_predicates))
+        )
         if query.aggregate.function.is_ratio:
-            value = self._execute_ratio(query, tables)
+            value = self._execute_ratio(query, source)
         else:
-            value = self._execute_plain(query, tables)
+            value = self._execute_plain(query, source)
         return SimpleResult(value, self.exact_cardinality(tables))
 
     def _execute_plain(
-        self, query: "SimpleAggregateQuery", tables: frozenset[str]
+        self, query: "SimpleAggregateQuery", source: str
     ) -> Value:
-        fn = query.aggregate.function
         column = query.aggregate.column
-        params: list[Value] = []
-        if column.is_star:
-            selects = ["COUNT(*)"]
-            fields = ("rows",)
-        else:
-            x = _column_expr(column)
-            if fn is AggregateFunction.COUNT:
-                selects = [f"COUNT(CASE WHEN rmiss({x}) = 0 THEN 1 END)"]
-                fields = ("count",)
-            elif fn is AggregateFunction.COUNT_DISTINCT:
-                selects = [
-                    f"COUNT(DISTINCT CASE WHEN rmiss({x}) = 0"
-                    f" THEN rnorm({x}) END)"
-                ]
-                fields = ("distinct",)
-            else:
-                # The naive reference (compute_plain) sums raw coercions —
-                # integer sums stay integers there, so no REAL cast here.
-                selects = [f"COUNT(rnum({x}))", f"SUM(rnum({x}))"]
-                fields = ("ncount", "total")
-                if fn is AggregateFunction.MIN:
-                    selects.append(f"MIN(rnum({x}))")
-                    fields += ("minimum",)
-                elif fn is AggregateFunction.MAX:
-                    selects.append(f"MAX(rnum({x}))")
-                    fields += ("maximum",)
-        sql = (
-            f"SELECT {', '.join(selects)}"
-            f" FROM {join_clause(self.join_graph, tables)}"
+        # The naive reference (compute_plain) sums raw coercions — integer
+        # sums stay integers there, so no DOUBLE cast here.
+        fields = (
+            () if column.is_star else _FIELDS_BY_FN[query.aggregate.function]
         )
-        conditions = []
+        selects = ["COUNT(*)"] + [
+            _field_expr(
+                field,
+                f"NULLIF({self.image(column, 'k')}, 0)",
+                self.image(column, "n"),
+            )
+            for field in fields
+        ]
+        sql = f"SELECT {', '.join(selects)} FROM {source}"
+        conditions: list[str] = []
+        params: list[Value] = []
         for predicate in query.all_predicates:
-            condition, value = _predicate_condition(predicate)
+            condition, bound = self._predicate_condition(predicate)
             conditions.append(condition)
-            params.append(value)
+            params += bound
         if conditions:
             sql += " WHERE " + " AND ".join(conditions)
-        row = dict(zip(fields, self._execute(sql, tuple(params)).fetchone()))
-        if fn is AggregateFunction.COUNT:
-            return row["rows"] if column.is_star else row["count"]
-        if fn is AggregateFunction.COUNT_DISTINCT:
-            return row["distinct"]
-        if row["ncount"] == 0:
-            return None
-        if fn is AggregateFunction.SUM:
-            return row["total"]
-        if fn is AggregateFunction.AVG:
-            return row["total"] / row["ncount"]
-        if fn is AggregateFunction.MIN:
-            return row["minimum"]
-        return row["maximum"]
+        row = self._execute(sql, tuple(params)).fetchone()
+        return _finalize(query.aggregate, row[0], dict(zip(fields, row[1:])))
 
     def _execute_ratio(
-        self, query: "SimpleAggregateQuery", tables: frozenset[str]
+        self, query: "SimpleAggregateQuery", source: str
     ) -> Value:
         column = query.aggregate.column
         params: list[Value] = []
@@ -410,11 +565,11 @@ class SqlAdapterBase(StorageAdapter):
         def conditional_count(predicates) -> str:
             parts = []
             for predicate in predicates:
-                condition, value = _predicate_condition(predicate)
+                condition, bound = self._predicate_condition(predicate)
                 parts.append(condition)
-                params.append(value)
+                params.extend(bound)
             if not column.is_star:
-                parts.append(f"rmiss({_column_expr(column)}) = 0")
+                parts.append(f"{self.image(column, 'k')} > 0")
             if not parts:
                 return "COUNT(*)"
             return f"COUNT(CASE WHEN {' AND '.join(parts)} THEN 1 END)"
@@ -425,11 +580,9 @@ class SqlAdapterBase(StorageAdapter):
         else:  # CONDITIONAL_PROBABILITY
             assert query.condition is not None
             denominator = conditional_count((query.condition,))
-        sql = (
-            f"SELECT {numerator}, {denominator}"
-            f" FROM {join_clause(self.join_graph, tables)}"
-        )
-        row = self._execute(sql, tuple(params)).fetchone()
+        row = self._execute(
+            f"SELECT {numerator}, {denominator} FROM {source}", tuple(params)
+        ).fetchone()
         return ratio_value(row[0], row[1])
 
     def _query_tables(self, query: "SimpleAggregateQuery") -> frozenset[str]:

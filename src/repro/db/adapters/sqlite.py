@@ -1,26 +1,35 @@
 """SQLite pushdown adapter (stdlib-only) and out-of-core database loading.
 
-Two modes share one adapter:
+Two modes share one adapter and one generated SQL text (see
+:mod:`repro.db.adapters.sqlbase` for the shadow schema):
 
 - **Loaded databases** (built from CSVs or constructed in tests) are
-  copied once into an in-memory SQLite database at adapter construction;
-  all joins, grouping, and aggregation then push down as SQL.
+  encoded once, at adapter construction, into shadow tables of an
+  in-memory SQLite database — the adapter's only copy of the data; all
+  joins, grouping, and aggregation then push down as SQL over integers
+  and numbers.
 - **File-backed databases** (:func:`load_sqlite_database`) never load
   rows into Python at all. Tables are :class:`SqlBackedTable` instances
   whose ``rows`` stream from the file in keyset-paginated chunks, and the
-  adapter opens the file read-only, so a claim over a 10M-row SQLite file
-  verifies without materializing a single column in Python.
+  adapter opens the file read-only (``mode=ro``). Each column a
+  statement touches gets its shadow on first use: one
+  ``INSERT ... SELECT`` into a private temporary database
+  (``ATTACH DATABASE ''`` — SQLite keeps it in its page cache, spills it
+  to an unlinked temporary file, and drops it when the connection
+  closes). That statement is the only place a Python scalar function
+  (``rimage``) runs: once per row per touched column, never per
+  statement. So a claim over a 10M-row SQLite file verifies without
+  materializing a single column in Python and without writing to, or
+  beside, the source file.
 
-Cell fidelity when copying a loaded database into SQLite (``_bind_cell``):
+Cell fidelity of the shadow images in SQLite (``ShadowDictionary.images``):
 
-- ``bool`` cells are stored as their ``str()`` form — the in-memory
-  engine treats booleans as non-numeric strings-in-waiting, and SQLite
-  would otherwise collapse them to 0/1 integers;
-- ``int`` cells beyond 64 bits are stored as decimal strings (SQLite
-  integers are int64); ``coerce_number`` recovers the exact value;
-- ``float('nan')`` is stored as the string ``"nan"`` (SQLite stores NaN
-  REALs as NULL, which would turn a present-but-non-numeric cell into a
-  missing one); every engine predicate agrees on the two spellings.
+- ``bool`` and ``float('nan')`` cells are non-numeric, like in the
+  in-memory engine: they keep their normalized-string code (``"true"``,
+  ``"nan"``) and a NULL number;
+- ``int`` cells beyond 64 bits (SQLite integers are int64) are kept as
+  the decimal string they normalize to: their number is the float
+  nearest to them, and they compare as strings.
 """
 
 from __future__ import annotations
@@ -29,10 +38,12 @@ import hashlib
 import os
 import sqlite3
 from collections.abc import Sequence
+from contextlib import closing
 from pathlib import Path
 
 from repro.db.adapters.base import AdapterCapabilities, register_adapter
 from repro.db.adapters.sqlbase import SqlAdapterBase
+from repro.db.refs import ColumnRef
 from repro.db.schema import (
     Column,
     Database,
@@ -42,53 +53,15 @@ from repro.db.schema import (
     infer_column_type,
 )
 from repro.db.sql import quote_identifier
-from repro.db.values import (
-    Value,
-    coerce_number,
-    is_missing,
-    normalize_string,
-    values_equal,
-)
+from repro.db.values import Value
 
 #: Rows per page when streaming a file-backed table into Python.
 _ROW_PAGE = 2048
 
-#: SQLite's signed-64-bit integer range.
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
-
-def _bind_cell(value: Value) -> Value:
-    """Map an engine cell to a SQLite-storable value, preserving the
-    engine's comparison/coercion semantics (see module docstring)."""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int) and not (_INT64_MIN <= value <= _INT64_MAX):
-        return str(value)
-    if isinstance(value, float) and value != value:  # NaN
-        return "nan"
-    return value
-
-
-def _udf_num(value: Value) -> Value:
-    """``rnum``: coerce_number, demoting >64-bit ints to float (SQLite
-    cannot represent them; documented deviation for such extremes)."""
-    number = coerce_number(value)
-    if isinstance(number, int) and not (_INT64_MIN <= number <= _INT64_MAX):
-        return float(number)
-    return number
-
-
-def register_udfs(connection: sqlite3.Connection) -> None:
-    """Install the engine's scalar semantics on a SQLite connection."""
-    connection.create_function(
-        "rnorm", 1, normalize_string, deterministic=True
-    )
-    connection.create_function("rnum", 1, _udf_num, deterministic=True)
-    connection.create_function(
-        "rmiss", 1, lambda v: 1 if is_missing(v) else 0, deterministic=True
-    )
-    connection.create_function(
-        "req", 2, lambda a, b: 1 if values_equal(a, b) else 0, deterministic=True
+def _open_read_only(path: str) -> sqlite3.Connection:
+    return sqlite3.connect(
+        f"file:{path}?mode=ro", uri=True, check_same_thread=False
     )
 
 
@@ -103,34 +76,79 @@ class SqliteAdapter(SqlAdapterBase):
 
     def _connect(self) -> sqlite3.Connection:
         path = getattr(self.database, "sqlite_path", None)
-        if path is not None:
-            connection = sqlite3.connect(
-                f"file:{os.fspath(path)}?mode=ro",
-                uri=True,
-                check_same_thread=False,
-            )
-            register_udfs(connection)
+        #: File-backed only: shadow tables built so far.
+        self._built: set[str] | None = None if path is None else set()
+        if path is None:
+            connection = sqlite3.connect(":memory:", check_same_thread=False)
+            self._load_tables(connection)
+            connection.commit()
             return connection
-        connection = sqlite3.connect(":memory:", check_same_thread=False)
-        register_udfs(connection)
-        self._load_tables(connection)
+        connection = _open_read_only(os.fspath(path))
+        connection.execute("ATTACH DATABASE '' AS shadow")
         return connection
 
-    def _load_tables(self, connection: sqlite3.Connection) -> None:
-        for table in self.database.tables:
-            name = quote_identifier(table.name)
-            # Bare (typeless) columns get BLOB affinity: SQLite stores
-            # every value exactly as bound, no silent text→number coercion.
-            columns = ", ".join(
-                quote_identifier(column.name) for column in table.columns
+    def _source(self, table: str, columns: set[str]) -> str:
+        if self._built is None:
+            return super()._source(table, columns)
+        i, positions = self._positions[table]
+        if not columns:
+            # Row counts need no image: scan the source itself.
+            return f"main.{quote_identifier(table)} AS t{i}"
+        names = []
+        images = []
+        for column in sorted(columns, key=positions.__getitem__):
+            j = positions[column]
+            name = f"t{i}c{j}"
+            if name not in self._built:
+                self._build_shadow(name, ColumnRef(table, column))
+                self._built.add(name)
+            names.append(name)
+            images += (f"{name}.{image} AS c{j}{image}" for image in "knr")
+        joins = f"shadow.{names[0]}" + "".join(
+            f" JOIN shadow.{name} ON {name}.id = {names[0]}.id"
+            for name in names[1:]
+        )
+        return f"(SELECT {', '.join(images)} FROM {joins}) AS t{i}"
+
+    def _build_shadow(self, name: str, ref: ColumnRef) -> None:
+        """One touched column's images, keyed by the source rowid: the
+        only statement that calls back into Python. A cell SQLite stores
+        as INTEGER or REAL is its own number (it fits 64 bits and is no
+        NaN), so only the code, and the number of other cells, need the
+        call."""
+        images = self.dictionary(ref).images
+        connection = self._connection
+        connection.create_function(
+            "rimage", 2, lambda cell, image: images(cell)[image]
+        )
+        cell = quote_identifier(ref.column)
+        native = f"typeof({cell}) IN ('integer', 'real')"
+        insert = (
+            f"INSERT INTO shadow.{name} SELECT {{}}, rimage({cell}, 0),"
+            f" CASE WHEN {native} THEN {cell} ELSE rimage({cell}, 1) END,"
+            f" CASE WHEN {native} THEN 1 END"
+            f" FROM main.{quote_identifier(ref.table)}"
+        )
+        with connection:  # commit (releasing the source's read lock) or undo
+            connection.execute("BEGIN")
+            connection.execute(
+                f"CREATE TABLE shadow.{name} (id INTEGER PRIMARY KEY, k, n, r)"
             )
-            connection.execute(f"CREATE TABLE {name} ({columns})")
-            marks = ", ".join("?" for _ in table.columns)
-            connection.executemany(
-                f"INSERT INTO {name} VALUES ({marks})",
-                (tuple(_bind_cell(cell) for cell in row) for row in table.rows),
-            )
-        connection.commit()
+            try:
+                connection.execute(insert.format("rowid"))
+            except sqlite3.OperationalError:
+                # WITHOUT ROWID table: number the rows in primary-key
+                # order, the same for every column whichever index the
+                # scan uses.
+                keys = connection.execute(
+                    "SELECT name FROM pragma_table_info(?)"
+                    " WHERE pk ORDER BY pk",
+                    (ref.table,),
+                )
+                order = ", ".join(quote_identifier(key) for (key,) in keys)
+                connection.execute(
+                    insert.format("NULL") + f" ORDER BY {order}"
+                )
 
 
 class SqlBackedTable(Table):
@@ -190,60 +208,60 @@ class SqlBackedTable(Table):
 
 
 class _SqlRows(Sequence):
-    """Lazy row sequence over one SQLite table (read-only)."""
+    """Lazy row sequence over one SQLite table (read-only).
+
+    Every operation opens its own connection and closes it when done
+    (an abandoned iteration closes it when the generator is collected),
+    so a table holds no handle on the file between uses.
+    """
 
     def __init__(self, path: str, table: str) -> None:
         self._path = path
         self._table = table
-        self._connection: sqlite3.Connection | None = None
         self._count: int | None = None
-
-    def _connect(self) -> sqlite3.Connection:
-        if self._connection is None:
-            self._connection = sqlite3.connect(
-                f"file:{self._path}?mode=ro", uri=True, check_same_thread=False
-            )
-        return self._connection
 
     def __len__(self) -> int:
         if self._count is None:
-            self._count = self._connect().execute(
-                f"SELECT COUNT(*) FROM {quote_identifier(self._table)}"
-            ).fetchone()[0]
+            with closing(_open_read_only(self._path)) as connection:
+                self._count = connection.execute(
+                    f"SELECT COUNT(*) FROM {quote_identifier(self._table)}"
+                ).fetchone()[0]
         return self._count
 
     def __iter__(self):
         name = quote_identifier(self._table)
-        connection = self._connect()
-        try:
-            # Keyset pagination: O(1) memory, no quadratic OFFSET rescans.
-            last = None
-            while True:
-                if last is None:
-                    cursor = connection.execute(
-                        f"SELECT rowid, * FROM {name} "
-                        f"ORDER BY rowid LIMIT {_ROW_PAGE}"
-                    )
-                else:
-                    cursor = connection.execute(
-                        f"SELECT rowid, * FROM {name} WHERE rowid > ? "
-                        f"ORDER BY rowid LIMIT {_ROW_PAGE}",
-                        (last,),
-                    )
-                chunk = cursor.fetchall()
-                if not chunk:
-                    return
-                for row in chunk:
-                    yield row[1:]
-                last = chunk[-1][0]
-        except sqlite3.OperationalError:
-            # WITHOUT ROWID tables: fall back to a single streaming scan.
-            cursor = connection.execute(f"SELECT * FROM {name}")
-            while True:
-                chunk = cursor.fetchmany(_ROW_PAGE)
-                if not chunk:
-                    return
-                yield from chunk
+        with closing(_open_read_only(self._path)) as connection:
+            try:
+                # Keyset pagination: O(1) memory, no quadratic OFFSET
+                # rescans.
+                last = None
+                while True:
+                    if last is None:
+                        cursor = connection.execute(
+                            f"SELECT rowid, * FROM {name} "
+                            f"ORDER BY rowid LIMIT {_ROW_PAGE}"
+                        )
+                    else:
+                        cursor = connection.execute(
+                            f"SELECT rowid, * FROM {name} WHERE rowid > ? "
+                            f"ORDER BY rowid LIMIT {_ROW_PAGE}",
+                            (last,),
+                        )
+                    chunk = cursor.fetchall()
+                    if not chunk:
+                        return
+                    for row in chunk:
+                        yield row[1:]
+                    last = chunk[-1][0]
+            except sqlite3.OperationalError:
+                # WITHOUT ROWID tables: fall back to a single streaming
+                # scan.
+                cursor = connection.execute(f"SELECT * FROM {name}")
+                while True:
+                    chunk = cursor.fetchmany(_ROW_PAGE)
+                    if not chunk:
+                        return
+                    yield from chunk
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -253,10 +271,12 @@ class _SqlRows(Sequence):
             index += length
         if not 0 <= index < length:
             raise IndexError(index)
-        row = self._connect().execute(
-            f"SELECT * FROM {quote_identifier(self._table)} LIMIT 1 OFFSET ?",
-            (index,),
-        ).fetchone()
+        with closing(_open_read_only(self._path)) as connection:
+            row = connection.execute(
+                f"SELECT * FROM {quote_identifier(self._table)}"
+                " LIMIT 1 OFFSET ?",
+                (index,),
+            ).fetchone()
         return tuple(row)
 
 
@@ -278,7 +298,7 @@ def load_sqlite_database(
     path = os.fspath(path)
     if not os.path.exists(path):
         raise SchemaError(f"no such SQLite database: {path!r}")
-    connection = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+    connection = _open_read_only(path)
     try:
         names = [
             row[0]

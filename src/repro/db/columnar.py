@@ -26,6 +26,11 @@ Known deliberate deviation from the row-wise oracle: cells whose *raw* value
 is an infinite float are treated as non-numeric here (their normalized string
 ``"inf"`` does not coerce), while the row-wise ``_Partial`` accumulates the
 raw ``inf``. No realistic CSV input produces float infinities.
+
+Not a deviation, but the same family: an integer cell beyond float range
+(``10**400``) is present but non-numeric in every tier
+(:func:`~repro.db.values.coerce_number` refuses it), so it never reaches a
+float64 array here, the row cube's float accumulator or a SQL REAL.
 """
 
 from __future__ import annotations
@@ -179,11 +184,14 @@ def encode_column(cells: Iterable[Value]) -> ColumnVector:
     for cell in cells:
         codes.append(dictionary.intern(cell))
         none_mask.append(cell is None)
-        raw_numbers.append(
-            float(cell)
-            if not isinstance(cell, str) and is_numeric(cell)
-            else nan
-        )
+        try:
+            raw_numbers.append(
+                float(cell)
+                if not isinstance(cell, str) and is_numeric(cell)
+                else nan
+            )
+        except OverflowError:  # an int beyond float range: non-numeric
+            raw_numbers.append(nan)
     if _np is not None:
         return ColumnVector(
             dictionary,

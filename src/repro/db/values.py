@@ -9,6 +9,7 @@ mirrors how the paper matches claim keywords against database literals.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Any
 
 Value = None | str | int | float
@@ -17,6 +18,12 @@ Value = None | str | int | float
 #: with zero marginal probability (paper Section 6.2). Using a dedicated
 #: object keeps it distinct from every real cell value, including None.
 DEFAULT_LITERAL = "\x00<other>"
+
+#: Largest integer magnitude a float can hold. An integer cell beyond it
+#: (``10**400`` in a scraped CSV) cannot enter a float accumulator, a
+#: float64 array or a SQL REAL, so every tier treats it as present but
+#: non-numeric rather than raising ``OverflowError`` part-way through.
+_FLOAT_MAX = int(sys.float_info.max)
 
 
 def is_missing(value: Value) -> bool:
@@ -44,8 +51,12 @@ def coerce_number(value: Value) -> float | int | None:
 
     Handles thousands separators, currency symbols, percent signs and
     surrounding whitespace, which are all common in scraped CSV files.
+    An integer beyond float range is not a usable number (see
+    ``_FLOAT_MAX``).
     """
     if is_numeric(value):
+        if value.__class__ is int and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            return None
         return value  # type: ignore[return-value]
     if not isinstance(value, str):
         return None
@@ -68,6 +79,9 @@ def coerce_number(value: Value) -> float | int | None:
         except ValueError:
             return None
         if math.isnan(number) or math.isinf(number):
+            return None
+    else:
+        if not -_FLOAT_MAX <= number <= _FLOAT_MAX:
             return None
     return -number if negative else number
 

@@ -27,6 +27,11 @@ POSITIONS = ["guard", "center", "forward"]
 #: whitespace, separators, currency/percent markers, and non-numeric noise.
 MESSY_NUMERICS = ["1,200", "$40", "12%", "(3)", "n/a", "  7  ", ""]
 
+#: An integer no float can hold (``float(10**400)`` raises). Every tier
+#: must treat it, and the string that spells it, as present but
+#: non-numeric instead of overflowing part-way through a scan.
+BEYOND_FLOAT = 10**400
+
 NON_RATIO = [
     AggregateFunction.COUNT,
     AggregateFunction.COUNT_DISTINCT,
@@ -107,6 +112,7 @@ def nullheavy_databases(draw) -> Database:
         st.none()
         | st.integers(min_value=-9, max_value=9)
         | st.sampled_from(MESSY_NUMERICS)
+        | st.sampled_from([BEYOND_FLOAT, str(BEYOND_FLOAT)])
     )
     rows = [
         (draw(cell), draw(st.sampled_from(FLAGS) | st.none()), draw(amount))
@@ -220,4 +226,26 @@ def conditional_queries(draw) -> SimpleAggregateQuery:
         AggregateSpec(AggregateFunction.CONDITIONAL_PROBABILITY, STAR),
         (event,),
         condition,
+    )
+
+
+#: Spellings of one number (1200) as int, float and strings, so a single
+#: column can hold them side by side.
+_ONE_NUMBER = [1200, 1200.0, "1200", "1,200", "$1,200", " 1200.0 ", "1.2e3"]
+
+
+def shadow_cells() -> st.SearchStrategy:
+    """Cells that stress every scalar rule the SQL shadow columns encode:
+    missingness, normalization, coercion (value *and* type), and the
+    string-versus-number sides of ``values_equal``."""
+    return (
+        st.none()
+        | st.sampled_from(["", "   ", "Alpha", "  alpha ", "ALPHA", "ĿATTE"])
+        | st.sampled_from(MESSY_NUMERICS + ["(45)", "-0.0", "inf", "nan"])
+        | st.sampled_from(_ONE_NUMBER)
+        | st.booleans()
+        | st.sampled_from([float("nan"), float("inf"), -0.0, 2.5])
+        | st.integers(min_value=-5, max_value=5)
+        | st.sampled_from([2**63, -(2**64), 2**63 - 1, BEYOND_FLOAT])
+        | st.sampled_from([str(2**63), str(BEYOND_FLOAT)])
     )

@@ -171,6 +171,48 @@ class TestOutOfCoreVerification:
         warm.close()
 
 
+def open_handles(*needles: str) -> list[str]:
+    """Targets of this process's open descriptors that mention a needle."""
+    targets = []
+    for descriptor in os.listdir("/proc/self/fd"):
+        try:
+            targets.append(os.readlink(f"/proc/self/fd/{descriptor}"))
+        except OSError:  # closed between listdir and readlink
+            continue
+    return [t for t in targets if any(needle in t for needle in needles)]
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+class TestNoConnectionOutlivesItsUse:
+    def test_close_releases_source_and_shadow_database(self, tmp_path):
+        path = build_orders_file(tmp_path / "orders.sqlite")
+        database = load_sqlite_database(path)
+        orders = database.table("orders")
+        # Table access opens per operation and closes behind itself.
+        assert len(orders.rows) == N_ORDERS
+        assert orders.rows[5][0] == 5
+        assert sum(1 for _ in orders.rows) == N_ORDERS
+        assert open_handles(path) == []
+        abandoned = iter(orders.rows)
+        next(abandoned)
+        engine = QueryEngine(database, EngineConfig(backend="sqlite"))
+        queries = [
+            parse_query(sql, database)
+            for sql in (
+                "SELECT Sum(amount) FROM orders WHERE status = 'open'",
+                "SELECT Count(*) FROM orders JOIN regions WHERE zone = 'east'",
+            )
+        ]
+        engine.evaluate(queries)
+        assert open_handles(path)  # the adapter and the suspended scan
+        engine.close()
+        del abandoned  # an abandoned scan closes when it is collected
+        # "etilqs" is SQLite's temporary-file prefix: the shadow database.
+        assert open_handles(path, "etilqs") == []
+
+
 class TestSqlBackedTable:
     def test_len_is_pushed_down_count(self, orders_db):
         orders = next(t for t in orders_db.tables if t.name == "orders")

@@ -80,6 +80,18 @@ class TestCoerceNumber:
     def test_none(self):
         assert coerce_number(None) is None
 
+    @pytest.mark.parametrize(
+        "cell", [10**400, -(10**400), "1" + "0" * 400, "(1" + "0" * 400 + ")"]
+    )
+    def test_int_beyond_float_range_is_not_a_number(self, cell):
+        # float(10**400) raises; such a cell is present but non-numeric.
+        assert coerce_number(cell) is None
+        assert not is_missing(cell)
+
+    def test_largest_float_sized_int_still_coerces(self):
+        assert coerce_number(2**1000) == 2**1000
+        assert coerce_number(str(2**1000)) == 2**1000
+
 
 class TestValuesEqual:
     def test_numeric_cross_type(self):
