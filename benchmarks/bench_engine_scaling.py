@@ -5,7 +5,9 @@ execution across relation sizes and writes ``BENCH_engine.json`` (rows/sec
 per backend, columnar speedup) so the performance trajectory is tracked
 from this PR onward. The timed unit is one cube pass over a pre-materialized
 relation — the operation the merged engine repeats for every batch — so the
-numbers isolate the execution kernel from join materialization.
+numbers isolate the execution kernel from join materialization. What a cold
+verification pays before its first cube pass is timed beside it:
+``encode_seconds`` is raw rows to ``ColumnarRelation`` on a fresh join graph.
 
 Row counts come from ``BENCH_ENGINE_SIZES`` (comma separated; default
 ``1000,10000,100000``) so CI can smoke-run a small sweep.
@@ -118,6 +120,17 @@ def time_backend(database: Database, backend: ExecutionBackend, repeats: int = 3
     return best
 
 
+def time_encode(database: Database, repeats: int = 3) -> float:
+    """Best-of-N wall clock from raw rows to the columnar relation."""
+    best = float("inf")
+    for _ in range(repeats):
+        graph = JoinGraph(database, backend=ExecutionBackend.COLUMNAR)
+        started = time.perf_counter()
+        graph.relation({"events"})
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
 def test_engine_scaling(capsys):
     sizes = _sizes()
     results = []
@@ -126,14 +139,17 @@ def test_engine_scaling(capsys):
         database = synthetic_database(n_rows)
         row_seconds = time_backend(database, ExecutionBackend.ROW)
         col_seconds = time_backend(database, ExecutionBackend.COLUMNAR)
+        encode_seconds = time_encode(database)
         speedup = row_seconds / max(col_seconds, 1e-9)
         results.append(
             {
                 "rows": n_rows,
                 "row_seconds": round(row_seconds, 6),
                 "columnar_seconds": round(col_seconds, 6),
+                "encode_seconds": round(encode_seconds, 6),
                 "row_rows_per_sec": round(n_rows / max(row_seconds, 1e-9)),
                 "columnar_rows_per_sec": round(n_rows / max(col_seconds, 1e-9)),
+                "encode_rows_per_sec": round(n_rows / max(encode_seconds, 1e-9)),
                 "speedup": round(speedup, 2),
             }
         )
@@ -142,6 +158,7 @@ def test_engine_scaling(capsys):
                 f"{n_rows:,}",
                 f"{row_seconds * 1e3:.1f}ms",
                 f"{col_seconds * 1e3:.1f}ms",
+                f"{encode_seconds * 1e3:.1f}ms",
                 f"{n_rows / max(col_seconds, 1e-9):,.0f}",
                 f"x{speedup:.1f}",
             ]
@@ -155,7 +172,7 @@ def test_engine_scaling(capsys):
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     table = format_table(
         "Engine scaling: cube execution (row-wise vs columnar)",
-        ["Rows", "Row-wise", "Columnar", "Columnar rows/s", "Speedup"],
+        ["Rows", "Row-wise", "Columnar", "Encode", "Columnar rows/s", "Speedup"],
         rows_out,
     )
     with capsys.disabled():

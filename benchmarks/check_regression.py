@@ -79,6 +79,12 @@ def _engine_params(payload: dict) -> tuple:
 #: file name -> (workload-signature fn, ratio-extraction fn,
 #:               parallelism-guarded ratio names fn)
 SPECS: dict[str, tuple] = {
+    # Baseline re-recorded with the histogram cube kernels: columnar is
+    # 144x row at 100 000 rows (68x before), so the floor (tolerance x
+    # baseline) sits at 72x there and a return of the per-dimension or
+    # per-column sort trips it. ``encode_seconds`` (raw rows to relation,
+    # 70 ms at 100 000 rows) is recorded beside it and not gated: it is
+    # an absolute, and this gate compares ratios.
     "BENCH_engine.json": (_engine_params, _engine_ratios, lambda p: ()),
     "BENCH_pipeline.json": (
         lambda p: _params(p, "cases", "results.parallel.workers"),

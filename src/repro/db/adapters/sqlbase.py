@@ -36,7 +36,7 @@ the identical branching, which is what makes verdicts bit-identical.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import TYPE_CHECKING
 
 from repro.db.adapters.base import SimpleResult, StorageAdapter
@@ -48,7 +48,9 @@ from repro.db.query import AggregateSpec, ColumnRef
 from repro.db.values import (
     DEFAULT_LITERAL,
     Value,
+    cell_key,
     coerce_number,
+    factorize,
 )
 from repro.errors import JoinPathError, QueryError
 
@@ -103,17 +105,17 @@ class ShadowDictionary(ColumnDictionary):
 
     def __init__(self) -> None:
         super().__init__()
-        self._images: dict[tuple[type, Value], tuple] = {}
+        self._images: dict[tuple, tuple] = {}
 
     def images(self, cell: Value) -> tuple:
         """``(k, n, r)`` of one raw cell (see the module docstring).
 
-        Memoized per distinct raw value *and type*: ``1``, ``1.0``,
-        ``True`` and ``"1"`` hash alike but normalize or coerce apart.
+        Memoized per :func:`~repro.db.values.cell_key`, the engine's one
+        notion of "the same raw cell".
         """
         if cell is None:
             return (None, None, None)
-        key = (cell.__class__, cell)
+        key = cell_key(cell)
         images = self._images.get(key)
         if images is None:
             number = coerce_number(cell)
@@ -404,16 +406,16 @@ class SqlAdapterBase(StorageAdapter):
                 )
 
     def _shadow_rows(self, table: "Table"):
-        """Each row of ``table`` as its flat ``k, n, r, k, n, r, ...``."""
-        coders = [
-            self._dictionaries[table.name, column.name].images
-            for column in table.columns
-        ]
-        for row in table.rows:
-            shadow: list[Value] = []
-            for images, cell in zip(coders, row):
-                shadow += images(cell)
-            yield shadow
+        """Each row of ``table`` as its flat ``k, n, r, k, n, r, ...``:
+        images once per distinct raw cell of a column (the in-memory
+        encoder's factorization pass), gathered to the rows by index."""
+        columns = []
+        for column, cells in zip(table.columns, zip(*table.rows)):
+            distinct, index = factorize(cells)
+            coder = self._dictionaries[table.name, column.name].images
+            images = [coder(cell) for cell in distinct]
+            columns.append(map(images.__getitem__, index))
+        return map(tuple, map(chain.from_iterable, zip(*columns)))
 
     def join_clause(self, tables: frozenset[str], refs=()) -> str:
         """``FROM``/``JOIN`` text for the join tree covering ``tables``,

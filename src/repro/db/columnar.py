@@ -1,42 +1,54 @@
 """Columnar execution backend: dictionary-encoded relations.
 
-The row-wise engine scans Python tuples one cell at a time and calls
-:func:`~repro.db.values.normalize_string` / :func:`~repro.db.values.coerce_number`
-on every cell of every pass. This module performs that work exactly once per
-*distinct* cell value: each column is dictionary-encoded into an integer code
-array (code 0 is reserved for missing cells — NULL and blank strings both
-normalize to ``""``), and the dictionary carries the normalized string and the
-numeric coercion per code. The hot operations then run over integer arrays:
+Every scalar the engine needs from a cell -- its normalized string, its
+numeric coercion, ``is None``, its raw-number image -- is a pure function of
+the raw cell, and every cube reduction except SUM is a pure function of the
+per-group multiset of dictionary codes. So Python runs once per *distinct raw
+cell*, array kernels run over *(group, code) histograms*, and only SUM reads
+the rows.
 
-- equi-joins become hash joins on key codes (:func:`build_columnar_relation`),
-- cube execution becomes one vectorized pass mapping each dimension to
-  per-row bucket codes, combining them into a single group id, and reducing
-  COUNT/SUM/MIN/MAX/COUNT-DISTINCT per group with ``np.bincount`` and
-  sorted-segment ``reduceat`` kernels (:func:`execute_cube_columnar`),
-- predicate filtering becomes boolean-mask selection
-  (:func:`execute_columnar_query`).
+- **Encode** (:func:`encode_column`): one :func:`~repro.db.values.factorize`
+  pass maps the cells to first-seen raw ids in C (two raw cells are the same
+  cell by :func:`~repro.db.values.cell_key`: class- and zero-sign-aware, so
+  ``1``, ``1.0``, ``True``, ``"1"`` and ``0.0``, ``-0.0`` stay apart); code,
+  ``is None`` and raw number are computed per distinct cell and gathered by
+  raw id. Code 0 is the missing bucket (NULL and blank strings normalize to
+  ``""``); the dictionary carries the normalized string and the number per
+  code. The SQL shadow encoder and ``Table.distinct_values`` run the same pass.
+- **Join** (:func:`build_columnar_relation`): hash joins on key codes; a
+  one-table path hands the encoded vectors through untouched.
+- **Cube** (:func:`execute_cube_columnar`), three phases. *Group*: per
+  dimension a bucket LUT over codes, combined into one group id per row and
+  compacted by ``bincount`` + remap LUT, no sort. *Reduce*: per aggregate
+  column the (group, code) histogram gives COUNT, the numeric count, MIN, MAX
+  and the distinct code sets from a few entries per group; SUM alone stays a
+  row-order ``bincount(weights=...)``, because float addition is not
+  associative and regrouping by code would move the last bits of every SUM
+  and AVG. *Roll up*: the (few) groups merge into every dimension subset in
+  Python; distinct counts roll up from the pair arrays. A histogram is
+  counted densely while its id space is within ``_DENSE_SLOTS_PER_ID`` times
+  the ids counted (scratch bounded by the input's own size, computed, not
+  configured) and by one sort beyond that; both routes yield the same arrays.
+- **Filter** (:func:`execute_columnar_query`): boolean-mask selection.
 
-NumPy is optional: when it is absent every kernel falls back to a pure-Python
-implementation over the same code arrays (still paying normalization and
-numeric coercion only once per distinct value). The row-wise modules remain
-the reference oracle; ``tests/db/test_columnar_oracle.py`` cross-checks the
-two backends on randomized databases.
+NumPy is optional: without it every kernel is a pure-Python loop over the same
+code arrays (the encode pass has no NumPy dependency at all). The row-wise
+modules remain the reference oracle; ``tests/db/test_columnar_oracle.py``
+cross-checks the two backends on randomized databases.
 
-Known deliberate deviation from the row-wise oracle: cells whose *raw* value
-is an infinite float are treated as non-numeric here (their normalized string
-``"inf"`` does not coerce), while the row-wise ``_Partial`` accumulates the
-raw ``inf``. No realistic CSV input produces float infinities.
-
-Not a deviation, but the same family: an integer cell beyond float range
-(``10**400``) is present but non-numeric in every tier
-(:func:`~repro.db.values.coerce_number` refuses it), so it never reaches a
-float64 array here, the row cube's float accumulator or a SQL REAL.
+Known deviation from the row-wise oracle: a code's number is that of the first
+raw cell seen for it, so a float ``inf`` cell after a string ``"inf"`` (which
+does not coerce) is non-numeric here, while the row-wise ``_Partial``
+accumulates it. No realistic CSV input produces float infinities. Not a
+deviation: an integer cell beyond float range (``10**400``) is present but
+non-numeric in every tier (:func:`~repro.db.values.coerce_number` refuses it),
+so it reaches no float64 array here, no row-cube accumulator and no SQL REAL.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from itertools import combinations
 
 try:  # pragma: no cover - exercised via monkeypatching in tests
@@ -51,10 +63,12 @@ from repro.db.values import (
     DEFAULT_LITERAL,
     Value,
     coerce_number,
-    is_numeric,
+    factorize,
     normalize_string,
 )
 from repro.errors import JoinPathError, QueryError
+
+_NAN = float("nan")
 
 
 def numpy_available() -> bool:
@@ -174,33 +188,39 @@ class ColumnVector:
         )
 
 
-def encode_column(cells: Iterable[Value]) -> ColumnVector:
-    """Dictionary-encode one column of raw cells."""
+def encode_column(cells: Sequence[Value]) -> ColumnVector:
+    """Dictionary-encode one column of raw cells.
+
+    Code, ``is None`` and raw number are functions of the raw cell, so they
+    are computed once per distinct raw cell (:func:`~repro.db.values.factorize`)
+    and gathered to the rows by index. Codes come out in first-seen order,
+    exactly as if every cell had been interned in turn.
+    """
     dictionary = ColumnDictionary()
-    codes: list[int] = []
-    none_mask: list[bool] = []
-    raw_numbers: list[float] = []
-    nan = float("nan")
-    for cell in cells:
-        codes.append(dictionary.intern(cell))
-        none_mask.append(cell is None)
-        try:
-            raw_numbers.append(
-                float(cell)
-                if not isinstance(cell, str) and is_numeric(cell)
-                else nan
-            )
-        except OverflowError:  # an int beyond float range: non-numeric
-            raw_numbers.append(nan)
+    distinct, index = factorize(cells)
+    codes = [dictionary.intern(cell) for cell in distinct]
+    none_mask = [cell is None for cell in distinct]
+    raw_numbers = [
+        _NAN if isinstance(cell, str) or coerce_number(cell) is None else float(cell)
+        for cell in distinct
+    ]
     if _np is not None:
+        index = _np.fromiter(index, dtype=_np.intp, count=len(cells))
         return ColumnVector(
             dictionary,
-            _np.array(codes, dtype=_np.int64),
-            _np.array(none_mask, dtype=bool),
-            _np.array(raw_numbers, dtype=_np.float64),
+            _np.array(codes, dtype=_np.int64)[index],
+            _np.array(none_mask, dtype=bool)[index],
+            _np.array(raw_numbers, dtype=_np.float64)[index],
             True,
         )
-    return ColumnVector(dictionary, codes, none_mask, raw_numbers, False)
+    index = list(index)
+    return ColumnVector(
+        dictionary,
+        list(map(codes.__getitem__, index)),
+        list(map(none_mask.__getitem__, index)),
+        list(map(raw_numbers.__getitem__, index)),
+        False,
+    )
 
 
 class EncodedTable:
@@ -214,11 +234,7 @@ class EncodedTable:
 
 
 def encode_table(table: Table) -> EncodedTable:
-    n_cols = len(table.columns)
-    columns: list[list[Value]] = [[] for _ in range(n_cols)]
-    for row in table.rows:
-        for i in range(n_cols):
-            columns[i].append(row[i])
+    columns = list(zip(*table.rows)) or [()] * len(table.columns)
     return EncodedTable(table.name, [encode_column(cells) for cells in columns])
 
 
@@ -336,6 +352,9 @@ def build_columnar_relation(
     column_refs: list[ColumnRef] = [
         ColumnRef(first.name, column.name) for column in first.columns
     ]
+    if not path.edges:
+        # One table: its encoded vectors are the relation (no gather).
+        return ColumnarRelation(column_refs, encoded.vectors, len(first))
     # Per output column: which per-table row-index array and source vector.
     sources: list[tuple[int, ColumnVector]] = [(0, v) for v in encoded.vectors]
     if _np is not None:
@@ -536,21 +555,21 @@ def execute_columnar_query(relation: ColumnarRelation, query) -> Value:
 class _GroupAcc:
     """Mergeable per-cell accumulator used by the rollup phase.
 
-    The scalar fields mirror the row-wise ``_Partial``; ``distinct`` holds
-    code collections (NumPy arrays or sets) that are unioned lazily at
-    finalization.
+    The scalar fields mirror the row-wise ``_Partial``; ``distinct`` is the
+    cell's finished distinct count, set once the rollup knows every cell's
+    groups (a union, not a sum, so it cannot be absorbed group by group).
     """
 
     __slots__ = ("rows", "count", "total", "ncount", "minimum", "maximum", "distinct")
 
-    def __init__(self, track_distinct: bool) -> None:
+    def __init__(self) -> None:
         self.rows = 0
         self.count = 0
         self.total = 0.0
         self.ncount = 0
         self.minimum: float | None = None
         self.maximum: float | None = None
-        self.distinct: list | None = [] if track_distinct else None
+        self.distinct = 0
 
     def absorb(self, stats: "_ColumnStats", group: int) -> None:
         self.rows += stats.rows[group]
@@ -566,22 +585,6 @@ class _GroupAcc:
                 self.minimum = minimum
             if self.maximum is None or maximum > self.maximum:
                 self.maximum = maximum
-        if self.distinct is not None:
-            codes = stats.distinct[group]
-            if len(codes):
-                self.distinct.append(codes)
-
-    def distinct_count(self) -> int:
-        if not self.distinct:
-            return 0
-        if _np is not None and not isinstance(self.distinct[0], (set, frozenset)):
-            if len(self.distinct) == 1:
-                return int(len(self.distinct[0]))
-            return int(len(_np.unique(_np.concatenate(self.distinct))))
-        union: set[int] = set()
-        for part in self.distinct:
-            union |= set(part)
-        return len(union)
 
     def finalize(self, spec) -> Value:
         """Same semantics as the row-wise ``_Partial.finalize``."""
@@ -591,7 +594,7 @@ class _GroupAcc:
         if fn is AggregateFunction.COUNT:
             return int(self.rows if spec.column.is_star else self.count)
         if fn is AggregateFunction.COUNT_DISTINCT:
-            return self.distinct_count()
+            return self.distinct
         if self.ncount == 0:
             # No numeric cells: Sum/Avg/Min/Max are NULL.
             return None
@@ -608,21 +611,63 @@ class _GroupAcc:
 
 
 class _ColumnStats:
-    """Per-group reductions of one aggregation column (phase 1 output)."""
+    """Per-group reductions of one aggregation column (phase 1 output).
+
+    Every field is a plain list indexed by group. ``distinct`` is what
+    :meth:`distinct_counts` rolls up: per group the set of non-missing codes
+    (Python kernels), or the ``(groups, codes)`` arrays of the distinct
+    non-missing (group, code) pairs plus the dictionary size (NumPy).
+    """
 
     __slots__ = ("star", "rows", "count", "total", "ncount", "minimum", "maximum", "distinct")
 
-    def __init__(self, n_groups: int, star: bool, track_distinct: bool) -> None:
+    def __init__(self, rows: list[int], star: bool) -> None:
+        n_groups = len(rows)
         self.star = star
-        self.rows = [0] * n_groups
+        self.rows = rows
         self.count = [0] * n_groups
         self.total = [0.0] * n_groups
         self.ncount = [0] * n_groups
         self.minimum = [0.0] * n_groups
         self.maximum = [0.0] * n_groups
-        self.distinct = (
-            [set() for _ in range(n_groups)] if track_distinct else None
-        )
+        self.distinct = None
+
+    def distinct_counts(self, cell_of: list[list[int]], n_cells: int) -> list[int]:
+        """Distinct non-missing codes per rolled-up cell; ``cell_of[g]``
+        lists the cells group ``g`` rolls up into, one per dimension subset
+        (so no two entries of a row are the same cell)."""
+        if _np is None:
+            unions: list[set[int]] = [set() for _ in range(n_cells)]
+            for codes, cells in zip(self.distinct, cell_of):
+                for cell in cells:
+                    unions[cell] |= codes
+            return [len(union) for union in unions]
+        pair_groups, pair_codes, n_codes = self.distinct
+        counts = _np.zeros(n_cells, dtype=_np.int64)
+        # One subset at a time: scratch stays bounded by the pair count.
+        for cells in _np.array(cell_of, dtype=_np.int64).T:
+            pairs, _ = _histogram(
+                cells[pair_groups] * n_codes + pair_codes, n_cells * n_codes
+            )
+            counts += _np.bincount(pairs // n_codes, minlength=n_cells)
+        return counts.tolist()
+
+
+#: An id histogram is counted densely -- one ``bincount`` slot per possible
+#: id -- while the possible ids are within this multiple of the ids counted,
+#: which bounds the scratch array by the input's own size; a wider id space
+#: is sorted instead.
+_DENSE_SLOTS_PER_ID = 4
+
+
+def _histogram(ids, bound: int):
+    """The distinct values of ``ids`` (integers in ``range(bound)``) in
+    ascending order, and how often each occurs."""
+    if bound <= _DENSE_SLOTS_PER_ID * len(ids):
+        counts = _np.bincount(ids, minlength=bound)
+        values = _np.flatnonzero(counts)
+        return values, counts[values]
+    return _np.unique(ids, return_counts=True)
 
 
 def _group_rows(relation: ColumnarRelation, cube):
@@ -630,19 +675,17 @@ def _group_rows(relation: ColumnarRelation, cube):
 
     Returns ``(inverse, group_keys)`` where ``inverse`` assigns each row its
     compact group index and ``group_keys[g]`` is the tuple of bucket labels
-    (literal string or ``DEFAULT_LITERAL``) of group ``g``. Compacting after
-    each dimension keeps combined ids bounded by ``n_groups * radix`` and
-    immune to radix overflow.
+    (literal string or ``DEFAULT_LITERAL``) of group ``g``, groups in
+    ascending order of their combined id. Compacting after each dimension
+    keeps combined ids bounded by ``n_groups * radix`` and immune to radix
+    overflow.
     """
     n_rows = len(relation)
     vectorized = _np is not None
     if n_rows == 0:
         # No rows: no groups at all (matches the row-wise phase 1).
         return (_np.zeros(0, dtype=_np.int64) if vectorized else []), []
-    if vectorized:
-        inverse = _np.zeros(n_rows, dtype=_np.int64)
-    else:
-        inverse = [0] * n_rows
+    inverse = _np.zeros(n_rows, dtype=_np.int64) if vectorized else [0] * n_rows
     group_keys: list[tuple[str, ...]] = [()]
     for dim, literals in cube.literals:
         vector = relation.vector(dim)
@@ -657,73 +700,77 @@ def _group_rows(relation: ColumnarRelation, cube):
             bucket_values.append(literal)
         radix = len(bucket_values)
         if vectorized:
-            buckets = _np.array(lut, dtype=_np.int64)[vector.codes]
-            combined = inverse * radix + buckets
-            uniq, inverse = _np.unique(combined, return_inverse=True)
-            uniq_list = uniq.tolist()
+            combined = inverse * radix + _np.array(lut, dtype=_np.int64)[vector.codes]
+            bound = len(group_keys) * radix
+            present, _ = _histogram(combined, bound)
+            if bound <= _DENSE_SLOTS_PER_ID * n_rows:
+                remap = _np.zeros(bound, dtype=_np.int64)
+                remap[present] = _np.arange(len(present))
+                inverse = remap[combined]
+            else:
+                inverse = _np.searchsorted(present, combined)
+            present = present.tolist()
         else:
             combined = [g * radix + lut[c] for g, c in zip(inverse, vector.codes)]
-            uniq_list = sorted(set(combined))
-            position = {value: i for i, value in enumerate(uniq_list)}
+            present = sorted(set(combined))
+            position = {value: i for i, value in enumerate(present)}
             inverse = [position[value] for value in combined]
         group_keys = [
             group_keys[value // radix] + (bucket_values[value % radix],)
-            for value in uniq_list
+            for value in present
         ]
     return inverse, group_keys
 
 
 def _column_stats_numpy(
-    relation, inverse, n_groups: int, column: ColumnRef | None, track_distinct: bool
+    relation, inverse, rows: list[int], column: ColumnRef | None, track_distinct: bool
 ) -> _ColumnStats:
-    stats = _ColumnStats(n_groups, star=column is None, track_distinct=False)
-    stats.rows = _np.bincount(inverse, minlength=n_groups)
+    """Reduce from the (group, code) histogram; only ``total`` reads rows
+    (see the module docstring)."""
+    stats = _ColumnStats(rows, star=column is None)
     if column is None:
         return stats
+    n_groups = len(rows)
     vector = relation.vector(column)
+    dictionary = vector.dictionary
     codes = vector.codes
-    non_missing = codes != 0
-    stats.count = _np.bincount(inverse[non_missing], minlength=n_groups)
-    numeric = vector.dictionary.numeric_arr[codes]
-    numeric_inverse = inverse[numeric]
-    values = vector.dictionary.numbers_arr[codes][numeric]
-    stats.ncount = _np.bincount(numeric_inverse, minlength=n_groups)
-    stats.total = _np.bincount(numeric_inverse, weights=values, minlength=n_groups)
-    stats.minimum = _np.zeros(n_groups, dtype=_np.float64)
-    stats.maximum = _np.zeros(n_groups, dtype=_np.float64)
-    if len(numeric_inverse):
-        order = _np.argsort(numeric_inverse, kind="stable")
-        sorted_groups = numeric_inverse[order]
-        sorted_values = values[order]
-        bounds = _np.flatnonzero(
-            _np.concatenate(([True], sorted_groups[1:] != sorted_groups[:-1]))
-        )
-        group_ids = sorted_groups[bounds]
-        stats.minimum[group_ids] = _np.minimum.reduceat(sorted_values, bounds)
-        stats.maximum[group_ids] = _np.maximum.reduceat(sorted_values, bounds)
+    n_codes = len(dictionary)
+    pairs, pair_counts = _histogram(inverse * n_codes + codes, n_groups * n_codes)
+    pair_groups, pair_codes = _np.divmod(pairs, n_codes)
+    present = pair_codes != 0
+    stats.count = _group_sums(pair_groups[present], pair_counts[present], n_groups)
+    numeric = dictionary.numeric_arr[pair_codes]
+    numeric_groups = pair_groups[numeric]
+    stats.ncount = _group_sums(numeric_groups, pair_counts[numeric], n_groups)
+    numbers = dictionary.numbers_arr[pair_codes[numeric]]
+    minimum = _np.full(n_groups, _np.inf)
+    maximum = _np.full(n_groups, -_np.inf)
+    _np.minimum.at(minimum, numeric_groups, numbers)
+    _np.maximum.at(maximum, numeric_groups, numbers)
+    stats.minimum = minimum.tolist()
+    stats.maximum = maximum.tolist()
+    numeric_rows = dictionary.numeric_arr[codes]
+    stats.total = _np.bincount(
+        inverse[numeric_rows],
+        weights=dictionary.numbers_arr[codes][numeric_rows],
+        minlength=n_groups,
+    ).tolist()
     if track_distinct:
-        # Distinct (group, code) pairs; split into per-group code arrays.
-        pairs = _np.unique(inverse[non_missing] * len(vector.dictionary) + codes[non_missing])
-        pair_groups = pairs // len(vector.dictionary)
-        pair_codes = pairs % len(vector.dictionary)
-        stats.distinct = [pair_codes[0:0]] * n_groups
-        if len(pairs):
-            bounds = _np.flatnonzero(
-                _np.concatenate(([True], pair_groups[1:] != pair_groups[:-1]))
-            )
-            for start, end, group in zip(
-                bounds, list(bounds[1:]) + [len(pairs)], pair_groups[bounds]
-            ):
-                stats.distinct[int(group)] = pair_codes[start:end]
+        stats.distinct = (pair_groups[present], pair_codes[present], n_codes)
     return stats
 
 
+def _group_sums(groups, counts, n_groups: int) -> list[int]:
+    """Per group, the sum of the integer ``counts`` filed under it."""
+    sums = _np.zeros(n_groups, dtype=_np.int64)
+    _np.add.at(sums, groups, counts)
+    return sums.tolist()
+
+
 def _column_stats_python(
-    relation, inverse, n_groups: int, column: ColumnRef | None, track_distinct: bool
+    relation, inverse, rows: list[int], column: ColumnRef | None, track_distinct: bool
 ) -> _ColumnStats:
-    stats = _ColumnStats(n_groups, star=column is None, track_distinct=track_distinct)
-    for group in inverse:
-        stats.rows[group] += 1
+    stats = _ColumnStats(rows, star=column is None)
     if column is None:
         return stats
     vector = relation.vector(column)
@@ -733,7 +780,8 @@ def _column_stats_python(
     ncount = stats.ncount
     minimum = stats.minimum
     maximum = stats.maximum
-    distinct = stats.distinct
+    distinct = [set() for _ in rows] if track_distinct else None
+    stats.distinct = distinct
     for group, code in zip(inverse, vector.codes):
         if code == 0:
             continue
@@ -756,7 +804,8 @@ def execute_cube_columnar(relation: ColumnarRelation, cube, budget=None):
 
     Phase 1 reduces every basis aggregate per fully-specified group with
     array kernels; phase 2 rolls the (few) groups up to every dimension
-    subset in Python; phase 3 finalizes into the standard
+    subset in Python, except the distinct counts, which each column rolls
+    up for all cells at once; phase 3 finalizes into the standard
     :class:`~repro.db.cube.CubeResult` cell dictionary. ``budget``
     (optional :class:`repro.budget.ResourceBudget`) bounds the rollup
     work — ``n_groups * 2^n_dims`` merges — before phase 2 starts, using
@@ -769,51 +818,64 @@ def execute_cube_columnar(relation: ColumnarRelation, cube, budget=None):
     n_groups = len(group_keys)
     _check_rollup_budget(budget, n_groups, len(cube.dimensions))
 
+    def column_of(spec) -> ColumnRef | None:
+        return None if spec.column.is_star else spec.column
+
     # One stat bundle per distinct aggregation column ('*' columns share one).
-    bundle_keys: list[ColumnRef | None] = []
-    spec_bundle: dict = {}
+    bundle_of: dict[ColumnRef | None, int] = {}
     for spec in cube.aggregates:
-        key = None if spec.column.is_star else spec.column
-        if key not in spec_bundle:
-            spec_bundle[key] = len(bundle_keys)
-            bundle_keys.append(key)
-        # COUNT_DISTINCT on any spec of this column requires distinct codes.
+        bundle_of.setdefault(column_of(spec), len(bundle_of))
+    # COUNT_DISTINCT on any spec of a column requires its distinct codes.
     needs_distinct = {
-        None if spec.column.is_star else spec.column
+        column_of(spec)
         for spec in cube.aggregates
         if spec.function is AggregateFunction.COUNT_DISTINCT
     }
-    column_stats = _column_stats_numpy if _np is not None else _column_stats_python
+    if _np is not None:
+        column_stats = _column_stats_numpy
+        rows = _np.bincount(inverse, minlength=n_groups).tolist()
+    else:
+        column_stats = _column_stats_python
+        rows = [0] * n_groups
+        for group in inverse:
+            rows[group] += 1
     bundles = [
-        column_stats(relation, inverse, n_groups, key, key in needs_distinct)
-        for key in bundle_keys
+        column_stats(relation, inverse, rows, key, key in needs_distinct)
+        for key in bundle_of
     ]
-    track_distinct = [key in needs_distinct for key in bundle_keys]
 
     # Phase 2: roll up to every subset of dimensions (mirrors row-wise).
     n_dims = len(cube.dimensions)
     masks: list[frozenset[int]] = []
     for size in range(n_dims + 1):
         masks.extend(frozenset(m) for m in combinations(range(n_dims), size))
-    rolled: dict[tuple, list[_GroupAcc]] = {}
-    for group in range(n_groups):
-        full_key = group_keys[group]
+    slots: dict[tuple, int] = {}
+    rolled: list[list[_GroupAcc]] = []
+    cell_of: list[list[int]] = []
+    for group, full_key in enumerate(group_keys):
+        group_cells = []
         for kept in masks:
             key = tuple(
                 full_key[i] if i in kept else ALL for i in range(n_dims)
             )
-            accs = rolled.get(key)
-            if accs is None:
-                accs = [_GroupAcc(track) for track in track_distinct]
-                rolled[key] = accs
-            for acc, bundle in zip(accs, bundles):
+            slot = slots.setdefault(key, len(rolled))
+            if slot == len(rolled):
+                rolled.append([_GroupAcc() for _ in bundles])
+            for acc, bundle in zip(rolled[slot], bundles):
                 acc.absorb(bundle, group)
+            group_cells.append(slot)
+        cell_of.append(group_cells)
+    for position, bundle in enumerate(bundles):
+        if bundle.distinct is not None:
+            counts = bundle.distinct_counts(cell_of, len(rolled))
+            for accs, count in zip(rolled, counts):
+                accs[position].distinct = count
 
     # Phase 3: finalize.
     cells: dict[tuple, dict] = {}
-    for key, accs in rolled.items():
+    for key, accs in zip(slots, rolled):
         cells[key] = {
-            spec: accs[spec_bundle[None if spec.column.is_star else spec.column]].finalize(spec)
+            spec: accs[bundle_of[column_of(spec)]].finalize(spec)
             for spec in cube.aggregates
         }
     return CubeResult(cube, cells, rows_scanned=len(relation))

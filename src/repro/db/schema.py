@@ -10,14 +10,26 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 
-from repro.db.values import Value, coerce_number, is_missing, is_numeric
+from repro.db.values import (
+    Value,
+    coerce_number,
+    factorize,
+    is_missing,
+    is_numeric,
+)
 from repro.errors import (
     CyclicSchemaError,
     SchemaError,
     UnknownColumnError,
     UnknownTableError,
 )
+
+
+#: Rows whose distinct cells :meth:`Table.distinct_values` folds at a time.
+_DISTINCT_CHUNK = 65_536
 
 
 class ColumnType(enum.Enum):
@@ -121,18 +133,20 @@ class Table:
         return clone
 
     def distinct_values(self, name: str, limit: int | None = None) -> list[Value]:
-        """Distinct non-missing values of a column in first-seen order."""
+        """Distinct non-missing values of a column in first-seen order:
+        the distinct raw cells of one row chunk at a time, so Python work
+        is per distinct cell and a ``limit`` ends a (streamed) scan early."""
         seen: dict[str, Value] = {}
-        index = self.column_index(name)
-        for row in self.rows:
-            cell = row[index]
-            if is_missing(cell):
-                continue
-            key = str(cell).strip().lower()
-            if key not in seen:
-                seen[key] = cell
-                if limit is not None and len(seen) >= limit:
-                    break
+        cells = map(itemgetter(self.column_index(name)), self.rows)
+        while chunk := tuple(islice(cells, _DISTINCT_CHUNK)):
+            for cell in factorize(chunk)[0]:
+                if is_missing(cell):
+                    continue
+                key = str(cell).strip().lower()
+                if key not in seen:
+                    seen[key] = cell
+                    if limit is not None and len(seen) >= limit:
+                        return list(seen.values())
         return list(seen.values())
 
 

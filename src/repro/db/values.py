@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator, Sequence
 from typing import Any
 
 Value = None | str | int | float
@@ -91,6 +92,46 @@ def normalize_string(value: Value) -> str:
     if value is None:
         return ""
     return str(value).strip().lower()
+
+
+def cell_key(cell: Value) -> tuple:
+    """Key under which two raw cells are *the same cell*.
+
+    ``==`` is too coarse for that: ``1 == 1.0 == True`` and
+    ``0.0 == -0.0``, yet each of them normalizes or coerces differently
+    (``"1"``, ``"1.0"``, ``"true"``; ``"0.0"``, ``"-0.0"``). The key adds
+    the cell's class and the sign of a float zero. A NaN equals only
+    itself as an object, so two NaN objects get two keys; both have the
+    same images, which costs a repeated computation and nothing else.
+    """
+    if isinstance(cell, float) and cell == 0.0:
+        return (cell.__class__, cell, math.copysign(1.0, cell))
+    return (cell.__class__, cell)
+
+
+def factorize(cells: Sequence[Value]) -> tuple[list[Value], Iterator[int]]:
+    """Distinct raw cells in first-seen order, and every cell's index
+    into them (lazily; unread, it costs nothing).
+
+    "Distinct" is by :func:`cell_key`, but the scan stays in C: when the
+    column holds numbers of at most one class and no float zero, ``==``
+    already separates exactly what the key separates and the cells are
+    their own keys. A caller then does its Python work once per distinct
+    cell and gathers by index.
+    """
+    memo = dict.fromkeys(cells)
+    # A str or None equals no instance of another class; numbers can.
+    numbers = set(map(type, cells)) - {str, type(None)}
+    if len(numbers) <= 1 and not (
+        0.0 in memo and any(issubclass(kind, float) for kind in numbers)
+    ):
+        keys, distinct = cells, list(memo)
+    else:
+        keys = list(map(cell_key, cells))
+        memo = dict.fromkeys(keys)
+        distinct = [key[1] for key in memo]
+    index = dict(zip(memo, range(len(memo))))
+    return distinct, map(index.__getitem__, keys)
 
 
 def values_equal(left: Value, right: Value) -> bool:

@@ -142,6 +142,25 @@ class TestEdgeCases:
             ],
         )
 
+    def test_signed_zeros_are_two_cells(self):
+        # 0.0 == -0.0, but they normalize to "0.0" and "-0.0": an encoder
+        # that memoises per ``==`` lets whichever comes first name both.
+        for zeros in ((0.0, -0.0), (-0.0, 0.0)):
+            table = Table(
+                "facts",
+                [Column("category"), Column("amount", ColumnType.NUMERIC)],
+                [("alpha", zero) for zero in zeros] + [("alpha", 1.5)],
+            )
+            run_queries(
+                Database("zeros", [table]),
+                [
+                    "SELECT Count(*) FROM facts WHERE amount = '-0.0'",
+                    "SELECT Count(*) FROM facts WHERE amount = '0.0'",
+                    "SELECT CountDistinct(amount) FROM facts",
+                    "SELECT Min(amount) FROM facts",
+                ],
+            )
+
     def test_duplicate_keys_and_rows(self):
         rows = [("alpha", 3), ("alpha", 3), ("ALPHA  ", 3), ("alpha", -3)] * 5
         table = Table(
