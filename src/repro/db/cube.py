@@ -92,7 +92,12 @@ class CubeQuery:
 
 
 class _Partial:
-    """Mergeable per-group accumulator for all basis aggregates of a column."""
+    """Mergeable per-group accumulator for all basis aggregates of a column.
+
+    The extremes are ``(number, position)`` and ``(number, -position)``:
+    among equal numbers (``0``, ``0.0``, ``-0.0``) the earliest row wins, as
+    in a scan, whatever order the groups merge in.
+    """
 
     __slots__ = ("rows", "count", "ncount", "total", "minimum", "maximum", "distinct")
 
@@ -101,11 +106,11 @@ class _Partial:
         self.count = 0
         self.ncount = 0
         self.total = 0.0
-        self.minimum: float | None = None
-        self.maximum: float | None = None
+        self.minimum: tuple[float, int] | None = None
+        self.maximum: tuple[float, int] | None = None
         self.distinct: set[str] = set()
 
-    def add(self, cell: Value, is_star: bool) -> None:
+    def add(self, cell: Value, is_star: bool, position: int) -> None:
         self.rows += 1
         if is_star or is_missing(cell):
             return
@@ -115,10 +120,10 @@ class _Partial:
         if number is not None:
             self.ncount += 1
             self.total += number
-            if self.minimum is None or number < self.minimum:
-                self.minimum = number
-            if self.maximum is None or number > self.maximum:
-                self.maximum = number
+            if self.minimum is None or number < self.minimum[0]:
+                self.minimum = (number, position)
+            if self.maximum is None or number > self.maximum[0]:
+                self.maximum = (number, -position)
 
     def merge(self, other: "_Partial") -> None:
         self.rows += other.rows
@@ -149,9 +154,9 @@ class _Partial:
             # compute_plain (non-numeric strings are skipped, not averaged).
             return self.total / self.ncount
         if fn is AggregateFunction.MIN:
-            return self.minimum
+            return self.minimum[0]
         if fn is AggregateFunction.MAX:
-            return self.maximum
+            return self.maximum[0]
         raise QueryError(f"unsupported basis aggregate {fn}")
 
 
@@ -258,7 +263,7 @@ def _cube_over_relation(
 
     # Phase 1: accumulate per fully-specified group.
     groups: dict[CellKey, list[_Partial]] = {}
-    for row in relation.rows:
+    for position, row in enumerate(relation.rows):
         key_parts = []
         for index, literals in zip(dim_indexes, literal_sets):
             bucket = normalize_string(row[index])
@@ -270,7 +275,7 @@ def _cube_over_relation(
             groups[key] = partials
         for partial, (spec, column_index) in zip(partials, agg_columns):
             cell = None if column_index is None else row[column_index]
-            partial.add(cell, column_index is None)
+            partial.add(cell, column_index is None, position)
 
     # Phase 2: roll up to every subset of dimensions.
     n_dims = len(cube.dimensions)

@@ -12,7 +12,10 @@ module adds a filesystem tier:
   of the database *content* and the backend name. Editing a source CSV
   changes the fingerprint, so stale cells are structurally unreachable (no
   mtime bookkeeping), and backends with different edge-case semantics
-  never exchange cells.
+  never exchange cells. The fingerprint hashes each in-memory table's
+  rows as marshal format-2 chunks, serialized in C (no Python call per
+  cell; see :func:`database_fingerprint`), and a storage-backed table's
+  ``content_token`` instead of its rows.
 - Each entry stores the literal coverage alongside the cells (same
   semantics as :class:`~repro.db.cache.CacheEntry`): a lookup that needs an
   uncovered literal is a miss, and a store merges with whatever is already
@@ -44,6 +47,7 @@ glob. See :mod:`repro.audit.scrub` for the offline scrubber that consumes
 from __future__ import annotations
 
 import hashlib
+import marshal
 import os
 import pickle
 import struct
@@ -73,14 +77,23 @@ _CRC = struct.Struct(">I")
 _SEP = "\x1f"
 _ROW_END = "\x1e"
 
+#: Rows per ``marshal.dumps`` call when hashing a table: large enough that
+#: the per-call overhead vanishes, small enough that the transient blob
+#: stays a few hundred KB whatever the table's size.
+_MARSHAL_CHUNK_ROWS = 4096
+
 
 def database_fingerprint(database: Database) -> str:
     """SHA-256 over the database's full content and join structure.
 
-    Covers table names, column names/types, every cell value (with a type
-    tag, so ``1`` and ``"1"`` differ), and the foreign-key edges that
-    determine join signatures. Any data edit — including via a re-loaded
-    CSV — yields a different fingerprint.
+    Covers table names, column names/types, every cell value (with its
+    type, so ``1``, ``1.0``, ``True`` and ``"1"`` differ, as do ``0.0``
+    and ``-0.0``), and the foreign-key edges that determine join
+    signatures. Any data edit — including via a re-loaded CSV — yields a
+    different fingerprint; equal content yields an equal one whatever
+    the object identity, process or hash seed. Rows are serialized in C
+    (see :func:`_rows_token`); storage-backed tables contribute their
+    ``content_token`` instead of their rows.
     """
     digest = hashlib.sha256()
 
@@ -102,11 +115,32 @@ def database_fingerprint(database: Database) -> str:
             # — fingerprinting a 10M-row file must not materialize it.
             feed(f"K{token()}{_ROW_END}")
             continue
-        for row in table.rows:
-            for cell in row:
-                feed(_cell_token(cell))
-            feed(_ROW_END)
+        feed(f"{_rows_token(table.rows)}{_ROW_END}")
     return digest.hexdigest()
+
+
+def _rows_token(rows: list[tuple[Value, ...]]) -> str:
+    """Tagged SHA-256 of a table's rows.
+
+    ``M``: the rows as marshal format-2 chunks. Format 2 tags every cell's
+    exact type and writes floats in binary; unlike formats 3-4 and pickle
+    it marks neither shared objects nor interned strings, so the bytes
+    depend on cell types and values only, never on object identity. ``P``:
+    the per-cell token stream, for rows holding a cell marshal refuses
+    (a ``str`` subclass, ``Decimal``, a NumPy scalar).
+    """
+    digest = hashlib.sha256()
+    try:
+        for start in range(0, len(rows), _MARSHAL_CHUNK_ROWS):
+            chunk = rows[start:start + _MARSHAL_CHUNK_ROWS]
+            digest.update(marshal.dumps(chunk, 2))
+        return f"M{digest.hexdigest()}"
+    except ValueError:
+        digest = hashlib.sha256()
+        for row in rows:
+            text = "".join(map(_cell_token, row)) + _ROW_END
+            digest.update(text.encode("utf-8", "surrogatepass"))
+        return f"P{digest.hexdigest()}"
 
 
 def _cell_token(cell: Value) -> str:

@@ -3,9 +3,17 @@ CSV-edit invalidation."""
 
 from __future__ import annotations
 
+import marshal
+import os
 import pickle
+import subprocess
+import sys
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db import (
     Column,
@@ -18,10 +26,19 @@ from repro.db import (
     QueryEngine,
     Table,
     database_fingerprint,
+    diskcache,
+    fingerprint_of,
     load_csv,
     parse_query,
 )
 from repro.db.cube import ALL
+from tests.db.strategies import nullheavy_databases, shadow_cells
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Cells that some looser rule (``==``, ``str``, truthiness, hashing)
+#: would merge; the fingerprint must keep every one apart.
+SEPARATED_CELLS = [1, 1.0, True, "1", 0.0, -0.0, None, "", 10**400, "x\ud800"]
 
 
 def small_db(rows=None) -> Database:
@@ -75,6 +92,192 @@ class TestFingerprint:
         assert database_fingerprint(with_none) != database_fingerprint(
             with_empty
         )
+
+    def test_row_order_changes_fingerprint(self):
+        swapped = small_db([("a", 2), ("a", 1), ("b", 3), (None, 4)])
+        assert database_fingerprint(small_db()) != database_fingerprint(
+            swapped
+        )
+
+    def test_column_name_changes_fingerprint(self):
+        table = small_db().tables[0]
+        renamed = Table(
+            "events",
+            [Column("sort"), Column("score", ColumnType.NUMERIC)],
+            table.rows,
+        )
+        assert database_fingerprint(small_db()) != database_fingerprint(
+            Database("d", [renamed])
+        )
+
+    def test_table_name_changes_fingerprint(self):
+        table = small_db().tables[0]
+        renamed = Table("incidents", table.columns, table.rows)
+        assert database_fingerprint(small_db()) != database_fingerprint(
+            Database("d", [renamed])
+        )
+
+    def test_foreign_key_edge_changes_fingerprint(self, star_db):
+        other_edge = Database(
+            "sports",
+            star_db.tables,
+            [ForeignKey("players", "position", "teams", "team_id")],
+        )
+        assert database_fingerprint(star_db) != database_fingerprint(
+            other_edge
+        )
+
+
+def _fresh(cell):
+    """An equal cell built as a new object: a new string, a new number."""
+    if isinstance(cell, str):
+        return "".join(list(cell))
+    if cell is None or isinstance(cell, bool):
+        return cell
+    return type(cell)(repr(cell))
+
+
+def _interned(cell):
+    return sys.intern(_fresh(cell)) if isinstance(cell, str) else _fresh(cell)
+
+
+def _rebuilt(database: Database, make_cell) -> Database:
+    """The same content with every cell passed through ``make_cell``."""
+    tables = [
+        Table(
+            table.name,
+            table.columns,
+            [tuple(map(make_cell, row)) for row in table.rows],
+            table.primary_key,
+        )
+        for table in database.tables
+    ]
+    return Database(database.name, tables, database.foreign_keys)
+
+
+@st.composite
+def shadow_databases(draw) -> Database:
+    row = st.tuples(shadow_cells(), shadow_cells())
+    rows = draw(st.lists(row, max_size=12))
+    table = Table(
+        "cells", [Column("a"), Column("b", ColumnType.NUMERIC)], rows
+    )
+    return Database("shadow", [table])
+
+
+class TestFingerprintContract:
+    """Equal content, equal digest; any typed difference, another digest."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(nullheavy_databases(), shadow_databases()))
+    def test_object_identity_never_matters(self, database):
+        # Strategies hand out shared string and number objects; the
+        # rebuilt copies hold a fresh object per cell (or interned ones).
+        # Any encoding that writes back-references, or marks interned
+        # strings, tells the two apart.
+        expected = database_fingerprint(database)
+        for make_cell in (_fresh, _interned):
+            rebuilt = _rebuilt(database, make_cell)
+            assert database_fingerprint(rebuilt) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(nullheavy_databases(), st.data())
+    def test_every_cell_type_and_value_separates(self, database, data):
+        table = database.tables[0]
+        rows = list(table.rows) or [(None, None, None)]
+        at = data.draw(st.integers(0, len(rows) - 1))
+        column = data.draw(st.integers(0, len(table.columns) - 1))
+        digests = set()
+        for cell in SEPARATED_CELLS:
+            row = list(rows[at])
+            row[column] = cell
+            edited = Table(
+                table.name, table.columns,
+                rows[:at] + [tuple(row)] + rows[at + 1:],
+            )
+            digests.add(database_fingerprint(Database("d", [edited])))
+        assert len(digests) == len(SEPARATED_CELLS)
+
+
+class _Text(str):
+    """A ``str`` subclass: marshal refuses it."""
+
+
+class TestUnmarshallableFallback:
+    @pytest.mark.parametrize("odd", [_Text("a"), Decimal("2.5")])
+    def test_fallback_is_deterministic_and_typed(self, odd):
+        with pytest.raises(ValueError):
+            marshal.dumps([odd], 2)
+        rows = [("b", 1), (odd, 2)]
+        digest = database_fingerprint(small_db(rows))
+        assert database_fingerprint(small_db(rows)) == digest
+        same = type(odd)(str(odd))
+        assert same is not odd
+        assert database_fingerprint(small_db([("b", 1), (same, 2)])) == digest
+        plain = small_db([("b", 1), (str(odd), 2)])
+        assert database_fingerprint(plain) != digest
+
+    def test_encodings_are_tagged(self):
+        assert diskcache._rows_token([("b", 1)]).startswith("M")
+        assert diskcache._rows_token([(_Text("b"), 1)]).startswith("P")
+
+
+class TestAcrossProcesses:
+    def test_digest_is_independent_of_process_and_hash_seed(self, tmp_path):
+        csv_path = tmp_path / "numbers.csv"
+        csv_path.write_text(
+            "kind,value\nneg,-0.0\npos,0.0\nnull,\n"
+            "big,10000000000000000000000\nhuge,1e308\n"
+        )
+        here = database_fingerprint(Database("d", [load_csv(csv_path)]))
+        script = (
+            "import sys\n"
+            "from repro.db import Database, database_fingerprint, load_csv\n"
+            "database = Database('d', [load_csv(sys.argv[1])])\n"
+            "print(database_fingerprint(database))"
+        )
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = str(REPO_ROOT / "src")
+            there = subprocess.run(
+                [sys.executable, "-c", script, str(csv_path)],
+                env=env, capture_output=True, text=True, check=True,
+                timeout=60,
+            )
+            assert there.stdout.strip() == here
+
+
+class TestColdStaysCold:
+    def test_fresh_database_over_same_tables_reads_rows_again(
+        self, monkeypatch
+    ):
+        # What a re-run in a new process sees, and what the e2e
+        # benchmark's passes rely on: only the Database object is
+        # memoised, never anything on the Table, its rows or columns.
+        chunk = diskcache._MARSHAL_CHUNK_ROWS
+        table = Table(
+            "events",
+            [Column("kind"), Column("score", ColumnType.NUMERIC)],
+            [(f"k{i % 7}", i) for i in range(2 * chunk + 5)],
+        )
+        db = Database("d", [table])
+        attributes = dict(vars(table))
+        dumped: list[int] = []
+        real_dumps = marshal.dumps
+
+        def spy(value, version):
+            dumped.append(len(value))
+            return real_dumps(value, version)
+
+        monkeypatch.setattr(marshal, "dumps", spy)
+        digest = fingerprint_of(db)
+        assert dumped == [chunk, chunk, 5]
+        assert fingerprint_of(db) == digest
+        assert len(dumped) == 3
+        again = Database(db.name, db.tables, db.foreign_keys)
+        assert fingerprint_of(again) == digest
+        assert dumped == [chunk, chunk, 5] * 2
+        assert vars(table) == attributes
 
 
 class TestAllMarkerPickle:

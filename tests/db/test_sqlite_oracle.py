@@ -161,6 +161,25 @@ class TestEdgeCases:
                 ],
             )
 
+    def test_equal_extremes_keep_the_earliest_row(self):
+        # 0, 0.0 and -0.0 tie as numbers. A cube over ``flag`` meets the
+        # later row's group first (row 0 opens the default bucket); the
+        # rollup must still report the earliest row's cell, as a scan does.
+        for ties in ((0, 0.0), (0.0, -0.0), (-0.0, 0)):
+            table = Table(
+                "facts",
+                [Column("flag"), Column("amount", ColumnType.NUMERIC)],
+                [(None, None), ("yes", ties[0]), (None, ties[1])],
+            )
+            run_queries(
+                Database("ties", [table]),
+                [
+                    "SELECT Count(*) FROM facts WHERE flag = 'yes'",
+                    "SELECT Min(amount) FROM facts",
+                    "SELECT Max(amount) FROM facts",
+                ],
+            )
+
     def test_duplicate_keys_and_rows(self):
         rows = [("alpha", 3), ("alpha", 3), ("ALPHA  ", 3), ("alpha", -3)] * 5
         table = Table(

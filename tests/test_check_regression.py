@@ -161,9 +161,20 @@ class TestMain:
         with pytest.raises(SystemExit):
             check_regression.main(["--tolerance", "0"])
 
-    def test_gates_current_repo_against_head(self, capsys):
-        # The real invocation CI runs: committed files vs themselves must
-        # never regress (identical ratios).
-        code = check_regression.main([])
+    def test_gates_current_repo_against_head(self, capsys, tmp_path):
+        # The real invocation CI runs on a fresh checkout: committed files
+        # vs themselves must never regress (identical ratios). The fresh
+        # copies come from HEAD, not the working tree, so a baseline that
+        # was re-recorded but is not committed yet reads as neither.
+        for name, (_, ratios_of, _) in check_regression.SPECS.items():
+            committed = check_regression._load_baseline(name, "HEAD", None)
+            if committed is None:
+                continue
+            # Every gated ratio is present in the committed baseline.
+            assert None not in ratios_of(committed).values(), name
+            write(tmp_path, name, committed)
+        code = check_regression.main(["--fresh-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 0, out
+        for name in check_regression.SPECS:
+            assert name in out
