@@ -34,7 +34,6 @@ from repro.db import (
     Table,
     execute_cube,
 )
-from repro.db.columnar import numpy_available
 from repro.db.joins import JoinGraph
 from repro.harness.reporting import format_table
 
@@ -165,7 +164,6 @@ def test_engine_scaling(capsys):
         )
     payload = {
         "benchmark": "cube execution over synthetic relations",
-        "numpy": numpy_available(),
         "aggregates": [str(spec) for spec in SPECS],
         "results": results,
     }
@@ -182,5 +180,5 @@ def test_engine_scaling(capsys):
     # Acceptance: at the 100k-row point the vectorized backend must beat the
     # row-wise backend by at least 5x (skipped for smoke-sized sweeps).
     largest = results[-1]
-    if numpy_available() and largest["rows"] >= 100_000:
+    if largest["rows"] >= 100_000:
         assert largest["speedup"] >= 5.0, largest

@@ -38,7 +38,6 @@ from pathlib import Path
 
 from repro.cli import main as cli_main
 from repro.harness.reporting import format_table
-from repro.ir.index import numpy_available
 from repro.service import create_server
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -244,7 +243,6 @@ def test_service_throughput(capsys, tmp_path):
     )
     payload = {
         "benchmark": "verification service: cold vs warm pool vs incremental",
-        "numpy": numpy_available(),
         "cpu_count": os.cpu_count() or 1,
         "databases": n_databases,
         "rows_per_database": rows,
@@ -271,7 +269,7 @@ def test_service_throughput(capsys, tmp_path):
         print(f"written: {OUTPUT}")
 
     # Gates (hardware-independent: all tiers run on the same machine).
-    if numpy_available() and full_size:
+    if full_size:
         assert warm_speedup >= 1.5, payload
         assert incremental_speedup_vs_warm >= 3.0, payload
 

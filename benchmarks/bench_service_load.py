@@ -56,7 +56,6 @@ from repro.db import Database, load_csv
 from repro.faults import FaultSpec, active
 from repro.harness.parallel import RetryPolicy
 from repro.harness.reporting import format_table
-from repro.ir.index import numpy_available
 from repro.service import create_async_server
 from repro.service.queue import JOURNAL_NAME, scan_journal
 
@@ -207,7 +206,6 @@ def _merge_output(section: str, payload: dict) -> dict:
     """Update one section of BENCH_service_load.json, keeping the other."""
     merged = {
         "benchmark": "queue-backed service: open-loop load + chaos soak",
-        "numpy": numpy_available(),
         "cpu_count": os.cpu_count() or 1,
     }
     if OUTPUT.exists():

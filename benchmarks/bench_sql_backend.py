@@ -16,8 +16,7 @@ Sweeps the same synthetic claim-query workload over the ``row``,
   orders of magnitude below the table, with
   ``EngineStats.rows_materialized == 0``;
 - cross-adapter value identity at every size (same values, same types),
-  and full-corpus verdict identity sqlite-vs-columnar when NumPy (and
-  hence the model layer) is available.
+  and full-corpus verdict identity sqlite-vs-columnar.
 
 Row counts come from ``BENCH_SQL_SIZES`` (comma separated; default
 ``10000,100000,1000000``) so CI can smoke-run a small sweep.
@@ -47,7 +46,6 @@ from repro.db import (
     parse_query,
 )
 from repro.db.adapters import load_sqlite_database
-from repro.db.columnar import numpy_available
 from repro.harness.reporting import format_table
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -175,10 +173,8 @@ def out_of_core_proof(path: str, n_rows: int, reference) -> dict:
     }
 
 
-def verdict_identity() -> dict | None:
-    """Full-corpus verdicts sqlite-vs-columnar (needs the model layer)."""
-    if not numpy_available():
-        return None
+def verdict_identity() -> dict:
+    """Full-corpus verdicts sqlite-vs-columnar."""
     from repro.core.config import AggCheckerConfig
     from repro.corpus import generate_corpus
     from repro.harness import run_corpus
@@ -267,7 +263,6 @@ def test_sql_backend_scaling(capsys):
     identity = verdict_identity()
     payload = {
         "benchmark": "storage adapters: pushdown vs in-memory execution",
-        "numpy": numpy_available(),
         "queries": list(QUERY_SQLS),
         "results": results,
         "out_of_core": proof,
@@ -284,11 +279,10 @@ def test_sql_backend_scaling(capsys):
     )
     with capsys.disabled():
         print("\n" + table)
-        if identity is not None:
-            print(
-                f"verdict identity: {identity['verdicts']} verdicts across "
-                f"{identity['cases']} cases, all equal"
-            )
+        print(
+            f"verdict identity: {identity['verdicts']} verdicts across "
+            f"{identity['cases']} cases, all equal"
+        )
         print(
             f"out-of-core: {proof['table_rows']:,} rows verified under "
             f"max_rows={proof['max_rows_budget']:,}, "

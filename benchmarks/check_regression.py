@@ -10,9 +10,8 @@ directory via ``--baseline-dir``) and fails if any ratio dropped below
 Comparisons are self-guarding rather than vacuous-or-flaky:
 
 - a fresh file produced under a different workload than the baseline
-  (smoke-sized rows/cases via ``BENCH_*`` env knobs, or NumPy absent) is
-  **skipped** with a note — smoke ratios are not comparable to full-size
-  ones;
+  (smoke-sized rows/cases via ``BENCH_*`` env knobs) is **skipped** with a
+  note — smoke ratios are not comparable to full-size ones;
 - parallelism-dependent ratios are skipped when the runner has fewer
   CPUs than the benchmark's worker count (the PR 2 ``cpu_count`` guard),
   so 1-CPU runners pass cleanly;
@@ -69,11 +68,8 @@ def _engine_ratios(payload: dict) -> dict[str, float]:
     }
 
 
-def _engine_params(payload: dict) -> tuple:
-    return (
-        payload.get("numpy"),
-        tuple(entry.get("rows") for entry in payload.get("results", [])),
-    )
+def _swept_rows(payload: dict) -> tuple:
+    return tuple(entry.get("rows") for entry in payload.get("results", []))
 
 
 #: file name -> (workload-signature fn, ratio-extraction fn,
@@ -85,7 +81,7 @@ SPECS: dict[str, tuple] = {
     # per-column sort trips it. ``encode_seconds`` (raw rows to relation,
     # 70 ms at 100 000 rows) is recorded beside it and not gated: it is
     # an absolute, and this gate compares ratios.
-    "BENCH_engine.json": (_engine_params, _engine_ratios, lambda p: ()),
+    "BENCH_engine.json": (_swept_rows, _engine_ratios, lambda p: ()),
     "BENCH_pipeline.json": (
         lambda p: _params(p, "cases", "results.parallel.workers"),
         lambda p: {
@@ -107,9 +103,7 @@ SPECS: dict[str, tuple] = {
     # ratio's numerator) got 2.4x faster, so every fresh run fell below
     # its 12.2x floor.
     "BENCH_service.json": (
-        lambda p: _params(
-            p, "numpy", "databases", "rows_per_database", "claims"
-        ),
+        lambda p: _params(p, "databases", "rows_per_database", "claims"),
         lambda p: {
             "warm_pool_speedup": _lookup(p, "results.warm.speedup_vs_cold"),
             "incremental_speedup_vs_warm": _lookup(
@@ -119,10 +113,7 @@ SPECS: dict[str, tuple] = {
         lambda p: (),
     ),
     "BENCH_sql.json": (
-        lambda p: (
-            _lookup(p, "numpy"),
-            tuple(entry.get("rows") for entry in p.get("results", [])),
-        ),
+        _swept_rows,
         lambda p: {
             # Pushdown beats the row-wise tier at the largest swept size,
             # shadow build inside the clock: recorded at 1.24x row (1M
@@ -144,7 +135,7 @@ SPECS: dict[str, tuple] = {
         # timings, so the workload signature is the document/claim shape
         # only — runner speed cannot change what 1.0 means.
         lambda p: _params(
-            p, "numpy", "load.documents", "load.claims_per_doc",
+            p, "load.documents", "load.claims_per_doc",
             "chaos.documents", "chaos.claims_per_doc",
         ),
         lambda p: {

@@ -18,4 +18,5 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    install_requires=["numpy>=1.26,<3"],
 )

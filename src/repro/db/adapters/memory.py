@@ -139,8 +139,8 @@ class InMemoryAdapter(StorageAdapter):
 
 @register_adapter
 class ColumnarAdapter(InMemoryAdapter):
-    """Dictionary-encoded columnar execution (NumPy-vectorized when
-    available, pure Python otherwise). The default backend."""
+    """Dictionary-encoded, NumPy-vectorized columnar execution. The
+    default backend."""
 
     name = "columnar"
     backend = ExecutionBackend.COLUMNAR

@@ -81,7 +81,9 @@ def compute_plain(fn: AggregateFunction, cells: Iterable[Value]) -> Value:
 
     Follows SQL semantics: NULLs are skipped; Sum/Min/Max/Avg of an empty
     input are NULL; Count of an empty input is 0. Non-numeric strings in a
-    numeric aggregate are skipped (scraped data hygiene).
+    numeric aggregate are skipped (scraped data hygiene). Sum and Avg add
+    plainly in row order, like the cubes; builtin ``sum()`` compensates
+    float rounding from Python 3.12 on, so it would differ in the last bits.
     """
     if fn is AggregateFunction.COUNT:
         return sum(1 for cell in cells if not is_missing(cell))
@@ -99,10 +101,11 @@ def compute_plain(fn: AggregateFunction, cells: Iterable[Value]) -> Value:
             numbers.append(number)
     if not numbers:
         return None
-    if fn is AggregateFunction.SUM:
-        return sum(numbers)
-    if fn is AggregateFunction.AVG:
-        return sum(numbers) / len(numbers)
+    if fn in (AggregateFunction.SUM, AggregateFunction.AVG):
+        total = 0
+        for number in numbers:
+            total += number
+        return total if fn is AggregateFunction.SUM else total / len(numbers)
     if fn is AggregateFunction.MIN:
         return min(numbers)
     if fn is AggregateFunction.MAX:

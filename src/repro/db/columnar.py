@@ -29,12 +29,17 @@ the rows.
   counted densely while its id space is within ``_DENSE_SLOTS_PER_ID`` times
   the ids counted (scratch bounded by the input's own size, computed, not
   configured) and by one sort beyond that; both routes yield the same arrays.
-- **Filter** (:func:`execute_columnar_query`): boolean-mask selection.
+- **Filter** (:func:`execute_columnar_query`): boolean-mask selection; SUM
+  and AVG add the selected numbers in row order with the same
+  ``bincount(weights=...)`` as the cube, so they agree to the last bit with
+  the row-wise executor and with a cube cell read directly from one group
+  (or from a cube without dimensions). A rolled-up ALL or subset cell adds
+  per-group subtotals instead, so a merged batch can differ from ``NAIVE``
+  in the last bits of a float SUM or AVG.
 
-NumPy is optional: without it every kernel is a pure-Python loop over the same
-code arrays (the encode pass has no NumPy dependency at all). The row-wise
-modules remain the reference oracle; ``tests/db/test_columnar_oracle.py``
-cross-checks the two backends on randomized databases.
+Every kernel is a NumPy kernel. The row-wise modules remain the reference
+oracle; ``tests/db/test_columnar_oracle.py`` cross-checks the two backends on
+randomized databases.
 
 Known deviation from the row-wise oracle: a code's number is that of the first
 raw cell seen for it, so a float ``inf`` cell after a string ``"inf"`` (which
@@ -51,10 +56,7 @@ import enum
 from collections.abc import Callable, Sequence
 from itertools import combinations
 
-try:  # pragma: no cover - exercised via monkeypatching in tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from repro.db.predicates import Predicate
 from repro.db.refs import ColumnRef
@@ -71,17 +73,12 @@ from repro.errors import JoinPathError, QueryError
 _NAN = float("nan")
 
 
-def numpy_available() -> bool:
-    """True when the vectorized kernels can run (used by benchmarks/tests)."""
-    return _np is not None
-
-
 class ExecutionBackend(enum.Enum):
     """Physical representation the engine evaluates queries against.
 
     ``ROW`` is the original tuple-at-a-time implementation (the reference
-    oracle); ``COLUMNAR`` is the dictionary-encoded backend of this module,
-    vectorized with NumPy when available and pure Python otherwise.
+    oracle); ``COLUMNAR`` is the dictionary-encoded, NumPy-vectorized
+    backend of this module.
     """
 
     ROW = "row"
@@ -160,31 +157,21 @@ class ColumnVector:
     comparison path for predicates with non-string values.
     """
 
-    __slots__ = ("dictionary", "codes", "none_mask", "raw_numbers", "vectorized")
+    __slots__ = ("dictionary", "codes", "none_mask", "raw_numbers")
 
-    def __init__(self, dictionary, codes, none_mask, raw_numbers, vectorized):
+    def __init__(self, dictionary, codes, none_mask, raw_numbers):
         self.dictionary = dictionary
         self.codes = codes
         self.none_mask = none_mask
         self.raw_numbers = raw_numbers
-        self.vectorized = vectorized
 
     def take(self, indices) -> "ColumnVector":
         """Gather rows (the output of a join step)."""
-        if self.vectorized:
-            return ColumnVector(
-                self.dictionary,
-                self.codes[indices],
-                self.none_mask[indices],
-                self.raw_numbers[indices],
-                True,
-            )
         return ColumnVector(
             self.dictionary,
-            [self.codes[i] for i in indices],
-            [self.none_mask[i] for i in indices],
-            [self.raw_numbers[i] for i in indices],
-            False,
+            self.codes[indices],
+            self.none_mask[indices],
+            self.raw_numbers[indices],
         )
 
 
@@ -204,22 +191,12 @@ def encode_column(cells: Sequence[Value]) -> ColumnVector:
         _NAN if isinstance(cell, str) or coerce_number(cell) is None else float(cell)
         for cell in distinct
     ]
-    if _np is not None:
-        index = _np.fromiter(index, dtype=_np.intp, count=len(cells))
-        return ColumnVector(
-            dictionary,
-            _np.array(codes, dtype=_np.int64)[index],
-            _np.array(none_mask, dtype=bool)[index],
-            _np.array(raw_numbers, dtype=_np.float64)[index],
-            True,
-        )
-    index = list(index)
+    index = _np.fromiter(index, dtype=_np.intp, count=len(cells))
     return ColumnVector(
         dictionary,
-        list(map(codes.__getitem__, index)),
-        list(map(none_mask.__getitem__, index)),
-        list(map(raw_numbers.__getitem__, index)),
-        False,
+        _np.array(codes, dtype=_np.int64)[index],
+        _np.array(none_mask, dtype=bool)[index],
+        _np.array(raw_numbers, dtype=_np.float64)[index],
     )
 
 
@@ -280,7 +257,7 @@ def _code_remap(build_dict: ColumnDictionary, probe_dict: ColumnDictionary):
     if build_dict is probe_dict:
         return None
     remap = [probe_dict.index.get(v, -1) for v in build_dict.values]
-    return _np.array(remap, dtype=_np.int64) if _np is not None else remap
+    return _np.array(remap, dtype=_np.int64)
 
 
 def _join_numpy(probe_codes, probe_none, build_codes, build_none, remap):
@@ -309,32 +286,6 @@ def _join_numpy(probe_codes, probe_none, build_codes, build_none, remap):
     return probe_sel, build_sel
 
 
-def _join_python(probe_codes, probe_none, build_codes, build_none, remap):
-    buckets: dict[int, list[int]] = {}
-    for row, code in enumerate(build_codes):
-        if build_none[row]:
-            continue
-        key = code if remap is None else remap[code]
-        if key < 0:
-            continue
-        buckets.setdefault(int(key), []).append(row)
-    probe_sel: list[int] = []
-    build_sel: list[int] = []
-    for row, code in enumerate(probe_codes):
-        if probe_none[row]:
-            continue
-        for match in buckets.get(int(code), ()):
-            probe_sel.append(row)
-            build_sel.append(match)
-    return probe_sel, build_sel
-
-
-def _take_indices(indices, selection):
-    if _np is not None and not isinstance(indices, list):
-        return indices[selection]
-    return [indices[i] for i in selection]
-
-
 def build_columnar_relation(
     database: Database,
     path,  # JoinPath (not imported to avoid a cycle with repro.db.joins)
@@ -357,10 +308,7 @@ def build_columnar_relation(
         return ColumnarRelation(column_refs, encoded.vectors, len(first))
     # Per output column: which per-table row-index array and source vector.
     sources: list[tuple[int, ColumnVector]] = [(0, v) for v in encoded.vectors]
-    if _np is not None:
-        indices = [_np.arange(len(first), dtype=_np.int64)]
-    else:
-        indices = [list(range(len(first)))]
+    indices = [_np.arange(len(first), dtype=_np.int64)]
     joined = {first.name}
     pending = list(path.edges)
     while pending:
@@ -384,16 +332,15 @@ def build_columnar_relation(
             new_table = database.table(edge.source_table)
             new_key = edge.source_column
         slot, probe_vector = sources[column_refs.index(existing_col)]
-        probe_codes = _take_indices(probe_vector.codes, indices[slot])
-        probe_none = _take_indices(probe_vector.none_mask, indices[slot])
+        probe_codes = probe_vector.codes[indices[slot]]
+        probe_none = probe_vector.none_mask[indices[slot]]
         new_encoded = encoded_of(new_table.name)
         build_vector = new_encoded.vectors[new_table.column_index(new_key)]
         remap = _code_remap(build_vector.dictionary, probe_vector.dictionary)
-        join = _join_numpy if _np is not None else _join_python
-        probe_sel, build_sel = join(
+        probe_sel, build_sel = _join_numpy(
             probe_codes, probe_none, build_vector.codes, build_vector.none_mask, remap
         )
-        indices = [_take_indices(ix, probe_sel) for ix in indices]
+        indices = [ix[probe_sel] for ix in indices]
         indices.append(build_sel)
         new_slot = len(indices) - 1
         column_refs.extend(
@@ -421,29 +368,18 @@ def _predicate_mask(relation: ColumnarRelation, predicate: Predicate):
     vector = relation.vector(predicate.column)
     value = predicate.value
     code = vector.dictionary.code_of(normalize_string(value))
-    if _np is not None and vector.vectorized:
-        codes = vector.codes
-        not_none = ~vector.none_mask
-        code_mask = (
-            (codes == code) & not_none
-            if code is not None
-            else _np.zeros(len(relation), dtype=bool)
-        )
-        if isinstance(value, str) or coerce_number(value) is None:
-            return code_mask
-        raw_numeric = ~_np.isnan(vector.raw_numbers)
-        numeric_mask = raw_numeric & (vector.raw_numbers == float(coerce_number(value)))
-        return numeric_mask | (code_mask & ~raw_numeric)
-    value_number = None if isinstance(value, str) else coerce_number(value)
-    mask = []
-    for c, none, raw in zip(vector.codes, vector.none_mask, vector.raw_numbers):
-        if none:
-            mask.append(False)
-        elif value_number is not None and raw == raw:  # raw is not NaN
-            mask.append(raw == float(value_number))
-        else:
-            mask.append(code is not None and c == code)
-    return mask
+    codes = vector.codes
+    not_none = ~vector.none_mask
+    code_mask = (
+        (codes == code) & not_none
+        if code is not None
+        else _np.zeros(len(relation), dtype=bool)
+    )
+    if isinstance(value, str) or coerce_number(value) is None:
+        return code_mask
+    raw_numeric = ~_np.isnan(vector.raw_numbers)
+    numeric_mask = raw_numeric & (vector.raw_numbers == float(coerce_number(value)))
+    return numeric_mask | (code_mask & ~raw_numeric)
 
 
 def _combine_masks(relation: ColumnarRelation, predicates: Sequence[Predicate]):
@@ -453,19 +389,13 @@ def _combine_masks(relation: ColumnarRelation, predicates: Sequence[Predicate]):
         pmask = _predicate_mask(relation, predicate)
         if mask is None:
             mask = pmask
-        elif _np is not None and not isinstance(mask, list):
-            mask &= pmask
         else:
-            mask = [a and b for a, b in zip(mask, pmask)]
+            mask &= pmask
     return mask
 
 
 def _select_codes(vector: ColumnVector, mask):
-    if _np is not None and vector.vectorized:
-        return vector.codes if mask is None else vector.codes[mask]
-    if mask is None:
-        return vector.codes
-    return [c for c, keep in zip(vector.codes, mask) if keep]
+    return vector.codes if mask is None else vector.codes[mask]
 
 
 def count_matching_columnar(
@@ -478,11 +408,9 @@ def count_matching_columnar(
     if aggregate_column.is_star:
         if mask is None:
             return len(relation)
-        return int(mask.sum()) if not isinstance(mask, list) else sum(mask)
+        return int(mask.sum())
     codes = _select_codes(relation.vector(aggregate_column), mask)
-    if _np is not None and not isinstance(codes, list):
-        return int((codes != 0).sum())
-    return sum(1 for c in codes if c != 0)
+    return int((codes != 0).sum())
 
 
 def execute_columnar_query(relation: ColumnarRelation, query) -> Value:
@@ -513,38 +441,30 @@ def execute_columnar_query(relation: ColumnarRelation, query) -> Value:
     vector = relation.vector(column)
     codes = _select_codes(vector, mask)
     if fn is AggregateFunction.COUNT_DISTINCT:
-        if _np is not None and not isinstance(codes, list):
-            distinct = _np.unique(codes)
-            return int(len(distinct) - (1 if len(distinct) and distinct[0] == 0 else 0))
-        return len({c for c in codes if c != 0})
+        distinct = _np.unique(codes)
+        return int(len(distinct) - (1 if len(distinct) and distinct[0] == 0 else 0))
     # Numeric aggregates over the coercible cells of the selection.
-    if _np is not None and not isinstance(codes, list):
-        numeric = vector.dictionary.numeric_arr[codes]
-        values = vector.dictionary.numbers_arr[codes][numeric]
-        if len(values) == 0:
-            return None
-        if fn is AggregateFunction.SUM:
-            return float(values.sum())
-        if fn is AggregateFunction.AVG:
-            return float(values.sum()) / len(values)
-        if fn is AggregateFunction.MIN:
-            return float(values.min())
-        if fn is AggregateFunction.MAX:
-            return float(values.max())
-        raise QueryError(f"unsupported aggregate {fn}")
-    numbers = vector.dictionary.numbers
-    values = [numbers[c] for c in codes if numbers[c] is not None]
-    if not values:
+    numeric = vector.dictionary.numeric_arr[codes]
+    values = vector.dictionary.numbers_arr[codes][numeric]
+    if len(values) == 0:
         return None
     if fn is AggregateFunction.SUM:
-        return float(sum(values))
+        return _row_order_sum(values)
     if fn is AggregateFunction.AVG:
-        return float(sum(values)) / len(values)
+        return _row_order_sum(values) / len(values)
     if fn is AggregateFunction.MIN:
-        return float(min(values))
+        return float(values.min())
     if fn is AggregateFunction.MAX:
-        return float(max(values))
+        return float(values.max())
     raise QueryError(f"unsupported aggregate {fn}")
+
+
+def _row_order_sum(values) -> float:
+    """Sum in row order, through the cube's ``bincount(weights=...)``;
+    ``ndarray.sum`` adds pairwise, which moves the last bits."""
+    return float(
+        _np.bincount(_np.zeros(len(values), dtype=_np.intp), weights=values)[0]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -614,9 +534,8 @@ class _ColumnStats:
     """Per-group reductions of one aggregation column (phase 1 output).
 
     Every field is a plain list indexed by group. ``distinct`` is what
-    :meth:`distinct_counts` rolls up: per group the set of non-missing codes
-    (Python kernels), or the ``(groups, codes)`` arrays of the distinct
-    non-missing (group, code) pairs plus the dictionary size (NumPy).
+    :meth:`distinct_counts` rolls up: the ``(groups, codes)`` arrays of the
+    distinct non-missing (group, code) pairs plus the dictionary size.
     """
 
     __slots__ = ("star", "rows", "count", "total", "ncount", "minimum", "maximum", "distinct")
@@ -636,12 +555,6 @@ class _ColumnStats:
         """Distinct non-missing codes per rolled-up cell; ``cell_of[g]``
         lists the cells group ``g`` rolls up into, one per dimension subset
         (so no two entries of a row are the same cell)."""
-        if _np is None:
-            unions: list[set[int]] = [set() for _ in range(n_cells)]
-            for codes, cells in zip(self.distinct, cell_of):
-                for cell in cells:
-                    unions[cell] |= codes
-            return [len(union) for union in unions]
         pair_groups, pair_codes, n_codes = self.distinct
         counts = _np.zeros(n_cells, dtype=_np.int64)
         # One subset at a time: scratch stays bounded by the pair count.
@@ -681,11 +594,10 @@ def _group_rows(relation: ColumnarRelation, cube):
     overflow.
     """
     n_rows = len(relation)
-    vectorized = _np is not None
     if n_rows == 0:
         # No rows: no groups at all (matches the row-wise phase 1).
-        return (_np.zeros(0, dtype=_np.int64) if vectorized else []), []
-    inverse = _np.zeros(n_rows, dtype=_np.int64) if vectorized else [0] * n_rows
+        return _np.zeros(0, dtype=_np.int64), []
+    inverse = _np.zeros(n_rows, dtype=_np.int64)
     group_keys: list[tuple[str, ...]] = [()]
     for dim, literals in cube.literals:
         vector = relation.vector(dim)
@@ -699,22 +611,16 @@ def _group_rows(relation: ColumnarRelation, cube):
             lut[code] = len(bucket_values)
             bucket_values.append(literal)
         radix = len(bucket_values)
-        if vectorized:
-            combined = inverse * radix + _np.array(lut, dtype=_np.int64)[vector.codes]
-            bound = len(group_keys) * radix
-            present, _ = _histogram(combined, bound)
-            if bound <= _DENSE_SLOTS_PER_ID * n_rows:
-                remap = _np.zeros(bound, dtype=_np.int64)
-                remap[present] = _np.arange(len(present))
-                inverse = remap[combined]
-            else:
-                inverse = _np.searchsorted(present, combined)
-            present = present.tolist()
+        combined = inverse * radix + _np.array(lut, dtype=_np.int64)[vector.codes]
+        bound = len(group_keys) * radix
+        present, _ = _histogram(combined, bound)
+        if bound <= _DENSE_SLOTS_PER_ID * n_rows:
+            remap = _np.zeros(bound, dtype=_np.int64)
+            remap[present] = _np.arange(len(present))
+            inverse = remap[combined]
         else:
-            combined = [g * radix + lut[c] for g, c in zip(inverse, vector.codes)]
-            present = sorted(set(combined))
-            position = {value: i for i, value in enumerate(present)}
-            inverse = [position[value] for value in combined]
+            inverse = _np.searchsorted(present, combined)
+        present = present.tolist()
         group_keys = [
             group_keys[value // radix] + (bucket_values[value % radix],)
             for value in present
@@ -767,38 +673,6 @@ def _group_sums(groups, counts, n_groups: int) -> list[int]:
     return sums.tolist()
 
 
-def _column_stats_python(
-    relation, inverse, rows: list[int], column: ColumnRef | None, track_distinct: bool
-) -> _ColumnStats:
-    stats = _ColumnStats(rows, star=column is None)
-    if column is None:
-        return stats
-    vector = relation.vector(column)
-    numbers = vector.dictionary.numbers
-    count = stats.count
-    total = stats.total
-    ncount = stats.ncount
-    minimum = stats.minimum
-    maximum = stats.maximum
-    distinct = [set() for _ in rows] if track_distinct else None
-    stats.distinct = distinct
-    for group, code in zip(inverse, vector.codes):
-        if code == 0:
-            continue
-        count[group] += 1
-        if distinct is not None:
-            distinct[group].add(code)
-        number = numbers[code]
-        if number is not None:
-            total[group] += number
-            if ncount[group] == 0 or number < minimum[group]:
-                minimum[group] = number
-            if ncount[group] == 0 or number > maximum[group]:
-                maximum[group] = number
-            ncount[group] += 1
-    return stats
-
-
 def execute_cube_columnar(relation: ColumnarRelation, cube, budget=None):
     """Vectorized twin of the row-wise ``_cube_over_relation``.
 
@@ -831,16 +705,9 @@ def execute_cube_columnar(relation: ColumnarRelation, cube, budget=None):
         for spec in cube.aggregates
         if spec.function is AggregateFunction.COUNT_DISTINCT
     }
-    if _np is not None:
-        column_stats = _column_stats_numpy
-        rows = _np.bincount(inverse, minlength=n_groups).tolist()
-    else:
-        column_stats = _column_stats_python
-        rows = [0] * n_groups
-        for group in inverse:
-            rows[group] += 1
+    rows = _np.bincount(inverse, minlength=n_groups).tolist()
     bundles = [
-        column_stats(relation, inverse, rows, key, key in needs_distinct)
+        _column_stats_numpy(relation, inverse, rows, key, key in needs_distinct)
         for key in bundle_of
     ]
 

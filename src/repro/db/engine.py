@@ -19,8 +19,9 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro import faults
-from repro._compat import np
 from repro.budget import estimate_cube_cells
 from repro.db.adapters.base import (
     StorageAdapter,

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Any
 
-from repro._compat import np
+import numpy as np
+
 from repro.db.cube import ALL
 from repro.db.values import Value
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro._compat import np
+import numpy as np
 
 from repro.db.engine import QueryEngine
 from repro.db.gather import SpaceEvalRequest, SpaceResults

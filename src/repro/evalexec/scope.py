@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro._compat import np
+import numpy as np
 
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.model
     from repro.model.candidates import CandidateSpace

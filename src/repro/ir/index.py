@@ -13,9 +13,7 @@ Two representations coexist:
   indexes*, with term frequencies pre-square-rooted, idf pre-computed per
   term id, and length norms as one array. The batched matching front end
   scores whole documents' claim sets against these arrays in a handful of
-  NumPy gather/bincount passes (:func:`repro.ir.search.search_compiled_batch`);
-  without NumPy the same structure holds plain lists and a pure-Python
-  kernel walks it.
+  NumPy gather/bincount passes (:func:`repro.ir.search.search_compiled_batch`).
 """
 
 from __future__ import annotations
@@ -26,17 +24,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
 
-try:  # pragma: no cover - exercised via monkeypatching in tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from repro.ir.analysis import Analyzer
-
-
-def numpy_available() -> bool:
-    """True when the vectorized scoring kernels can run."""
-    return _np is not None
 
 
 @dataclass
@@ -156,9 +146,6 @@ class CompiledPostings:
       index* (``1 + ln(N / (df + 1))``, computed with ``math.log`` so the
       values are bit-identical to :meth:`InvertedIndex.idf`);
     - ``norms`` is the per-document length norm.
-
-    Arrays are NumPy when available and plain lists otherwise; both carry
-    exactly the same float values.
     """
 
     __slots__ = ("n_docs", "indptr", "doc_ids", "tf_sqrt", "idf", "norms")
@@ -194,15 +181,8 @@ class CompiledPostings:
             idf = [0.0] * n_terms
         norms = list(index._norms)
 
-        if _np is not None:
-            self.indptr = _np.asarray(indptr, dtype=_np.int64)
-            self.doc_ids = _np.asarray(doc_ids, dtype=_np.int64)
-            self.tf_sqrt = _np.asarray(tf_sqrt, dtype=_np.float64)
-            self.idf = _np.asarray(idf, dtype=_np.float64)
-            self.norms = _np.asarray(norms, dtype=_np.float64)
-        else:
-            self.indptr = indptr
-            self.doc_ids = doc_ids
-            self.tf_sqrt = tf_sqrt
-            self.idf = idf
-            self.norms = norms
+        self.indptr = _np.asarray(indptr, dtype=_np.int64)
+        self.doc_ids = _np.asarray(doc_ids, dtype=_np.int64)
+        self.tf_sqrt = _np.asarray(tf_sqrt, dtype=_np.float64)
+        self.idf = _np.asarray(idf, dtype=_np.float64)
+        self.norms = _np.asarray(norms, dtype=_np.float64)

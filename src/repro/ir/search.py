@@ -13,9 +13,8 @@ Three entry points share the scoring math:
 - :func:`search_terms` — same, for a context that is already analyzed
   (lets one analysis pass feed several category indexes);
 - :func:`search_compiled_batch` — score *every claim of a document* against
-  one :class:`~repro.ir.index.CompiledPostings` in a single vectorized
-  pass (gather + bincount), falling back to a pure-Python kernel over the
-  same arrays when NumPy is absent.
+  one :class:`~repro.ir.index.CompiledPostings` in a single NumPy pass
+  (gather + bincount); :func:`search_terms` is the oracle it is held to.
 
 All paths rank by ``(-score, doc_id)``: equal scores break ties by the
 stable document id (fragment ids are catalog positions), so per-claim and
@@ -28,7 +27,9 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from repro.ir.index import CompiledPostings, InvertedIndex, _np
+import numpy as _np
+
+from repro.ir.index import CompiledPostings, InvertedIndex
 
 
 @dataclass(frozen=True)
@@ -108,47 +109,6 @@ def search_compiled_batch(
     (claim, document) in the same (query-term, posting) order and through
     the same sequence of float64 operations.
     """
-    if _np is None or not isinstance(compiled.indptr, _np.ndarray):
-        return [
-            _search_compiled_python(compiled, term_ids, weights, top_k)
-            for term_ids, weights in queries
-        ]
-    return _search_compiled_numpy(compiled, queries, top_k)
-
-
-def _search_compiled_python(
-    compiled: CompiledPostings,
-    term_ids: list[int],
-    weights: list[float],
-    top_k: int | None,
-) -> list[tuple[int, float]]:
-    """Pure-Python kernel over the CSR lists (NumPy-free fallback)."""
-    indptr = compiled.indptr
-    doc_ids = compiled.doc_ids
-    tf_sqrt = compiled.tf_sqrt
-    idf_table = compiled.idf
-    scores: dict[int, float] = {}
-    for term_id, weight in zip(term_ids, weights):
-        idf = idf_table[term_id]
-        for position in range(indptr[term_id], indptr[term_id + 1]):
-            doc_id = doc_ids[position]
-            contribution = weight * tf_sqrt[position] * idf * idf
-            scores[doc_id] = scores.get(doc_id, 0.0) + contribution
-    norms = compiled.norms
-    ranked = sorted(
-        ((doc_id, score * norms[doc_id]) for doc_id, score in scores.items()),
-        key=_rank_key,
-    )
-    if top_k is not None:
-        ranked = ranked[:top_k]
-    return ranked
-
-
-def _search_compiled_numpy(
-    compiled: CompiledPostings,
-    queries: list[tuple[list[int], list[float]]],
-    top_k: int | None,
-) -> list[list[tuple[int, float]]]:
     n_claims = len(queries)
     n_docs = compiled.n_docs
     if n_claims == 0 or n_docs == 0:

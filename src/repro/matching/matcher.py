@@ -4,9 +4,7 @@
   for the whole document are extracted with a shared dependency-tree
   cache, analyzed once each, and scored against the compiled CSR category
   indexes in one vectorized pass per category
-  (:meth:`CompiledFragmentIndex.retrieve_batch`); when NumPy is absent
-  the compiled path degrades to a pure-Python kernel over the same
-  arrays.
+  (:meth:`CompiledFragmentIndex.retrieve_batch`).
 - :func:`keyword_match` is Algorithm 1 written plainly — one keyword
   context extraction plus one :meth:`FragmentIndex.retrieve` per claim.
   It is the reference the matching tests hold the batch scores

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
-from repro._compat import np, require_numpy
+import numpy as np
 
 from repro.db.aggregates import AggregateFunction
 from repro.db.cube import ALL
@@ -585,7 +585,6 @@ def build_candidates(
 ) -> CandidateSpace:
     """Construct the candidate space for one claim from its relevance
     scores."""
-    require_numpy("candidate-space construction")
     config = config or CandidateConfig()
 
     functions = list(scores.functions)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro._compat import require_numpy
 from repro.db.engine import QueryEngine
 from repro.db.gather import SpaceResults
 from repro.evalexec.refine import refine_by_eval_space
@@ -70,7 +69,6 @@ def query_and_learn(
     :class:`~repro.errors.DeadlineExceeded` propagates to the checker's
     degradation ladder.
     """
-    require_numpy("EM inference")
     config = config or EmConfig()
     priors = Priors.uniform(catalog) if config.use_priors else None
 

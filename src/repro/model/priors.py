@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro._compat import np
+import numpy as np
 
 from repro.db.aggregates import AggregateFunction
 from repro.db.query import SimpleAggregateQuery

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro._compat import np
+import numpy as np
 
 from repro.db.gather import SpaceResults
 from repro.db.query import SimpleAggregateQuery

@@ -15,7 +15,8 @@ import math
 import re
 from dataclasses import dataclass
 
-from repro._compat import np
+import numpy as np
+
 from repro.nlp.tokens import Token
 
 _UNITS = {

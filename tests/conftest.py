@@ -1,70 +1,18 @@
-"""Shared fixtures: the paper's running example and a multi-table schema.
-
-Also owns the no-NumPy collection policy: the CI matrix includes a leg
-with only pytest+hypothesis installed, where the pure-Python
-columnar/CSR kernels run for real. The probabilistic model layer
-has no fallback (see ``repro._compat``), so tests that drive the full
-pipeline are skipped there — by path below, or via the ``needs_numpy``
-marker for individual tests.
-"""
+"""Shared fixtures: the paper's running example and a multi-table schema."""
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
 from repro.db import Column, ColumnType, Database, ForeignKey, Table
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:
-    HAVE_NUMPY = False
-
-#: Test paths (relative to the repo root) exercising the full verification
-#: pipeline, which needs the NumPy-based model layer.
-_NEEDS_MODEL = (
-    "tests/audit/test_shadow.py",
-    "tests/core/test_checker.py",
-    "tests/core/test_interactive.py",
-    "tests/harness/",
-    "tests/service/test_aio.py",
-    "tests/service/test_resilience.py",
-    "tests/service/test_server.py",
-    "tests/test_cli.py",
-    "tests/test_integration.py",
-)
-
 
 def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "needs_numpy: test drives the NumPy-only model layer "
-        "(skipped on the no-NumPy CI leg)",
-    )
     config.addinivalue_line(
         "markers",
         "faults: fault-injection / resilience test (CI runs this subset "
         "as its own job via -m faults)",
     )
-
-
-def pytest_collection_modifyitems(config, items):
-    if HAVE_NUMPY:
-        return
-    skip = pytest.mark.skip(
-        reason="full pipeline requires NumPy (model layer has no fallback)"
-    )
-    for item in items:
-        rel = os.path.relpath(str(item.fspath), str(config.rootdir))
-        rel = rel.replace(os.sep, "/")
-        if item.get_closest_marker("needs_numpy") or any(
-            rel == needle or (needle.endswith("/") and rel.startswith(needle))
-            for needle in _NEEDS_MODEL
-        ):
-            item.add_marker(skip)
 
 
 def outcome_from(space, results, scoped=None):

@@ -2,14 +2,16 @@
 
 The encode pass does its Python work per distinct raw cell
 (``repro.db.values.factorize``) and the cube kernels reduce (group, code)
-histograms; every test here pins one of them to the loop it replaced,
-with NumPy and on the pure-Python kernels.
+histograms; every test here pins one of them to the loop it replaced.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.db.columnar as columnar
@@ -23,19 +25,26 @@ from repro.db import (
     CubeQuery,
     Database,
     ExecutionBackend,
+    Predicate,
     STAR,
     Table,
     execute_cube,
 )
-from repro.db.columnar import ColumnDictionary, encode_column, encode_table
+from repro.db.columnar import (
+    ColumnarRelation,
+    ColumnDictionary,
+    encode_column,
+    encode_table,
+)
 from repro.db.joins import JoinGraph
-from repro._compat import np
 from repro.db.values import (
     DEFAULT_LITERAL,
     cell_key,
+    coerce_number,
     factorize,
     is_missing,
     is_numeric,
+    normalize_string,
 )
 
 from tests.db.strategies import BEYOND_FLOAT, shadow_cells
@@ -46,19 +55,6 @@ from tests.db.test_sqlite_oracle import assert_bit_equal
 MIXED_CELLS = shadow_cells() | st.sampled_from(
     [1, 1.0, True, "1", " 1 ", 0, 0.0, -0.0, False, "$1,200", BEYOND_FLOAT]
 )
-
-
-@pytest.fixture(params=["numpy", "python"])
-def kernels(request, monkeypatch):
-    """Run a test on the NumPy kernels and on the pure-Python ones."""
-    if request.param == "python":
-        monkeypatch.setattr(columnar, "_np", None)
-    elif np is None:
-        pytest.skip("NumPy is not installed")
-    return request.param
-
-
-needs_numpy_kernels = pytest.mark.skipif(np is None, reason="NumPy is not installed")
 
 
 def assert_same_scalars(expected, actual, context=""):
@@ -88,17 +84,11 @@ def reference_encode(cells):
 
 
 class TestFactorizedEncode:
-    # ``kernels`` only picks the module's NumPy binding: nothing to reset.
-    @settings(
-        max_examples=200,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=200, deadline=None)
     @given(cells=st.lists(MIXED_CELLS, max_size=16))
-    def test_encode_column_equals_per_cell_loop(self, kernels, cells):
+    def test_encode_column_equals_per_cell_loop(self, cells):
         dictionary, codes, none_mask, raw_numbers = reference_encode(cells)
         vector = encode_column(cells)
-        assert vector.vectorized == (kernels == "numpy")
         assert list(vector.codes) == codes
         assert list(vector.none_mask) == none_mask
         assert_same_scalars(
@@ -122,7 +112,7 @@ class TestFactorizedEncode:
         nan = float("nan")
         assert cell_key(nan) == cell_key(nan)  # one object, one key
 
-    def test_python_work_is_per_distinct_cell(self, kernels, monkeypatch):
+    def test_python_work_is_per_distinct_cell(self, monkeypatch):
         """Cost guard: 10 000 rows over 7 distinct cells normalize 7 times
         (the per-cell loop normalized every row)."""
         calls = []
@@ -139,7 +129,7 @@ class TestFactorizedEncode:
         assert len(vector.codes) == 10_000
         assert len(calls) <= 7 + 1
 
-    def test_empty_table_encodes_every_column(self, kernels):
+    def test_empty_table_encodes_every_column(self):
         table = Table("t", [Column("a"), Column("b")])
         encoded = encode_table(table)
         assert [len(vector.codes) for vector in encoded.vectors] == [0, 0]
@@ -178,7 +168,7 @@ class TestDistinctValues:
 
 
 class TestRelationBuild:
-    def test_single_table_relation_is_the_encoded_table(self, kernels, nfl_db):
+    def test_single_table_relation_is_the_encoded_table(self, nfl_db):
         graph = JoinGraph(nfl_db, backend=ExecutionBackend.COLUMNAR)
         relation = graph.relation({"nflsuspensions"})
         encoded = graph.encoded_table("nflsuspensions")
@@ -187,7 +177,7 @@ class TestRelationBuild:
             assert vector is source
             assert vector.codes is source.codes
 
-    def test_joined_relation_still_gathers(self, kernels, star_db):
+    def test_joined_relation_still_gathers(self, star_db):
         graph = JoinGraph(star_db, backend=ExecutionBackend.COLUMNAR)
         relation = graph.relation({"players", "teams"})
         assert len(relation) == 6
@@ -196,6 +186,231 @@ class TestRelationBuild:
         assert league.codes is not source.codes
         assert len(league.codes) == 6 and len(source.codes) == 3
         assert league.dictionary is source.dictionary
+
+
+def reference_join(probe_cells, build_cells):
+    """The bucket loop ``_join_numpy`` replaced: keys compare by normalized
+    string, a NULL key matches nothing, and pairs come out probe-major with
+    a key's build rows in their original order."""
+    buckets = {}
+    for row, cell in enumerate(build_cells):
+        if cell is not None:
+            buckets.setdefault(normalize_string(cell), []).append(row)
+    return [
+        (row, match)
+        for row, cell in enumerate(probe_cells)
+        if cell is not None
+        for match in buckets.get(normalize_string(cell), ())
+    ]
+
+
+def join_pairs(probe, build):
+    remap = columnar._code_remap(build.dictionary, probe.dictionary)
+    probe_sel, build_sel = columnar._join_numpy(
+        probe.codes, probe.none_mask, build.codes, build.none_mask, remap
+    )
+    return list(zip(probe_sel.tolist(), build_sel.tolist()))
+
+
+class TestHashJoin:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        probe=st.lists(MIXED_CELLS, max_size=12),
+        build=st.lists(MIXED_CELLS, max_size=12),
+    )
+    def test_equals_bucket_loop(self, probe, build):
+        pairs = join_pairs(encode_column(probe), encode_column(build))
+        assert pairs == reference_join(probe, build)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cells=st.lists(MIXED_CELLS, max_size=12))
+    def test_one_dictionary_joins_codes_without_remap(self, cells):
+        vector = encode_column(cells)
+        assert columnar._code_remap(vector.dictionary, vector.dictionary) is None
+        assert join_pairs(vector, vector) == reference_join(cells, cells)
+
+
+def reference_matches(cell, value) -> bool:
+    """The per-row rule ``_predicate_mask`` vectorizes: ``values_equal``,
+    except that two numbers compare as the float64 images the arrays hold
+    (integers beyond 2**53 that round to one float match)."""
+    if cell is None:
+        return False
+    cell_number = None if isinstance(cell, str) else coerce_number(cell)
+    value_number = None if isinstance(value, str) else coerce_number(value)
+    if cell_number is not None and value_number is not None:
+        return float(cell_number) == float(value_number)
+    return normalize_string(cell) == normalize_string(value)
+
+
+#: Predicate values by the branch of ``_predicate_mask`` they take.
+PREDICATE_VALUES = {
+    "string": shadow_cells().filter(lambda value: isinstance(value, str)),
+    "number": MIXED_CELLS.filter(
+        lambda value: not isinstance(value, str) and coerce_number(value) is not None
+    ),
+    "uncoercible": st.sampled_from([True, False, float("nan"), BEYOND_FLOAT]),
+}
+PRED_A = ColumnRef("t", "a")
+PRED_B = ColumnRef("t", "b")
+
+
+def two_column_relation(rows) -> ColumnarRelation:
+    columns = list(zip(*rows)) or [(), ()]
+    return ColumnarRelation(
+        [PRED_A, PRED_B], [encode_column(cells) for cells in columns], len(rows)
+    )
+
+
+class TestPredicateMasks:
+    @pytest.mark.parametrize("kind", sorted(PREDICATE_VALUES))
+    @settings(max_examples=100, deadline=None)
+    @given(cells=st.lists(MIXED_CELLS, max_size=16), data=st.data())
+    def test_mask_equals_per_row_rule(self, kind, cells, data):
+        value = data.draw(PREDICATE_VALUES[kind], label="value")
+        relation = two_column_relation([(cell, None) for cell in cells])
+        mask = columnar._predicate_mask(relation, Predicate(PRED_A, value))
+        assert mask.tolist() == [reference_matches(cell, value) for cell in cells]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(MIXED_CELLS, MIXED_CELLS), max_size=16),
+        values=st.tuples(
+            MIXED_CELLS.filter(lambda value: value is not None),
+            MIXED_CELLS.filter(lambda value: value is not None),
+        ),
+    )
+    def test_conjunction_is_the_row_wise_and(self, rows, values):
+        relation = two_column_relation(rows)
+        assert columnar._combine_masks(relation, ()) is None
+        predicates = (Predicate(PRED_A, values[0]), Predicate(PRED_B, values[1]))
+        mask = columnar._combine_masks(relation, predicates)
+        assert mask.tolist() == [
+            reference_matches(a, values[0]) and reference_matches(b, values[1])
+            for a, b in rows
+        ]
+
+    @pytest.mark.parametrize("aggregate", [STAR, PRED_B], ids=["star", "column"])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(MIXED_CELLS, MIXED_CELLS), max_size=16),
+        filters=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1]),
+                MIXED_CELLS.filter(lambda value: value is not None),
+            ),
+            max_size=2,
+        ),
+    )
+    def test_count_matching_equals_row_loop(self, aggregate, rows, filters):
+        relation = two_column_relation(rows)
+        predicates = [Predicate((PRED_A, PRED_B)[i], value) for i, value in filters]
+        expected = sum(
+            all(reference_matches(row[i], value) for i, value in filters)
+            and (aggregate.is_star or not is_missing(row[1]))
+            for row in rows
+        )
+        count = columnar.count_matching_columnar(relation, aggregate, predicates)
+        assert type(count) is int and count == expected
+
+
+class TestHistogram:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ids=st.lists(st.integers(min_value=0, max_value=40), max_size=30),
+        spare=st.integers(min_value=0, max_value=200),
+    )
+    def test_dense_and_sorted_routes_equal_a_counter(self, ids, spare):
+        """``spare`` widens the id space past four slots per id, where the
+        histogram sorts instead of counting densely."""
+        bound = max(ids, default=0) + 1 + spare
+        values, counts = columnar._histogram(np.array(ids, dtype=np.int64), bound)
+        assert list(zip(values.tolist(), counts.tolist())) == sorted(Counter(ids).items())
+
+
+@st.composite
+def grouped_cells(draw):
+    """At least one cell (an empty relation has no groups at all), each
+    with a group id; some groups may be empty."""
+    n_groups = draw(st.integers(min_value=1, max_value=6))
+    cells = draw(st.lists(MIXED_CELLS, min_size=1, max_size=20))
+    groups = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n_groups - 1),
+            min_size=len(cells),
+            max_size=len(cells),
+        )
+    )
+    return n_groups, cells, groups
+
+
+def column_stats(n_groups, cells, groups):
+    relation = two_column_relation([(cell, None) for cell in cells])
+    inverse = np.array(groups, dtype=np.int64)
+    rows = np.bincount(inverse, minlength=n_groups).tolist()
+    return columnar._column_stats_numpy(relation, inverse, rows, PRED_A, True)
+
+
+class TestColumnStats:
+    @settings(max_examples=150, deadline=None)
+    @given(grouped=grouped_cells())
+    def test_equals_per_row_loop(self, grouped):
+        """The loop the (group, code) histogram replaced, over the
+        dictionary's numbers; SUM adds in row order, so to the last bit."""
+        n_groups, cells, groups = grouped
+        stats = column_stats(n_groups, cells, groups)
+        vector = encode_column(cells)
+        numbers = vector.dictionary.numbers
+        count, ncount = [0] * n_groups, [0] * n_groups
+        total = [0.0] * n_groups
+        extremes = [[] for _ in range(n_groups)]
+        for group, code in zip(groups, vector.codes.tolist()):
+            if code == 0:
+                continue
+            count[group] += 1
+            if numbers[code] is not None:
+                ncount[group] += 1
+                total[group] += float(numbers[code])
+                extremes[group].append(float(numbers[code]))
+        assert stats.rows == [groups.count(group) for group in range(n_groups)]
+        assert stats.count == count
+        assert stats.ncount == ncount
+        # With no numeric row at all ``bincount`` hands back integer zeros,
+        # which no cell reads (``ncount`` is 0).
+        assert [float(value).hex() for value in stats.total] == [
+            value.hex() for value in total
+        ]
+        for group, seen in enumerate(extremes):
+            if seen:  # equal, not bit-equal: which zero wins is not pinned
+                assert stats.minimum[group] == min(seen)
+                assert stats.maximum[group] == max(seen)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grouped=grouped_cells(), data=st.data())
+    def test_distinct_counts_equal_set_unions(self, grouped, data):
+        """Every group rolls up into one cell of each dimension subset (cell
+        ``j * width + k`` is the ``k``-th of subset ``j``); a cell's count is
+        the size of the union of its groups' non-missing codes."""
+        n_groups, cells, groups = grouped
+        subsets = data.draw(st.integers(min_value=1, max_value=3), label="subsets")
+        width = data.draw(st.integers(min_value=1, max_value=3), label="width")
+        n_cells = subsets * width
+        cell_of = [
+            [
+                subset * width
+                + data.draw(st.integers(min_value=0, max_value=width - 1))
+                for subset in range(subsets)
+            ]
+            for _ in range(n_groups)
+        ]
+        codes = encode_column(cells).codes.tolist()
+        unions = [set() for _ in range(n_cells)]
+        for group, code in zip(groups, codes):
+            if code != 0:
+                for cell in cell_of[group]:
+                    unions[cell].add(code)
+        counts = column_stats(n_groups, cells, groups).distinct_counts(cell_of, n_cells)
+        assert counts == [len(union) for union in unions]
 
 
 NAME = ColumnRef("facts", "name")
@@ -247,7 +462,6 @@ def histogram_cube(dimensions: dict) -> CubeQuery:
     )
 
 
-@needs_numpy_kernels
 class TestHistogramCube:
     """Dense (``bincount``) and sparse (sorted) histograms give the row
     oracle's cells; which route ran is read off the NumPy calls."""
@@ -299,12 +513,7 @@ class TestHistogramCube:
         self.check(database, histogram_cube({NAME: names, KIND: set(KINDS)}))
         assert calls["searchsorted"] == [60]
 
-    def test_python_kernels(self, monkeypatch):
-        monkeypatch.setattr(columnar, "_np", None)
-        database = histogram_database(200, n_amounts=50)
-        self.check(database, histogram_cube({KIND: {"alpha", "gamma"}, NAME: {"name3"}}))
-
-    def test_empty_relation(self, kernels):
+    def test_empty_relation(self):
         database = histogram_database(0, n_amounts=1)
         result = self.check(database, histogram_cube({KIND: {"alpha"}}))
         assert result.cells == {}
@@ -348,7 +557,7 @@ class TestGroupRows:
             {NAME: {"nobody"}},
         ],
     )
-    def test_equals_sorted_unique_compaction(self, kernels, dimensions):
+    def test_equals_sorted_unique_compaction(self, dimensions):
         database = histogram_database(150, n_amounts=5)
         cube = histogram_cube(dimensions)
         relation = JoinGraph(database, backend=ExecutionBackend.COLUMNAR).relation({"facts"})

@@ -70,6 +70,17 @@ class TestNumericAggregates:
         assert run(star_db, "SELECT Min(salary) FROM players") == 60.0
         assert run(star_db, "SELECT Max(salary) FROM players") == 150.0
 
+    def test_sum_adds_plainly_in_row_order(self):
+        """No compensated summation (builtin ``sum()`` on Python 3.12+
+        would keep the 0.1): the rule ``bincount(weights=...)`` follows."""
+        from repro.db.aggregates import AggregateFunction, compute_plain
+
+        cells = [1e16, 0.1, -1e16, 2]
+        assert compute_plain(AggregateFunction.SUM, cells) == 2.0
+        assert compute_plain(AggregateFunction.AVG, cells) == 0.5
+        total = compute_plain(AggregateFunction.SUM, [1, "2", 3])
+        assert type(total) is int and total == 6
+
     def test_sum_empty_is_null(self, star_db):
         assert (
             run(

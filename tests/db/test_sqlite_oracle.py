@@ -310,7 +310,6 @@ class TestEdgeCases:
         assert type(cubed) is float and cubed == 3.0
 
 
-@pytest.mark.needs_numpy
 class TestCorpusVerdictIdentity:
     @pytest.mark.parametrize("backend", SQL_BACKENDS)
     def test_sql_backend_reproduces_columnar_verdicts(self, backend):

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # the model layer has no pure-Python fallback
 
 from repro.db import Column, ColumnType, Database, QueryEngine, Table
 from repro.evalexec import ScopeConfig, refine_by_eval_space, scope_mask

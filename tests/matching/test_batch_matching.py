@@ -2,10 +2,10 @@
 
 ``keyword_match_batch`` must be *bit-identical* to ``keyword_match``:
 same fragments retrieved, same dict insertion order, exactly equal float
-scores — across context ablations, hits budgets, score ties, empty
-keyword contexts, and the pure-Python (no NumPy) fallback. A corpus-level
-regression pins that full runs produce identical verdicts when the
-reference is patched in as the pipeline's matcher.
+scores — across context ablations, hits budgets, score ties and empty
+keyword contexts. A corpus-level regression pins that full runs produce
+identical verdicts when the reference is patched in as the pipeline's
+matcher.
 """
 
 from __future__ import annotations
@@ -14,13 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from importlib import import_module
-
-import repro.ir.index as ir_index
-
-# `repro.ir` re-exports the `search` *function*, shadowing the submodule
-# attribute — go through the module registry for monkeypatching.
-ir_search = import_module("repro.ir.search")
 from repro.core.checker import _pool_predicate_fragments
 from repro.db import Column, ColumnType, Database, Table
 from repro.db.aggregates import AggregateFunction
@@ -234,33 +227,6 @@ class TestTieDeterminism:
         assert [hit.payload for hit in full] == ["a", "b", "c", "d"]
 
 
-class TestPythonFallback:
-    def test_fallback_matches_numpy_results(self, paper_claims, monkeypatch):
-        with_numpy = keyword_match_batch(
-            paper_claims, FragmentIndex(extract_fragments(_nfl_database()))
-        )
-
-        monkeypatch.setattr(ir_index, "_np", None)
-        monkeypatch.setattr(ir_search, "_np", None)
-        assert not ir_index.numpy_available()
-        fallback_index = FragmentIndex(extract_fragments(_nfl_database()))
-        compiled = fallback_index.compiled()
-        assert isinstance(compiled.predicates.indptr, list)
-        fallback = keyword_match_batch(paper_claims, fallback_index)
-
-        for claim in paper_claims:
-            assert_scores_identical(with_numpy[claim], fallback[claim])
-
-    def test_fallback_matches_oracle(self, paper_claims, monkeypatch):
-        monkeypatch.setattr(ir_index, "_np", None)
-        monkeypatch.setattr(ir_search, "_np", None)
-        index = FragmentIndex(extract_fragments(_nfl_database()))
-        oracle = keyword_match(paper_claims, index)
-        batch = keyword_match_batch(paper_claims, index)
-        for claim in paper_claims:
-            assert_scores_identical(oracle[claim], batch[claim])
-
-
 class TestContextCache:
     @settings(max_examples=20, deadline=None)
     @given(
@@ -311,7 +277,6 @@ class TestAlignedArrays:
 
 
 class TestCorpusRegression:
-    @pytest.mark.needs_numpy
     def test_run_corpus_identical_with_reference_matcher(self, monkeypatch):
         from repro.core.config import AggCheckerConfig
         from repro.corpus.generator import CorpusConfig, generate_corpus

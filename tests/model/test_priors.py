@@ -109,7 +109,6 @@ class TestAccessors:
         assert priors.column_prior(unknown) > 0
         assert 0 < priors.restriction_prior(unknown) < 1
 
-    @pytest.mark.needs_numpy
     def test_log_tables_are_logs_of_the_scalar_accessors(self, catalog):
         """The E-step's gather tables, slot by slot, fallback slot last."""
         import math

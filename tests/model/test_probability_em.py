@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # the model layer has no pure-Python fallback
 
 from repro.db import AggregateFunction, QueryEngine, parse_query
 from repro.fragments import FragmentIndex, extract_fragments

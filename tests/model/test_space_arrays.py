@@ -14,9 +14,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-import pytest
-
-np = pytest.importorskip("numpy")  # the model layer has no pure-Python fallback
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from dataclasses import fields
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")  # the model layer has no pure-Python fallback
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.nlp.numbers import (
     extract_number_mentions,
+    near_claimed,
     round_to_significant,
     rounds_to,
 )
@@ -267,9 +269,6 @@ def test_early_exit_never_rejects_an_admissible_rounding(pair):
 @given(st.lists(result_and_claim(), min_size=1, max_size=8))
 def test_array_near_filter_is_conservative(pairs):
     """``rounds_to(value, claimed)`` implies ``near_claimed`` keeps it."""
-    np = pytest.importorskip("numpy")
-    from repro.nlp.numbers import near_claimed
-
     claimed = pairs[0][1]
     values = [value for value, _ in pairs]
     kept = near_claimed(np.array(values, dtype=np.float64), claimed)

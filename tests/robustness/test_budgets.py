@@ -88,7 +88,6 @@ class TestResourceBudget:
         getattr(budget, method)(5, "stage")
 
 
-@pytest.mark.needs_numpy
 class TestBudgetLadder:
     @pytest.fixture()
     def nfl(self):
@@ -170,7 +169,6 @@ class TestBudgetLadder:
         assert report.engine_stats.budget_rejections >= 2
 
 
-@pytest.mark.needs_numpy
 class TestCliServiceBitIdentity:
     def test_over_budget_request_degrades_identically_cli_vs_service(
         self, tmp_path, capsys

@@ -33,8 +33,6 @@ from tests.service.test_server import (
     post_check,
 )
 
-pytestmark = pytest.mark.needs_numpy
-
 
 def post_raw(url, body, headers=None, timeout=30):
     """POST bytes to /check; (status, decoded body).

@@ -1,4 +1,4 @@
-"""Unit tests for the benchmark regression gate (no pipeline, no NumPy)."""
+"""Unit tests for the benchmark regression gate (no pipeline)."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ _SPEC.loader.exec_module(check_regression)
 
 def service_payload(warm: float, incremental: float, rows: int = 2000) -> dict:
     return {
-        "numpy": True,
         "databases": 3,
         "rows_per_database": rows,
         "claims": 24,
