@@ -1,8 +1,9 @@
 """Verification-service throughput: cold vs warm pool vs incremental tier.
 
-Drives a live ``VerificationServer`` on a loopback port — the deployment
-shape of ``python -m repro serve`` — through the request ladder an
-editing loop produces, and writes ``BENCH_service.json``:
+Drives a live server on a loopback port — ``create_async_server``, the
+front end of ``python -m repro serve``, with the shadow audit off so
+only requests do work — through the request ladder an editing loop
+produces, and writes ``BENCH_service.json``:
 
 - ``cold``: first request per database on a fresh service. Pays full
   startup: fragment extraction, index compilation, cube execution.
@@ -38,7 +39,7 @@ from pathlib import Path
 
 from repro.cli import main as cli_main
 from repro.harness.reporting import format_table
-from repro.service import create_server
+from repro.service import create_async_server
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_service.json"
@@ -145,9 +146,8 @@ def test_service_throughput(capsys, tmp_path):
             {"csv": [str(csv_path)], "article_path": str(article_path)}
         )
 
-    server = create_server(port=0)
-    thread = threading.Thread(target=server.serve_forever)
-    thread.start()
+    server = create_async_server(port=0, audit_rate=0.0)
+    server.start_in_thread()
     try:
         cold_results, cold_seconds = _timed_round(server.url, jobs)
 
@@ -188,7 +188,6 @@ def test_service_throughput(capsys, tmp_path):
         edit_results, edit_seconds = _timed_round(server.url, incremental_jobs)
     finally:
         server.shutdown_gracefully()
-        thread.join(timeout=30)
 
     # Bit-identity of every tier against the one-shot CLI oracle.
     n_claims = 0
@@ -275,18 +274,15 @@ def test_service_throughput(capsys, tmp_path):
 
 
 def test_service_resilience_smoke(tmp_path):
-    """Liveness under a poisoned in-flight request (writes no JSON).
+    """Liveness under a stalled in-flight group (writes no JSON).
 
-    One request is slowed and poisoned via injected faults; while it is
-    in flight, ``GET /health`` must keep answering (monitoring never
-    queues behind verification), and the poisoned stream itself must
-    still run to its summary with the bad claim isolated as an error
-    event. Deliberately separate from the throughput benchmark so
+    One request's group is held by an injected sleep; while it is in
+    flight, ``GET /health`` must keep answering (monitoring never queues
+    behind verification), and the held stream must still run to its
+    summary. Deliberately separate from the throughput benchmark so
     ``BENCH_service.json`` and its regression ratios never include
     fault-injected timings.
     """
-    import urllib.error
-
     from repro.faults import FaultSpec, active
 
     csv_path = tmp_path / "records.csv"
@@ -294,13 +290,12 @@ def test_service_resilience_smoke(tmp_path):
     _write_database_csv(csv_path, rows=200, seed=100)
     _write_article(article_path, 0, claims=4, seed=200)
 
-    server = create_server(port=0)
-    thread = threading.Thread(target=server.serve_forever)
-    thread.start()
+    server = create_async_server(port=0, audit_rate=0.0)
+    server.start_in_thread()
     results: list[list[dict]] = []
     errors: list[BaseException] = []
 
-    def poisoned_client() -> None:
+    def held_client() -> None:
         try:
             results.append(
                 _post_check(
@@ -315,16 +310,8 @@ def test_service_resilience_smoke(tmp_path):
             errors.append(exc)
 
     try:
-        # The sleep stalls the joint batch (one firing) so health probes
-        # overlap a busy server; the raise budget of 2 poisons the joint
-        # batch AND the first claim's isolated fallback, so exactly one
-        # claim surfaces as an error event.
-        with active(
-            FaultSpec("checker.stage", "sleep", match="match",
-                      seconds=1.0, times=1),
-            FaultSpec("checker.claim", "raise", match="*", times=2),
-        ):
-            client = threading.Thread(target=poisoned_client)
+        with active(FaultSpec("queue.exec", "sleep", seconds=1.0)):
+            client = threading.Thread(target=held_client)
             client.start()
             deadline = time.perf_counter() + 30
             probes = 0
@@ -333,15 +320,15 @@ def test_service_resilience_smoke(tmp_path):
                     server.url + "/health", timeout=5
                 ) as response:
                     health = json.loads(response.read())
-                assert health["status"] in ("ok", "degraded")
+                assert health["status"] == "ok"
                 probes += 1
                 time.sleep(0.05)
             client.join(timeout=60)
         assert probes > 0
         assert not errors
-        assert results and results[0][-1]["event"] == "summary"
-        assert results[0][-1]["errors"] == 1
-        assert [e for e in results[0] if e["event"] == "error"]
+        summary = results[0][-1]
+        assert summary["event"] == "summary"
+        assert summary["errors"] == 0
+        assert summary["evaluated_claims"] == summary["claims"] > 0
     finally:
         server.shutdown_gracefully()
-        thread.join(timeout=30)

@@ -97,11 +97,11 @@ SPECS: dict[str, tuple] = {
         if (os.cpu_count() or 1) < (_lookup(p, "results.parallel.workers") or 1)
         else (),
     ),
-    # Baseline re-recorded on 2 CPUs (the median of five runs): warm pool
-    # 4.3x cold, incremental 10.8x warm (floors 2.15x and 5.4x). The
-    # earlier 24.5x was recorded on 1 CPU before the warm pass (the
-    # ratio's numerator) got 2.4x faster, so every fresh run fell below
-    # its 12.2x floor.
+    # Baseline recorded on 2 CPUs against the queue-backed asyncio server
+    # (the one front end; per-field median of five runs): warm pool 3.96x
+    # cold, incremental 10.4x warm (floors 1.98x and 5.2x). Queue workers
+    # that re-load and re-hash the CSV for every group instead of using
+    # the checker admission registered read 2.0x, at the warm floor.
     "BENCH_service.json": (
         lambda p: _params(p, "databases", "rows_per_database", "claims"),
         lambda p: {

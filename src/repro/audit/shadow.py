@@ -52,7 +52,7 @@ from repro.text.claims import detect_claims
 
 if TYPE_CHECKING:
     from repro.core.checker import AggChecker, CheckReport
-    from repro.service.server import VerificationService
+    from repro.service.warm import VerificationService
     from repro.text.claims import Claim
     from repro.text.document import Document
 

@@ -223,9 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         "consecutive clean audits climb back up. GET /audit reports "
         "divergences, repairs, scrub counters, and ladder positions; "
         "/health turns 'degraded' while any database sits below full "
-        "trust. --audit-rate 0 disables the subsystem. --legacy-server "
-        "restores the PR-5 thread-per-request front end (no queue, no "
-        "audit).",
+        "trust. --audit-rate 0 disables the subsystem.",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
@@ -276,19 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
         "dictionary) before LRU eviction",
     )
     serve.add_argument(
-        "--max-inflight",
-        type=int,
-        default=8,
-        metavar="N",
-        help="(legacy server only) max concurrent /check requests before "
-        "shedding with 429 + Retry-After (default: 8)",
-    )
-    serve.add_argument(
         "--request-timeout",
         type=float,
         metavar="SECONDS",
-        help="wall-clock budget per /check request; past it, verdicts "
-        "degrade instead of the request holding a slot indefinitely",
+        help="wall-clock budget per queued claim group; past it, verdicts "
+        "degrade instead of the group holding a worker indefinitely",
     )
     serve.add_argument(
         "--queue-dir",
@@ -340,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="admission cost ceiling (tables x rows x claims); costlier "
         "requests are rejected with 413 + a machine-readable reason "
-        "before they reach the queue (asyncio server only)",
+        "before they reach the queue",
     )
     serve.add_argument(
         "--max-rss-mb",
@@ -348,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MB",
         help="process RSS watermark; above it all execution sheds to "
         "explicit degraded verdicts until memory pressure subsides "
-        "(asyncio server only; needs /proc)",
+        "(needs /proc)",
     )
     serve.add_argument(
         "--audit-rate",
@@ -358,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of acked fresh verdict groups shadow-verified in "
         "the background against the naive row-wise oracle (caches "
         "bypassed); divergences repair the memoized verdict and demote "
-        "the database's trust rung. 0 disables auditing (default: 0.05, "
-        "asyncio server only)",
+        "the database's trust rung. 0 disables auditing (default: 0.05)",
     )
     serve.add_argument(
         "--audit-backlog",
@@ -376,12 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="consecutive clean audited verdicts a demoted database needs "
         "to climb one trust rung back toward full caching (default: 8)",
-    )
-    serve.add_argument(
-        "--legacy-server",
-        action="store_true",
-        help="serve with the thread-per-request front end instead of the "
-        "queue-backed asyncio core",
     )
     serve.add_argument(
         "--verbose", action="store_true", help="log one line per HTTP request"
@@ -683,32 +666,6 @@ def _run_serve(args) -> int:
         max_candidates=args.max_candidates,
     ).with_em(p_true=args.p_true)
     tier = "off" if args.no_incremental else "on"
-
-    if args.legacy_server:
-        from repro.service.server import create_server
-
-        server = create_server(
-            host=args.host,
-            port=args.port,
-            config=config,
-            incremental=not args.no_incremental,
-            incremental_capacity=args.incremental_capacity,
-            max_databases=args.max_databases,
-            max_inflight=args.max_inflight,
-            request_timeout=args.request_timeout,
-            verbose=args.verbose,
-        )
-        print(
-            f"repro service listening on {server.url} "
-            f"(incremental re-check {tier}; Ctrl-C drains and stops)"
-        )
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            print("draining in-flight requests ...", file=sys.stderr)
-        finally:
-            server.server_close()
-        return 0
 
     from repro.service.aio import create_async_server
 

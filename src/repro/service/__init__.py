@@ -5,12 +5,16 @@ with a warm checker pool, streamed NDJSON verdicts, an incremental
 re-check tier, and a durable queue-backed core (see ARCHITECTURE.md,
 "Service layer" and "Queue & delivery semantics")::
 
-    from repro.service import CheckRequest, VerificationService
+    from repro.service import ServiceClient, create_async_server
 
-    service = VerificationService()
-    events = service.check(CheckRequest(
-        csv_paths=("data.csv",), article="Four of the five ...",
-    ))
+    server = create_async_server(port=0)
+    url = server.start_in_thread()
+    try:
+        events = ServiceClient(url).check(
+            {"csv": ["data.csv"], "article": "Four of the five ..."}
+        )
+    finally:
+        server.shutdown_gracefully()
 """
 
 from repro.service.aio import (
@@ -34,11 +38,7 @@ from repro.service.protocol import (
 )
 from repro.service.queue import DurableJobQueue
 from repro.service.ratelimit import ClientRateLimiter
-from repro.service.server import (
-    VerificationServer,
-    VerificationService,
-    create_server,
-)
+from repro.service.warm import VerificationService
 from repro.service.workers import CircuitBreaker, WorkerPool
 
 __all__ = [
@@ -52,12 +52,10 @@ __all__ = [
     "ProtocolError",
     "QueueService",
     "ServiceClient",
-    "VerificationServer",
     "VerificationService",
     "WorkerPool",
     "config_fingerprint",
     "create_async_server",
-    "create_server",
     "encode_event",
     "parse_article",
     "scope_fingerprint",

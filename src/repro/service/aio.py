@@ -1,7 +1,7 @@
-"""Asynchronous, queue-backed service front end (``python -m repro serve``).
+"""The HTTP front end of ``python -m repro serve``: asyncio over a queue.
 
-The PR-5 service holds one thread per in-flight document for the whole
-verification. This front end decouples *admission* from *execution*:
+Admission is decoupled from execution, so no thread is held per
+in-flight document:
 
 - **Admission** (cheap, bounded): parse the request, rate-limit the
   client (per-client token buckets — ``X-Client-Id`` header or peer
@@ -12,7 +12,8 @@ verification. This front end decouples *admission* from *execution*:
   checker.
 - **Execution**: the :class:`~repro.service.workers.WorkerPool` leases
   job groups off the :class:`~repro.service.queue.DurableJobQueue`,
-  verifies them, and acks with verdict payloads.
+  verifies each on the checker admission registered under the group's
+  scope fingerprint, and acks with verdict payloads.
 - **Delivery**: each queued job carries a subscriber that trampolines
   the ack into the connection's asyncio queue
   (``loop.call_soon_threadsafe``); the handler streams NDJSON claim
@@ -25,9 +26,8 @@ finish and ack, journal the rest — a restarted server resumes them from
 the queue directory and verifies them with no client attached (verdicts
 land in the incremental tier, so resubmission is a cache hit).
 
-The HTTP dialect matches :mod:`repro.service.server`: HTTP/1.0,
-close-delimited NDJSON streams, identical event payloads — a client
-cannot tell which front end served it except via the extra queue fields.
+The dialect is HTTP/1.0 with close-delimited NDJSON streams (see
+:mod:`repro.service.protocol`).
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from repro.errors import (
 from repro.harness.parallel import RetryPolicy
 from repro.service.memwatch import MemoryWatchdog, read_rss_mb
 from repro.service.protocol import (
+    MAX_BODY_BYTES,
     CheckRequest,
     ProtocolError,
     claim_event,
@@ -66,7 +67,7 @@ from repro.service.protocol import (
 )
 from repro.service.queue import DurableJobQueue
 from repro.service.ratelimit import ClientRateLimiter
-from repro.service.server import MAX_BODY_BYTES, VerificationService
+from repro.service.warm import PreparedCheck, VerificationService
 from repro.service.workers import CircuitBreaker, GroupExecutor, WorkerPool
 
 _REASONS = {
@@ -90,7 +91,7 @@ _HEADER_TIMEOUT = 30.0
 class Admission:
     """Everything the handler needs after one document is admitted."""
 
-    prepared: object
+    prepared: PreparedCheck
     #: start event + immediately-answerable claim events, emission order.
     events: list = field(default_factory=list)
     #: ``(job id, claim index)`` per registered subscriber — one delayed
@@ -142,7 +143,6 @@ class QueueService:
             incremental=incremental,
             incremental_capacity=incremental_capacity,
             max_databases=max_databases,
-            request_timeout=request_timeout,
         )
         retry = retry or RetryPolicy()
         self.queue = DurableJobQueue(
@@ -454,9 +454,9 @@ class QueueService:
 class AsyncVerificationServer:
     """``asyncio.start_server``-based HTTP front end over a QueueService.
 
-    HTTP/1.0 with ``Connection: close`` framing, exactly like the
-    threaded server: end-of-body == connection close keeps every stdlib
-    client able to read NDJSON events as they arrive.
+    HTTP/1.0 with ``Connection: close`` framing: the /check stream has no
+    known length up front, and end-of-body == connection close keeps
+    every stdlib client able to read NDJSON events as they arrive.
     """
 
     def __init__(

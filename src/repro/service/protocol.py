@@ -66,6 +66,12 @@ class ProtocolError(ReproError):
         self.reason = reason
 
 
+#: Hard cap on POST bodies, enforced before any bytes are buffered.
+#: Inline ``tables`` CSV text is a supported field, so bodies can be
+#: legitimately large — but a body must never be allowed to exhaust
+#: server memory before validation even runs.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 #: Bounds on inline tables from untrusted clients — tighter than the
 #: library-wide :data:`repro.db.csvio.DEFAULT_CSV_LIMITS`, which governs
 #: operator-provided server-side files.

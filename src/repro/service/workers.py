@@ -3,11 +3,12 @@
 Workers are threads, not processes: an :class:`~repro.core.checker.AggChecker`
 per database is the expensive shared asset, and the thread pool reuses the
 service's warm :class:`~repro.harness.runner.CheckerPool` directly (the
-per-entry lock serializes same-database execution exactly as the HTTP
-path did). Each worker loops: lease the oldest ready *group* (all fresh
-claims of one document — verified as one joint batch so inference stays
-bit-identical to the synchronous path), rebuild document and claims from
-the journaled job source, execute, ack each job with its verdict payload.
+per-entry lock serializes same-database execution). Each worker loops:
+lease the oldest ready *group* (all fresh claims of one document —
+verified as one joint batch so inference stays bit-identical to the
+one-shot CLI), rebuild document and claims from the journaled article
+text, run them on the checker admission registered under the group's
+scope fingerprint, ack each job with its verdict payload.
 A clean failure nacks the whole group (retry with jittered backoff, then
 dead-letter); a worker that dies mid-lease acks nothing — the reaper
 expires its leases back to pending and respawns the thread, which is the
@@ -39,9 +40,10 @@ from repro.audit.trust import TrustLevel
 from repro.deadline import Deadline
 from repro.errors import InjectedFault
 from repro.faults import fire
-from repro.service.protocol import spec_request, verdict_payload
+from repro.service.protocol import parse_article, verdict_payload
 from repro.service.queue import DurableJobQueue, Job
-from repro.service.server import VerificationService
+from repro.service.warm import VerificationService
+from repro.text.claims import detect_claims
 
 if TYPE_CHECKING:
     from repro.audit.shadow import ShadowAuditor
@@ -210,17 +212,18 @@ class GroupExecutor:
         """Verify one leased group; ``job id -> verdict payload``.
 
         Raises on failure — the worker nacks the whole group, because a
-        group shares one document and one execution.
+        group shares one document and one execution. That includes a
+        group whose scope is no longer registered and whose data changed
+        since admission (see :meth:`VerificationService.resolve_scope`).
         """
         source = jobs[0].source
-        request = spec_request(
-            source,
-            article=source.get("article") or "",
-            title=source.get("title") or "document",
-        )
+        scope_fp = jobs[0].scope
         fire("queue.exec", jobs[0].group)
-        prepared = self.service.resolve(request)
-        claims = prepared.claims
+        database_fp, entry = self.service.resolve_scope(scope_fp, source)
+        document = parse_article(
+            source.get("article") or "", source.get("title") or "document"
+        )
+        claims = detect_claims(document, self.service.config.claim_detection)
         for job in jobs:
             if job.index >= len(claims):
                 raise ValueError(
@@ -236,7 +239,7 @@ class GroupExecutor:
             deadline = None
         trust = TrustLevel.FULL
         if self.auditor is not None and not shed:
-            trust = self.auditor.ladder.level(prepared.database_fp)
+            trust = self.auditor.ladder.level(database_fp)
         selected = [claims[job.index] for job in jobs]
         try:
             if trust is TrustLevel.ORACLE_ONLY:
@@ -244,16 +247,16 @@ class GroupExecutor:
                 # cache tier of any kind (the auditor owns the oracle).
                 assert self.auditor is not None
                 report = self.auditor.oracle_check(
-                    prepared.scope_fp,
-                    prepared.database_fp,
+                    scope_fp,
+                    database_fp,
                     source,
-                    prepared.document,
+                    document,
                     selected,
                     deadline=deadline,
                 )
             else:
-                with prepared.entry.lock:
-                    checker = prepared.entry.checker
+                with entry.lock:
+                    checker = entry.checker
                     assert checker is not None
                     engine = checker.engine
                     saved_disk = engine.disk_cache
@@ -265,7 +268,7 @@ class GroupExecutor:
                         self.auditor.disk_bypassed_groups += 1
                     try:
                         report = checker.check_claims(
-                            prepared.document, selected, deadline=deadline
+                            document, selected, deadline=deadline
                         )
                     finally:
                         engine.disk_cache = saved_disk
@@ -298,11 +301,9 @@ class GroupExecutor:
             payloads[job.id] = payload
             observed.append((job.index, job.claim_fp, payload))
             if job.claim_fp and self.service.incremental_enabled:
-                self.service.cache.put((job.scope, job.claim_fp), payload)
+                self.service.cache.put((scope_fp, job.claim_fp), payload)
         if self.auditor is not None:
-            self.auditor.observe_group(
-                jobs[0].scope, prepared.database_fp, source, observed
-            )
+            self.auditor.observe_group(scope_fp, database_fp, source, observed)
         return payloads
 
 

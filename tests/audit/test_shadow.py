@@ -1,8 +1,7 @@
 """Shadow verification against a live service: sampled acked groups are
 re-executed on the NAIVE/row-wise oracle, injected wrong verdicts are
 caught and repaired, and the trust ladder degrades — then heals — the
-offending database's cache tiers. Skipped on the no-NumPy leg (full
-pipeline) via tests/conftest.py.
+offending database's cache tiers.
 """
 
 from __future__ import annotations
@@ -19,8 +18,14 @@ from repro.db import Database, EngineConfig, load_csv
 from repro.db.diskcache import fingerprint_of
 from repro.faults import FaultSpec, active
 
-from tests.service.test_aio import data_files, serve, wait_for  # noqa: F401
-from tests.service.test_server import claims_of, cli_claims, get_json, post_check
+from tests.service.conftest import (  # noqa: F401 - data_files is a fixture
+    claims_of,
+    cli_claims,
+    data_files,
+    get_json,
+    post_check,
+)
+from tests.service.test_aio import serve, wait_for
 
 
 def nfl_payload(data_files):

@@ -3,9 +3,8 @@
 The tentpole acceptance scenario: a SQLite file far larger than any
 sane materialization budget is verified by the pushdown tier without a
 single relation ever entering Python. ``EngineStats.rows_materialized``
-is the proof. These tests are stdlib-only (no NumPy anywhere on the
-sqlite path), so they also run on the no-NumPy CI leg; the 1M-row
-variant of the same scenario lives in ``benchmarks/bench_sql_backend.py``.
+is the proof. The 1M-row variant of the same scenario lives in
+``benchmarks/bench_sql_backend.py``.
 """
 
 from __future__ import annotations

@@ -3,9 +3,7 @@
 The acceptance contract of the SQL tier is *exact* agreement with the
 row-wise in-memory executor — same values AND same Python types — across
 NULL-heavy data, joins with dangling keys, empty groups, duplicate keys,
-messy numerics, and unicode. The suite runs entirely on the stdlib (no
-NumPy anywhere on the sqlite/row paths), so it also covers the no-NumPy
-CI leg.
+messy numerics, and unicode.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Space budgets: unit contracts and the degradation ladder end to end.
 
-Unit layer (no NumPy needed): :func:`estimate_cube_cells` is the
+Unit layer: :func:`estimate_cube_cells` is the
 pre-materialization cardinality bound — the product over cube dimensions
 of (distinct literals + DEFAULT + ALL) — and :class:`ResourceBudget` is
 the stage-boundary check that turns an over-estimate into
 :class:`BudgetExceeded` instead of an allocation.
 
-Pipeline layer (needs NumPy): a budget the running example cannot meet
+Pipeline layer: a budget the running example cannot meet
 must walk the same PR-6 ladder as a deadline — reduced scope, then
 no-execution priors — producing explicit ``degraded`` verdicts, budget
 counters on the engine stats, and (the PR's acceptance bar) CLI output
@@ -97,7 +97,7 @@ class TestBudgetLadder:
         from repro.db.csvio import load_csv_text
         from repro.service.protocol import parse_article
 
-        from tests.service.test_server import NFL_ARTICLE, NFL_CSV
+        from tests.service.conftest import NFL_ARTICLE, NFL_CSV
 
         database = Database(
             "t", [load_csv_text(NFL_CSV, "nflsuspensions")]
@@ -178,7 +178,7 @@ class TestCliServiceBitIdentity:
         from repro.core.config import AggCheckerConfig
 
         from tests.service.test_aio import serve
-        from tests.service.test_server import (
+        from tests.service.conftest import (
             NFL_ARTICLE,
             NFL_CSV,
             claims_of,
@@ -223,7 +223,7 @@ class TestCliServiceBitIdentity:
         from repro.core.config import AggCheckerConfig
 
         from tests.service.test_aio import serve
-        from tests.service.test_server import NFL_ARTICLE, NFL_CSV, post_check
+        from tests.service.conftest import NFL_ARTICLE, NFL_CSV, post_check
 
         csv_path = tmp_path / "nflsuspensions.csv"
         csv_path.write_text(NFL_CSV)

@@ -6,8 +6,6 @@ machine-readable ``reason`` — no raw ``_csv.Error``, no ``ValueError``,
 no crash. Hypothesis drives both free-form unicode and quote/comma/NUL
 soup at it; the deterministic cases pin the limit reasons and the edge
 shapes (BOM-only, header-only, ragged rows) the fuzzer found interesting.
-Runs on the no-NumPy CI leg too — the pure-Python loader is the same
-attack surface.
 """
 
 from __future__ import annotations

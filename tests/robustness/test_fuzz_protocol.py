@@ -6,7 +6,7 @@ raise :class:`ProtocolError` with a machine-readable ``reason`` — never a
 ``KeyError``/``TypeError``/``AttributeError`` traceback. Hypothesis
 throws arbitrary JSON-shaped values at it plus a biased generator that
 hits real wire-field names with wrong-typed values (far more likely to
-reach deep branches than uniform noise). Runs on the no-NumPy leg too.
+reach deep branches than uniform noise).
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ hysteresis band, release below it — against the real
 records *inside* intact JSON lines (a bit flip the old parse-only replay
 would have swallowed silently) and assert the CRC layer quarantines
 exactly the damaged record while the rest of the journal replays.
-Everything here is stdlib-only and runs on the no-NumPy leg.
 """
 
 from __future__ import annotations

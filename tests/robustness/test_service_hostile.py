@@ -6,7 +6,7 @@ inline tables, quote bombs, over-limit claim counts, over-cost requests —
 the server answers a structured JSON error (or a degraded verdict
 stream), stays alive, and still verifies a benign request afterwards.
 Covers cost-based admission (413 + machine-readable reason) and
-RSS-pressure shedding end to end. Needs NumPy (full pipeline).
+RSS-pressure shedding end to end.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.service import protocol
 from repro.service.memwatch import read_rss_mb
 
 from tests.service.test_aio import serve, wait_for
-from tests.service.test_server import (
+from tests.service.conftest import (
     NFL_ARTICLE,
     NFL_CSV,
     claims_of,

@@ -7,7 +7,6 @@ The client must therefore judge completeness by *content* (a terminal
 structured :class:`StreamInterruptedError` carrying the events it did
 receive, and spend its retry budget on resubmission. A scripted raw
 socket server plays the failure modes a real one can't do on demand.
-These tests drive only the client, so they run on the no-NumPy leg.
 """
 
 from __future__ import annotations

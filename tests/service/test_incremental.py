@@ -1,4 +1,4 @@
-"""Unit tests for fingerprints and the incremental LRU (no NumPy needed)."""
+"""Unit tests for fingerprints and the incremental LRU."""
 
 from __future__ import annotations
 

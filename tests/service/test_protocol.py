@@ -1,4 +1,4 @@
-"""Unit tests for the service wire protocol (no pipeline, no NumPy)."""
+"""Unit tests for the service wire protocol (no pipeline)."""
 
 from __future__ import annotations
 

@@ -1,10 +1,10 @@
 """Unit tests for the durable job queue, breaker, and rate limiter.
 
-All NumPy-free on purpose: delivery semantics (at-least-once execution,
-exactly-once ack, first-ack-wins), durability (journal replay, truncated
-tails, compaction), backpressure, retry jitter bounds, breaker state
-transitions, and per-client token buckets are pure control-plane logic
-and must hold on the no-NumPy CI leg too.
+Delivery semantics (at-least-once execution, exactly-once ack,
+first-ack-wins), durability (journal replay, truncated tails,
+compaction), backpressure, retry jitter bounds, breaker state
+transitions, and per-client token buckets are pure control-plane logic:
+no checker is involved.
 """
 
 from __future__ import annotations

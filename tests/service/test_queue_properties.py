@@ -11,8 +11,6 @@ Hypothesis drives the three contracts the service core stands on:
 - **Idempotency**: resubmitting any multiset of keys executes each
   distinct key exactly once, and every subscriber of a key sees that
   key's single payload.
-
-NumPy-free: runs on the no-NumPy CI leg.
 """
 
 from __future__ import annotations

@@ -8,11 +8,16 @@ option or deprecation shim may route around the default path.
 
 NumPy is a declared dependency, so no kernel keeps a second, pure-Python
 copy for an interpreter without it, and no test skips for its absence.
+
+``python -m repro serve`` has one HTTP front end, the queue-backed
+asyncio server: no thread-per-request server or option selecting one
+comes back.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -136,3 +141,24 @@ def test_setup_declares_the_tested_numpy_pin():
     ]
     declared = [requirement for requirement in requires if re.match(r"numpy\b", requirement)]
     assert len(tested) == 1 and declared == tested
+
+
+#: Traces of the thread-per-request HTTP front end and its options
+#: (spelled with character classes so a plain grep for them skips this file).
+THREADED_FRONT_END = re.compile(
+    r"http\.server|ThreadingHTTP[S]erver|\bcreate_server\b|legacy[-_]server|max[-_]inflight"
+)
+
+
+def test_src_has_one_http_front_end():
+    offences = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if THREADED_FRONT_END.search(line):
+                offences.append(f"{relative}:{number}: {line.strip()}")
+    assert not offences, "\n".join(offences)
+
+
+def test_threaded_server_module_is_gone():
+    assert importlib.util.find_spec("repro.service.server") is None
