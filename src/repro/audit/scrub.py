@@ -27,7 +27,9 @@ here)                                                 entries at ack time
 Semantic validation of the disk tier needs the source data: pass the
 databases (``--csv`` on the CLI) and every entry whose ``meta``
 fingerprint matches one of them is recomputed; entries for unknown
-fingerprints get the structural check only (counted ``skipped_semantic``).
+fingerprints, and entries of a backend that runs no cubes (``row``, the
+NAIVE oracle, cannot recompute a cube), get the structural check only
+(counted ``skipped_semantic``).
 
 Exit contract of the CLI: 0 when every walked tier is clean, 4 when any
 corruption was found (all of it quarantined or flagged — a second scrub
@@ -42,6 +44,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.db.adapters import create_adapter
 from repro.db.cube import CubeQuery
 from repro.db.diskcache import DiskCubeCache, fingerprint_of
+from repro.db.engine import ORACLE_BACKEND
 from repro.db.values import DEFAULT_LITERAL
 
 if TYPE_CHECKING:
@@ -56,6 +59,12 @@ def _bit_equal(a: object, b: object) -> bool:
     if isinstance(a, float):
         return repr(a) == repr(b)
     return a == b
+
+
+def recomputable(meta: dict) -> bool:
+    """Whether an entry's backend runs cubes, so its cells can be
+    recomputed: every backend but ``row``, the NAIVE oracle."""
+    return meta.get("backend") != ORACLE_BACKEND
 
 
 def recompute_matches(
@@ -135,7 +144,7 @@ def scrub_disk_cache(
             report["quarantined"] += 1
             continue
         database = by_fp.get(meta["fingerprint"])
-        if database is None:
+        if database is None or not recomputable(meta):
             report["skipped_semantic"] += 1
             report["ok"] += 1
             continue

@@ -39,7 +39,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from repro.audit.scrub import recompute_matches
+from repro.audit.scrub import recomputable, recompute_matches
 from repro.audit.trust import TrustLadder, TrustLevel
 from repro.db.diskcache import DiskCubeCache, fingerprint_of
 from repro.db.engine import EngineStats, ExecutionMode
@@ -114,6 +114,9 @@ class ShadowAuditor:
         self.audit_errors = 0
         self.skipped_degraded = 0
         self.skipped_stale = 0
+        #: Disk entries scrubbed structurally only: their backend runs no
+        #: cubes to recompute them with.
+        self.skipped_semantic = 0
         #: Groups the executor routed through the oracle (ORACLE_ONLY) or
         #: ran with the disk tier bypassed (DISK_BYPASS).
         self.oracle_groups = 0
@@ -305,6 +308,9 @@ class ShadowAuditor:
                 or meta.get("fingerprint") != task.database_fp
             ):
                 continue
+            if not recomputable(meta):
+                self.skipped_semantic += 1
+                continue
             if recompute_matches(entry.database, payload, graphs):
                 continue
             # Bit-identity failure: the stored cells lie about the data.
@@ -427,6 +433,7 @@ class ShadowAuditor:
             "audit_errors": self.audit_errors,
             "skipped_degraded": self.skipped_degraded,
             "skipped_stale": self.skipped_stale,
+            "skipped_semantic": self.skipped_semantic,
             "oracle_groups": self.oracle_groups,
             "disk_bypassed_groups": self.disk_bypassed_groups,
             "checks": self.stats.audit_checks,

@@ -44,7 +44,7 @@ from repro.core.config import AggCheckerConfig
 from repro.db.csvio import load_csv
 from repro.db.datadict import load_data_dictionary
 from repro.db.adapters import adapter_names, load_sqlite_database
-from repro.db.engine import EngineConfig, ExecutionMode
+from repro.db.engine import EngineConfig
 from repro.db.schema import Database
 from repro.errors import ReproError
 from repro.text.document import Document
@@ -95,18 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=adapter_names(),
         default="columnar",
-        help="storage adapter executing cube and aggregate queries: "
-        "dictionary-encoded in-memory 'columnar' (default), the row-wise "
-        "in-memory reference 'row', or SQL pushdown — stdlib 'sqlite' "
-        "(bit-identical verdicts, runs out-of-core over SQLite files "
-        "without materializing rows in Python) and 'duckdb' (optional; "
-        "requires the duckdb package)",
-    )
-    check.add_argument(
-        "--execution-mode",
-        choices=[mode.value for mode in ExecutionMode],
-        default=ExecutionMode.MERGED_CACHED.value,
-        help="batch execution strategy (Table 6 ladder)",
+        help="storage adapter: dictionary-encoded in-memory 'columnar' "
+        "(default) or SQL pushdown — stdlib 'sqlite' (bit-identical "
+        "verdicts, runs out-of-core over SQLite files without "
+        "materializing rows in Python) and 'duckdb' (optional; requires "
+        "the duckdb package) — all answering candidates from merged, "
+        "cached cube queries; or 'row', the NAIVE reference oracle, which "
+        "executes every candidate query on its own, row by row",
     )
     check.add_argument(
         "--cache-dir",
@@ -151,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=adapter_names(),
         default="columnar",
-        help="storage adapter for corpus databases (see 'check --backend')",
+        help="storage adapter for corpus databases; 'row' is the NAIVE "
+        "reference oracle (see 'check --backend')",
     )
     corpus_run.add_argument(
         "--cache-dir",
@@ -239,13 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=adapter_names(),
         default="columnar",
-        help="storage adapter for served databases (see 'check --backend')",
-    )
-    serve.add_argument(
-        "--execution-mode",
-        choices=[mode.value for mode in ExecutionMode],
-        default=ExecutionMode.MERGED_CACHED.value,
-        help="batch execution strategy (Table 6 ladder)",
+        help="storage adapter for served databases; 'row' is the NAIVE "
+        "reference oracle (see 'check --backend')",
     )
     serve.add_argument(
         "--cache-dir",
@@ -435,6 +426,15 @@ def _add_disk_cache_min_rows(parser) -> None:
     )
 
 
+def _engine_config(args) -> EngineConfig:
+    """The engine ``--backend`` names (``row`` is the ``NAIVE`` oracle)."""
+    return EngineConfig(
+        backend=args.backend,
+        cache_dir=args.cache_dir,
+        disk_cache_min_rows=args.disk_cache_min_rows,
+    )
+
+
 def _add_budget_arguments(parser) -> None:
     """Space-budget flags shared by ``check`` and ``serve``.
 
@@ -511,12 +511,7 @@ def _run_check(args) -> int:
     )
     config = AggCheckerConfig(
         predicate_hits=args.hits,
-        engine=EngineConfig(
-            mode=ExecutionMode(args.execution_mode),
-            backend=args.backend,
-            cache_dir=args.cache_dir,
-            disk_cache_min_rows=args.disk_cache_min_rows,
-        ),
+        engine=_engine_config(args),
         claim_deadline=args.claim_deadline,
         max_rows_materialized=args.max_rows_materialized,
         max_cube_cells=args.max_cube_cells,
@@ -576,13 +571,7 @@ def _run_corpus(args) -> int:
     from repro.harness.parallel import RetryPolicy, resolve_workers
 
     workers = resolve_workers(args.workers)
-    config = AggCheckerConfig(
-        engine=EngineConfig(
-            backend=args.backend,
-            cache_dir=args.cache_dir,
-            disk_cache_min_rows=args.disk_cache_min_rows,
-        ),
-    )
+    config = AggCheckerConfig(engine=_engine_config(args))
     corpus = generate_corpus()
     started = time.perf_counter()
     run = run_corpus(
@@ -655,12 +644,7 @@ def _run_corpus(args) -> int:
 def _run_serve(args) -> int:
     config = AggCheckerConfig(
         predicate_hits=args.hits,
-        engine=EngineConfig(
-            mode=ExecutionMode(args.execution_mode),
-            backend=args.backend,
-            cache_dir=args.cache_dir,
-            disk_cache_min_rows=args.disk_cache_min_rows,
-        ),
+        engine=_engine_config(args),
         max_rows_materialized=args.max_rows_materialized,
         max_cube_cells=args.max_cube_cells,
         max_candidates=args.max_candidates,

@@ -42,9 +42,10 @@ class AggCheckerConfig:
     predicate_hits: int = 20
     #: Aggregation-column fragments retrieved per claim (Figure 13 right).
     column_hits: int = 10
-    #: Query-engine construction: execution mode (Table 6 ladder), storage
-    #: backend (``columnar``/``row``/``sqlite``/``duckdb``), cube disk
-    #: cache. Derive variants with :meth:`with_engine`.
+    #: Query-engine construction: execution mode and storage backend (one
+    #: of four pairs: ``MERGED_CACHED`` × ``columnar``/``sqlite``/
+    #: ``duckdb``, or the ``NAIVE`` × ``row`` oracle), cube disk cache.
+    #: Derive variants with :meth:`with_engine`.
     engine: EngineConfig = field(default_factory=EngineConfig)
     #: Share predicate fragments across the document's claims (paper
     #: Section 6.3 pools literals "for any claim in the document").
@@ -71,7 +72,10 @@ class AggCheckerConfig:
 
     def with_engine(self, **changes) -> "AggCheckerConfig":
         """Variant with engine-construction knobs replaced (e.g.
-        ``config.with_engine(backend="sqlite", cache_dir=path)``)."""
+        ``config.with_engine(backend="sqlite", cache_dir=path)``); a new
+        backend brings its own mode unless one is named."""
+        if "backend" in changes:
+            changes.setdefault("mode", None)
         return replace(self, engine=replace(self.engine, **changes))
 
     def with_em(self, **changes) -> "AggCheckerConfig":

@@ -136,7 +136,8 @@ class InteractiveSession:
         if evaluated:
             result = distribution.result_of(query)
         else:
-            # Custom queries outside the evaluated scope run directly.
+            # Custom queries outside the evaluated scope run on the
+            # engine's route (the cubes and cache the candidates used).
             if self.engine is None:
                 raise CheckerError(
                     "evaluating a custom query requires an engine; "

@@ -10,8 +10,9 @@ This subpackage provides everything AggChecker needs from a database system:
 - join-path discovery over acyclic schema graphs (:mod:`repro.db.joins`),
 - the paper's *Simple Aggregate Query* model (:mod:`repro.db.query`) with
   SQL rendering and parsing (:mod:`repro.db.sql`),
-- a direct executor (:mod:`repro.db.executor`), a ``GROUP BY CUBE`` operator
-  with ``InOrDefault`` literal collapsing (:mod:`repro.db.cube`),
+- a direct executor (:mod:`repro.db.executor`, the ``NAIVE`` oracle), a
+  ``GROUP BY CUBE`` operator with ``InOrDefault`` literal collapsing
+  (:mod:`repro.db.cube`),
 - pluggable storage adapters (:mod:`repro.db.adapters`) — in-memory
   columnar/row execution plus SQL pushdown into SQLite (stdlib) or DuckDB
   (optional), including out-of-core SQLite-file databases,
@@ -32,10 +33,9 @@ from repro.db.adapters import (
 from repro.db.aggregates import AggregateFunction
 from repro.db.columnar import ColumnarRelation, ExecutionBackend
 from repro.db.csvio import load_csv, load_csv_text
-from repro.db.cube import CubeQuery, CubeResult, execute_cube
+from repro.db.cube import CubeQuery, CubeResult
 from repro.db.diskcache import DiskCubeCache, database_fingerprint, fingerprint_of
 from repro.db.engine import (
-    CubeCoverStrategy,
     EngineConfig,
     EngineStats,
     ExecutionMode,
@@ -61,7 +61,6 @@ __all__ = [
     "ColumnRef",
     "ColumnType",
     "ColumnarRelation",
-    "CubeCoverStrategy",
     "CubeQuery",
     "CubeResult",
     "Database",
@@ -85,7 +84,6 @@ __all__ = [
     "create_adapter",
     "database_fingerprint",
     "fingerprint_of",
-    "execute_cube",
     "execute_query",
     "load_csv",
     "load_csv_text",

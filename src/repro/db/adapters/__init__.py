@@ -2,8 +2,8 @@
 
 Public surface re-exported here:
 
-- :class:`StorageAdapter`, :class:`AdapterCapabilities`,
-  :class:`SimpleResult` — the adapter contract;
+- :class:`StorageAdapter`, :class:`AdapterCapabilities` — the adapter
+  contract; :class:`SimpleResult` — the row oracle's per-query answer;
 - :func:`create_adapter`, :func:`adapter_names`, :func:`adapter_class`,
   :func:`canonical_backend_name`, :func:`register_adapter` — the registry
   (the successor of the old two-value ``ExecutionBackend`` enum as the

@@ -2,13 +2,14 @@
 
 A :class:`StorageAdapter` owns everything physical about one database:
 how relations are stored, how joined relations are (or are not)
-materialized, and how cube/group-by and simple-aggregate execution run.
-The :class:`~repro.db.engine.QueryEngine` holds exactly one adapter and
-speaks to it in canonical terms — :class:`~repro.db.query.SimpleAggregateQuery`
-in, :class:`~repro.db.values.Value` out; :class:`~repro.db.cube.CubeQuery`
-in, :class:`~repro.db.cube.CubeResult` (``(key, Value)`` cells) out — so
-every layer above the adapter (result cache, disk cube cache, audit
-oracle, trust ladder) is storage-agnostic.
+materialized, and how cube/group-by execution runs. The
+:class:`~repro.db.engine.QueryEngine` holds exactly one adapter and speaks
+to it in canonical terms — :class:`~repro.db.cube.CubeQuery` in,
+:class:`~repro.db.cube.CubeResult` (``(key, Value)`` cells) out — so every
+layer above the adapter (result cache, disk cube cache, audit oracle, trust
+ladder) is storage-agnostic. The ``row`` adapter is the exception: it is the
+``NAIVE`` oracle, runs no cubes, and answers one
+:class:`~repro.db.query.SimpleAggregateQuery` at a time instead.
 
 Adapters register themselves by name (``columnar``, ``row``, ``sqlite``,
 ``duckdb``); registry names are the engine's public backend surface
@@ -31,12 +32,11 @@ if TYPE_CHECKING:
     from repro.budget import ResourceBudget
     from repro.db.cube import CubeQuery, CubeResult
     from repro.db.joins import JoinGraph
-    from repro.db.query import SimpleAggregateQuery
     from repro.db.schema import Database
 
 
 class SimpleResult(NamedTuple):
-    """One simple-aggregate answer plus the rows the adapter scanned."""
+    """One ``NAIVE`` answer plus the rows the row adapter scanned."""
 
     value: Value
     rows_scanned: int
@@ -84,10 +84,6 @@ class StorageAdapter(ABC):
         self.database = database
         self.pushdown_queries = 0
         self.rows_materialized = 0
-
-    @abstractmethod
-    def execute_simple(self, query: "SimpleAggregateQuery") -> SimpleResult:
-        """Evaluate one Simple Aggregate Query (the naive path)."""
 
     @abstractmethod
     def execute_cube(

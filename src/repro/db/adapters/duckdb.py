@@ -8,14 +8,12 @@ when it is not. Nothing in this module touches DuckDB at import time.
 
 Storage model: the shadow tables of
 :mod:`repro.db.adapters.sqlbase`, typed — codes ``BIGINT``, numbers
-``DOUBLE``, the raw-number flag ``TINYINT`` — and filled by the shared
-encoder. No Python function is registered on the connection; the SQL
-text is shared verbatim with the SQLite adapter via
-:class:`~repro.db.adapters.sqlbase.SqlAdapterBase`.
+``DOUBLE`` — and filled by the shared encoder. No Python function is
+registered on the connection; the SQL text is shared verbatim with the
+SQLite adapter via :class:`~repro.db.adapters.sqlbase.SqlAdapterBase`.
 
-Documented deviation from the bit-identical SQLite tier: a DuckDB column
-has one type, so numbers are DOUBLE and naive-path SUM/MIN/MAX over
-all-integer columns come back as floats (equal in value). Native
+A DuckDB column has one type, so MIN/MAX over all-integer columns come
+back as floats (equal in value), as on the columnar route. Native
 ``GROUPING SETS`` in place of the ``UNION ALL`` arms is left for a later
 change.
 """
@@ -47,5 +45,5 @@ class DuckdbAdapter(SqlAdapterBase):
     def _connect(self):
         assert _duckdb is not None, "guarded by available()"
         connection = _duckdb.connect(":memory:")
-        self._load_tables(connection, "BIGINT", "DOUBLE", "TINYINT")
+        self._load_tables(connection, "BIGINT", "DOUBLE")
         return connection

@@ -1,12 +1,13 @@
-"""In-memory adapters: the columnar and row-wise execution paths.
+"""In-memory adapters: the columnar cube route and the row-wise oracle.
 
-These wrap the pre-existing machinery — :class:`~repro.db.joins.JoinGraph`
-materialization, :func:`~repro.db.executor.execute_query`, and
-:func:`~repro.db.cube.execute_cube` — behind the
-:class:`~repro.db.adapters.base.StorageAdapter` interface. Results are
-bit-identical to the pre-adapter engine: the adapter layer only adds
-accounting (``rows_materialized``) and a predictive join-cardinality
-estimate used by budget admission.
+These wrap :class:`~repro.db.joins.JoinGraph` materialization behind the
+:class:`~repro.db.adapters.base.StorageAdapter` interface:
+:class:`ColumnarAdapter` executes cubes
+(:func:`~repro.db.columnar.execute_cube_columnar`), and :class:`RowAdapter`
+executes one query at a time (:func:`~repro.db.executor.execute_query`),
+the ``NAIVE`` reference oracle. The adapter layer adds accounting
+(``rows_materialized``) and a predictive join-cardinality estimate used by
+budget admission.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from repro.db.adapters.base import (
     StorageAdapter,
     register_adapter,
 )
-from repro.db.columnar import ExecutionBackend
-from repro.db.cube import execute_cube
+from repro.db.columnar import ExecutionBackend, execute_cube_columnar
 from repro.db.executor import execute_query
 from repro.db.joins import JoinGraph
 from repro.db.values import normalize_string
+from repro.errors import QueryError
 
 if TYPE_CHECKING:
     from repro.budget import ResourceBudget
@@ -43,14 +44,6 @@ class InMemoryAdapter(StorageAdapter):
         #: max rows per join-key value, memoized per (table, column).
         self._multiplicity: dict[tuple[str, str], int] = {}
 
-    # -- execution -----------------------------------------------------
-
-    def execute_simple(self, query: "SimpleAggregateQuery") -> SimpleResult:
-        tables = self._query_tables(query)
-        relation = self._relation(tables)
-        value = execute_query(self.database, query, self.join_graph)
-        return SimpleResult(value, len(relation))
-
     def execute_cube(
         self, cube: "CubeQuery", budget: "ResourceBudget | None" = None
     ) -> "CubeResult":
@@ -58,7 +51,8 @@ class InMemoryAdapter(StorageAdapter):
             {self.database.single_table().name}
         )
         self._relation(tables)
-        return execute_cube(self.database, cube, self.join_graph, budget=budget)
+        relation = self.join_graph.relation(tables)
+        return execute_cube_columnar(relation, cube, budget)
 
     # -- cardinality ---------------------------------------------------
 
@@ -130,12 +124,6 @@ class InMemoryAdapter(StorageAdapter):
         self._multiplicity[memo_key] = result
         return result
 
-    def _query_tables(self, query: "SimpleAggregateQuery") -> frozenset[str]:
-        tables = query.referenced_tables()
-        if not tables:
-            tables = frozenset({self.database.single_table().name})
-        return tables
-
 
 @register_adapter
 class ColumnarAdapter(InMemoryAdapter):
@@ -149,9 +137,26 @@ class ColumnarAdapter(InMemoryAdapter):
 
 @register_adapter
 class RowAdapter(InMemoryAdapter):
-    """Tuple-at-a-time execution — the reference oracle every other
-    adapter is property-tested against."""
+    """Tuple-at-a-time execution of one query at a time — the ``NAIVE``
+    reference oracle every cube route is property-tested against. It runs
+    no cubes."""
 
     name = "row"
     backend = ExecutionBackend.ROW
     capabilities = AdapterCapabilities(estimates_cardinality=True)
+
+    def execute_simple(self, query: "SimpleAggregateQuery") -> SimpleResult:
+        """Evaluate one Simple Aggregate Query (the ``NAIVE`` route)."""
+        tables = query.referenced_tables() or frozenset(
+            {self.database.single_table().name}
+        )
+        relation = self._relation(tables)
+        value = execute_query(self.database, query, self.join_graph)
+        return SimpleResult(value, len(relation))
+
+    def execute_cube(
+        self, cube: "CubeQuery", budget: "ResourceBudget | None" = None
+    ) -> "CubeResult":
+        raise QueryError(
+            "the row backend is the NAIVE oracle and runs no cubes"
+        )

@@ -6,7 +6,7 @@ case-insensitive normalized-string equality, forgiving numeric coercion
 none of that — but all of it is a pure function of the stored cell, so
 it is computed once per distinct cell value, in Python, and the SQL
 engine only ever sees integers and numbers. Every source table ``i`` has
-a **shadow** with three images per source column ``j``:
+a **shadow** with two images per source column ``j``:
 
 - ``c{j}k`` — the dictionary code of
   :func:`~repro.db.values.normalize_string` (a
@@ -16,22 +16,18 @@ a **shadow** with three images per source column ``j``:
   foreign key share one dictionary, so joins are integer equi-joins;
 - ``c{j}n`` — :func:`~repro.db.values.coerce_number` of the *raw* cell,
   integer or float as the reference path would see it, NULL if not
-  numeric;
-- ``c{j}r`` — 1 if the raw cell is itself a number (not a string that
-  spells one), which is when :func:`~repro.db.values.values_equal`
-  compares numerically against a non-string predicate value.
+  numeric.
 
-Generated statements name only ``t{i}`` and ``c{j}{k,n,r}`` — no source
+Generated statements name only ``t{i}`` and ``c{j}{k,n}`` — no source
 identifier, cell value or claim literal is ever interpolated into SQL
 text. What is bound (qmark style) is the dictionary *code* of each cube
-literal and predicate value, looked up in Python, plus the number of a
-non-string predicate value; bucket codes in result rows decode back to
-the normalized literals. Cube queries emulate ``GROUP BY GROUPING SETS``
-with one ``UNION ALL`` arm per dimension subset over a shared base CTE
-(SQLite has no native GROUPING SETS); each arm computes the same
-mergeable partials as the row path's ``_Partial`` accumulator with
-native ``COUNT/SUM/MIN/MAX``, and finalization happens in Python with
-the identical branching, which is what makes verdicts bit-identical.
+literal, looked up in Python; bucket codes in result rows decode back to
+the normalized literals. The adapter runs cube queries only: they emulate
+``GROUP BY GROUPING SETS`` with one ``UNION ALL`` arm per dimension subset
+over a shared base CTE (SQLite has no native GROUPING SETS); each arm
+computes the per-cell partials (counts, numeric count, total, extremes)
+with native ``COUNT/SUM/MIN/MAX``, and finalization happens in Python
+with the executor's NULL rules, so verdicts match the in-memory routes'.
 """
 
 from __future__ import annotations
@@ -39,8 +35,8 @@ from __future__ import annotations
 from itertools import chain, combinations, islice
 from typing import TYPE_CHECKING
 
-from repro.db.adapters.base import SimpleResult, StorageAdapter
-from repro.db.aggregates import AggregateFunction, ratio_value
+from repro.db.adapters.base import StorageAdapter
+from repro.db.aggregates import AggregateFunction
 from repro.db.columnar import ColumnDictionary, ExecutionBackend
 from repro.db.cube import ALL, CellKey, CubeResult
 from repro.db.joins import JoinGraph, JoinPath
@@ -57,8 +53,6 @@ from repro.errors import JoinPathError, QueryError
 if TYPE_CHECKING:
     from repro.budget import ResourceBudget
     from repro.db.cube import CubeQuery
-    from repro.db.predicates import Predicate
-    from repro.db.query import SimpleAggregateQuery
     from repro.db.schema import Database, Table
 
 #: Partial-aggregate fields an arm can compute per aggregation column,
@@ -108,26 +102,17 @@ class ShadowDictionary(ColumnDictionary):
         self._images: dict[tuple, tuple] = {}
 
     def images(self, cell: Value) -> tuple:
-        """``(k, n, r)`` of one raw cell (see the module docstring).
+        """``(k, n)`` of one raw cell (see the module docstring).
 
         Memoized per :func:`~repro.db.values.cell_key`, the engine's one
         notion of "the same raw cell".
         """
         if cell is None:
-            return (None, None, None)
+            return (None, None)
         key = cell_key(cell)
         images = self._images.get(key)
         if images is None:
-            number = coerce_number(cell)
-            stored = _storable(number)
-            # An int beyond 64 bits is kept as the decimal string it
-            # normalizes to: coerced like one, compared like one.
-            native = (
-                number is not None
-                and stored is number
-                and not isinstance(cell, str)
-            )
-            images = (self.intern(cell), stored, 1 if native else None)
+            images = (self.intern(cell), _storable(coerce_number(cell)))
             self._images[key] = images
         return images
 
@@ -153,7 +138,8 @@ def _field_expr(field: str, k: str, n: str) -> str:
 def _finalize(
     spec: AggregateSpec, group_rows: int, fields: dict[str, Value]
 ) -> Value:
-    """Mirror of ``_Partial.finalize`` over SQL-computed partial fields."""
+    """A cell's value of ``spec`` from SQL-computed partial fields, with
+    the executor's NULL rules."""
     fn = spec.function
     if spec.column.is_star:
         if fn is AggregateFunction.COUNT:
@@ -250,9 +236,9 @@ class _CubePlan:
                 ]
                 aggs = ["COUNT(*)"]
                 for j, column in enumerate(self.columns):
-                    # CAST to DOUBLE: the reference _Partial accumulates
-                    # sums in a float (``total = 0.0``), so cube SUM/AVG
-                    # are float even over integers.
+                    # CAST to DOUBLE: every cube route accumulates sums
+                    # in a float, so cube SUM/AVG are float even over
+                    # integers.
                     aggs.extend(
                         _field_expr(
                             field,
@@ -296,7 +282,7 @@ class _CubePlan:
                 rows_scanned = group_rows
             if group_rows == 0:
                 # SQL returns one all-ALL row even over an empty relation;
-                # the reference path produces no cells for empty groups.
+                # the in-memory cube produces no cells for empty groups.
                 continue
             offset = n_dims + 1
             partials: dict[ColumnRef, dict[str, Value]] = {}
@@ -311,7 +297,7 @@ class _CubePlan:
                 for spec in cube.aggregates
             }
             if budget is not None:
-                # Streaming guard: same limit the row path enforces before
+                # Streaming guard: same limit the in-memory cube enforces before
                 # rollup, applied to actual rolled cells as pages arrive.
                 budget.check_cube(len(cells), "cube-rollup")
         return CubeResult(cube, cells, rows_scanned=rows_scanned)
@@ -376,7 +362,7 @@ class SqlAdapterBase(StorageAdapter):
         return self._dictionaries[ref.table, ref.column]
 
     def image(self, ref: ColumnRef, image: str) -> str:
-        """SQL expression of one shadow image (``k``/``n``/``r``)."""
+        """SQL expression of one shadow image (``k``/``n``)."""
         i, columns = self._positions[ref.table]
         return f"t{i}.c{columns[ref.column]}{image}"
 
@@ -385,20 +371,17 @@ class SqlAdapterBase(StorageAdapter):
         the alias ``t{i}``. Loaded shadows hold every column."""
         return f"t{self._positions[table][0]}"
 
-    def _load_tables(
-        self, connection, k_type="", n_type="", r_type=""
-    ) -> None:
+    def _load_tables(self, connection, k_type="", n_type="") -> None:
         """Create and fill one shadow table per table of a loaded
         database (the adapter's only copy of the data). Engines with
-        typed columns name the three image types."""
+        typed columns name the two image types."""
         for table in self.database.tables:
             i, columns = self._positions[table.name]
             ddl = ", ".join(
-                f"c{j}k {k_type}, c{j}n {n_type}, c{j}r {r_type}"
-                for j in columns.values()
+                f"c{j}k {k_type}, c{j}n {n_type}" for j in columns.values()
             )
             connection.execute(f"CREATE TABLE t{i} ({ddl})")
-            marks = ", ".join("?" for _ in range(3 * len(columns)))
+            marks = ", ".join("?" for _ in range(2 * len(columns)))
             rows = self._shadow_rows(table)
             while chunk := list(islice(rows, _LOAD_CHUNK)):
                 connection.executemany(
@@ -406,7 +389,7 @@ class SqlAdapterBase(StorageAdapter):
                 )
 
     def _shadow_rows(self, table: "Table"):
-        """Each row of ``table`` as its flat ``k, n, r, k, n, r, ...``:
+        """Each row of ``table`` as its flat ``k, n, k, n, ...``:
         images once per distinct raw cell of a column (the in-memory
         encoder's factorization pass), gathered to the rows by index."""
         columns = []
@@ -463,24 +446,6 @@ class SqlAdapterBase(StorageAdapter):
             joined.add(new_table)
         return sql
 
-    def _predicate_condition(
-        self, predicate: "Predicate"
-    ) -> tuple[str, list[Value]]:
-        """``values_equal(cell, value)`` over the shadow images, plus its
-        bind parameters. A value absent from the dictionary binds NULL,
-        which equals nothing."""
-        column, value = predicate.column, predicate.value
-        k = self.image(column, "k")
-        code = self.dictionary(column).code_of(predicate.normalized_value)
-        number = None if isinstance(value, str) else coerce_number(value)
-        if number is None:
-            return f"{k} = ?", [code]
-        return (
-            f"CASE WHEN {self.image(column, 'r')} = 1"
-            f" THEN {self.image(column, 'n')} = ? ELSE {k} = ? END",
-            [_storable(number), code],
-        )
-
     # -- cardinality ---------------------------------------------------
 
     def estimated_cardinality(self, tables: frozenset[str]) -> int:
@@ -514,81 +479,3 @@ class SqlAdapterBase(StorageAdapter):
             if not chunk:
                 return
             yield from chunk
-
-    # -- naive path ----------------------------------------------------
-
-    def execute_simple(self, query: "SimpleAggregateQuery") -> SimpleResult:
-        tables = self._query_tables(query)
-        column = query.aggregate.column
-        source = self.join_clause(
-            tables, (column, *(p.column for p in query.all_predicates))
-        )
-        if query.aggregate.function.is_ratio:
-            value = self._execute_ratio(query, source)
-        else:
-            value = self._execute_plain(query, source)
-        return SimpleResult(value, self.exact_cardinality(tables))
-
-    def _execute_plain(
-        self, query: "SimpleAggregateQuery", source: str
-    ) -> Value:
-        column = query.aggregate.column
-        # The naive reference (compute_plain) sums raw coercions — integer
-        # sums stay integers there, so no DOUBLE cast here.
-        fields = (
-            () if column.is_star else _FIELDS_BY_FN[query.aggregate.function]
-        )
-        selects = ["COUNT(*)"] + [
-            _field_expr(
-                field,
-                f"NULLIF({self.image(column, 'k')}, 0)",
-                self.image(column, "n"),
-            )
-            for field in fields
-        ]
-        sql = f"SELECT {', '.join(selects)} FROM {source}"
-        conditions: list[str] = []
-        params: list[Value] = []
-        for predicate in query.all_predicates:
-            condition, bound = self._predicate_condition(predicate)
-            conditions.append(condition)
-            params += bound
-        if conditions:
-            sql += " WHERE " + " AND ".join(conditions)
-        row = self._execute(sql, tuple(params)).fetchone()
-        return _finalize(query.aggregate, row[0], dict(zip(fields, row[1:])))
-
-    def _execute_ratio(
-        self, query: "SimpleAggregateQuery", source: str
-    ) -> Value:
-        column = query.aggregate.column
-        params: list[Value] = []
-
-        def conditional_count(predicates) -> str:
-            parts = []
-            for predicate in predicates:
-                condition, bound = self._predicate_condition(predicate)
-                parts.append(condition)
-                params.extend(bound)
-            if not column.is_star:
-                parts.append(f"{self.image(column, 'k')} > 0")
-            if not parts:
-                return "COUNT(*)"
-            return f"COUNT(CASE WHEN {' AND '.join(parts)} THEN 1 END)"
-
-        numerator = conditional_count(query.all_predicates)
-        if query.aggregate.function is AggregateFunction.PERCENTAGE:
-            denominator = conditional_count(())
-        else:  # CONDITIONAL_PROBABILITY
-            assert query.condition is not None
-            denominator = conditional_count((query.condition,))
-        row = self._execute(
-            f"SELECT {numerator}, {denominator} FROM {source}", tuple(params)
-        ).fetchone()
-        return ratio_value(row[0], row[1])
-
-    def _query_tables(self, query: "SimpleAggregateQuery") -> frozenset[str]:
-        tables = query.referenced_tables()
-        if not tables:
-            tables = frozenset({self.database.single_table().name})
-        return tables

@@ -27,9 +27,9 @@ Cell fidelity of the shadow images in SQLite (``ShadowDictionary.images``):
 - ``bool`` and ``float('nan')`` cells are non-numeric, like in the
   in-memory engine: they keep their normalized-string code (``"true"``,
   ``"nan"``) and a NULL number;
-- ``int`` cells beyond 64 bits (SQLite integers are int64) are kept as
-  the decimal string they normalize to: their number is the float
-  nearest to them, and they compare as strings.
+- ``int`` cells beyond 64 bits (SQLite integers are int64) keep the
+  code of the decimal string they normalize to; their number is the
+  float nearest to them.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class SqliteAdapter(SqlAdapterBase):
                 self._build_shadow(name, ColumnRef(table, column))
                 self._built.add(name)
             names.append(name)
-            images += (f"{name}.{image} AS c{j}{image}" for image in "knr")
+            images += (f"{name}.{image} AS c{j}{image}" for image in "kn")
         joins = f"shadow.{names[0]}" + "".join(
             f" JOIN shadow.{name} ON {name}.id = {names[0]}.id"
             for name in names[1:]
@@ -125,14 +125,13 @@ class SqliteAdapter(SqlAdapterBase):
         native = f"typeof({cell}) IN ('integer', 'real')"
         insert = (
             f"INSERT INTO shadow.{name} SELECT {{}}, rimage({cell}, 0),"
-            f" CASE WHEN {native} THEN {cell} ELSE rimage({cell}, 1) END,"
-            f" CASE WHEN {native} THEN 1 END"
+            f" CASE WHEN {native} THEN {cell} ELSE rimage({cell}, 1) END"
             f" FROM main.{quote_identifier(ref.table)}"
         )
         with connection:  # commit (releasing the source's read lock) or undo
             connection.execute("BEGIN")
             connection.execute(
-                f"CREATE TABLE shadow.{name} (id INTEGER PRIMARY KEY, k, n, r)"
+                f"CREATE TABLE shadow.{name} (id INTEGER PRIMARY KEY, k, n)"
             )
             try:
                 connection.execute(insert.format("rowid"))

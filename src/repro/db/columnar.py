@@ -1,18 +1,16 @@
 """Columnar execution backend: dictionary-encoded relations.
 
 Every scalar the engine needs from a cell -- its normalized string, its
-numeric coercion, ``is None``, its raw-number image -- is a pure function of
-the raw cell, and every cube reduction except SUM is a pure function of the
-per-group multiset of dictionary codes. So Python runs once per *distinct raw
-cell*, array kernels run over *(group, code) histograms*, and only SUM reads
-the rows.
+numeric coercion, ``is None`` -- is a pure function of the raw cell, and
+every cube reduction except SUM is a pure function of the per-group multiset
+of dictionary codes. So Python runs once per *distinct raw cell*, array
+kernels run over *(group, code) histograms*, and only SUM reads the rows.
 
 - **Encode** (:func:`encode_column`): one :func:`~repro.db.values.factorize`
   pass maps the cells to first-seen raw ids in C (two raw cells are the same
   cell by :func:`~repro.db.values.cell_key`: class- and zero-sign-aware, so
-  ``1``, ``1.0``, ``True``, ``"1"`` and ``0.0``, ``-0.0`` stay apart); code,
-  ``is None`` and raw number are computed per distinct cell and gathered by
-  raw id. Code 0 is the missing bucket (NULL and blank strings normalize to
+  ``1``, ``1.0``, ``True``, ``"1"`` and ``0.0``, ``-0.0`` stay apart); code
+  and ``is None`` are computed per distinct cell and gathered by raw id. Code 0 is the missing bucket (NULL and blank strings normalize to
   ``""``); the dictionary carries the normalized string and the number per
   code. The SQL shadow encoder and ``Table.distinct_values`` run the same pass.
 - **Join** (:func:`build_columnar_relation`): hash joins on key codes; a
@@ -29,25 +27,23 @@ the rows.
   counted densely while its id space is within ``_DENSE_SLOTS_PER_ID`` times
   the ids counted (scratch bounded by the input's own size, computed, not
   configured) and by one sort beyond that; both routes yield the same arrays.
-- **Filter** (:func:`execute_columnar_query`): boolean-mask selection; SUM
-  and AVG add the selected numbers in row order with the same
-  ``bincount(weights=...)`` as the cube, so they agree to the last bit with
-  the row-wise executor and with a cube cell read directly from one group
-  (or from a cube without dimensions). A rolled-up ALL or subset cell adds
-  per-group subtotals instead, so a merged batch can differ from ``NAIVE``
-  in the last bits of a float SUM or AVG.
 
-Every kernel is a NumPy kernel. The row-wise modules remain the reference
-oracle; ``tests/db/test_columnar_oracle.py`` cross-checks the two backends on
-randomized databases.
+A cube cell read from one group (or from a cube without dimensions) adds
+its numbers in row order, like the row-wise executor, so the two agree to
+the last bit; a rolled-up ALL or subset cell adds per-group subtotals
+instead, and can differ from ``NAIVE`` in the last bits of a float SUM or
+AVG. Every kernel is a NumPy kernel. The row-wise executor
+(:mod:`repro.db.executor`, ``NAIVE`` × ``row``) is the reference oracle;
+``tests/db/test_columnar_oracle.py`` holds the cube to it on randomized
+databases, under the named differences of ``tests/db/oracle.py``.
 
 Known deviation from the row-wise oracle: a code's number is that of the first
 raw cell seen for it, so a float ``inf`` cell after a string ``"inf"`` (which
-does not coerce) is non-numeric here, while the row-wise ``_Partial``
-accumulates it. No realistic CSV input produces float infinities. Not a
-deviation: an integer cell beyond float range (``10**400``) is present but
-non-numeric in every tier (:func:`~repro.db.values.coerce_number` refuses it),
-so it reaches no float64 array here, no row-cube accumulator and no SQL REAL.
+does not coerce) is non-numeric here, while the executor adds it. No realistic
+CSV input produces float infinities. Not a deviation: an integer cell beyond
+float range (``10**400``) is present but non-numeric in every tier
+(:func:`~repro.db.values.coerce_number` refuses it), so it reaches no float64
+array here and no SQL REAL.
 """
 
 from __future__ import annotations
@@ -58,7 +54,8 @@ from itertools import combinations
 
 import numpy as _np
 
-from repro.db.predicates import Predicate
+from repro.db.aggregates import AggregateFunction
+from repro.db.cube import ALL, CubeResult, _check_rollup_budget
 from repro.db.refs import ColumnRef
 from repro.db.schema import Database, Table
 from repro.db.values import (
@@ -69,8 +66,6 @@ from repro.db.values import (
     normalize_string,
 )
 from repro.errors import JoinPathError, QueryError
-
-_NAN = float("nan")
 
 
 class ExecutionBackend(enum.Enum):
@@ -149,21 +144,15 @@ class ColumnDictionary:
 
 
 class ColumnVector:
-    """One encoded column: code per cell plus raw-level masks.
+    """One encoded column: code per cell plus the ``is None`` mask that
+    feeds join NULL-skipping (a NULL and a blank share code 0)."""
 
-    ``none_mask`` (cell ``is None``) feeds join NULL-skipping, and
-    ``raw_numbers`` (the cell itself when it is a non-string usable number,
-    NaN otherwise) feeds :func:`~repro.db.values.values_equal`'s numeric
-    comparison path for predicates with non-string values.
-    """
+    __slots__ = ("dictionary", "codes", "none_mask")
 
-    __slots__ = ("dictionary", "codes", "none_mask", "raw_numbers")
-
-    def __init__(self, dictionary, codes, none_mask, raw_numbers):
+    def __init__(self, dictionary, codes, none_mask):
         self.dictionary = dictionary
         self.codes = codes
         self.none_mask = none_mask
-        self.raw_numbers = raw_numbers
 
     def take(self, indices) -> "ColumnVector":
         """Gather rows (the output of a join step)."""
@@ -171,15 +160,14 @@ class ColumnVector:
             self.dictionary,
             self.codes[indices],
             self.none_mask[indices],
-            self.raw_numbers[indices],
         )
 
 
 def encode_column(cells: Sequence[Value]) -> ColumnVector:
     """Dictionary-encode one column of raw cells.
 
-    Code, ``is None`` and raw number are functions of the raw cell, so they
-    are computed once per distinct raw cell (:func:`~repro.db.values.factorize`)
+    Code and ``is None`` are functions of the raw cell, so they are
+    computed once per distinct raw cell (:func:`~repro.db.values.factorize`)
     and gathered to the rows by index. Codes come out in first-seen order,
     exactly as if every cell had been interned in turn.
     """
@@ -187,16 +175,11 @@ def encode_column(cells: Sequence[Value]) -> ColumnVector:
     distinct, index = factorize(cells)
     codes = [dictionary.intern(cell) for cell in distinct]
     none_mask = [cell is None for cell in distinct]
-    raw_numbers = [
-        _NAN if isinstance(cell, str) or coerce_number(cell) is None else float(cell)
-        for cell in distinct
-    ]
     index = _np.fromiter(index, dtype=_np.intp, count=len(cells))
     return ColumnVector(
         dictionary,
         _np.array(codes, dtype=_np.int64)[index],
         _np.array(none_mask, dtype=bool)[index],
-        _np.array(raw_numbers, dtype=_np.float64)[index],
     )
 
 
@@ -353,121 +336,6 @@ def build_columnar_relation(
 
 
 # ----------------------------------------------------------------------
-# Predicate masks (vectorized WHERE evaluation)
-# ----------------------------------------------------------------------
-
-
-def _predicate_mask(relation: ColumnarRelation, predicate: Predicate):
-    """Boolean row mask replicating ``values_equal(cell, predicate.value)``.
-
-    String predicate values always compare by normalized string (code
-    equality); non-string values compare numerically against non-string
-    numeric cells and by normalized string against everything else. NULL
-    cells never match.
-    """
-    vector = relation.vector(predicate.column)
-    value = predicate.value
-    code = vector.dictionary.code_of(normalize_string(value))
-    codes = vector.codes
-    not_none = ~vector.none_mask
-    code_mask = (
-        (codes == code) & not_none
-        if code is not None
-        else _np.zeros(len(relation), dtype=bool)
-    )
-    if isinstance(value, str) or coerce_number(value) is None:
-        return code_mask
-    raw_numeric = ~_np.isnan(vector.raw_numbers)
-    numeric_mask = raw_numeric & (vector.raw_numbers == float(coerce_number(value)))
-    return numeric_mask | (code_mask & ~raw_numeric)
-
-
-def _combine_masks(relation: ColumnarRelation, predicates: Sequence[Predicate]):
-    """AND of all predicate masks; None means "all rows"."""
-    mask = None
-    for predicate in predicates:
-        pmask = _predicate_mask(relation, predicate)
-        if mask is None:
-            mask = pmask
-        else:
-            mask &= pmask
-    return mask
-
-
-def _select_codes(vector: ColumnVector, mask):
-    return vector.codes if mask is None else vector.codes[mask]
-
-
-def count_matching_columnar(
-    relation: ColumnarRelation,
-    aggregate_column: ColumnRef,
-    predicates: Sequence[Predicate],
-) -> int:
-    """Columnar twin of :func:`repro.db.executor.count_matching`."""
-    mask = _combine_masks(relation, predicates)
-    if aggregate_column.is_star:
-        if mask is None:
-            return len(relation)
-        return int(mask.sum())
-    codes = _select_codes(relation.vector(aggregate_column), mask)
-    return int((codes != 0).sum())
-
-
-def execute_columnar_query(relation: ColumnarRelation, query) -> Value:
-    """Evaluate one SimpleAggregateQuery by boolean-mask selection.
-
-    Replicates ``compute_plain`` semantics (NULLs skipped, numeric
-    aggregates over coercible cells only, Avg divides by the *numeric*
-    count) and the footnote-1 ratio definitions.
-    """
-    from repro.db.aggregates import AggregateFunction, ratio_value
-
-    fn = query.aggregate.function
-    column = query.aggregate.column
-    if fn.is_ratio:
-        numerator = count_matching_columnar(relation, column, query.all_predicates)
-        if fn is AggregateFunction.PERCENTAGE:
-            denominator = count_matching_columnar(relation, column, ())
-        else:  # CONDITIONAL_PROBABILITY
-            assert query.condition is not None
-            denominator = count_matching_columnar(
-                relation, column, (query.condition,)
-            )
-        return ratio_value(numerator, denominator)
-
-    if fn is AggregateFunction.COUNT:
-        return count_matching_columnar(relation, column, query.all_predicates)
-    mask = _combine_masks(relation, query.all_predicates)
-    vector = relation.vector(column)
-    codes = _select_codes(vector, mask)
-    if fn is AggregateFunction.COUNT_DISTINCT:
-        distinct = _np.unique(codes)
-        return int(len(distinct) - (1 if len(distinct) and distinct[0] == 0 else 0))
-    # Numeric aggregates over the coercible cells of the selection.
-    numeric = vector.dictionary.numeric_arr[codes]
-    values = vector.dictionary.numbers_arr[codes][numeric]
-    if len(values) == 0:
-        return None
-    if fn is AggregateFunction.SUM:
-        return _row_order_sum(values)
-    if fn is AggregateFunction.AVG:
-        return _row_order_sum(values) / len(values)
-    if fn is AggregateFunction.MIN:
-        return float(values.min())
-    if fn is AggregateFunction.MAX:
-        return float(values.max())
-    raise QueryError(f"unsupported aggregate {fn}")
-
-
-def _row_order_sum(values) -> float:
-    """Sum in row order, through the cube's ``bincount(weights=...)``;
-    ``ndarray.sum`` adds pairwise, which moves the last bits."""
-    return float(
-        _np.bincount(_np.zeros(len(values), dtype=_np.intp), weights=values)[0]
-    )
-
-
-# ----------------------------------------------------------------------
 # Vectorized cube execution
 # ----------------------------------------------------------------------
 
@@ -475,9 +343,9 @@ def _row_order_sum(values) -> float:
 class _GroupAcc:
     """Mergeable per-cell accumulator used by the rollup phase.
 
-    The scalar fields mirror the row-wise ``_Partial``; ``distinct`` is the
-    cell's finished distinct count, set once the rollup knows every cell's
-    groups (a union, not a sum, so it cannot be absorbed group by group).
+    ``distinct`` is the cell's finished distinct count, set once the rollup
+    knows every cell's groups (a union, not a sum, so it cannot be absorbed
+    group by group).
     """
 
     __slots__ = ("rows", "count", "total", "ncount", "minimum", "maximum", "distinct")
@@ -507,9 +375,7 @@ class _GroupAcc:
                 self.maximum = maximum
 
     def finalize(self, spec) -> Value:
-        """Same semantics as the row-wise ``_Partial.finalize``."""
-        from repro.db.aggregates import AggregateFunction
-
+        """The cell's value of ``spec``, with the executor's NULL rules."""
         fn = spec.function
         if fn is AggregateFunction.COUNT:
             return int(self.rows if spec.column.is_star else self.count)
@@ -674,7 +540,7 @@ def _group_sums(groups, counts, n_groups: int) -> list[int]:
 
 
 def execute_cube_columnar(relation: ColumnarRelation, cube, budget=None):
-    """Vectorized twin of the row-wise ``_cube_over_relation``.
+    """Execute a cube over a columnar relation.
 
     Phase 1 reduces every basis aggregate per fully-specified group with
     array kernels; phase 2 rolls the (few) groups up to every dimension
@@ -685,9 +551,6 @@ def execute_cube_columnar(relation: ColumnarRelation, cube, budget=None):
     work — ``n_groups * 2^n_dims`` merges — before phase 2 starts, using
     the real group count rather than the engine's literal-based estimate.
     """
-    from repro.db.aggregates import AggregateFunction
-    from repro.db.cube import ALL, CubeResult, _check_rollup_budget
-
     inverse, group_keys = _group_rows(relation, cube)
     n_groups = len(group_keys)
     _check_rollup_budget(budget, n_groups, len(cube.dimensions))
@@ -711,7 +574,7 @@ def execute_cube_columnar(relation: ColumnarRelation, cube, budget=None):
         for key in bundle_of
     ]
 
-    # Phase 2: roll up to every subset of dimensions (mirrors row-wise).
+    # Phase 2: roll up to every subset of dimensions.
     n_dims = len(cube.dimensions)
     masks: list[frozenset[int]] = []
     for size in range(n_dims + 1):

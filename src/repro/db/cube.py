@@ -6,25 +6,19 @@ candidates at once (paper Section 6.2). Literals with zero marginal
 probability are collapsed into a default bucket before grouping — the
 ``InOrDefault`` rewrite — so result sets stay small while aggregates over
 *unrestricted* dimensions (the ``ALL`` cells) remain exact.
+
+This module holds the cube's query and result types; the storage adapters
+execute it (:func:`~repro.db.columnar.execute_cube_columnar` in memory,
+:mod:`repro.db.adapters.sqlbase` in SQL).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from repro.db.aggregates import AggregateFunction
-from repro.db.columnar import ColumnarRelation, execute_cube_columnar
-from repro.db.joins import JoinGraph, Relation
 from repro.db.query import AggregateSpec, ColumnRef
-from repro.db.schema import Database
-from repro.db.values import (
-    DEFAULT_LITERAL,
-    Value,
-    coerce_number,
-    is_missing,
-    normalize_string,
-)
+from repro.db.values import Value
 from repro.errors import QueryError
 
 
@@ -91,75 +85,6 @@ class CubeQuery:
         return dict(self.literals)
 
 
-class _Partial:
-    """Mergeable per-group accumulator for all basis aggregates of a column.
-
-    The extremes are ``(number, position)`` and ``(number, -position)``:
-    among equal numbers (``0``, ``0.0``, ``-0.0``) the earliest row wins, as
-    in a scan, whatever order the groups merge in.
-    """
-
-    __slots__ = ("rows", "count", "ncount", "total", "minimum", "maximum", "distinct")
-
-    def __init__(self) -> None:
-        self.rows = 0
-        self.count = 0
-        self.ncount = 0
-        self.total = 0.0
-        self.minimum: tuple[float, int] | None = None
-        self.maximum: tuple[float, int] | None = None
-        self.distinct: set[str] = set()
-
-    def add(self, cell: Value, is_star: bool, position: int) -> None:
-        self.rows += 1
-        if is_star or is_missing(cell):
-            return
-        self.count += 1
-        self.distinct.add(normalize_string(cell))
-        number = coerce_number(cell)
-        if number is not None:
-            self.ncount += 1
-            self.total += number
-            if self.minimum is None or number < self.minimum[0]:
-                self.minimum = (number, position)
-            if self.maximum is None or number > self.maximum[0]:
-                self.maximum = (number, -position)
-
-    def merge(self, other: "_Partial") -> None:
-        self.rows += other.rows
-        self.count += other.count
-        self.ncount += other.ncount
-        self.total += other.total
-        if other.minimum is not None:
-            if self.minimum is None or other.minimum < self.minimum:
-                self.minimum = other.minimum
-        if other.maximum is not None:
-            if self.maximum is None or other.maximum > self.maximum:
-                self.maximum = other.maximum
-        self.distinct |= other.distinct
-
-    def finalize(self, spec: AggregateSpec) -> Value:
-        fn = spec.function
-        if fn is AggregateFunction.COUNT:
-            return self.rows if spec.column.is_star else self.count
-        if fn is AggregateFunction.COUNT_DISTINCT:
-            return len(self.distinct)
-        if self.ncount == 0:
-            # No numeric cells: Sum/Avg/Min/Max are NULL.
-            return None
-        if fn is AggregateFunction.SUM:
-            return self.total
-        if fn is AggregateFunction.AVG:
-            # Divide by the numeric count, matching the naive executor's
-            # compute_plain (non-numeric strings are skipped, not averaged).
-            return self.total / self.ncount
-        if fn is AggregateFunction.MIN:
-            return self.minimum[0]
-        if fn is AggregateFunction.MAX:
-            return self.maximum[0]
-        raise QueryError(f"unsupported basis aggregate {fn}")
-
-
 CellKey = tuple  # tuple of normalized literal | DEFAULT_LITERAL | ALL per dim
 
 
@@ -219,92 +144,7 @@ class CubeResult:
         return {key: values[spec] for key, values in self.cells.items() if spec in values}
 
 
-def execute_cube(
-    database: Database,
-    cube: CubeQuery,
-    join_graph: JoinGraph | None = None,
-    budget=None,
-) -> CubeResult:
-    """Execute a cube query against the (joined) base relation.
-
-    ``budget`` (a :class:`repro.budget.ResourceBudget` or None) bounds the
-    rollup: after grouping, the actual rollup work is
-    ``n_groups * 2^n_dims`` merges, checked against ``max_cube_cells``
-    before phase 2 runs — defense in depth behind the engine's predictive
-    estimate, using real group counts instead of literal cardinalities.
-    """
-    graph = join_graph or JoinGraph(database)
-    if cube.tables:
-        relation = graph.relation(cube.tables)
-    else:
-        relation = graph.relation({database.single_table().name})
-    return _cube_over_relation(relation, cube, budget)
-
-
 def _check_rollup_budget(budget, n_groups: int, n_dims: int) -> None:
     """Refuse rollups whose (group, mask) merge count crosses the budget."""
     if budget is not None:
         budget.check_cube(n_groups * (1 << n_dims), "cube-rollup")
-
-
-def _cube_over_relation(
-    relation: Relation | ColumnarRelation, cube: CubeQuery, budget=None
-) -> CubeResult:
-    if isinstance(relation, ColumnarRelation):
-        return execute_cube_columnar(relation, cube, budget)
-    dim_indexes = [relation.column_index(dim) for dim in cube.dimensions]
-    literal_sets = [set(literals) for _, literals in cube.literals]
-    agg_columns: list[tuple[AggregateSpec, int | None]] = []
-    for spec in cube.aggregates:
-        if spec.column.is_star:
-            agg_columns.append((spec, None))
-        else:
-            agg_columns.append((spec, relation.column_index(spec.column)))
-
-    # Phase 1: accumulate per fully-specified group.
-    groups: dict[CellKey, list[_Partial]] = {}
-    for position, row in enumerate(relation.rows):
-        key_parts = []
-        for index, literals in zip(dim_indexes, literal_sets):
-            bucket = normalize_string(row[index])
-            key_parts.append(bucket if bucket in literals else DEFAULT_LITERAL)
-        key = tuple(key_parts)
-        partials = groups.get(key)
-        if partials is None:
-            partials = [_Partial() for _ in agg_columns]
-            groups[key] = partials
-        for partial, (spec, column_index) in zip(partials, agg_columns):
-            cell = None if column_index is None else row[column_index]
-            partial.add(cell, column_index is None, position)
-
-    # Phase 2: roll up to every subset of dimensions.
-    n_dims = len(cube.dimensions)
-    _check_rollup_budget(budget, len(groups), n_dims)
-    rolled: dict[CellKey, list[_Partial]] = {}
-    masks: list[tuple[int, ...]] = []
-    for size in range(n_dims + 1):
-        masks.extend(combinations(range(n_dims), size))
-    for key, partials in groups.items():
-        for mask in masks:
-            kept = set(mask)
-            masked = tuple(
-                key[i] if i in kept else ALL for i in range(n_dims)
-            )
-            existing = rolled.get(masked)
-            if existing is None:
-                copies = [_Partial() for _ in agg_columns]
-                for copy, partial in zip(copies, partials):
-                    copy.merge(partial)
-                rolled[masked] = copies
-            else:
-                for accumulated, partial in zip(existing, partials):
-                    accumulated.merge(partial)
-
-    # Phase 3: finalize.
-    cells: dict[CellKey, dict[AggregateSpec, Value]] = {}
-    for key, partials in rolled.items():
-        cells[key] = {
-            spec: partial.finalize(spec)
-            for partial, (spec, _) in zip(partials, agg_columns)
-        }
-    return CubeResult(cube, cells, rows_scanned=len(relation))

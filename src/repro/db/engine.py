@@ -1,13 +1,14 @@
 """Batch query engine with merging and caching (paper Section 6).
 
-Three execution modes reproduce the ladder of Table 6:
+Two execution modes, each on its own backends:
 
-- ``NAIVE``: every candidate query is executed separately.
-- ``MERGED``: candidates sharing a base relation are answered from shared
-  cube queries (``InOrDefault`` + ``GROUP BY CUBE``), but nothing persists
-  across :meth:`QueryEngine.evaluate` calls.
-- ``MERGED_CACHED``: cube cells additionally persist in a
-  :class:`~repro.db.cache.ResultCache` across claims and EM iterations.
+- ``NAIVE``: every candidate query is executed separately, by the
+  row-wise executor (:mod:`repro.db.executor`). It runs on the ``row``
+  backend only and is the reference oracle the cube routes are held to.
+- ``MERGED_CACHED``: candidates sharing a base relation are answered from
+  shared cube queries (``InOrDefault`` + ``GROUP BY CUBE``), and cube cells
+  persist in a :class:`~repro.db.cache.ResultCache` across claims and EM
+  iterations. It runs on every backend except ``row``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import enum
 import os
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,14 +39,14 @@ from repro.db.gather import (
     answer_candidates,
     distinct_ids,
 )
-from repro.db.query import AggregateSpec, ColumnRef, SimpleAggregateQuery, STAR
+from repro.db.predicates import Predicate
+from repro.db.query import AggregateSpec, ColumnRef, SimpleAggregateQuery
 from repro.db.schema import Database
 from repro.db.values import Value
-from repro.errors import BudgetExceeded, InjectedFault
+from repro.errors import BudgetExceeded, InjectedFault, QueryError
 
 if TYPE_CHECKING:  # runtime import would be circular via repro.db.cache users
     from repro.budget import ResourceBudget
-    from repro.db.diskcache import DiskCubeCache
     from repro.deadline import Deadline
 
 
@@ -53,25 +54,11 @@ class ExecutionMode(enum.Enum):
     """How batches of candidate queries are evaluated."""
 
     NAIVE = "naive"
-    MERGED = "merged"
     MERGED_CACHED = "merged_cached"
 
 
-class CubeCoverStrategy(enum.Enum):
-    """How cube dimension sets are chosen to cover candidate predicates.
-
-    ``EXACT`` builds one cube per maximal predicate-column set observed in
-    the batch (smaller sets reuse a covering superset). ``PAPER`` follows
-    Section 6.3 literally: dimension subsets of size ``nG(x) = max(m, x-1)``
-    over the batch's predicate-column scope, which creates deliberate
-    overlap between cubes to widen cache reuse. PAPER falls back to EXACT
-    when ``nG`` would exceed the cube dimension limit (wide scopes make
-    2^nG rollups intractable — the paper's scope threshold prevents the
-    same blow-up).
-    """
-
-    EXACT = "exact"
-    PAPER = "paper"
+#: The backend ``NAIVE`` runs on, and the only one that runs no cubes.
+ORACLE_BACKEND = "row"
 
 
 @dataclass(frozen=True)
@@ -80,15 +67,15 @@ class EngineConfig:
 
     One frozen value threads from :class:`~repro.core.config.AggCheckerConfig`
     through the CLI and service layer down to engine construction. Derive
-    variants with :func:`dataclasses.replace`.
+    variants with :func:`dataclasses.replace`. Four (mode, backend) pairs
+    are valid: ``NAIVE`` × ``row`` (the oracle) and ``MERGED_CACHED`` ×
+    every other backend, so the backend alone names the engine.
     """
 
-    #: Batch evaluation strategy (Table 6 ladder).
-    mode: ExecutionMode = ExecutionMode.MERGED_CACHED
-    #: How covering cube dimension sets are chosen.
-    cover_strategy: CubeCoverStrategy = CubeCoverStrategy.EXACT
-    #: ``m`` in the paper's nG(x) = max(m, x-1) cover rule.
-    paper_max_predicates: int = 3
+    #: Batch evaluation strategy: the oracle or the production route.
+    #: ``None`` takes the backend's one mode; a mode the backend does not
+    #: run raises :class:`~repro.errors.QueryError`.
+    mode: ExecutionMode | None = None
     #: Storage-adapter name (``columnar``, ``row``, ``sqlite``,
     #: ``duckdb``, or any :func:`~repro.db.adapters.register_adapter`-ed
     #: extra), normalized to its registry spelling.
@@ -104,9 +91,22 @@ class EngineConfig:
     disk_cache_min_rows: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "backend", canonical_backend_name(self.backend)
+        backend = canonical_backend_name(self.backend)
+        object.__setattr__(self, "backend", backend)
+        mode = (
+            ExecutionMode.NAIVE
+            if backend == ORACLE_BACKEND
+            else ExecutionMode.MERGED_CACHED
         )
+        if self.mode is None:
+            object.__setattr__(self, "mode", mode)
+        elif self.mode is not mode:
+            raise QueryError(
+                f"mode {self.mode.value!r} does not run on backend "
+                f"{backend!r}: the oracle is EngineConfig(mode=ExecutionMode."
+                f"NAIVE, backend={ORACLE_BACKEND!r}), and every other backend "
+                "runs ExecutionMode.MERGED_CACHED"
+            )
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", os.fspath(self.cache_dir))
 
@@ -246,24 +246,16 @@ class QueryEngine:
     """Evaluates batches of Simple Aggregate Queries against one database.
 
     Construction takes an :class:`EngineConfig` (``QueryEngine(db)`` or
-    ``QueryEngine(db, EngineConfig(backend="sqlite"))``); a bare
-    ``ExecutionMode`` as the second argument is sugar for
-    ``EngineConfig(mode=...)``.
+    ``QueryEngine(db, EngineConfig(backend="sqlite"))``).
     """
 
     def __init__(
-        self,
-        database: Database,
-        config: "EngineConfig | ExecutionMode | None" = None,
+        self, database: Database, config: EngineConfig | None = None
     ) -> None:
-        if isinstance(config, ExecutionMode):
-            config = EngineConfig(mode=config)
         self.config = config if config is not None else EngineConfig()
 
         self.database = database
         self.mode = self.config.mode
-        self.cover_strategy = self.config.cover_strategy
-        self.paper_max_predicates = self.config.paper_max_predicates
         self.adapter: StorageAdapter = create_adapter(
             self.config.backend, database
         )
@@ -350,15 +342,64 @@ class QueryEngine:
             self._adapter_materialized_seen = materialized
 
     def evaluate_one(self, query: SimpleAggregateQuery) -> Value:
-        """Evaluate a single query (always the naive path)."""
+        """Evaluate a single query on the engine's route: the row executor
+        under ``NAIVE``, else the same cubes and cache as the candidates.
+
+        A hand-written query may compare a column with a number
+        (``WHERE price = 10``), which the executor matches by value
+        (:func:`~repro.db.values.values_equal`) and a cube by literal; see
+        :meth:`_by_literal`. A cube route refuses, with
+        :class:`~repro.errors.QueryError`, a query over more than
+        :data:`~repro.db.cube.MAX_CUBE_DIMENSIONS` predicate columns.
+        """
         self.stats.queries_requested += 1
-        return self._execute_naive(query)
+        if self.mode is ExecutionMode.NAIVE:
+            return self._execute_naive(query)
+        query = self._by_literal(query)
+        return self._evaluate_merged([query])[query]
+
+    def _by_literal(self, query: SimpleAggregateQuery) -> SimpleAggregateQuery:
+        """``query`` with each non-string predicate value replaced by the
+        one cell of its column that it equals by value, so the cube cell
+        the query names holds the rows the executor would match (the
+        literal ``"10"`` names no ``10.0`` cell). A value equal to cells
+        of several literals (``10`` and ``10.0``) names no single cell and
+        raises :class:`~repro.errors.QueryError`."""
+
+        def by_literal(predicate: Predicate) -> Predicate:
+            if isinstance(predicate.value, str):
+                return predicate
+            column = predicate.column
+            table = (
+                self.database.table(column.table)
+                if column.table
+                else self.database.single_table()
+            )
+            # One raw cell per normalized literal.
+            cells = [
+                cell
+                for cell in table.distinct_values(column.column)
+                if predicate.matches(cell)
+            ]
+            if len(cells) > 1:
+                raise QueryError(
+                    f"{predicate} matches {len(cells)} literals of {column} "
+                    f"({', '.join(map(repr, cells))}); name one of them"
+                )
+            return Predicate(column, cells[0]) if cells else predicate
+
+        if all(isinstance(p.value, str) for p in query.all_predicates):
+            return query
+        return SimpleAggregateQuery(
+            query.aggregate,
+            tuple(map(by_literal, query.predicates)),
+            None if query.condition is None else by_literal(query.condition),
+        )
 
     def evaluate(
         self, queries: Iterable[SimpleAggregateQuery]
     ) -> dict[SimpleAggregateQuery, Value]:
-        """Evaluate an ad-hoc query list, sharing work according to the
-        engine mode.
+        """Evaluate an ad-hoc query list on the engine's route.
 
         The reference entry point: it decomposes a batch over the same
         ``_cover_assignment``/``_cells_for`` as :meth:`evaluate_spaces`,
@@ -370,8 +411,7 @@ class QueryEngine:
         self.stats.queries_requested += len(batch)
         if self.mode is ExecutionMode.NAIVE:
             return {query: self._execute_naive(query) for query in batch}
-        cache = self.cache if self.mode is ExecutionMode.MERGED_CACHED else ResultCache()
-        return self._evaluate_merged(batch, cache)
+        return self._evaluate_merged(batch)
 
     # ------------------------------------------------------------------
     # Factorized space path (zero materialization)
@@ -418,7 +458,6 @@ class QueryEngine:
         if self.mode is ExecutionMode.NAIVE:
             self._evaluate_spaces_naive(active)
             return
-        cache = self.cache if self.mode is ExecutionMode.MERGED_CACHED else ResultCache()
 
         # Literals of interest per column: union across the whole batch
         # (paper Section 6.3 pools literals over all claims).
@@ -443,7 +482,7 @@ class QueryEngine:
                 )
 
         for tables, slices in table_groups.items():
-            self._evaluate_space_group(tables, slices, literal_union, cache)
+            self._evaluate_space_group(tables, slices, literal_union)
 
     def _evaluate_spaces_naive(self, active) -> None:
         """NAIVE-mode reference: one physical query per distinct candidate."""
@@ -464,7 +503,6 @@ class QueryEngine:
         tables: frozenset[str],
         slices: list,
         literal_union: dict[ColumnRef, set[str]],
-        cache: ResultCache,
     ) -> None:
         """Answer all candidate slices sharing one base relation."""
         column_sets: set[frozenset[ColumnRef]] = set()
@@ -511,7 +549,7 @@ class QueryEngine:
                     for sid in distinct_ids(encoding.basis_spec_id[positions]).tolist()
                 )
             view = CellView(
-                self._cells_for(tables, ordered_dims, literal_map, specs, cache)
+                self._cells_for(tables, ordered_dims, literal_map, specs)
             )
             for request, positions, encoding in group_slices:
                 answer_candidates(
@@ -546,9 +584,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
 
     def _evaluate_merged(
-        self,
-        batch: Sequence[SimpleAggregateQuery],
-        cache: ResultCache,
+        self, batch: Sequence[SimpleAggregateQuery]
     ) -> dict[SimpleAggregateQuery, Value]:
         # Literals of interest per column: union across the whole batch
         # (the paper generates cells for all literals with non-zero marginal
@@ -567,7 +603,7 @@ class QueryEngine:
 
         results: dict[SimpleAggregateQuery, Value] = {}
         for tables, group in by_tables.items():
-            self._evaluate_group(tables, group, literal_union, cache, results)
+            self._evaluate_group(tables, group, literal_union, results)
         return results
 
     def _evaluate_group(
@@ -575,10 +611,11 @@ class QueryEngine:
         tables: frozenset[str],
         group: Sequence[SimpleAggregateQuery],
         literal_union: dict[ColumnRef, set[str]],
-        cache: ResultCache,
         results: dict[SimpleAggregateQuery, Value],
     ) -> None:
-        assignment_of = self._cover_dim_sets(group)
+        assignment_of = self._cover_assignment(
+            frozenset(query.predicate_columns) for query in group
+        )
 
         queries_by_dims: dict[frozenset[ColumnRef], list[SimpleAggregateQuery]] = {}
         for query in group:
@@ -592,33 +629,19 @@ class QueryEngine:
                 for dim in ordered_dims
             }
             specs = {_basis_spec(query) for query in queries}
-            entries = self._cells_for(
-                tables, ordered_dims, literal_map, specs, cache
-            )
+            entries = self._cells_for(tables, ordered_dims, literal_map, specs)
             for query in queries:
                 results[query] = self._answer(query, ordered_dims, entries)
-
-    def _cover_dim_sets(
-        self, group: Sequence[SimpleAggregateQuery]
-    ) -> dict[frozenset[ColumnRef], frozenset[ColumnRef]]:
-        """Map each query's predicate-column set to a covering dim set."""
-        return self._cover_assignment(
-            frozenset(q.predicate_columns) for q in group
-        )
 
     def _cover_assignment(
         self, column_sets: Iterable[frozenset[ColumnRef]]
     ) -> dict[frozenset[ColumnRef], frozenset[ColumnRef]]:
-        """Choose covering cube dimension sets for predicate-column sets."""
+        """Choose covering cube dimension sets for predicate-column sets:
+        largest first, each smaller set reusing a chosen superset."""
         column_sets = sorted(
             set(column_sets),
             key=lambda s: (-len(s), sorted(str(c) for c in s)),
         )
-        if self.cover_strategy is CubeCoverStrategy.PAPER:
-            paper = self._paper_cover(column_sets)
-            if paper is not None:
-                return paper
-        # EXACT: largest-first; smaller sets reuse a chosen superset.
         chosen: list[frozenset[ColumnRef]] = []
         assignment: dict[frozenset[ColumnRef], frozenset[ColumnRef]] = {}
         for column_set in column_sets:
@@ -629,62 +652,25 @@ class QueryEngine:
             assignment[column_set] = cover
         return assignment
 
-    def _paper_cover(
-        self, column_sets: list[frozenset[ColumnRef]]
-    ) -> dict[frozenset[ColumnRef], frozenset[ColumnRef]] | None:
-        """Section 6.3 cover: subsets of the scope of size nG(x)=max(m,x-1).
-
-        Returns None (caller falls back to EXACT) when nG exceeds the cube
-        dimension limit or the subset family would be too large.
-        """
-        from itertools import combinations
-
-        from repro.db.cube import MAX_CUBE_DIMENSIONS
-
-        scope = sorted({column for s in column_sets for column in s})
-        if not scope:
-            return {frozenset(): frozenset()}
-        m = min(
-            max(len(s) for s in column_sets) or 1, self.paper_max_predicates
-        )
-        n_dims = max(m, len(scope) - 1)
-        if n_dims > MAX_CUBE_DIMENSIONS or n_dims >= len(scope):
-            if len(scope) <= MAX_CUBE_DIMENSIONS:
-                full = frozenset(scope)
-                return {s: full for s in column_sets}
-            return None
-        dim_sets = [frozenset(c) for c in combinations(scope, n_dims)]
-        if len(dim_sets) > 64:
-            return None
-        assignment: dict[frozenset[ColumnRef], frozenset[ColumnRef]] = {}
-        for column_set in column_sets:
-            cover = next((d for d in dim_sets if column_set <= d), None)
-            if cover is None:
-                return None  # a query exceeds nG predicates: fall back
-            assignment[column_set] = cover
-        return assignment
-
     def _cells_for(
         self,
         tables: frozenset[str],
         dims: tuple[ColumnRef, ...],
         literal_map: dict[ColumnRef, frozenset[str]],
         specs: set[AggregateSpec],
-        cache: ResultCache,
     ) -> dict[AggregateSpec, CacheEntry]:
+        cache = self.cache
         entries: dict[AggregateSpec, CacheEntry] = {}
         missing: list[AggregateSpec] = []
-        # Accumulate hit/miss *deltas*: in MERGED mode a fresh ResultCache is
-        # created per evaluate() call, so copying the cache's own counters
-        # would clobber the cumulative engine stats every batch.
+        # Accumulate hit/miss *deltas*: the cache may be cleared (which
+        # resets its counters) or replaced between batches, so copying its
+        # own counters would clobber the cumulative engine stats.
         hits_before = cache.stats.hits
         misses_before = cache.stats.misses
         for spec in sorted(specs, key=str):
             entry = cache.get(tables, spec, dims, literal_map)
             if entry is None and self.disk_cache is not None:
-                entry = self._load_from_disk(
-                    cache, tables, spec, dims, literal_map
-                )
+                entry = self._load_from_disk(tables, spec, dims, literal_map)
             if entry is not None:
                 entries[spec] = entry
             else:
@@ -830,7 +816,6 @@ class QueryEngine:
 
     def _load_from_disk(
         self,
-        cache: ResultCache,
         tables: frozenset[str],
         spec: AggregateSpec,
         dims: tuple[ColumnRef, ...],
@@ -851,7 +836,7 @@ class QueryEngine:
             return None
         self.stats.disk_hits += 1
         literals, cells = loaded
-        return cache.put(
+        return self.cache.put(
             tables,
             spec,
             dims,

@@ -1,10 +1,10 @@
 """Direct (naive) execution of Simple Aggregate Queries.
 
-This is the reference semantics: the cube operator and the merging engine
-are property-tested against it. One call evaluates one query by
-materializing the joined relation, filtering by predicates, and computing
-the aggregate. Ratio functions evaluate the count queries from the paper's
-footnote 1 definition.
+This is the reference semantics (``NAIVE`` on the ``row`` backend): every
+cube route is property-tested against it. One call evaluates one query by
+materializing the row-wise joined relation, filtering by predicates, and
+computing the aggregate. Ratio functions evaluate the count queries from
+the paper's footnote 1 definition.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.db.aggregates import AggregateFunction, compute_plain, ratio_value
-from repro.db.columnar import ColumnarRelation, execute_columnar_query
 from repro.db.joins import JoinGraph, Relation
 from repro.db.predicates import Predicate
 from repro.db.query import SimpleAggregateQuery
@@ -29,8 +28,6 @@ def execute_query(
     """Evaluate one Simple Aggregate Query; returns a number or NULL."""
     graph = join_graph or JoinGraph(database)
     relation = base_relation(database, query, graph)
-    if isinstance(relation, ColumnarRelation):
-        return execute_columnar_query(relation, query)
     if query.aggregate.function.is_ratio:
         return _ratio(relation, query)
     cells = _filtered_cells(relation, query.aggregate, query.all_predicates)
@@ -41,7 +38,7 @@ def base_relation(
     database: Database,
     query: SimpleAggregateQuery,
     graph: JoinGraph,
-) -> Relation | ColumnarRelation:
+) -> Relation:
     """The joined relation implied by the query's referenced columns."""
     tables = query.referenced_tables()
     if not tables:

@@ -41,9 +41,6 @@ class EmConfig:
     use_priors: bool = True
     use_evaluations: bool = True
     scope: ScopeConfig = field(default_factory=ScopeConfig)
-    #: Keep evaluation results across EM iterations (the paper's result
-    #: cache; disabled for the Table 6 "naive"/"merging only" rows).
-    reuse_results: bool = True
 
 
 @dataclass
@@ -85,10 +82,9 @@ def query_and_learn(
         if deadline is not None:
             deadline.check("inference")
         if config.use_evaluations:
-            # With the full evaluation scope and result reuse, results
-            # never change across iterations — compute the outcomes once.
-            # Without reuse (Table 6 ladder), re-evaluate every iteration.
-            if not outcomes or not full_scope or not config.reuse_results:
+            # With the full evaluation scope, results never change across
+            # iterations — compute the outcomes once.
+            if not outcomes or not full_scope:
                 preliminary = None
                 if not full_scope:
                     # Budgeted scope: rank candidates by keyword + prior.
@@ -103,7 +99,7 @@ def query_and_learn(
                     preliminary,
                     engine,
                     config.scope,
-                    space_results if config.reuse_results else None,
+                    space_results,
                 )
             distributions = {
                 claim: compute_distribution(

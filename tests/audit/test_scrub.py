@@ -10,11 +10,13 @@ the repaired state reports clean.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.audit.scrub import (
     _bit_equal,
+    recompute_matches,
     scrub_checkpoint,
     scrub_disk_cache,
     scrub_journal,
@@ -31,6 +33,7 @@ from repro.db import (
 )
 from repro.db.diskcache import fingerprint_of
 from repro.db.engine import EngineStats
+from repro.errors import QueryError
 from repro.faults import FaultSpec, active
 from repro.harness.checkpoint import CorpusCheckpoint, scan_checkpoint
 from repro.service.queue import _encode_record, scan_journal
@@ -160,6 +163,77 @@ class TestDiskCacheSemantic:
         report = scrub_disk_cache(tmp_path, [other])
         assert report["skipped_semantic"] == 1
         assert report["corrupt"] == 0
+
+
+def plant_row_entry(cache_dir, db):
+    """A ``row`` entry, as an engine that ran cubes on the row backend
+    wrote them: a columnar entry re-stored under backend ``row``."""
+    warm_cache(cache_dir, db)
+    cache = DiskCubeCache(cache_dir)
+    [path] = cache.entries()
+    payload = cache.read_payload(path)
+    meta = payload["meta"]
+    path.unlink()
+    cache.store(
+        meta["fingerprint"], "row", meta["tables"], meta["spec"],
+        meta["dims"], payload["literals"], payload["cells"],
+    )
+    [planted] = cache.entries()
+    planted_payload = cache.read_payload(planted)
+    assert planted_payload["meta"]["backend"] == "row"
+    return planted_payload
+
+
+class TestEntriesOfTheCubeLessBackend:
+    """The row backend is the NAIVE oracle and runs no cubes, so a ``row``
+    entry cannot be recomputed: both scrubs check it structurally only."""
+
+    def test_offline_scrub_skips_the_recompute(self, tmp_path):
+        db = small_db()
+        payload = plant_row_entry(tmp_path, db)
+        with pytest.raises(QueryError, match="runs no cubes"):
+            recompute_matches(db, payload)
+        report = scrub_disk_cache(tmp_path, [db])
+        assert report["scanned"] == report["ok"] == 1
+        assert report["skipped_semantic"] == 1
+        assert report["corrupt"] == 0
+        assert list(tmp_path.glob("*.cube"))
+
+    def test_cli_scrub_counts_it_and_exits_clean(self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+        from repro.db import load_csv
+
+        csv_path = tmp_path / "events.csv"
+        csv_path.write_text("kind,score\na,1\na,2\nb,3\n")
+        plant_row_entry(tmp_path / "cache", Database("cli", [load_csv(csv_path)]))
+        code = cli_main(
+            ["scrub", "--cache-dir", str(tmp_path / "cache"),
+             "--csv", str(csv_path), "--json"]
+        )
+        [tier] = json.loads(capsys.readouterr().out)["tiers"]
+        assert code == 0
+        assert tier["skipped_semantic"] == 1 and tier["corrupt"] == 0
+
+    def test_online_cell_scrub_skips_the_recompute(self, tmp_path):
+        from repro.audit.shadow import ShadowAuditor, _AuditTask, _OracleEntry
+        from repro.audit.trust import TrustLevel
+        from repro.core.config import AggCheckerConfig
+
+        db = small_db()
+        plant_row_entry(tmp_path, db)
+        service = SimpleNamespace(
+            config=AggCheckerConfig(engine=EngineConfig(cache_dir=str(tmp_path)))
+        )
+        auditor = ShadowAuditor(service, rate=1.0, scrub_cells=10)
+        fingerprint = fingerprint_of(db)
+        auditor._scrub_sample(
+            _AuditTask(fingerprint, fingerprint, {}, []), _OracleEntry(None, db)
+        )
+        assert auditor.skipped_semantic == 1
+        assert auditor.snapshot()["skipped_semantic"] == 1
+        assert auditor.stats.audit_cell_mismatches == 0
+        assert auditor.ladder.level(fingerprint) is TrustLevel.FULL
+        assert list(tmp_path.glob("*.cube"))
 
 
 class TestInvalidateAndMinRows:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core import AggChecker, VerdictStatus, render_markup
-from repro.db import Column, ColumnType, Database, EngineConfig, ExecutionMode, Table
+from repro.db import Column, ColumnType, Database, Table
 from repro.core.config import AggCheckerConfig
 
 from tests.conftest import NFL_ROWS
+from tests.db.oracle import ORACLE
 
 PAPER_HTML = """
 <title>The NFL's Uneven History Of Punishing Domestic Violence</title>
@@ -110,7 +111,7 @@ class TestErroneousClaim:
 
 class TestConfigurations:
     def test_naive_mode_same_verdicts(self):
-        config = AggCheckerConfig(engine=EngineConfig(mode=ExecutionMode.NAIVE))
+        config = AggCheckerConfig(engine=ORACLE)
         checker = AggChecker(build_db(), config)
         report = checker.check_html(PAPER_HTML)
         assert [v.status for v in report.verdicts] == [VerdictStatus.VERIFIED] * 3

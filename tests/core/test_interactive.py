@@ -98,6 +98,41 @@ class TestResolution:
         assert resolution.result == 4  # four 16-game suspensions
         assert resolution.claim_is_correct  # coincidentally matches
 
+    def test_custom_numeric_predicate_matches_float_cells(self):
+        # ``Price = 10`` parses to the int 10; the NUMERIC cells are the
+        # float 10.0, whose literal is "10.0". Three predicates put the
+        # query outside the claim's space, so the engine's cube answers it
+        # and must still count those cells, as the executor does.
+        table = Table(
+            "menu",
+            [
+                Column("Dish"),
+                Column("Course"),
+                Column("Meal"),
+                Column("Price", ColumnType.NUMERIC),
+            ],
+            [
+                ("soup", "main", "dinner", 10.0),
+                ("stew", "main", "dinner", 10.0),
+                ("steak", "main", "dinner", 24.5),
+                ("salad", "starter", "lunch", 10.0),
+            ],
+        )
+        checker = AggChecker(Database("menu", [table]))
+        report = checker.check_html("<p>Two dinner mains cost ten dollars.</p>")
+        session = checker.interactive(report)
+        query = parse_query(
+            "SELECT Count(*) FROM menu WHERE Course = 'main' "
+            "AND Meal = 'dinner' AND Price = 10",
+            checker.database,
+        )
+        assert {p.column.column: p.value for p in query.predicates}["Price"] == 10
+        cubes = session.engine.stats.cube_queries
+        resolution = session.set_custom(report.claims[0], query)
+        assert session.engine.stats.cube_queries == cubes + 1
+        assert resolution.result == 2
+        assert resolution.claim_is_correct
+
     def test_resolution_recorded_once_per_claim(self, session):
         claim = session.report.claims[0]
         session.accept_top(claim)

@@ -33,6 +33,8 @@ from repro.db.adapters.base import adapter_class
 from repro.db.columnar import ExecutionBackend
 from repro.errors import BudgetExceeded, MissingDependencyError, QueryError
 
+from tests.db.oracle import ORACLE
+
 
 def small_db() -> Database:
     table = Table(
@@ -147,13 +149,27 @@ class TestEngineConfig:
         # The nested engine survives an unrelated replace().
         assert replace(varied, predicate_hits=5).engine.backend == "sqlite"
         # An explicit engine= replacement wins outright.
-        swapped = replace(varied, engine=EngineConfig(backend="row"))
+        swapped = replace(varied, engine=ORACLE)
         assert swapped.engine.backend == "row"
+        assert swapped.engine.mode is ExecutionMode.NAIVE
 
-    def test_positional_mode_is_sugar(self):
-        engine = QueryEngine(small_db(), ExecutionMode.NAIVE)
-        assert engine.mode is ExecutionMode.NAIVE
-        assert engine.config == EngineConfig(mode=ExecutionMode.NAIVE)
+    def test_backend_names_the_mode(self):
+        assert EngineConfig().mode is ExecutionMode.MERGED_CACHED
+        assert EngineConfig(backend="sqlite").mode is ExecutionMode.MERGED_CACHED
+        assert EngineConfig(backend="row") == ORACLE
+        # A new backend brings its own mode through with_engine ...
+        oracle = AggCheckerConfig().with_engine(backend="row")
+        assert oracle.engine == ORACLE
+        assert oracle.with_engine(backend="columnar").engine == EngineConfig()
+        # ... but a named mode the backend does not run is refused.
+        with pytest.raises(QueryError):
+            AggCheckerConfig().with_engine(
+                backend="row", mode=ExecutionMode.MERGED_CACHED
+            )
+
+    def test_positional_mode_is_gone(self):
+        with pytest.raises(AttributeError):
+            QueryEngine(small_db(), ExecutionMode.NAIVE)
 
     def test_flat_keywords_are_gone(self, tmp_path):
         with pytest.raises(TypeError):

@@ -25,10 +25,8 @@ from repro.db import (
     CubeQuery,
     Database,
     ExecutionBackend,
-    Predicate,
     STAR,
     Table,
-    execute_cube,
 )
 from repro.db.columnar import (
     ColumnarRelation,
@@ -40,16 +38,13 @@ from repro.db.joins import JoinGraph
 from repro.db.values import (
     DEFAULT_LITERAL,
     cell_key,
-    coerce_number,
     factorize,
     is_missing,
-    is_numeric,
     normalize_string,
 )
 
+from tests.db.oracle import assert_bit_equal, assert_cube_matches_oracle, run_cube
 from tests.db.strategies import BEYOND_FLOAT, shadow_cells
-from tests.db.test_columnar_oracle import assert_cube_results_equal, both_graphs
-from tests.db.test_sqlite_oracle import assert_bit_equal
 
 #: ``shadow_cells`` plus the cells that are equal and yet not the same cell.
 MIXED_CELLS = shadow_cells() | st.sampled_from(
@@ -68,32 +63,21 @@ def assert_same_scalars(expected, actual, context=""):
 def reference_encode(cells):
     """The per-cell loop ``encode_column`` replaced."""
     dictionary = ColumnDictionary()
-    codes, none_mask, raw_numbers = [], [], []
+    codes, none_mask = [], []
     for cell in cells:
         codes.append(dictionary.intern(cell))
         none_mask.append(cell is None)
-        try:
-            raw_numbers.append(
-                float(cell)
-                if not isinstance(cell, str) and is_numeric(cell)
-                else float("nan")
-            )
-        except OverflowError:
-            raw_numbers.append(float("nan"))
-    return dictionary, codes, none_mask, raw_numbers
+    return dictionary, codes, none_mask
 
 
 class TestFactorizedEncode:
     @settings(max_examples=200, deadline=None)
     @given(cells=st.lists(MIXED_CELLS, max_size=16))
     def test_encode_column_equals_per_cell_loop(self, cells):
-        dictionary, codes, none_mask, raw_numbers = reference_encode(cells)
+        dictionary, codes, none_mask = reference_encode(cells)
         vector = encode_column(cells)
         assert list(vector.codes) == codes
         assert list(vector.none_mask) == none_mask
-        assert_same_scalars(
-            raw_numbers, map(float, vector.raw_numbers), "raw_numbers"
-        )
         assert vector.dictionary.values == dictionary.values
         assert vector.dictionary.index == dictionary.index
         assert_same_scalars(dictionary.numbers, vector.dictionary.numbers, "numbers")
@@ -230,27 +214,6 @@ class TestHashJoin:
         assert join_pairs(vector, vector) == reference_join(cells, cells)
 
 
-def reference_matches(cell, value) -> bool:
-    """The per-row rule ``_predicate_mask`` vectorizes: ``values_equal``,
-    except that two numbers compare as the float64 images the arrays hold
-    (integers beyond 2**53 that round to one float match)."""
-    if cell is None:
-        return False
-    cell_number = None if isinstance(cell, str) else coerce_number(cell)
-    value_number = None if isinstance(value, str) else coerce_number(value)
-    if cell_number is not None and value_number is not None:
-        return float(cell_number) == float(value_number)
-    return normalize_string(cell) == normalize_string(value)
-
-
-#: Predicate values by the branch of ``_predicate_mask`` they take.
-PREDICATE_VALUES = {
-    "string": shadow_cells().filter(lambda value: isinstance(value, str)),
-    "number": MIXED_CELLS.filter(
-        lambda value: not isinstance(value, str) and coerce_number(value) is not None
-    ),
-    "uncoercible": st.sampled_from([True, False, float("nan"), BEYOND_FLOAT]),
-}
 PRED_A = ColumnRef("t", "a")
 PRED_B = ColumnRef("t", "b")
 
@@ -260,58 +223,6 @@ def two_column_relation(rows) -> ColumnarRelation:
     return ColumnarRelation(
         [PRED_A, PRED_B], [encode_column(cells) for cells in columns], len(rows)
     )
-
-
-class TestPredicateMasks:
-    @pytest.mark.parametrize("kind", sorted(PREDICATE_VALUES))
-    @settings(max_examples=100, deadline=None)
-    @given(cells=st.lists(MIXED_CELLS, max_size=16), data=st.data())
-    def test_mask_equals_per_row_rule(self, kind, cells, data):
-        value = data.draw(PREDICATE_VALUES[kind], label="value")
-        relation = two_column_relation([(cell, None) for cell in cells])
-        mask = columnar._predicate_mask(relation, Predicate(PRED_A, value))
-        assert mask.tolist() == [reference_matches(cell, value) for cell in cells]
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        rows=st.lists(st.tuples(MIXED_CELLS, MIXED_CELLS), max_size=16),
-        values=st.tuples(
-            MIXED_CELLS.filter(lambda value: value is not None),
-            MIXED_CELLS.filter(lambda value: value is not None),
-        ),
-    )
-    def test_conjunction_is_the_row_wise_and(self, rows, values):
-        relation = two_column_relation(rows)
-        assert columnar._combine_masks(relation, ()) is None
-        predicates = (Predicate(PRED_A, values[0]), Predicate(PRED_B, values[1]))
-        mask = columnar._combine_masks(relation, predicates)
-        assert mask.tolist() == [
-            reference_matches(a, values[0]) and reference_matches(b, values[1])
-            for a, b in rows
-        ]
-
-    @pytest.mark.parametrize("aggregate", [STAR, PRED_B], ids=["star", "column"])
-    @settings(max_examples=100, deadline=None)
-    @given(
-        rows=st.lists(st.tuples(MIXED_CELLS, MIXED_CELLS), max_size=16),
-        filters=st.lists(
-            st.tuples(
-                st.sampled_from([0, 1]),
-                MIXED_CELLS.filter(lambda value: value is not None),
-            ),
-            max_size=2,
-        ),
-    )
-    def test_count_matching_equals_row_loop(self, aggregate, rows, filters):
-        relation = two_column_relation(rows)
-        predicates = [Predicate((PRED_A, PRED_B)[i], value) for i, value in filters]
-        expected = sum(
-            all(reference_matches(row[i], value) for i, value in filters)
-            and (aggregate.is_star or not is_missing(row[1]))
-            for row in rows
-        )
-        count = columnar.count_matching_columnar(relation, aggregate, predicates)
-        assert type(count) is int and count == expected
 
 
 class TestHistogram:
@@ -463,7 +374,7 @@ def histogram_cube(dimensions: dict) -> CubeQuery:
 
 
 class TestHistogramCube:
-    """Dense (``bincount``) and sparse (sorted) histograms give the row
+    """Dense (``bincount``) and sparse (sorted) histograms give the
     oracle's cells; which route ran is read off the NumPy calls."""
 
     @pytest.fixture()
@@ -479,9 +390,8 @@ class TestHistogramCube:
         return seen
 
     def check(self, database, cube):
-        row_graph, col_graph = both_graphs(database)
-        result = execute_cube(database, cube, col_graph)
-        assert_cube_results_equal(execute_cube(database, cube, row_graph), result)
+        result = run_cube(database, cube)
+        assert_cube_matches_oracle(database, cube, result, "columnar", sample=100)
         for cell in result.cells.values():
             for value in cell.values():
                 assert type(value) in (int, float, type(None))

@@ -1,13 +1,13 @@
-"""Randomized cross-checks of the columnar backend against the row-wise oracle.
+"""Randomized cross-checks of the columnar cube against the row-wise oracle.
 
-The row-wise executor, join, and cube implementations are the reference
-semantics; every test here asserts that the dictionary-encoded columnar
-backend produces identical results — cell-for-cell for cubes, value-for-value
+NAIVE × row (the row-wise executor and join) is the reference semantics;
+every test here asserts that the dictionary-encoded columnar backend
+produces the oracle's results — cell-for-cell for cubes, value-for-value
 for SimpleAggregateQueries — on randomized databases including NULL-heavy
 columns, messy numeric strings, dangling join keys, and empty groups.
-Floats compare with ``==``: the executors and a cube cell read from one
-group add in row order. A rolled-up cell adds per-group subtotals, so the
-float bit-identity tests evaluate one query per engine.
+Values compare through ``tests/db/oracle.py``: exact and type-strict but
+for its named clauses. A cube cell read from one group adds in row order,
+so the float bit-identity tests evaluate one query per engine.
 """
 
 from __future__ import annotations
@@ -20,18 +20,20 @@ from repro.db import (
     AggregateSpec,
     ColumnRef,
     CubeQuery,
-    EngineConfig,
     ExecutionBackend,
-    ExecutionMode,
     QueryEngine,
     STAR,
-    execute_cube,
-    execute_query,
     parse_query,
 )
 from repro.db.columnar import ColumnarRelation
 from repro.db.joins import JoinGraph
 
+from tests.db.oracle import (
+    ORACLE,
+    assert_cube_matches_oracle,
+    assert_engine_matches_oracle,
+    run_cube,
+)
 from tests.db.strategies import (
     CATEGORIES,
     FLAGS,
@@ -58,24 +60,6 @@ FACTS_SPECS = (
     AggregateSpec(AggregateFunction.MIN, AMOUNT),
     AggregateSpec(AggregateFunction.MAX, AMOUNT),
 )
-
-
-def assert_value_equal(expected, actual, context=""):
-    if expected is None:
-        assert actual is None, f"{context}: row-wise None, columnar {actual!r}"
-    else:
-        assert actual is not None, f"{context}: row-wise {expected!r}, columnar None"
-        assert actual == expected, context
-
-
-def assert_cube_results_equal(row_result, col_result):
-    """Cell-for-cell equality: same keys, same specs, same values."""
-    assert set(col_result.cells) == set(row_result.cells)
-    for key, row_cell in row_result.cells.items():
-        col_cell = col_result.cells[key]
-        assert set(col_cell) == set(row_cell)
-        for spec, expected in row_cell.items():
-            assert_value_equal(expected, col_cell[spec], f"{key} {spec}")
 
 
 def both_graphs(database):
@@ -121,12 +105,9 @@ def facts_cubes(draw) -> CubeQuery:
 @settings(max_examples=60, deadline=None)
 @given(database=small_databases() | nullheavy_databases(), cube=facts_cubes())
 def test_cube_matches_rowwise_oracle(database, cube):
-    """Property: columnar cube cells equal row-wise cube cells exactly."""
-    row_graph, col_graph = both_graphs(database)
-    row_result = execute_cube(database, cube, row_graph)
-    col_result = execute_cube(database, cube, col_graph)
-    assert isinstance(col_graph.relation({"facts"}), ColumnarRelation)
-    assert_cube_results_equal(row_result, col_result)
+    """Property: every columnar cube cell a query can name holds that
+    query's oracle value."""
+    assert_cube_matches_oracle(database, cube, run_cube(database, cube), "columnar")
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,25 +116,17 @@ def test_cube_matches_rowwise_oracle(database, cube):
     query=claim_queries() | conditional_queries(),
 )
 def test_simple_queries_match_rowwise_oracle(database, query):
-    """Property: execute_query agrees between backends on random inputs."""
-    row_graph, col_graph = both_graphs(database)
-    expected = execute_query(database, query, row_graph)
-    actual = execute_query(database, query, col_graph)
-    assert_value_equal(expected, actual, str(query))
+    """Property: one query on its own columnar engine (a cube over its own
+    predicate columns) agrees with the oracle."""
+    assert_engine_matches_oracle(database, [query], "columnar")
 
 
 @settings(max_examples=40, deadline=None)
 @given(database=joined_databases(), queries=st.lists(joined_queries(), min_size=1, max_size=8))
 def test_joined_queries_match_rowwise_oracle(database, queries):
     """Property: hash join on key codes reproduces the row-wise equi-join
-    (NULL keys and dangling foreign keys drop identically) for every mode."""
-    for mode in (ExecutionMode.NAIVE, ExecutionMode.MERGED_CACHED):
-        row = QueryEngine(database, EngineConfig(mode=mode, backend="row")).evaluate(queries)
-        col = QueryEngine(database, EngineConfig(mode=mode, backend="columnar")).evaluate(
-            queries
-        )
-        for query in set(queries):
-            assert_value_equal(row[query], col[query], f"{mode} {query}")
+    (NULL keys and dangling foreign keys drop identically)."""
+    assert_engine_matches_oracle(database, queries, "columnar")
 
 
 @settings(max_examples=40, deadline=None)
@@ -164,16 +137,9 @@ def test_joined_queries_match_rowwise_oracle(database, queries):
     ),
 )
 def test_engine_modes_match_across_backends(database, queries):
-    """Property: the full engine ladder agrees between backends, including
+    """Property: the default engine agrees with the oracle, including
     repeat evaluation through the result cache."""
-    naive_row = QueryEngine(database, EngineConfig(mode=ExecutionMode.NAIVE, backend="row"
-    )).evaluate(queries)
-    engine = QueryEngine(database, EngineConfig(mode=ExecutionMode.MERGED_CACHED, backend="columnar"
-    ))
-    engine.evaluate(queries)  # populate the cache
-    cached = engine.evaluate(queries)  # answer from cached columnar cells
-    for query in set(queries):
-        assert_value_equal(naive_row[query], cached[query], str(query))
+    assert_engine_matches_oracle(database, queries, "columnar", repeat=2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,7 +157,7 @@ def test_engine_modes_match_across_backends(database, queries):
 )
 def test_random_float_sums_are_bit_identical(rows, function, where):
     """Property: SUM and AVG over random floats have the same bits on the
-    row oracle, NAIVE × columnar and the merged columnar cube."""
+    row oracle and the merged columnar cube."""
     from repro.db import Column, ColumnType, Database, Table
 
     database = Database(
@@ -200,17 +166,13 @@ def test_random_float_sums_are_bit_identical(rows, function, where):
     )
     query = parse_query(f"SELECT {function}(amount) FROM facts{where}", database)
     values = [
-        QueryEngine(database, EngineConfig(mode=mode, backend=backend)).evaluate([query])[query]
-        for mode, backend in (
-            (ExecutionMode.NAIVE, "row"),
-            (ExecutionMode.NAIVE, "columnar"),
-            (ExecutionMode.MERGED_CACHED, "columnar"),
-        )
+        QueryEngine(database, config).evaluate([query])[query]
+        for config in (ORACLE, None)
     ]
     if values[0] is None:  # no 'a' row
-        assert values == [None, None, None]
+        assert values == [None, None]
     else:
-        assert [value.hex() for value in values] == [values[0].hex()] * 3, str(query)
+        assert values[1].hex() == values[0].hex(), str(query)
 
 
 class TestJoinStructure:
@@ -247,15 +209,13 @@ class TestJoinStructure:
             literals=((ColumnRef("facts", "category"), frozenset({"alpha"})),),
             aggregates=(AggregateSpec(AggregateFunction.COUNT, STAR),),
         )
-        row_graph, col_graph = both_graphs(database)
-        assert_cube_results_equal(
-            execute_cube(database, cube, row_graph),
-            execute_cube(database, cube, col_graph),
-        )
+        result = run_cube(database, cube)
+        assert result.cells == {}
+        assert_cube_matches_oracle(database, cube, result, "columnar")
 
 
 class TestFixedInputs:
-    """Hand-picked inputs every backend and mode must agree on."""
+    """Hand-picked inputs the columnar route must agree with the oracle on."""
 
     def test_engine_matches_rowwise(self, nfl_db):
         sqls = [
@@ -272,14 +232,7 @@ class TestFixedInputs:
             "WHERE Games = 'indef' AND Category = 'gambling'",
         ]
         queries = [parse_query(sql, nfl_db) for sql in sqls]
-        for mode in ExecutionMode:
-            row = QueryEngine(nfl_db, EngineConfig(mode=mode, backend="row")).evaluate(
-                queries
-            )
-            col = QueryEngine(nfl_db, EngineConfig(mode=mode, backend="columnar"
-            )).evaluate(queries)
-            for query in queries:
-                assert_value_equal(row[query], col[query], f"{mode} {query}")
+        assert_engine_matches_oracle(nfl_db, queries, "columnar", repeat=2)
 
     def test_join_matches_rowwise(self, star_db):
         sqls = [
@@ -288,12 +241,7 @@ class TestFixedInputs:
             "SELECT Avg(goals) FROM players",
         ]
         queries = [parse_query(sql, star_db) for sql in sqls]
-        row = QueryEngine(star_db, EngineConfig(mode=ExecutionMode.MERGED_CACHED, backend="row"
-        )).evaluate(queries)
-        col = QueryEngine(star_db, EngineConfig(mode=ExecutionMode.MERGED_CACHED, backend="columnar"
-        )).evaluate(queries)
-        for query in queries:
-            assert_value_equal(row[query], col[query], str(query))
+        assert_engine_matches_oracle(star_db, queries, "columnar")
 
     def test_messy_cell_cube_matches_rowwise(self):
         from repro.db import Column, ColumnType, Database, Table
@@ -326,11 +274,7 @@ class TestFixedInputs:
                 ),
             ),
         )
-        row_graph, col_graph = both_graphs(database)
-        assert_cube_results_equal(
-            execute_cube(database, cube, row_graph),
-            execute_cube(database, cube, col_graph),
-        )
+        assert_cube_matches_oracle(database, cube, run_cube(database, cube), "columnar")
 
     def test_float_sums_are_bit_identical(self):
         """SUM and AVG add in row order on every route: NumPy's pairwise
@@ -351,20 +295,13 @@ class TestFixedInputs:
                 )
             ],
         )
-        routes = [
-            (ExecutionMode.NAIVE, "row"),
-            (ExecutionMode.NAIVE, "columnar"),
-            (ExecutionMode.MERGED_CACHED, "columnar"),
-        ]
         for function in ("Sum", "Avg"):
             for where in ("", " WHERE category = 'a'"):
                 query = parse_query(f"SELECT {function}(amount) FROM facts{where}", database)
                 # One query per engine: a merged cube would read an unfiltered
                 # query from its ALL cell, which adds per-group subtotals.
                 values = [
-                    QueryEngine(database, EngineConfig(mode=mode, backend=backend))
-                    .evaluate([query])[query]
-                    .hex()
-                    for mode, backend in routes
+                    QueryEngine(database, config).evaluate([query])[query].hex()
+                    for config in (ORACLE, None)
                 ]
-                assert values == [values[0]] * len(routes), str(query)
+                assert values[1] == values[0], str(query)

@@ -11,12 +11,12 @@ from repro.db import (
     ColumnRef,
     CubeQuery,
     STAR,
-    execute_cube,
     execute_query,
 )
 from repro.db.cube import ALL, MAX_CUBE_DIMENSIONS
 from repro.errors import QueryError
 
+from tests.db.oracle import assert_matches_oracle, run_cube
 from tests.db.strategies import claim_queries, small_databases
 
 GAMES = ColumnRef("nflsuspensions", "Games")
@@ -36,7 +36,7 @@ def nfl_cube(nfl_db, literals_games=("indef",), literals_cat=("gambling",)):
         literals=tuple((d, literal_map[d]) for d in dims),
         aggregates=(COUNT_STAR,),
     )
-    return execute_cube(nfl_db, cube)
+    return run_cube(nfl_db, cube)
 
 
 class TestCubeBasics:
@@ -122,7 +122,7 @@ class TestCubeAggregates:
             literals=((position, frozenset({"guard"})),),
             aggregates=specs,
         )
-        result = execute_cube(star_db, cube)
+        result = run_cube(star_db, cube)
         guard = {position: "guard"}
         assert result.value(specs[0], guard) == 3
         assert result.value(specs[1], guard) == pytest.approx(365.0)
@@ -141,7 +141,7 @@ class TestCubeAggregates:
             literals=((position, frozenset({"goalie"})),),
             aggregates=(spec,),
         )
-        result = execute_cube(star_db, cube)
+        result = run_cube(star_db, cube)
         assert result.value(spec, {position: "goalie"}) is None
 
 
@@ -152,8 +152,7 @@ class TestNullAndNonNumericCells:
     and coercible strings; SQL semantics require Count to skip only missing
     cells, CountDistinct to count normalized distinct non-missing cells, and
     the numeric aggregates to be NULL when no cell coerces to a number.
-    Parametrized over both backends (the columnar backend must replicate the
-    row-wise reference exactly).
+    Parametrized over the in-memory and the SQL cube.
     """
 
     ROWS = [
@@ -177,9 +176,6 @@ class TestNullAndNonNumericCells:
         return Database("mix", [table])
 
     def result(self, backend):
-        from repro.db import ExecutionBackend
-        from repro.db.joins import JoinGraph
-
         database = self.database()
         category = ColumnRef("facts", "category")
         amount = ColumnRef("facts", "amount")
@@ -200,30 +196,29 @@ class TestNullAndNonNumericCells:
             literals=((category, frozenset({"alpha", "beta"})),),
             aggregates=specs,
         )
-        graph = JoinGraph(database, backend=ExecutionBackend[backend])
-        return execute_cube(database, cube, graph), specs, category
+        return run_cube(database, cube, backend), specs, category
 
-    @pytest.mark.parametrize("backend", ["ROW", "COLUMNAR"])
+    @pytest.mark.parametrize("backend", ["columnar", "sqlite"])
     def test_count_skips_only_missing(self, backend):
         result, specs, category = self.result(backend)
         # alpha: NULL and blank are missing, 'n/a' is not.
         assert result.value(specs[0], {category: "alpha"}) == 1
         assert result.value(specs[0], {category: "beta"}) == 3
 
-    @pytest.mark.parametrize("backend", ["ROW", "COLUMNAR"])
+    @pytest.mark.parametrize("backend", ["columnar", "sqlite"])
     def test_count_distinct_normalizes(self, backend):
         result, specs, category = self.result(backend)
         assert result.value(specs[1], {category: "alpha"}) == 1  # 'n/a'
         assert result.value(specs[1], {category: "beta"}) == 3  # '4', 6, 'n/a'
         assert result.value(specs[1], {}) == 3  # 'n/a' shared across groups
 
-    @pytest.mark.parametrize("backend", ["ROW", "COLUMNAR"])
+    @pytest.mark.parametrize("backend", ["columnar", "sqlite"])
     def test_numeric_aggregates_null_without_numbers(self, backend):
         result, specs, category = self.result(backend)
         for spec in specs[2:]:
             assert result.value(spec, {category: "alpha"}) is None
 
-    @pytest.mark.parametrize("backend", ["ROW", "COLUMNAR"])
+    @pytest.mark.parametrize("backend", ["columnar", "sqlite"])
     def test_numeric_aggregates_skip_non_numeric(self, backend):
         result, specs, category = self.result(backend)
         beta = {category: "beta"}
@@ -238,7 +233,8 @@ class TestNullAndNonNumericCells:
 @settings(max_examples=60, deadline=None)
 @given(database=small_databases(), query=claim_queries())
 def test_cube_matches_naive_executor(database, query):
-    """Any candidate answered from a cube equals its naive evaluation."""
+    """Any candidate answered from a cube equals its naive evaluation
+    (under the oracle helper's clauses)."""
     if query.aggregate.function.is_ratio:
         # Ratios are served by the engine from counts; tested in test_engine.
         return
@@ -253,14 +249,12 @@ def test_cube_matches_naive_executor(database, query):
         literals=tuple((d, literal_map[d]) for d in dims),
         aggregates=(query.aggregate,),
     )
-    result = execute_cube(database, cube)
+    result = run_cube(database, cube)
     assignment = {
         predicate.column: predicate.normalized_value
         for predicate in query.all_predicates
     }
-    expected = execute_query(database, query)
     actual = result.value(query.aggregate, assignment)
-    if expected is None:
-        assert actual is None
-    else:
-        assert actual == pytest.approx(expected)
+    assert_matches_oracle(
+        query, execute_query(database, query), actual, "columnar", str(query)
+    )

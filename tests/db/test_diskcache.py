@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from repro.db import (
     Database,
     EngineConfig,
     EngineStats,
-    ExecutionMode,
     ForeignKey,
     QueryEngine,
     Table,
@@ -32,6 +32,7 @@ from repro.db import (
     parse_query,
 )
 from repro.db.cube import ALL
+from tests.db.oracle import ORACLE
 from tests.db.strategies import nullheavy_databases, shadow_cells
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -400,20 +401,19 @@ class TestDiskTier:
             db, EngineConfig(backend="columnar", cache_dir=tmp_path)
         )
         columnar.evaluate([count_by_kind(db)])
-        # The row-wise engine has (documented) different edge-case
-        # semantics; it must not read the columnar engine's cells.
-        row = QueryEngine(
-            db, EngineConfig(backend="row", cache_dir=tmp_path)
+        # The SQL cube spells some values differently (integer extremes);
+        # it must not read the columnar engine's cells.
+        sql = QueryEngine(
+            db, EngineConfig(backend="sqlite", cache_dir=tmp_path)
         )
-        row.evaluate([count_by_kind(db)])
-        assert row.stats.disk_hits == 0
-        assert row.stats.cube_queries == 1
+        sql.evaluate([count_by_kind(db)])
+        assert sql.stats.disk_hits == 0
+        assert sql.stats.cube_queries == 1
+        sql.close()
 
     def test_naive_mode_ignores_disk_cache(self, tmp_path):
         db = small_db()
-        engine = QueryEngine(
-            db, EngineConfig(mode=ExecutionMode.NAIVE, cache_dir=tmp_path)
-        )
+        engine = QueryEngine(db, replace(ORACLE, cache_dir=tmp_path))
         engine.evaluate([count_by_kind(db)])
         assert engine.stats.disk_hits == engine.stats.disk_misses == 0
 

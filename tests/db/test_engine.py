@@ -7,11 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import (
-    ExecutionMode,
+    Column,
+    ColumnType,
+    Database,
+    EngineConfig,
     QueryEngine,
+    Table,
     parse_query,
 )
+from repro.db.cache import ResultCache
+from repro.db.cube import MAX_CUBE_DIMENSIONS
+from repro.errors import QueryError
 
+from tests.db.oracle import ORACLE, assert_engine_matches_oracle
 from tests.db.strategies import (
     claim_queries,
     conditional_queries,
@@ -37,13 +45,9 @@ def queries_for(nfl_db):
 
 class TestModesAgree:
     def test_merged_equals_naive(self, nfl_db):
-        queries = queries_for(nfl_db)
-        naive = QueryEngine(nfl_db, ExecutionMode.NAIVE).evaluate(queries)
-        merged = QueryEngine(nfl_db, ExecutionMode.MERGED).evaluate(queries)
-        cached = QueryEngine(nfl_db, ExecutionMode.MERGED_CACHED).evaluate(queries)
-        for query in queries:
-            assert merged[query] == pytest.approx(naive[query])
-            assert cached[query] == pytest.approx(naive[query])
+        assert_engine_matches_oracle(
+            nfl_db, queries_for(nfl_db), "columnar", repeat=2
+        )
 
     def test_merged_equals_naive_on_joins(self, star_db):
         sqls = [
@@ -53,10 +57,7 @@ class TestModesAgree:
             "SELECT Avg(goals) FROM players",
         ]
         queries = [parse_query(sql, star_db) for sql in sqls]
-        naive = QueryEngine(star_db, ExecutionMode.NAIVE).evaluate(queries)
-        merged = QueryEngine(star_db, ExecutionMode.MERGED).evaluate(queries)
-        for query in queries:
-            assert merged[query] == pytest.approx(naive[query])
+        assert_engine_matches_oracle(star_db, queries, "columnar")
 
 
 class TestSharing:
@@ -68,7 +69,7 @@ class TestSharing:
         assert engine.stats.physical_queries < 7
 
     def test_cache_hits_across_calls(self, nfl_db):
-        engine = QueryEngine(nfl_db, ExecutionMode.MERGED_CACHED)
+        engine = QueryEngine(nfl_db)
         queries = queries_for(nfl_db)
         engine.evaluate(queries)
         first_physical = engine.stats.physical_queries
@@ -76,16 +77,19 @@ class TestSharing:
         assert engine.stats.physical_queries == first_physical
         assert engine.stats.cache_hits > 0
 
-    def test_merged_mode_does_not_cache_across_calls(self, nfl_db):
-        engine = QueryEngine(nfl_db, ExecutionMode.MERGED)
+    def test_fresh_cache_recomputes_the_batch(self, nfl_db):
+        """Table 6's "+ Query Merging" rung: cubes shared within a batch,
+        nothing kept across batches."""
+        engine = QueryEngine(nfl_db)
         queries = queries_for(nfl_db)
         engine.evaluate(queries)
         first_physical = engine.stats.physical_queries
+        engine.cache = ResultCache()
         engine.evaluate(queries)
         assert engine.stats.physical_queries == 2 * first_physical
 
     def test_cache_extends_for_new_literals(self, nfl_db):
-        engine = QueryEngine(nfl_db, ExecutionMode.MERGED_CACHED)
+        engine = QueryEngine(nfl_db)
         q1 = parse_query(
             "SELECT Count(*) FROM nflsuspensions WHERE Games = 'indef'", nfl_db
         )
@@ -100,21 +104,22 @@ class TestSharing:
         assert engine.stats.physical_queries == physical
         assert result[q1] == 4 and result[q2] == 4
 
-    def test_merged_mode_accumulates_cache_stats(self, nfl_db):
-        """Regression: MERGED mode creates a fresh ResultCache per evaluate()
-        call; engine stats must accumulate hit/miss deltas instead of being
-        overwritten with the current cache's counters each batch."""
-        engine = QueryEngine(nfl_db, ExecutionMode.MERGED)
+    def test_replaced_cache_accumulates_cache_stats(self, nfl_db):
+        """Engine stats accumulate hit/miss deltas instead of being
+        overwritten with the current cache's counters each batch, so a
+        cache replaced (or cleared) between batches loses no count."""
+        engine = QueryEngine(nfl_db)
         queries = queries_for(nfl_db)
         engine.evaluate(queries)
         first_misses = engine.stats.cache_misses
         assert first_misses > 0
+        engine.cache = ResultCache()
         engine.evaluate(queries)
         # Every batch starts cold, so misses double instead of resetting.
         assert engine.stats.cache_misses == 2 * first_misses
 
     def test_cached_mode_accumulates_cache_stats(self, nfl_db):
-        engine = QueryEngine(nfl_db, ExecutionMode.MERGED_CACHED)
+        engine = QueryEngine(nfl_db)
         queries = queries_for(nfl_db)
         engine.evaluate(queries)
         hits, misses = engine.stats.cache_hits, engine.stats.cache_misses
@@ -128,7 +133,7 @@ class TestSharing:
         )
 
     def test_naive_counts_each_query(self, nfl_db):
-        engine = QueryEngine(nfl_db, ExecutionMode.NAIVE)
+        engine = QueryEngine(nfl_db, ORACLE)
         engine.evaluate(queries_for(nfl_db))
         assert engine.stats.physical_queries == 7
 
@@ -143,6 +148,71 @@ class TestSharing:
         query = queries_for(nfl_db)[0]
         assert engine.evaluate_one(query) == 4
 
+    def test_evaluate_one_answers_through_the_cube_and_cache(self, nfl_db):
+        engine = QueryEngine(nfl_db)
+        queries = queries_for(nfl_db)
+        assert engine.evaluate_one(queries[1]) == 1
+        assert (engine.stats.cube_queries, engine.stats.cache_hits) == (1, 0)
+        assert engine.evaluate_one(queries[1]) == 1
+        assert (engine.stats.cube_queries, engine.stats.cache_hits) == (1, 1)
+        # Candidates over the same columns read the same cells.
+        conditional = queries[-1]
+        assert engine.evaluate([conditional])[conditional] == 25.0
+        assert (engine.stats.cube_queries, engine.stats.cache_hits) == (1, 2)
+
+    def test_oracle_evaluate_one_runs_no_cube(self, nfl_db):
+        engine = QueryEngine(nfl_db, ORACLE)
+        assert engine.evaluate_one(queries_for(nfl_db)[0]) == 4
+        assert engine.stats.cube_queries == 0
+        assert engine.stats.physical_queries == 1
+
+    @pytest.mark.parametrize("backend", ["columnar", "sqlite"])
+    def test_evaluate_one_matches_a_number_by_value(self, backend):
+        # The literal of the int 10 is "10"; the cells are the float 10.0.
+        table = Table(
+            "prices",
+            [Column("item"), Column("price", ColumnType.NUMERIC)],
+            [("a", 10.0), ("b", 10.0), ("c", 12.5), ("d", 7)],
+        )
+        database = Database("prices", [table])
+        engine = QueryEngine(database, EngineConfig(backend=backend))
+        oracle = QueryEngine(database, ORACLE)
+        for sql, expected in (
+            ("SELECT Count(*) FROM prices WHERE price = 10", 2),
+            ("SELECT Count(*) FROM prices WHERE price = 7.0", 1),
+            ("SELECT Count(*) FROM prices WHERE price = 11", 0),
+            ("SELECT Percentage(*) FROM prices WHERE price = 10", 50.0),
+        ):
+            query = parse_query(sql, database)
+            assert engine.evaluate_one(query) == expected, sql
+            assert oracle.evaluate_one(query) == expected, sql
+        engine.close()
+
+    def test_evaluate_one_refuses_a_number_of_two_literals(self):
+        table = Table(
+            "prices",
+            [Column("item"), Column("price", ColumnType.NUMERIC)],
+            [("a", 10), ("b", 10.0)],
+        )
+        database = Database("prices", [table])
+        query = parse_query("SELECT Count(*) FROM prices WHERE price = 10", database)
+        assert QueryEngine(database, ORACLE).evaluate_one(query) == 2
+        with pytest.raises(QueryError, match="matches 2 literals"):
+            QueryEngine(database).evaluate_one(query)
+
+    def test_evaluate_one_refuses_a_cube_beyond_the_dimension_limit(self):
+        names = [f"c{index}" for index in range(MAX_CUBE_DIMENSIONS + 1)]
+        table = Table("wide", [Column(name) for name in names], [("x",) * len(names)])
+        database = Database("wide", [table])
+        query = parse_query(
+            "SELECT Count(*) FROM wide WHERE "
+            + " AND ".join(f"{name} = 'x'" for name in names),
+            database,
+        )
+        assert QueryEngine(database, ORACLE).evaluate_one(query) == 1
+        with pytest.raises(QueryError, match="limit"):
+            QueryEngine(database).evaluate_one(query)
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -150,16 +220,6 @@ class TestSharing:
     queries=st.lists(claim_queries() | conditional_queries(), min_size=1, max_size=12),
 )
 def test_engine_modes_equivalent(database, queries):
-    """Property: merged/cached engines agree with the naive engine."""
-    naive = QueryEngine(database, ExecutionMode.NAIVE).evaluate(queries)
-    cached_engine = QueryEngine(database, ExecutionMode.MERGED_CACHED)
-    # Evaluate twice so cached results are exercised too.
-    cached_engine.evaluate(queries)
-    cached = cached_engine.evaluate(queries)
-    for query in set(queries):
-        expected = naive[query]
-        actual = cached[query]
-        if expected is None:
-            assert actual is None
-        else:
-            assert actual == pytest.approx(expected)
+    """Property: the merged, cached engine agrees with the naive one,
+    also when answering from its cache."""
+    assert_engine_matches_oracle(database, queries, "columnar", repeat=2)

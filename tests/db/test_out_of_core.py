@@ -19,7 +19,6 @@ from repro.budget import ResourceBudget
 from repro.db import (
     Database,
     EngineConfig,
-    ExecutionMode,
     ForeignKey,
     QueryEngine,
     parse_query,
@@ -91,13 +90,8 @@ def tiny_budget() -> ResourceBudget:
 
 
 class TestOutOfCoreVerification:
-    @pytest.mark.parametrize(
-        "mode", [ExecutionMode.NAIVE, ExecutionMode.MERGED_CACHED]
-    )
-    def test_large_file_verifies_under_tiny_budget(self, orders_db, mode):
-        engine = QueryEngine(
-            orders_db, EngineConfig(mode=mode, backend="sqlite")
-        )
+    def test_large_file_verifies_under_tiny_budget(self, orders_db):
+        engine = QueryEngine(orders_db, EngineConfig(backend="sqlite"))
         engine.budget = tiny_budget()
         queries = [
             parse_query(sql, orders_db)

@@ -11,7 +11,6 @@ from repro.db import (
     AggregateSpec,
     CubeQuery,
     STAR,
-    execute_cube,
     execute_query,
     parse_query,
     render_sql,
@@ -19,6 +18,7 @@ from repro.db import (
 from repro.db.cube import ALL
 from repro.db.refs import ColumnRef
 
+from tests.db.oracle import run_cube
 from tests.db.strategies import claim_queries, small_databases
 
 COUNT_STAR = AggregateSpec(AggregateFunction.COUNT, STAR)
@@ -55,7 +55,7 @@ def test_cube_children_sum_to_parent(database):
         literals=((CATEGORY, literals[CATEGORY]),),
         aggregates=(COUNT_STAR,),
     )
-    result = execute_cube(database, cube)
+    result = run_cube(database, cube)
     total = result.value(COUNT_STAR, {})
     by_value = sum(
         cells.get(COUNT_STAR, 0)

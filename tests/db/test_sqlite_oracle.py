@@ -1,14 +1,13 @@
 """Bit-identity oracle for the SQLite pushdown adapter.
 
 The acceptance contract of the SQL tier is *exact* agreement with the
-row-wise in-memory executor — same values AND same Python types — across
-NULL-heavy data, joins with dangling keys, empty groups, duplicate keys,
-messy numerics, and unicode.
+NAIVE × row oracle — same values AND same Python types, but for the named
+clauses of ``tests/db/oracle.py`` (a cube SUM over integers is a float) —
+across NULL-heavy data, joins with dangling keys, empty groups, duplicate
+keys, messy numerics, and unicode.
 """
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +18,12 @@ from repro.db import (
     ColumnType,
     Database,
     EngineConfig,
-    ExecutionMode,
     QueryEngine,
     Table,
     parse_query,
 )
 
+from tests.db.oracle import ORACLE, assert_engine_matches_oracle
 from tests.db.strategies import (
     claim_queries,
     conditional_queries,
@@ -33,8 +32,6 @@ from tests.db.strategies import (
     nullheavy_databases,
     small_databases,
 )
-
-MODES = (ExecutionMode.NAIVE, ExecutionMode.MERGED_CACHED)
 
 #: Every installed SQL adapter is held to the same bit-identity bar; the
 #: CI duckdb leg installs the optional dependency and lands here too.
@@ -45,40 +42,18 @@ SQL_BACKENDS = ("sqlite",) + (
 )
 
 
-def assert_bit_equal(expected, actual, context: str) -> None:
-    """Same value, same type; floats compared by repr (NaN, -0.0)."""
-    assert type(expected) is type(actual), (
-        f"{context}: type {type(expected).__name__} != {type(actual).__name__}"
-        f" ({expected!r} vs {actual!r})"
-    )
-    if isinstance(expected, float):
-        assert repr(expected) == repr(actual), context
-    else:
-        assert expected == actual, f"{context}: {expected!r} != {actual!r}"
-
-
 def assert_engines_agree(database, queries, backends=SQL_BACKENDS):
+    # Twice: the second batch is answered from the result cache.
+    columnar = assert_engine_matches_oracle(database, queries, "columnar", repeat=2)
     for backend in backends:
-        for mode in MODES:
-            oracle = QueryEngine(
-                database, EngineConfig(mode=mode, backend="row")
-            )
-            sql = QueryEngine(database, EngineConfig(mode=mode, backend=backend))
-            expected = oracle.evaluate(queries)
-            actual = sql.evaluate(queries)
-            for query in set(queries):
-                assert_bit_equal(
-                    expected[query],
-                    actual[query],
-                    f"{backend} {mode.value} {query}",
-                )
-            # The pushdown tier never pulls the relation into Python.
-            assert sql.stats.rows_materialized == 0
-            assert sql.stats.pushdown_queries >= 1 or not queries
-            # Both tiers report the same scan accounting per evaluate().
-            assert sql.stats.rows_scanned == oracle.stats.rows_scanned
-            sql.close()
-            oracle.close()
+        rounds = assert_engine_matches_oracle(database, queries, backend, repeat=2)
+        # The pushdown tier never pulls the relation into Python.
+        assert rounds[-1].rows_materialized == 0
+        assert rounds[-1].pushdown_queries >= 1 or not queries
+        # Both cube tiers report the same scan accounting per evaluate().
+        assert [stats.rows_scanned for stats in rounds] == [
+            stats.rows_scanned for stats in columnar
+        ]
 
 
 class TestRandomizedOracle:
@@ -288,8 +263,8 @@ class TestEdgeCases:
         )
 
     def test_float_totals_match_reference_accumulator(self):
-        # SUM over ints through the cube path returns float (the paper
-        # engine's accumulator seeds total=0.0); the naive path keeps int.
+        # SUM over ints through the cube path returns float (every cube
+        # accumulates in a float); the oracle keeps int.
         table = Table(
             "facts",
             [Column("category"), Column("amount", ColumnType.NUMERIC)],
@@ -297,12 +272,9 @@ class TestEdgeCases:
         )
         database = Database("sums", [table])
         query = parse_query("SELECT Sum(amount) FROM facts WHERE category = 'a'", database)
-        naive = QueryEngine(
-            database, EngineConfig(mode=ExecutionMode.NAIVE, backend="sqlite")
-        ).evaluate([query])[query]
+        naive = QueryEngine(database, ORACLE).evaluate([query])[query]
         cubed = QueryEngine(
-            database,
-            EngineConfig(mode=ExecutionMode.MERGED_CACHED, backend="sqlite"),
+            database, EngineConfig(backend="sqlite")
         ).evaluate([query])[query]
         assert type(naive) is int and naive == 3
         assert type(cubed) is float and cubed == 3.0
@@ -360,7 +332,7 @@ class TestDiskCacheInterop:
         assert warm.stats.cube_queries == 0
 
         # Different backend: cold (cells are keyed by adapter name).
-        other = QueryEngine(db, EngineConfig(backend="row", cache_dir=tmp_path))
+        other = QueryEngine(db, EngineConfig(backend="columnar", cache_dir=tmp_path))
         other.evaluate([query])
         assert other.stats.disk_hits == 0
         assert other.stats.cube_queries == 1

@@ -8,9 +8,11 @@ engine of the same mode and backend, check every value with ``rounds_to``
 — must give the same per-candidate values, evaluated/match vectors and
 physical-work stats. The same route on a NAIVE engine over the row
 adapter (one physical query per candidate: what the shadow auditor runs)
-must give the same values, probabilities and verdicts. Both across all
-three execution modes, both in-memory backends, full and budgeted scopes,
-ratio and conditional-probability candidates, and empty-group cells.
+must give the same values (under the named clauses of
+``tests/db/oracle.py``), probabilities and verdicts. Both across every
+engine (the oracle and the cube on the in-memory and the SQL backend),
+full and budgeted scopes, ratio and conditional-probability candidates,
+and empty-group cells.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.db.gather as gather
-from repro.db import Column, ColumnType, Database, QueryEngine, Table
-from repro.db.engine import EngineConfig, EngineStats, ExecutionMode
+from repro.db import Column, ColumnType, Database, EngineConfig, QueryEngine, Table
+from repro.db.engine import EngineStats
 from repro.db.gather import SpaceResults
 from repro.evalexec import ScopeConfig, refine_by_eval_space
 from repro.fragments import FragmentIndex, extract_fragments
@@ -38,12 +40,12 @@ from repro.nlp.numbers import rounds_to
 from repro.text import Document, detect_claims
 
 from tests.conftest import NFL_ROWS
+from tests.db.oracle import ORACLE, assert_matches_oracle, rolled_up_queries
 from tests.db.strategies import nullheavy_databases, small_databases
 
-MODES = list(ExecutionMode)
-BACKENDS = ["columnar", "row"]
-#: One physical query per candidate, no cube, no cache, row-wise executor.
-ORACLE = EngineConfig(mode=ExecutionMode.NAIVE, backend="row")
+#: The oracle (one physical query per candidate, no cube, no cache,
+#: row-wise executor) and the cube route on an in-memory and a SQL backend.
+BACKENDS = ["row", "columnar", "sqlite"]
 
 #: EngineStats fields that must match between ``evaluate_spaces`` and the
 #: list reference. Excluded: ``query_seconds`` (wall clock),
@@ -110,30 +112,41 @@ def assert_matches_list_reference(outcomes, spaces, masks, engine):
         assert np.array_equal(outcome.matches, matches)
 
 
-def close_value(expected, actual):
-    # Across backends: NULL-ness exact; numbers up to accumulation order
-    # and int-vs-float spelling (the row executor's 0 is columnar's 0.0).
-    if expected is None or actual is None:
-        return expected is actual
-    return actual == pytest.approx(expected)
+def evaluated_queries(outcome, space) -> list:
+    return [
+        space.query_at(position)
+        for position in np.flatnonzero(outcome.evaluated).tolist()
+    ]
 
 
-def assert_same_outcome(oracle, spacey):
+def assert_same_outcome(oracle, spacey, space, backend, rolled_up):
+    """``rolled_up``: the candidates of the batch read from ``ALL`` cells
+    (:func:`~tests.db.oracle.rolled_up_queries`)."""
     assert np.array_equal(oracle.evaluated, spacey.evaluated)
     assert np.array_equal(oracle.matches, spacey.matches)
     for position in np.flatnonzero(spacey.evaluated).tolist():
-        expected = oracle.result_at(position)
-        actual = spacey.result_at(position)
-        assert close_value(expected, actual), (position, expected, actual)
+        query = space.query_at(position)
+        assert_matches_oracle(
+            query,
+            oracle.result_at(position),
+            spacey.result_at(position),
+            backend,
+            f"candidate {position}",
+            query in rolled_up,
+        )
 
 
-def assert_same_verdict(claim, d_oracle, d_new):
+def assert_same_verdict(claim, d_oracle, d_new, backend, rolled_up=frozenset()):
     assert np.array_equal(d_oracle.probabilities, d_new.probabilities)
     v_oracle = make_verdict(claim, d_oracle)
     v_new = make_verdict(claim, d_new)
     assert v_oracle.status is v_new.status
     assert v_oracle.top_query == v_new.top_query
-    assert close_value(v_oracle.top_result, v_new.top_result)
+    if v_oracle.top_query is not None:
+        assert_matches_oracle(
+            v_oracle.top_query, v_oracle.top_result, v_new.top_result, backend,
+            rolled_up=v_oracle.top_query in rolled_up,
+        )
     assert v_oracle.probability_correct == v_new.probability_correct
 
 
@@ -167,11 +180,10 @@ def random_scores(draw, catalog) -> RelevanceScores:
 class TestSpacePathMatchesReferences:
     """Randomized single-claim refinement against both references."""
 
-    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("backend", BACKENDS)
     @settings(max_examples=15, deadline=None)
     @given(database=small_databases() | nullheavy_databases(signed_zeros=False), data=st.data())
-    def test_refine_identical(self, mode, backend, database, data):
+    def test_refine_identical(self, backend, database, data):
         catalog = extract_fragments(database)
         claim = make_claim(data.draw(st.sampled_from([1, 3, 4.0, 25, 50.0])))
         scores = data.draw(random_scores(catalog))
@@ -183,12 +195,12 @@ class TestSpacePathMatchesReferences:
             preliminary = {claim: compute_distribution(space)}
         spaces = {claim: space}
 
-        engine_config = EngineConfig(mode=mode, backend=backend)
-        engine_new = QueryEngine(database, engine_config)
+        config_of_route = EngineConfig(backend=backend)
+        engine_new = QueryEngine(database, config_of_route)
         spacey = refine_by_eval_space(spaces, preliminary, engine_new, config)
 
         # Reference 1: the list entry point, same mode and backend.
-        engine_list = QueryEngine(database, engine_config)
+        engine_list = QueryEngine(database, config_of_route)
         log_scores = preliminary[claim].log_scores if preliminary else None
         masks = {claim: reference_scope(space, log_scores, budget)}
         assert_matches_list_reference(spacey, spaces, masks, engine_list)
@@ -204,12 +216,19 @@ class TestSpacePathMatchesReferences:
         oracle = refine_by_eval_space(
             spaces, preliminary, QueryEngine(database, ORACLE), config
         )
-        assert_same_outcome(oracle[claim], spacey[claim])
+        rolled_up = rolled_up_queries(
+            database, evaluated_queries(spacey[claim], space)
+        )
+        assert_same_outcome(oracle[claim], spacey[claim], space, backend, rolled_up)
         assert_same_verdict(
             claim,
             compute_distribution(space, None, oracle[claim]),
             compute_distribution(space, None, spacey[claim]),
+            backend,
+            rolled_up,
         )
+        engine_new.close()
+        engine_list.close()
 
 
 @pytest.fixture(scope="module")
@@ -246,11 +265,11 @@ class TestMultiClaimDocument:
     """Cross-claim batches share cube work exactly as the list reference
     does, and agree with the oracle engine."""
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_physical_work_identical(self, nfl_pipeline, mode):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_physical_work_identical(self, nfl_pipeline, backend):
         database, _, claims, spaces = nfl_pipeline
-        engine_list = QueryEngine(database, EngineConfig(mode=mode))
-        engine_new = QueryEngine(database, EngineConfig(mode=mode))
+        engine_list = QueryEngine(database, EngineConfig(backend=backend))
+        engine_new = QueryEngine(database, EngineConfig(backend=backend))
         spacey = refine_by_eval_space(spaces, None, engine_new)
         masks = {
             claim: np.ones(len(space), dtype=bool)
@@ -261,8 +280,18 @@ class TestMultiClaimDocument:
         oracle = refine_by_eval_space(
             spaces, None, QueryEngine(database, ORACLE)
         )
+        rolled_up = rolled_up_queries(
+            database,
+            [
+                query
+                for claim in claims
+                for query in evaluated_queries(spacey[claim], spaces[claim])
+            ],
+        )
         for claim in claims:
-            assert_same_outcome(oracle[claim], spacey[claim])
+            assert_same_outcome(
+                oracle[claim], spacey[claim], spaces[claim], backend, rolled_up
+            )
 
     @pytest.mark.parametrize("budget", [None, 25])
     def test_query_and_learn_identical(self, nfl_pipeline, budget):
@@ -285,6 +314,7 @@ class TestMultiClaimDocument:
                 claim,
                 result_oracle.distributions[claim],
                 result_new.distributions[claim],
+                "columnar",
             )
 
     def test_carried_results_skip_reevaluation(self, nfl_pipeline):

@@ -161,18 +161,22 @@ class TestMain:
             check_regression.main(["--tolerance", "0"])
 
     def test_gates_current_repo_against_head(self, capsys, tmp_path):
-        # The real invocation CI runs on a fresh checkout: committed files
-        # vs themselves must never regress (identical ratios). The fresh
-        # copies come from HEAD, not the working tree, so a baseline that
-        # was re-recorded but is not committed yet reads as neither.
+        # The real invocation CI runs on a fresh checkout: the checked-out
+        # baselines vs themselves must never regress (identical ratios).
+        # Both sides are the checked-out files, so a baseline re-recorded
+        # together with its gate entry reads the same before and after it
+        # is committed.
         for name, (_, ratios_of, _) in check_regression.SPECS.items():
-            committed = check_regression._load_baseline(name, "HEAD", None)
-            if committed is None:
+            path = check_regression.REPO_ROOT / name
+            if not path.exists():
                 continue
-            # Every gated ratio is present in the committed baseline.
-            assert None not in ratios_of(committed).values(), name
-            write(tmp_path, name, committed)
-        code = check_regression.main(["--fresh-dir", str(tmp_path)])
+            baseline = json.loads(path.read_text())
+            # Every gated ratio is present in the baseline.
+            assert None not in ratios_of(baseline).values(), name
+            write(tmp_path, name, baseline)
+        code = check_regression.main(
+            ["--fresh-dir", str(tmp_path), "--baseline-dir", str(tmp_path)]
+        )
         out = capsys.readouterr().out
         assert code == 0, out
         for name in check_regression.SPECS:

@@ -115,6 +115,69 @@ class TestCheckCommand:
         assert code in (0, 1)
 
 
+class TestBackendPicksTheEngine:
+    """``--backend`` alone names the engine: ``row`` is the NAIVE oracle,
+    every other backend runs merged, cached cubes."""
+
+    @pytest.mark.parametrize("backend", ["row", "columnar", "sqlite"])
+    def test_check_json_matches_the_library_engine(
+        self, data_files, capsys, backend
+    ):
+        from repro.core import AggChecker
+        from repro.core.config import AggCheckerConfig
+        from repro.db import Database, EngineConfig, load_csv
+        from repro.service.protocol import parse_article, verdict_payload
+
+        from tests.db.oracle import ORACLE
+
+        csv, article, _ = data_files
+        code = main(
+            ["check", "--csv", str(csv), "--article", str(article),
+             "--backend", backend, "--json"]
+        )
+        claims = json.loads(capsys.readouterr().out)["claims"]
+        engine = EngineConfig(backend=backend)
+        assert (engine == ORACLE) == (backend == "row")
+        checker = AggChecker(
+            Database("cli", [load_csv(csv)]), AggCheckerConfig(engine=engine)
+        )
+        report = checker.check_document(
+            parse_article(article.read_text(encoding="utf-8"), article.stem)
+        )
+        assert code == 0
+        assert claims == [verdict_payload(v) for v in report.verdicts]
+
+    @pytest.mark.parametrize("command", ["check", "serve"])
+    def test_execution_mode_is_a_usage_error(self, data_files, capsys, command):
+        csv, article, _ = data_files
+        argv = [command, "--execution-mode", "naive"]
+        if command == "check":
+            argv += ["--csv", str(csv), "--article", str(article)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "--execution-mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "corpus-run", "serve"])
+    def test_backend_help_names_the_oracle(self, command):
+        import argparse
+
+        from repro.cli import build_parser
+
+        commands = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        [backend] = [
+            action
+            for action in commands.choices[command]._actions
+            if "--backend" in action.option_strings
+        ]
+        text = " ".join(backend.help.split())
+        assert "'row'" in text and "NAIVE reference oracle" in text
+
+
 class TestServeParser:
     def test_serve_defaults(self):
         from repro.cli import build_parser

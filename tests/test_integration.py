@@ -6,9 +6,10 @@ import pytest
 
 from repro.core import AggChecker, VerdictStatus
 from repro.corpus import CorpusConfig, generate_corpus
-from repro.db import EngineConfig, ExecutionMode
 from repro.core.config import AggCheckerConfig
 from repro.harness import run_case
+
+from tests.db.oracle import ORACLE
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,7 @@ class TestPipelineOnGeneratedCorpus:
         case = mini_corpus.cases[0]
         default = run_case(case)
         naive = run_case(
-            case, AggCheckerConfig(engine=EngineConfig(mode=ExecutionMode.NAIVE))
+            case, AggCheckerConfig(engine=ORACLE)
         )
         for a, b in zip(default.evaluations, naive.evaluations):
             assert a.verdict.status == b.verdict.status

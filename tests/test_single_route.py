@@ -12,6 +12,11 @@ copy for an interpreter without it, and no test skips for its absence.
 ``python -m repro serve`` has one HTTP front end, the queue-backed
 asyncio server: no thread-per-request server or option selecting one
 comes back.
+
+Four engines, one oracle: ``NAIVE`` runs only on the row executor and
+``MERGED_CACHED`` on every other backend. The row cube, the per-query
+columnar and SQL routes, the ``MERGED`` mode, the cube-cover strategy
+knobs and the result-reuse switch stay deleted.
 """
 
 from __future__ import annotations
@@ -57,7 +62,9 @@ def test_removed_options_stay_removed():
     from repro.model.em import EmConfig
     from repro.model.probability import EvaluationOutcome
 
-    assert "space_eval" not in {spec.name for spec in fields(EmConfig)}
+    assert not {"space_eval", "reuse_results"} & {
+        spec.name for spec in fields(EmConfig)
+    }
     flat = {
         "batch_matching",
         "execution_mode",
@@ -162,3 +169,60 @@ def test_src_has_one_http_front_end():
 
 def test_threaded_server_module_is_gone():
     assert importlib.util.find_spec("repro.service.server") is None
+
+
+#: Traces of the engine pairs outside the four, and of their knobs.
+EXTRA_ENGINES = re.compile(
+    r"CubeCoverStrategy|cover_strategy|paper_max_predicates|reuse_results"
+    r"|execute_columnar_query|_Partial\b|execution[-_]mode|ExecutionMode\.MERGED\b"
+)
+
+
+def test_src_has_four_engines_and_one_oracle():
+    offences = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if EXTRA_ENGINES.search(line):
+                offences.append(f"{relative}:{number}: {line.strip()}")
+    assert not offences, "\n".join(offences)
+
+
+def test_two_execution_modes():
+    from repro.db import ExecutionMode
+
+    assert [mode.value for mode in ExecutionMode] == ["naive", "merged_cached"]
+
+
+def test_engine_config_accepts_exactly_four_pairs():
+    import pytest
+
+    from repro.db import EngineConfig, ExecutionMode
+    from repro.errors import QueryError
+
+    valid = []
+    for mode in ExecutionMode:
+        for backend in ("columnar", "row", "sqlite", "duckdb"):
+            if (mode is ExecutionMode.NAIVE) == (backend == "row"):
+                valid.append(EngineConfig(mode=mode, backend=backend))
+                continue
+            with pytest.raises(QueryError, match=r"mode=ExecutionMode\.NAIVE, backend='row'"):
+                EngineConfig(mode=mode, backend=backend)
+    assert [(config.mode.value, config.backend) for config in valid] == [
+        ("naive", "row"),
+        ("merged_cached", "columnar"),
+        ("merged_cached", "sqlite"),
+        ("merged_cached", "duckdb"),
+    ]
+    assert [spec.name for spec in fields(EngineConfig)] == [
+        "mode", "backend", "cache_dir", "disk_cache_min_rows",
+    ]
+
+
+def test_db_exports_no_row_cube():
+    import repro.db
+    import repro.db.cube
+
+    assert not hasattr(repro.db, "execute_cube")
+    assert "execute_cube" not in repro.db.__all__
+    assert not hasattr(repro.db.cube, "execute_cube")
