@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.config import AggCheckerConfig
 from repro.corpus import generate_corpus
-from repro.harness import run_corpus, run_user_study
+from repro.harness import run_corpus
 
 #: Cases used by parameter sweeps (full corpus for headline numbers).
 SWEEP_CASES = 20
@@ -50,9 +50,3 @@ def sweep_cache(corpus, run_sweep):
         return cache[label]
 
     return run_config
-
-
-@pytest.fixture(scope="session")
-def study(run_full):
-    """The simulated on-site user study over the six largest articles."""
-    return run_user_study(run_full.results)

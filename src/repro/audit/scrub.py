@@ -27,9 +27,10 @@ here)                                                 entries at ack time
 Semantic validation of the disk tier needs the source data: pass the
 databases (``--csv`` on the CLI) and every entry whose ``meta``
 fingerprint matches one of them is recomputed; entries for unknown
-fingerprints, and entries of a backend that runs no cubes (``row``, the
-NAIVE oracle, cannot recompute a cube), get the structural check only
-(counted ``skipped_semantic``).
+fingerprints, and entries of any backend but a cube backend (``row``, the
+NAIVE oracle, cannot recompute a cube, and a name outside
+:data:`~repro.db.adapters.BACKENDS` has no adapter here), get the
+structural check only (counted ``skipped_semantic``).
 
 Exit contract of the CLI: 0 when every walked tier is clean, 4 when any
 corruption was found (all of it quarantined or flagged — a second scrub
@@ -41,7 +42,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from repro.db.adapters import create_adapter
+from repro.db.adapters import BACKENDS, create_adapter
 from repro.db.cube import CubeQuery
 from repro.db.diskcache import DiskCubeCache, fingerprint_of
 from repro.db.engine import ORACLE_BACKEND
@@ -62,9 +63,10 @@ def _bit_equal(a: object, b: object) -> bool:
 
 
 def recomputable(meta: dict) -> bool:
-    """Whether an entry's backend runs cubes, so its cells can be
-    recomputed: every backend but ``row``, the NAIVE oracle."""
-    return meta.get("backend") != ORACLE_BACKEND
+    """Whether an entry's backend exists here and runs cubes, so its cells
+    can be recomputed: ``columnar`` and ``sqlite``."""
+    backend = meta.get("backend")
+    return backend in BACKENDS and backend != ORACLE_BACKEND
 
 
 def recompute_matches(

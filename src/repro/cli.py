@@ -43,7 +43,7 @@ from repro.core import AggChecker, render_markup
 from repro.core.config import AggCheckerConfig
 from repro.db.csvio import load_csv
 from repro.db.datadict import load_data_dictionary
-from repro.db.adapters import adapter_names, load_sqlite_database
+from repro.db.adapters import BACKENDS, load_sqlite_database
 from repro.db.engine import EngineConfig
 from repro.db.schema import Database
 from repro.errors import ReproError
@@ -91,18 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--p-true", type=float, default=0.999, help="assumed P(claim correct)"
     )
-    check.add_argument(
-        "--backend",
-        choices=adapter_names(),
-        default="columnar",
-        help="storage adapter: dictionary-encoded in-memory 'columnar' "
-        "(default) or SQL pushdown — stdlib 'sqlite' (bit-identical "
-        "verdicts, runs out-of-core over SQLite files without "
-        "materializing rows in Python) and 'duckdb' (optional; requires "
-        "the duckdb package) — all answering candidates from merged, "
-        "cached cube queries; or 'row', the NAIVE reference oracle, which "
-        "executes every candidate query on its own, row by row",
-    )
+    _add_backend(check)
     check.add_argument(
         "--cache-dir",
         metavar="DIR",
@@ -142,13 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes; 1 runs in-process, 0 uses one per CPU "
         "(default: 1). Results are identical at any worker count.",
     )
-    corpus_run.add_argument(
-        "--backend",
-        choices=adapter_names(),
-        default="columnar",
-        help="storage adapter for corpus databases; 'row' is the NAIVE "
-        "reference oracle (see 'check --backend')",
-    )
+    _add_backend(corpus_run)
     corpus_run.add_argument(
         "--cache-dir",
         metavar="DIR",
@@ -231,13 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--p-true", type=float, default=0.999, help="assumed P(claim correct)"
     )
-    serve.add_argument(
-        "--backend",
-        choices=adapter_names(),
-        default="columnar",
-        help="storage adapter for served databases; 'row' is the NAIVE "
-        "reference oracle (see 'check --backend')",
-    )
+    _add_backend(serve)
     serve.add_argument(
         "--cache-dir",
         metavar="DIR",
@@ -413,6 +390,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the full report as JSON"
     )
     return parser
+
+
+def _add_backend(parser) -> None:
+    parser.add_argument(
+        "--backend",
+        choices=BACKENDS,
+        default="columnar",
+        help="storage adapter: dictionary-encoded in-memory 'columnar' "
+        "(default) or stdlib 'sqlite' SQL pushdown (bit-identical "
+        "verdicts, runs out-of-core over SQLite files without "
+        "materializing rows in Python), both answering candidates from "
+        "merged, cached cube queries; or 'row', the NAIVE reference "
+        "oracle, which executes every candidate query on its own, row by "
+        "row",
+    )
 
 
 def _add_disk_cache_min_rows(parser) -> None:

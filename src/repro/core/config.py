@@ -43,8 +43,8 @@ class AggCheckerConfig:
     #: Aggregation-column fragments retrieved per claim (Figure 13 right).
     column_hits: int = 10
     #: Query-engine construction: execution mode and storage backend (one
-    #: of four pairs: ``MERGED_CACHED`` × ``columnar``/``sqlite``/
-    #: ``duckdb``, or the ``NAIVE`` × ``row`` oracle), cube disk cache.
+    #: of three pairs: ``MERGED_CACHED`` × ``columnar``/``sqlite``, or the
+    #: ``NAIVE`` × ``row`` oracle), cube disk cache.
     #: Derive variants with :meth:`with_engine`.
     engine: EngineConfig = field(default_factory=EngineConfig)
     #: Share predicate fragments across the document's claims (paper

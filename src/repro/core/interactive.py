@@ -4,7 +4,7 @@ After automated checking, users resolve each claim by accepting the top
 suggestion (1 click), picking among the top-5 (2 clicks), the top-10
 (3 clicks), or assembling a custom query from fragments. The session
 records which feature resolved each claim — the distribution reported in
-the paper's Table 3 — and exposes it to the user-study simulator.
+the paper's Table 3.
 """
 
 from __future__ import annotations
@@ -37,6 +37,19 @@ class ResolutionFeature(enum.Enum):
             ResolutionFeature.TOP_10: 3,
             ResolutionFeature.CUSTOM: 5,
         }[self]
+
+    @classmethod
+    def for_rank(cls, rank: int | None) -> "ResolutionFeature":
+        """The feature that resolves a claim whose query is the rank-th
+        suggestion (1 = top). The UI lists only the top 10, so a lower
+        rank, or none, takes a custom query."""
+        if rank is None or rank > 10:
+            return cls.CUSTOM
+        if rank <= 1:
+            return cls.TOP_1
+        if rank <= 5:
+            return cls.TOP_5
+        return cls.TOP_10
 
 
 @dataclass
@@ -110,13 +123,7 @@ class InteractiveSession:
                 f"claim has only {len(top)} candidates; rank {rank} unavailable"
             )
         query = top[rank - 1][0]
-        if rank <= 1:
-            feature = ResolutionFeature.TOP_1
-        elif rank <= 5:
-            feature = ResolutionFeature.TOP_5
-        else:
-            feature = ResolutionFeature.TOP_10
-        return self._resolve(claim, query, feature)
+        return self._resolve(claim, query, ResolutionFeature.for_rank(rank))
 
     def set_custom(self, claim: Claim, query: SimpleAggregateQuery) -> Resolution:
         """Assemble a query by hand from fragments (Figure 3(d))."""

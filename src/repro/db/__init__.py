@@ -13,22 +13,20 @@ This subpackage provides everything AggChecker needs from a database system:
 - a direct executor (:mod:`repro.db.executor`, the ``NAIVE`` oracle), a
   ``GROUP BY CUBE`` operator with ``InOrDefault`` literal collapsing
   (:mod:`repro.db.cube`),
-- pluggable storage adapters (:mod:`repro.db.adapters`) — in-memory
-  columnar/row execution plus SQL pushdown into SQLite (stdlib) or DuckDB
-  (optional), including out-of-core SQLite-file databases,
+- three storage adapters (:mod:`repro.db.adapters`) — in-memory
+  columnar/row execution plus SQL pushdown into stdlib SQLite, including
+  out-of-core SQLite-file databases,
 - and a batch :class:`~repro.db.engine.QueryEngine` implementing the paper's
   query merging and result caching (Section 6) with execution statistics.
 """
 
 from repro.db.adapters import (
-    AdapterCapabilities,
+    BACKENDS,
     SqlBackedTable,
     StorageAdapter,
-    adapter_names,
     canonical_backend_name,
     create_adapter,
     load_sqlite_database,
-    register_adapter,
 )
 from repro.db.aggregates import AggregateFunction
 from repro.db.columnar import ColumnarRelation, ExecutionBackend
@@ -54,9 +52,9 @@ from repro.db.sql import (
 )
 
 __all__ = [
-    "AdapterCapabilities",
     "AggregateFunction",
     "AggregateSpec",
+    "BACKENDS",
     "Column",
     "ColumnRef",
     "ColumnType",
@@ -79,7 +77,6 @@ __all__ = [
     "SqlBackedTable",
     "StorageAdapter",
     "Table",
-    "adapter_names",
     "canonical_backend_name",
     "create_adapter",
     "database_fingerprint",
@@ -90,7 +87,6 @@ __all__ = [
     "load_sqlite_database",
     "parse_query",
     "quote_identifier",
-    "register_adapter",
     "render_sql",
     "render_sql_parameterized",
 ]

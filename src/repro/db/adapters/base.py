@@ -11,22 +11,18 @@ ladder) is storage-agnostic. The ``row`` adapter is the exception: it is the
 ``NAIVE`` oracle, runs no cubes, and answers one
 :class:`~repro.db.query.SimpleAggregateQuery` at a time instead.
 
-Adapters register themselves by name (``columnar``, ``row``, ``sqlite``,
-``duckdb``); registry names are the engine's public backend surface
-(``ExecutionBackend`` is only the in-memory ``JoinGraph`` switch). An
-adapter may be *registered* but not *available* (DuckDB is an optional
-extra); creation then raises :class:`~repro.errors.MissingDependencyError`
-with an install hint instead of an ImportError at import time.
+The backends are the closed set :data:`BACKENDS`; their names are the
+engine's public backend surface (``ExecutionBackend`` is only the
+in-memory ``JoinGraph`` switch).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 from repro.db.values import Value
-from repro.errors import MissingDependencyError, QueryError
+from repro.errors import QueryError
 
 if TYPE_CHECKING:
     from repro.budget import ResourceBudget
@@ -42,33 +38,18 @@ class SimpleResult(NamedTuple):
     rows_scanned: int
 
 
-@dataclass(frozen=True)
-class AdapterCapabilities:
-    """What the engine (and the resource budget) may assume of an adapter.
-
-    ``pushdown``: cube and predicate execution run inside an external SQL
-    engine; the adapter never materializes the joined relation in Python.
-    ``pagination``: large result spaces are fetched in keyset/cursor pages,
-    so a budget can stop an oversized result mid-stream instead of after
-    materialization.
-    ``estimates_cardinality``: :meth:`StorageAdapter.estimated_cardinality`
-    is cheap and does not materialize the join (in-memory adapters derive a
-    fan-out upper bound from key multiplicities; SQL adapters push down a
-    ``COUNT(*)``).
-    """
-
-    pushdown: bool = False
-    pagination: bool = False
-    estimates_cardinality: bool = False
+#: The storage backends, in display order: the one set ``EngineConfig``,
+#: :func:`create_adapter` and every CLI ``--backend`` accept.
+BACKENDS = ("columnar", "row", "sqlite")
 
 
 class StorageAdapter(ABC):
     """Owns relation storage and execution for one database.
 
-    Subclasses set ``name`` (the registry key and ``--backend`` value) and
-    ``capabilities``, and expose a ``join_graph`` for schema-level
-    join-path questions. The two mutable counters are mirrored into
-    :class:`~repro.db.engine.EngineStats` by the engine after every call:
+    Subclasses set ``name`` (one of :data:`BACKENDS`) and expose a
+    ``join_graph`` for schema-level join-path questions. The two mutable
+    counters are mirrored into :class:`~repro.db.engine.EngineStats` by
+    the engine after every call:
 
     - ``pushdown_queries``: statements executed inside an external engine;
     - ``rows_materialized``: rows of joined relations materialized as
@@ -76,7 +57,10 @@ class StorageAdapter(ABC):
     """
 
     name: ClassVar[str]
-    capabilities: ClassVar[AdapterCapabilities] = AdapterCapabilities()
+    #: Cube execution runs inside an external SQL engine: the adapter never
+    #: materializes the joined relation in Python, so the engine's rows
+    #: budget does not apply to it.
+    pushdown: ClassVar[bool] = False
 
     join_graph: "JoinGraph"
 
@@ -114,72 +98,25 @@ class StorageAdapter(ABC):
     def close(self) -> None:
         """Release external resources (connections, file handles)."""
 
-    @classmethod
-    def available(cls) -> bool:
-        """Whether this adapter can be constructed in this environment."""
-        return True
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.database.name!r})"
 
 
-#: Registered adapters in registration (= preference/display) order.
-_REGISTRY: dict[str, type[StorageAdapter]] = {}
-
-
-def register_adapter(cls: type[StorageAdapter]) -> type[StorageAdapter]:
-    """Class decorator: expose an adapter under ``cls.name``."""
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-_BUILTIN_ORDER = ("columnar", "row", "sqlite", "duckdb")
-
-
-def adapter_names() -> list[str]:
-    """All registered backend names (including optional, possibly
-    unavailable extras such as ``duckdb``).
-
-    The built-ins come first in a fixed order (registration order depends
-    on which module imported the package first); third-party adapters
-    follow alphabetically.
-    """
-    _ensure_builtin()
-    extras = sorted(name for name in _REGISTRY if name not in _BUILTIN_ORDER)
-    return [name for name in _BUILTIN_ORDER if name in _REGISTRY] + extras
-
-
 def canonical_backend_name(backend: str) -> str:
-    """Normalize a backend name's spelling to its registry name."""
-    _ensure_builtin()
+    """Normalize a backend name's spelling to its :data:`BACKENDS` entry."""
     name = str(backend).strip().lower()
-    if name not in _REGISTRY:
-        known = ", ".join(sorted(_REGISTRY))
+    if name not in BACKENDS:
+        known = ", ".join(BACKENDS)
         raise QueryError(f"unknown storage backend {backend!r} (known: {known})")
     return name
 
 
-def adapter_class(backend: str) -> type[StorageAdapter]:
-    """Resolve a backend name to its adapter class."""
-    return _REGISTRY[canonical_backend_name(backend)]
-
-
 def create_adapter(backend: str, database: "Database") -> StorageAdapter:
-    """Instantiate the named adapter for ``database``.
+    """Instantiate the named adapter for ``database``."""
+    from repro.db.adapters.memory import ColumnarAdapter, RowAdapter
+    from repro.db.adapters.sqlite import SqliteAdapter
 
-    Raises :class:`~repro.errors.MissingDependencyError` for registered
-    adapters whose optional dependency is absent.
-    """
-    cls = adapter_class(backend)
-    if not cls.available():
-        raise MissingDependencyError(
-            f"storage backend {cls.name!r} requires an optional dependency "
-            f"that is not installed (hint: pip install {cls.name})"
-        )
-    return cls(database)
-
-
-def _ensure_builtin() -> None:
-    """Import the built-in adapter modules so they self-register."""
-    if "columnar" not in _REGISTRY:  # pragma: no branch - idempotent
-        from repro.db.adapters import duckdb, memory, sqlite  # noqa: F401
+    classes = {
+        cls.name: cls for cls in (ColumnarAdapter, RowAdapter, SqliteAdapter)
+    }
+    return classes[canonical_backend_name(backend)](database)

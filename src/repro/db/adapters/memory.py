@@ -14,12 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, ClassVar
 
-from repro.db.adapters.base import (
-    AdapterCapabilities,
-    SimpleResult,
-    StorageAdapter,
-    register_adapter,
-)
+from repro.db.adapters.base import SimpleResult, StorageAdapter
 from repro.db.columnar import ExecutionBackend, execute_cube_columnar
 from repro.db.executor import execute_query
 from repro.db.joins import JoinGraph
@@ -125,17 +120,14 @@ class InMemoryAdapter(StorageAdapter):
         return result
 
 
-@register_adapter
 class ColumnarAdapter(InMemoryAdapter):
     """Dictionary-encoded, NumPy-vectorized columnar execution. The
     default backend."""
 
     name = "columnar"
     backend = ExecutionBackend.COLUMNAR
-    capabilities = AdapterCapabilities(estimates_cardinality=True)
 
 
-@register_adapter
 class RowAdapter(InMemoryAdapter):
     """Tuple-at-a-time execution of one query at a time — the ``NAIVE``
     reference oracle every cube route is property-tested against. It runs
@@ -143,7 +135,6 @@ class RowAdapter(InMemoryAdapter):
 
     name = "row"
     backend = ExecutionBackend.ROW
-    capabilities = AdapterCapabilities(estimates_cardinality=True)
 
     def execute_simple(self, query: "SimpleAggregateQuery") -> SimpleResult:
         """Evaluate one Simple Aggregate Query (the ``NAIVE`` route)."""

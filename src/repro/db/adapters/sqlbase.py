@@ -1,4 +1,4 @@
-"""Shared machinery for SQL pushdown adapters (SQLite, DuckDB).
+"""The SQL pushdown machinery of the SQLite adapter.
 
 The engine's semantics are defined by the row-wise reference path:
 case-insensitive normalized-string equality, forgiving numeric coercion
@@ -304,13 +304,15 @@ class _CubePlan:
 
 
 class SqlAdapterBase(StorageAdapter):
-    """Template for adapters that push execution into a SQL engine.
+    """Template for an adapter that pushes execution into a SQL engine.
 
-    Subclasses provide ``_connect()`` (a DB-API connection holding the
+    The subclass provides ``_connect()`` (a DB-API connection holding the
     shadow tables). Everything else — shadow encoding, statement
     generation, paged fetching, partial finalization, cardinality
-    pushdown — is shared.
+    pushdown — lives here.
     """
+
+    pushdown = True
 
     #: Rows fetched per page when draining cube results (keeps peak
     #: memory bounded and lets budgets stop oversized results early).
@@ -371,15 +373,12 @@ class SqlAdapterBase(StorageAdapter):
         the alias ``t{i}``. Loaded shadows hold every column."""
         return f"t{self._positions[table][0]}"
 
-    def _load_tables(self, connection, k_type="", n_type="") -> None:
+    def _load_tables(self, connection) -> None:
         """Create and fill one shadow table per table of a loaded
-        database (the adapter's only copy of the data). Engines with
-        typed columns name the two image types."""
+        database (the adapter's only copy of the data)."""
         for table in self.database.tables:
             i, columns = self._positions[table.name]
-            ddl = ", ".join(
-                f"c{j}k {k_type}, c{j}n {n_type}" for j in columns.values()
-            )
+            ddl = ", ".join(f"c{j}k, c{j}n" for j in columns.values())
             connection.execute(f"CREATE TABLE t{i} ({ddl})")
             marks = ", ".join("?" for _ in range(2 * len(columns)))
             rows = self._shadow_rows(table)

@@ -41,7 +41,6 @@ from collections.abc import Sequence
 from contextlib import closing
 from pathlib import Path
 
-from repro.db.adapters.base import AdapterCapabilities, register_adapter
 from repro.db.adapters.sqlbase import SqlAdapterBase
 from repro.db.refs import ColumnRef
 from repro.db.schema import (
@@ -65,14 +64,10 @@ def _open_read_only(path: str) -> sqlite3.Connection:
     )
 
 
-@register_adapter
 class SqliteAdapter(SqlAdapterBase):
-    """Default SQL tier: pushes execution into stdlib ``sqlite3``."""
+    """The SQL tier: pushes execution into stdlib ``sqlite3``."""
 
     name = "sqlite"
-    capabilities = AdapterCapabilities(
-        pushdown=True, pagination=True, estimates_cardinality=True
-    )
 
     def _connect(self) -> sqlite3.Connection:
         path = getattr(self.database, "sqlite_path", None)

@@ -67,18 +67,18 @@ class EngineConfig:
 
     One frozen value threads from :class:`~repro.core.config.AggCheckerConfig`
     through the CLI and service layer down to engine construction. Derive
-    variants with :func:`dataclasses.replace`. Four (mode, backend) pairs
+    variants with :func:`dataclasses.replace`. Three (mode, backend) pairs
     are valid: ``NAIVE`` × ``row`` (the oracle) and ``MERGED_CACHED`` ×
-    every other backend, so the backend alone names the engine.
+    ``columnar`` or ``sqlite``, so the backend alone names the engine.
     """
 
     #: Batch evaluation strategy: the oracle or the production route.
     #: ``None`` takes the backend's one mode; a mode the backend does not
     #: run raises :class:`~repro.errors.QueryError`.
     mode: ExecutionMode | None = None
-    #: Storage-adapter name (``columnar``, ``row``, ``sqlite``,
-    #: ``duckdb``, or any :func:`~repro.db.adapters.register_adapter`-ed
-    #: extra), normalized to its registry spelling.
+    #: Storage-adapter name, one of
+    #: :data:`~repro.db.adapters.BACKENDS` (``columnar``, ``row``,
+    #: ``sqlite``), normalized to that spelling.
     backend: str = "columnar"
     #: Directory for the persistent cube-cell disk cache (None disables
     #: the disk tier). The engine constructs its own
@@ -182,7 +182,7 @@ class EngineStats:
     #: quarantined (``*.corrupt``).
     audit_cell_mismatches: int = 0
     #: Statements the storage adapter pushed down into an external SQL
-    #: engine (SQLite/DuckDB). 0 for in-memory adapters.
+    #: engine (SQLite). 0 for in-memory adapters.
     pushdown_queries: int = 0
     #: Rows of joined relations materialized as Python objects by the
     #: storage adapter. Pushdown adapters keep this at 0 — the counter
@@ -773,8 +773,8 @@ class QueryEngine:
         """Bound the relation backing a query or cube, predictively.
 
         ``max_rows`` budgets Python-side *materialization*, so the check
-        consults the adapter's capabilities: a pushdown adapter never pulls
-        the relation into Python (it streams paginated cells, bounded by
+        consults the adapter's ``pushdown`` flag: a pushdown adapter never
+        pulls the relation into Python (it streams paginated cells, bounded by
         ``check_cube`` during rollup), which is exactly what makes
         out-of-core verification work — a 10M-row SQLite file verifies
         under a tiny ``max_rows_materialized``. For in-memory adapters the
@@ -788,7 +788,7 @@ class QueryEngine:
         """
         if self.budget is None or self.budget.max_rows is None:
             return
-        if self.adapter.capabilities.pushdown:
+        if self.adapter.pushdown:
             return
         try:
             self.budget.check_rows(

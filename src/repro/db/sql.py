@@ -70,10 +70,10 @@ def render_sql_parameterized(
 ) -> tuple[str, tuple[Value, ...]]:
     """Render a query as executable SQL with ``?`` placeholders.
 
-    Returns ``(sql, params)`` in qmark style (shared by the SQLite and
-    DuckDB adapters). Unlike :func:`render_sql`, identifiers are quoted
-    and literals travel out-of-band as bind parameters, so hostile
-    values in claims or scraped data cannot change the statement.
+    Returns ``(sql, params)`` in qmark style. Unlike :func:`render_sql`,
+    identifiers are quoted and literals travel out-of-band as bind
+    parameters, so hostile values in claims or scraped data cannot change
+    the statement.
     """
     tables = sorted(query.referenced_tables()) or ["T"]
     from_clause = " JOIN ".join(quote_identifier(table) for table in tables)

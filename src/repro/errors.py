@@ -78,10 +78,6 @@ class CheckerError(ReproError):
     """The AggChecker pipeline was driven incorrectly."""
 
 
-class MissingDependencyError(ReproError):
-    """An optional third-party dependency is required for this feature."""
-
-
 class DeadlineExceeded(ReproError):
     """A claim-execution deadline expired at a pipeline stage boundary.
 

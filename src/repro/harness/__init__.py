@@ -1,8 +1,10 @@
-"""Evaluation harness: metrics, corpus runner, ablations, user studies.
+"""Evaluation harness: metrics, corpus runner, ablations.
 
-Regenerates every measurement the paper reports: precision/recall/F1 on
-erroneous-claim detection, top-k coverage of ground-truth queries,
-processing statistics, and the simulated user studies.
+Regenerates the paper's measurements that code can reproduce:
+precision/recall/F1 on erroneous-claim detection, top-k coverage of
+ground-truth queries (and from it the UI feature that resolves each
+claim, Table 3), and processing statistics. The user studies (Tables 4,
+8 and 11, Figures 6-7) measured people and are not reproduced.
 """
 
 from repro.harness.metrics import (
@@ -25,13 +27,6 @@ from repro.harness.runner import (
     run_case,
     run_corpus,
 )
-from repro.harness.users import (
-    StudyOutcome,
-    UserProfile,
-    UserSimulator,
-    run_crowd_study,
-    run_user_study,
-)
 
 __all__ = [
     "CaseResult",
@@ -42,9 +37,6 @@ __all__ = [
     "RetryPolicy",
     "corpus_signature",
     "RunMetrics",
-    "StudyOutcome",
-    "UserProfile",
-    "UserSimulator",
     "aggregate_metrics",
     "evaluate_case",
     "merge_stats",
@@ -52,6 +44,4 @@ __all__ = [
     "run_corpus",
     "run_corpus_parallel",
     "shard_cases",
-    "run_crowd_study",
-    "run_user_study",
 ]

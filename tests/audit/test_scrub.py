@@ -165,9 +165,10 @@ class TestDiskCacheSemantic:
         assert report["corrupt"] == 0
 
 
-def plant_row_entry(cache_dir, db):
-    """A ``row`` entry, as an engine that ran cubes on the row backend
-    wrote them: a columnar entry re-stored under backend ``row``."""
+def plant_row_entry(cache_dir, db, backend="row"):
+    """An entry of a backend that runs no cubes here, as another build
+    wrote it: a columnar entry re-stored under ``backend`` (``row``, once
+    run on cubes, or ``duckdb``, an adapter that no longer exists)."""
     warm_cache(cache_dir, db)
     cache = DiskCubeCache(cache_dir)
     [path] = cache.entries()
@@ -175,23 +176,29 @@ def plant_row_entry(cache_dir, db):
     meta = payload["meta"]
     path.unlink()
     cache.store(
-        meta["fingerprint"], "row", meta["tables"], meta["spec"],
+        meta["fingerprint"], backend, meta["tables"], meta["spec"],
         meta["dims"], payload["literals"], payload["cells"],
     )
     [planted] = cache.entries()
     planted_payload = cache.read_payload(planted)
-    assert planted_payload["meta"]["backend"] == "row"
+    assert planted_payload["meta"]["backend"] == backend
     return planted_payload
 
 
+@pytest.mark.parametrize(
+    "backend, refusal",
+    [("row", "runs no cubes"), ("duckdb", "unknown storage backend")],
+    ids=["row", "duckdb"],
+)
 class TestEntriesOfTheCubeLessBackend:
-    """The row backend is the NAIVE oracle and runs no cubes, so a ``row``
-    entry cannot be recomputed: both scrubs check it structurally only."""
+    """The row backend is the NAIVE oracle and runs no cubes, and a backend
+    outside the closed set has no adapter, so neither's entry can be
+    recomputed: both scrubs check it structurally only."""
 
-    def test_offline_scrub_skips_the_recompute(self, tmp_path):
+    def test_offline_scrub_skips_the_recompute(self, tmp_path, backend, refusal):
         db = small_db()
-        payload = plant_row_entry(tmp_path, db)
-        with pytest.raises(QueryError, match="runs no cubes"):
+        payload = plant_row_entry(tmp_path, db, backend)
+        with pytest.raises(QueryError, match=refusal):
             recompute_matches(db, payload)
         report = scrub_disk_cache(tmp_path, [db])
         assert report["scanned"] == report["ok"] == 1
@@ -199,13 +206,17 @@ class TestEntriesOfTheCubeLessBackend:
         assert report["corrupt"] == 0
         assert list(tmp_path.glob("*.cube"))
 
-    def test_cli_scrub_counts_it_and_exits_clean(self, tmp_path, capsys):
+    def test_cli_scrub_counts_it_and_exits_clean(
+        self, tmp_path, capsys, backend, refusal
+    ):
         from repro.cli import main as cli_main
         from repro.db import load_csv
 
         csv_path = tmp_path / "events.csv"
         csv_path.write_text("kind,score\na,1\na,2\nb,3\n")
-        plant_row_entry(tmp_path / "cache", Database("cli", [load_csv(csv_path)]))
+        plant_row_entry(
+            tmp_path / "cache", Database("cli", [load_csv(csv_path)]), backend
+        )
         code = cli_main(
             ["scrub", "--cache-dir", str(tmp_path / "cache"),
              "--csv", str(csv_path), "--json"]
@@ -214,13 +225,15 @@ class TestEntriesOfTheCubeLessBackend:
         assert code == 0
         assert tier["skipped_semantic"] == 1 and tier["corrupt"] == 0
 
-    def test_online_cell_scrub_skips_the_recompute(self, tmp_path):
+    def test_online_cell_scrub_skips_the_recompute(
+        self, tmp_path, backend, refusal
+    ):
         from repro.audit.shadow import ShadowAuditor, _AuditTask, _OracleEntry
         from repro.audit.trust import TrustLevel
         from repro.core.config import AggCheckerConfig
 
         db = small_db()
-        plant_row_entry(tmp_path, db)
+        plant_row_entry(tmp_path, db, backend)
         service = SimpleNamespace(
             config=AggCheckerConfig(engine=EngineConfig(cache_dir=str(tmp_path)))
         )

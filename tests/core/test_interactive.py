@@ -54,6 +54,23 @@ class TestSuggestions:
         assert len(session.pending()) == 3
 
 
+class TestForRank:
+    @pytest.mark.parametrize(
+        "rank, feature",
+        [
+            (1, ResolutionFeature.TOP_1),
+            (2, ResolutionFeature.TOP_5),
+            (5, ResolutionFeature.TOP_5),
+            (6, ResolutionFeature.TOP_10),
+            (10, ResolutionFeature.TOP_10),
+            (11, ResolutionFeature.CUSTOM),
+            (None, ResolutionFeature.CUSTOM),
+        ],
+    )
+    def test_rank_picks_the_feature(self, rank, feature):
+        assert ResolutionFeature.for_rank(rank) is feature
+
+
 class TestResolution:
     def test_accept_top(self, session):
         claim = session.report.claims[0]
@@ -65,12 +82,17 @@ class TestResolution:
 
     def test_select_rank_feature_boundaries(self, session):
         claim = session.report.claims[1]
+        assert len(session.suggestions(claim, k=11)) == 11
         assert (
             session.select_rank(claim, 3).feature is ResolutionFeature.TOP_5
         )
         assert (
             session.select_rank(claim, 7).feature is ResolutionFeature.TOP_10
         )
+        # The UI lists the top 10: the 11th candidate is a custom query.
+        resolution = session.select_rank(claim, 11)
+        assert resolution.feature is ResolutionFeature.CUSTOM
+        assert resolution.feature.clicks == 5
 
     def test_select_rank_out_of_range(self, session):
         claim = session.report.claims[0]

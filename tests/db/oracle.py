@@ -1,8 +1,9 @@
 """NAIVE × row is the oracle; the named ways a cube route may differ from it.
 
-Four (mode, backend) pairs exist. ``NAIVE`` × ``row`` answers one query at a
-time with the row-wise executor (:mod:`repro.db.executor`); ``MERGED_CACHED``
-× ``columnar``/``sqlite``/``duckdb`` answers every query from cube cells.
+Three (mode, backend) pairs exist. ``NAIVE`` × ``row`` answers one query at
+a time with the row-wise executor (:mod:`repro.db.executor`);
+``MERGED_CACHED`` × ``columnar``/``sqlite`` answers every query from cube
+cells.
 Every suite that holds a cube route to the oracle compares through
 :func:`assert_matches_oracle`: exact and type-strict (floats by ``repr``),
 except for the clauses below. Each clause is a difference between the
@@ -14,10 +15,10 @@ per-query executor and a cube that the code has on purpose, and
   cube route accumulates in a float (``bincount(weights=...)``, SQL
   ``CAST(... AS DOUBLE)``); the executor keeps an integer total.
 - :data:`FLOAT64_EXTREMES` — on a route that holds numbers as float64
-  (columnar arrays, DuckDB ``DOUBLE``) MIN/MAX is a float equal to the
-  oracle's extreme: an integer comes back as its float, and among equal
-  extremes (``0``, ``0.0``, ``-0.0``) the columnar kernel keeps the last
-  one its dictionary saw where the executor keeps the earliest row's.
+  (columnar arrays) MIN/MAX is a float equal to the oracle's extreme: an
+  integer comes back as its float, and among equal extremes (``0``,
+  ``0.0``, ``-0.0``) the columnar kernel keeps the last one its dictionary
+  saw where the executor keeps the earliest row's.
 - :data:`ROLLUP_ADDS_SUBTOTALS` — a rolled-up cell (a key with ``ALL`` in
   it) of the columnar cube adds per-group subtotals, so its float SUM/AVG
   can differ from the row-order sum in the last bits; compared to a
@@ -56,7 +57,7 @@ ROLLUP_ADDS_SUBTOTALS = "a rolled-up float SUM/AVG adds per-group subtotals"
 PREDICATE_BY_LITERAL = "a cube matches a non-string predicate value by literal"
 
 #: Backends whose number image is float64 (:data:`FLOAT64_EXTREMES`).
-FLOAT64_BACKENDS = frozenset({"columnar", "duckdb"})
+FLOAT64_BACKENDS = frozenset({"columnar"})
 #: Backends whose rolled-up cells add group subtotals
 #: (:data:`ROLLUP_ADDS_SUBTOTALS`); each SQL arm rescans its rows in order.
 SUBTOTAL_BACKENDS = frozenset({"columnar"})

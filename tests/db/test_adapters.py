@@ -1,5 +1,6 @@
-"""The storage-adapter API: registry, capabilities, EngineConfig, and
-predictive cardinality estimates feeding budget admission."""
+"""The storage-adapter API: the closed backend set, the pushdown flag,
+EngineConfig, and predictive cardinality estimates feeding budget
+admission."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 from repro.budget import ResourceBudget, estimate_cube_cells
 from repro.core.config import AggCheckerConfig
 from repro.db import (
+    BACKENDS,
     Column,
     ColumnType,
     Database,
@@ -18,20 +20,13 @@ from repro.db import (
     ForeignKey,
     QueryEngine,
     Table,
-    adapter_names,
     canonical_backend_name,
     create_adapter,
     parse_query,
 )
-from repro.db.adapters import (
-    ColumnarAdapter,
-    DuckdbAdapter,
-    RowAdapter,
-    SqliteAdapter,
-)
-from repro.db.adapters.base import adapter_class
+from repro.db.adapters import ColumnarAdapter, RowAdapter, SqliteAdapter
 from repro.db.columnar import ExecutionBackend
-from repro.errors import BudgetExceeded, MissingDependencyError, QueryError
+from repro.errors import BudgetExceeded, QueryError
 
 from tests.db.oracle import ORACLE
 
@@ -70,9 +65,10 @@ def fanout_db(n_players_per_team=4, n_teams=3) -> Database:
 
 
 class TestRegistry:
-    def test_builtins_registered_in_fixed_order(self):
-        names = adapter_names()
-        assert names[:4] == ["columnar", "row", "sqlite", "duckdb"]
+    """The backend names: a closed set, spelled one way."""
+
+    def test_backends_are_a_closed_set_in_fixed_order(self):
+        assert BACKENDS == ("columnar", "row", "sqlite")
 
     def test_canonical_name_normalizes_spelling(self):
         assert canonical_backend_name("  SQLite ") == "sqlite"
@@ -87,10 +83,13 @@ class TestRegistry:
             canonical_backend_name("parquet")
 
     def test_adapter_classes(self):
-        assert adapter_class("columnar") is ColumnarAdapter
-        assert adapter_class("row") is RowAdapter
-        assert adapter_class("sqlite") is SqliteAdapter
-        assert adapter_class("duckdb") is DuckdbAdapter
+        classes = (ColumnarAdapter, RowAdapter, SqliteAdapter)
+        for backend, cls in zip(BACKENDS, classes):
+            adapter = create_adapter(backend, small_db())
+            try:
+                assert type(adapter) is cls and cls.name == backend
+            finally:
+                adapter.close()
 
     def test_create_adapter_instantiates(self):
         adapter = create_adapter("sqlite", small_db())
@@ -99,30 +98,22 @@ class TestRegistry:
         finally:
             adapter.close()
 
-    def test_missing_optional_dependency_is_structured(self):
-        if DuckdbAdapter.available():
-            pytest.skip("duckdb installed; absence path not reachable")
-        with pytest.raises(MissingDependencyError, match="duckdb"):
-            create_adapter("duckdb", small_db())
-
 
 class TestCapabilities:
+    """``pushdown`` is the one capability the engine reads."""
+
     def test_in_memory_adapters_do_not_push_down(self):
         for cls in (ColumnarAdapter, RowAdapter):
-            assert not cls.capabilities.pushdown
-            assert not cls.capabilities.pagination
-            assert cls.capabilities.estimates_cardinality
+            assert not cls.pushdown
 
     def test_sql_adapters_push_down_and_paginate(self):
-        for cls in (SqliteAdapter, DuckdbAdapter):
-            assert cls.capabilities.pushdown
-            assert cls.capabilities.pagination
-            assert cls.capabilities.estimates_cardinality
+        assert SqliteAdapter.pushdown
+        assert SqliteAdapter.page_size > 0
 
     def test_engine_exposes_adapter(self):
         engine = QueryEngine(small_db(), EngineConfig(backend="sqlite"))
         assert engine.backend == "sqlite"
-        assert engine.adapter.capabilities.pushdown
+        assert engine.adapter.pushdown
         engine.close()
 
 

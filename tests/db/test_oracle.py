@@ -16,7 +16,6 @@ from repro.db import (
     Table,
     parse_query,
 )
-from repro.db.adapters import DuckdbAdapter
 
 from tests.db.oracle import (
     FLOAT64_EXTREMES,
@@ -29,9 +28,7 @@ from tests.db.oracle import (
     rolled_up_queries,
 )
 
-CUBE_BACKENDS = ("columnar", "sqlite") + (
-    ("duckdb",) if DuckdbAdapter.available() else ()
-)
+CUBE_BACKENDS = ("columnar", "sqlite")
 AMOUNT = ColumnRef("facts", "amount")
 
 

@@ -9,7 +9,6 @@ keys, messy numerics, and unicode.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,27 +32,18 @@ from tests.db.strategies import (
     small_databases,
 )
 
-#: Every installed SQL adapter is held to the same bit-identity bar; the
-#: CI duckdb leg installs the optional dependency and lands here too.
-from repro.db.adapters import DuckdbAdapter
 
-SQL_BACKENDS = ("sqlite",) + (
-    ("duckdb",) if DuckdbAdapter.available() else ()
-)
-
-
-def assert_engines_agree(database, queries, backends=SQL_BACKENDS):
+def assert_engines_agree(database, queries):
     # Twice: the second batch is answered from the result cache.
     columnar = assert_engine_matches_oracle(database, queries, "columnar", repeat=2)
-    for backend in backends:
-        rounds = assert_engine_matches_oracle(database, queries, backend, repeat=2)
-        # The pushdown tier never pulls the relation into Python.
-        assert rounds[-1].rows_materialized == 0
-        assert rounds[-1].pushdown_queries >= 1 or not queries
-        # Both cube tiers report the same scan accounting per evaluate().
-        assert [stats.rows_scanned for stats in rounds] == [
-            stats.rows_scanned for stats in columnar
-        ]
+    rounds = assert_engine_matches_oracle(database, queries, "sqlite", repeat=2)
+    # The pushdown tier never pulls the relation into Python.
+    assert rounds[-1].rows_materialized == 0
+    assert rounds[-1].pushdown_queries >= 1 or not queries
+    # Both cube tiers report the same scan accounting per evaluate().
+    assert [stats.rows_scanned for stats in rounds] == [
+        stats.rows_scanned for stats in columnar
+    ]
 
 
 class TestRandomizedOracle:
@@ -281,11 +271,9 @@ class TestEdgeCases:
 
 
 class TestCorpusVerdictIdentity:
-    @pytest.mark.parametrize("backend", SQL_BACKENDS)
-    def test_sql_backend_reproduces_columnar_verdicts(self, backend):
+    def test_sql_backend_reproduces_columnar_verdicts(self):
         """Full-pipeline acceptance: every builtin-corpus verdict under
-        ``--backend sqlite`` (or duckdb) is the columnar verdict, bit for
-        bit."""
+        ``--backend sqlite`` is the columnar verdict, bit for bit."""
         from repro.core.config import AggCheckerConfig
         from repro.corpus import generate_corpus
         from repro.harness import run_corpus
@@ -295,7 +283,7 @@ class TestCorpusVerdictIdentity:
             corpus, AggCheckerConfig(engine=EngineConfig(backend="columnar"))
         )
         pushdown = run_corpus(
-            corpus, AggCheckerConfig(engine=EngineConfig(backend=backend))
+            corpus, AggCheckerConfig(engine=EngineConfig(backend="sqlite"))
         )
         assert len(reference.results) == len(pushdown.results) > 0
         for expected, actual in zip(reference.results, pushdown.results):

@@ -159,8 +159,20 @@ class TestBackendPicksTheEngine:
         assert "--execution-mode" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["check", "corpus-run", "serve"])
+    def test_duckdb_is_a_usage_error(self, data_files, capsys, command):
+        csv, article, _ = data_files
+        argv = [command, "--backend", "duckdb"]
+        if command == "check":
+            argv += ["--csv", str(csv), "--article", str(article)]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'duckdb'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "corpus-run", "serve"])
     def test_backend_help_names_the_oracle(self, command):
         import argparse
+        import re
 
         from repro.cli import build_parser
 
@@ -175,7 +187,9 @@ class TestBackendPicksTheEngine:
             if "--backend" in action.option_strings
         ]
         text = " ".join(backend.help.split())
-        assert "'row'" in text and "NAIVE reference oracle" in text
+        assert "'row', the NAIVE reference oracle" in text
+        assert tuple(backend.choices) == ("columnar", "row", "sqlite")
+        assert set(re.findall(r"'(\w+)'", text)) == set(backend.choices)
 
 
 class TestServeParser:

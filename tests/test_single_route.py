@@ -13,10 +13,15 @@ copy for an interpreter without it, and no test skips for its absence.
 asyncio server: no thread-per-request server or option selecting one
 comes back.
 
-Four engines, one oracle: ``NAIVE`` runs only on the row executor and
-``MERGED_CACHED`` on every other backend. The row cube, the per-query
-columnar and SQL routes, the ``MERGED`` mode, the cube-cover strategy
-knobs and the result-reuse switch stay deleted.
+Three engines, one oracle: ``NAIVE`` runs only on the row executor and
+``MERGED_CACHED`` on the columnar and SQLite backends. The row cube, the
+per-query columnar and SQL routes, the ``MERGED`` mode, the cube-cover
+strategy knobs and the result-reuse switch stay deleted.
+
+The package keeps only what it can run or measure: the backends are a
+closed set with no plug-in registry, capability record or optional-adapter
+gate, and no simulated user study stands in for the paper's human-subject
+results.
 """
 
 from __future__ import annotations
@@ -171,14 +176,14 @@ def test_threaded_server_module_is_gone():
     assert importlib.util.find_spec("repro.service.server") is None
 
 
-#: Traces of the engine pairs outside the four, and of their knobs.
+#: Traces of the engine pairs outside the three, and of their knobs.
 EXTRA_ENGINES = re.compile(
     r"CubeCoverStrategy|cover_strategy|paper_max_predicates|reuse_results"
     r"|execute_columnar_query|_Partial\b|execution[-_]mode|ExecutionMode\.MERGED\b"
 )
 
 
-def test_src_has_four_engines_and_one_oracle():
+def test_src_has_three_engines_and_one_oracle():
     offences = []
     for path in sorted(SRC.rglob("*.py")):
         relative = path.relative_to(SRC).as_posix()
@@ -194,15 +199,36 @@ def test_two_execution_modes():
     assert [mode.value for mode in ExecutionMode] == ["naive", "merged_cached"]
 
 
-def test_engine_config_accepts_exactly_four_pairs():
+#: Traces of the adapter extension point, of the optional adapter, and of
+#: the user-study simulator.
+UNRUNNABLE = re.compile(
+    r"duckdb|DuckDB|register_adapter|adapter_names|adapter_class"
+    r"|AdapterCapabilities|MissingDependencyError"
+    r"|UserSimulator|run_user_study|run_crowd_study"
+)
+
+
+def test_src_keeps_only_what_it_can_run():
+    offences = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if UNRUNNABLE.search(line):
+                offences.append(f"{relative}:{number}: {line.strip()}")
+    assert not offences, "\n".join(offences)
+
+
+def test_engine_config_accepts_exactly_three_pairs():
     import pytest
 
     from repro.db import EngineConfig, ExecutionMode
     from repro.errors import QueryError
 
+    with pytest.raises(QueryError, match="unknown storage backend"):
+        EngineConfig(backend="duckdb")
     valid = []
     for mode in ExecutionMode:
-        for backend in ("columnar", "row", "sqlite", "duckdb"):
+        for backend in ("columnar", "row", "sqlite"):
             if (mode is ExecutionMode.NAIVE) == (backend == "row"):
                 valid.append(EngineConfig(mode=mode, backend=backend))
                 continue
@@ -212,7 +238,6 @@ def test_engine_config_accepts_exactly_four_pairs():
         ("naive", "row"),
         ("merged_cached", "columnar"),
         ("merged_cached", "sqlite"),
-        ("merged_cached", "duckdb"),
     ]
     assert [spec.name for spec in fields(EngineConfig)] == [
         "mode", "backend", "cache_dir", "disk_cache_min_rows",
