@@ -68,21 +68,6 @@ def _swept_rows(payload: dict) -> tuple:
 #: file name -> (workload-signature fn, ratio-extraction fn,
 #:               parallelism-guarded ratio names fn)
 SPECS: dict[str, tuple] = {
-    "BENCH_pipeline.json": (
-        lambda p: _params(p, "cases", "results.parallel.workers"),
-        lambda p: {
-            "parallel_speedup": _lookup(
-                p, "results.parallel.speedup_vs_sequential"
-            ),
-            "warm_disk_hit_rate": _lookup(
-                p, "results.warm_cache.disk_cache_hit_rate"
-            ),
-        },
-        # The parallel speedup needs >= workers real cores to mean anything.
-        lambda p: ("parallel_speedup",)
-        if (os.cpu_count() or 1) < (_lookup(p, "results.parallel.workers") or 1)
-        else (),
-    ),
     # Baseline recorded on 2 CPUs against the queue-backed asyncio server
     # (the one front end; per-field median of five runs): warm pool 3.96x
     # cold, incremental 10.4x warm (floors 1.98x and 5.2x). Queue workers

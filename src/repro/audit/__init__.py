@@ -1,7 +1,7 @@
 """Online integrity auditing: shadow verification, trust ladder, scrubbing.
 
 The service's caches (disk cube cells, incremental verdict memos) and
-journals (queue, checkpoints) are validated structurally on read; this
+its queue journal are validated structurally on read; this
 package adds the *semantic* layer — continuously demonstrating, in the
 running service, the bit-identity contract the test suite asserts between
 the columnar engine and the row-wise NAIVE oracle:

@@ -1,8 +1,9 @@
 """Offline deep scrub of every persisted state tier (``repro scrub``).
 
-Four tiers persist across process restarts, each with its own framing and
-its own repair story; the scrubber walks them all and emits one
-machine-readable report:
+Two tiers persist across process restarts, each with its own framing and
+its own repair story; the scrubber walks both and emits one
+machine-readable report. The third row is in memory and checked in
+process:
 
 ========================  ==========================  =====================
 tier                      structural check            semantic check
@@ -15,10 +16,6 @@ queue journal             per-record CRC32 (v2),      — (payloads are
 (``queue.journal``)       truncated-tail detection    verdicts; the online
                                                       shadow auditor covers
                                                       them at ack time)
-corpus checkpoints        magic + per-record CRC32    — (a resumed run
-(``RCKPT3`` framing)      (v3), truncated-tail        recomputes skipped
-                          detection                   records and rewrites
-                                                      the file)
 incremental memo LRU      per-entry CRC32 on every    shadow auditor
 (in-memory, not walked    hit (in process)            repairs divergent
 here)                                                 entries at ack time
@@ -170,19 +167,9 @@ def scrub_journal(queue_dir: str | Path) -> dict:
     return {"tier": "queue_journal", **scan}
 
 
-def scrub_checkpoint(path: str | Path) -> dict:
-    """Structural scan of one corpus checkpoint file."""
-    from repro.harness.checkpoint import scan_checkpoint
-
-    scan = scan_checkpoint(path)
-    corrupt = scan["corrupt"] + (0 if scan["format_ok"] else 1)
-    return {"tier": "checkpoint", **scan, "corrupt": corrupt}
-
-
 def scrub_state(
     cache_dir: str | Path | None = None,
     queue_dir: str | Path | None = None,
-    checkpoints: "Iterable[str | Path]" = (),
     databases: "Iterable[Database] | None" = None,
 ) -> dict:
     """Scrub every requested tier; the CLI serializes this as the report.
@@ -196,8 +183,6 @@ def scrub_state(
         tiers.append(scrub_disk_cache(cache_dir, databases))
     if queue_dir is not None:
         tiers.append(scrub_journal(queue_dir))
-    for checkpoint in checkpoints:
-        tiers.append(scrub_checkpoint(checkpoint))
     corrupt_total = sum(tier.get("corrupt", 0) for tier in tiers)
     truncated = any(tier.get("truncated") for tier in tiers)
     return {

@@ -7,7 +7,7 @@ Usage::
         --data-dict dict.csv --hits 30 --json
     python -m repro check --csv data.csv --article a.html --cache-dir .cubecache
     python -m repro corpus-stats
-    python -m repro corpus-run --workers 4 --cache-dir .cubecache
+    python -m repro corpus-run --cache-dir .cubecache
     python -m repro serve --port 8765 --cache-dir .cubecache
     python -m repro scrub --cache-dir .cubecache --queue-dir .queue --json
 
@@ -15,18 +15,17 @@ Usage::
 (HTML subset or plain text), and prints spell-checker markup; ``--json``
 emits a machine-readable report instead. ``corpus-stats`` prints the
 statistics of the built-in evaluation corpus; ``corpus-run`` verifies the
-built-in corpus end to end, optionally sharded over worker processes
-(``--workers``, 0 = one per CPU) with a shared persistent cube cache
-(``--cache-dir``), and reports precision/recall/F1, coverage, throughput,
-and cache hit rates; cases that exhaust their retry budget are printed
-one per line and the exit code is 3. ``serve`` runs the resident
+built-in corpus end to end in-process, optionally over a persistent cube
+cache (``--cache-dir``), and reports precision/recall/F1, coverage,
+throughput, and cache hit rates; a case that fails stops the run with
+exit code 2. ``serve`` runs the resident
 verification service: ``POST /check`` admits each document onto a
 bounded durable job queue (``--queue-dir`` makes it crash-survivable)
 and streams per-claim NDJSON verdicts as a worker pool leases, verifies,
 and acks the jobs; ``GET /health``, ``GET /stats``, ``GET /deadletter``,
 and ``GET /audit`` expose service, queue, engine, and integrity-audit
 counters. ``scrub`` is the offline integrity pass over every persisted
-state tier (disk cube cache, queue journal, corpus checkpoints); it
+state tier (disk cube cache, queue journal); it
 quarantines corruption and exits 4 when any was found (see
 ARCHITECTURE.md, "Integrity auditing & trust ladder").
 """
@@ -50,15 +49,13 @@ from repro.errors import ReproError
 from repro.text.document import Document
 
 
-def _worker_count(raw: str) -> int:
+def _positive_int(raw: str) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid worker count: {raw!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"workers must be >= 0 (0 = one per CPU), got {value}"
-        )
+        raise argparse.ArgumentTypeError(f"invalid count: {raw!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -118,46 +115,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     corpus_run = commands.add_parser(
         "corpus-run",
-        help="verify the built-in corpus (parallel workers, cube cache)",
+        help="verify the built-in corpus and report P/R/F1 and coverage",
     )
     corpus_run.add_argument(
-        "--limit", type=int, metavar="N", help="only run the first N cases"
-    )
-    corpus_run.add_argument(
-        "--workers",
-        type=_worker_count,
-        default=1,
+        "--limit",
+        type=_positive_int,
         metavar="N",
-        help="worker processes; 1 runs in-process, 0 uses one per CPU "
-        "(default: 1). Results are identical at any worker count.",
+        help="only run the first N cases (N >= 1)",
     )
     _add_backend(corpus_run)
     corpus_run.add_argument(
         "--cache-dir",
         metavar="DIR",
-        help="persistent cube-cell cache shared by all workers and runs",
+        help="persistent cube-cell cache shared across runs",
     )
     _add_disk_cache_min_rows(corpus_run)
-    corpus_run.add_argument(
-        "--checkpoint",
-        metavar="FILE",
-        help="persist partial results here after every case/shard "
-        "(atomic; survives kills)",
-    )
-    corpus_run.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue from --checkpoint instead of starting over "
-        "(refused if the checkpoint belongs to different work)",
-    )
-    corpus_run.add_argument(
-        "--max-retries",
-        type=int,
-        default=3,
-        metavar="N",
-        help="attempts per case before quarantine when a worker crashes "
-        "(parallel runs only; default: 3)",
-    )
     corpus_run.add_argument(
         "--json", action="store_true", help="emit JSON metrics"
     )
@@ -341,19 +313,18 @@ def build_parser() -> argparse.ArgumentParser:
     scrub = commands.add_parser(
         "scrub",
         help="offline integrity scrub of persisted state (cube cache, "
-        "queue journal, checkpoints)",
+        "queue journal)",
         description="Walk every requested persisted-state tier and verify "
         "its integrity: disk cube-cache entries (--cache-dir) are checked "
         "structurally (magic + CRC32 + payload decode) and, when the "
         "owning database's CSVs are supplied via --csv, semantically "
         "(every cached cube cell recomputed from source and compared "
-        "bit-exact); the durable queue journal (--queue-dir) and corpus "
-        "checkpoints (--checkpoint, repeatable) are scanned record by "
-        "record against their per-record CRC32 framing, tolerating a "
-        "truncated tail (a crashed writer) but flagging interior "
-        "corruption. Corrupt cube entries are quarantined by renaming to "
-        "*.corrupt so the serving path never reads them again; journals "
-        "and checkpoints are never modified (their owners skip bad "
+        "bit-exact); the durable queue journal (--queue-dir) is scanned "
+        "record by record against its per-record CRC32 framing, "
+        "tolerating a truncated tail (a crashed writer) but flagging "
+        "interior corruption. Corrupt cube entries are quarantined by "
+        "renaming to *.corrupt so the serving path never reads them "
+        "again; the journal is never modified (its owner skips bad "
         "records on load). The report is machine-readable with --json. "
         "Exit status: 0 when every walked tier is clean, 4 when any "
         "corruption was found (a second scrub over the now-quarantined "
@@ -369,13 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-dir",
         metavar="DIR",
         help="durable queue directory whose journal to scan (read-only)",
-    )
-    scrub.add_argument(
-        "--checkpoint",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="corpus checkpoint file to scan (repeatable, read-only)",
     )
     scrub.add_argument(
         "--csv",
@@ -560,17 +524,10 @@ def _run_corpus(args) -> int:
 
     import time
 
-    from repro.harness.parallel import RetryPolicy, resolve_workers
-
-    workers = resolve_workers(args.workers)
     config = AggCheckerConfig(engine=_engine_config(args))
     corpus = generate_corpus()
     started = time.perf_counter()
-    run = run_corpus(
-        corpus, config, limit=args.limit, workers=workers,
-        checkpoint=args.checkpoint, resume=args.resume,
-        retry=RetryPolicy(max_attempts=args.max_retries),
-    )
+    run = run_corpus(corpus, config, limit=args.limit)
     wall_seconds = time.perf_counter() - started
     metrics = run.metrics
     stats = run.engine_stats
@@ -589,30 +546,15 @@ def _run_corpus(args) -> int:
         "seconds": round(wall_seconds, 3),
         "case_seconds": round(metrics.total_seconds, 3),
         "claims_per_sec": round(metrics.n_claims / seconds, 2),
-        "workers": workers,
         "physical_queries": stats.physical_queries,
         "cube_queries": stats.cube_queries,
         "memory_cache_hit_rate": round(stats.cache_hit_rate(), 4),
         "disk_cache_hit_rate": round(stats.disk_hit_rate(), 4),
-        "quarantined": len(run.quarantined),
-        "quarantined_cases": {
-            str(index): error for index, error in run.quarantined.items()
-        },
     }
-    # Quarantined cases are incomplete work: surface each one and exit
-    # non-zero so CI and scripts cannot mistake a partial run for a
-    # clean one.
     if args.json:
         print(json.dumps(payload, indent=2))
-        return 3 if run.quarantined else 0
+        return 0
     print(f"cases: {payload['cases']}, claims: {payload['claims']}")
-    if run.quarantined:
-        print(
-            f"quarantined: {len(run.quarantined)} case(s) exhausted their "
-            f"retry budget"
-        )
-        for index in sorted(run.quarantined):
-            print(f"  case {index}: {run.quarantined[index]}")
     print(
         f"precision: {payload['precision']:.3f}, "
         f"recall: {payload['recall']:.3f}, f1: {payload['f1']:.3f}"
@@ -623,14 +565,14 @@ def _run_corpus(args) -> int:
     print(f"coverage: {coverage}")
     print(
         f"throughput: {payload['claims_per_sec']:.1f} claims/s "
-        f"({payload['seconds']:.1f}s, workers={workers})"
+        f"({payload['seconds']:.1f}s)"
     )
     print(
         f"engine: {stats.physical_queries} physical queries, "
         f"memory hit rate {payload['memory_cache_hit_rate']:.1%}, "
         f"disk hit rate {payload['disk_cache_hit_rate']:.1%}"
     )
-    return 3 if run.quarantined else 0
+    return 0
 
 
 def _run_serve(args) -> int:
@@ -691,10 +633,10 @@ def _run_serve(args) -> int:
 def _run_scrub(args) -> int:
     from repro.audit.scrub import scrub_state
 
-    if not args.cache_dir and not args.queue_dir and not args.checkpoint:
+    if not args.cache_dir and not args.queue_dir:
         print(
             "error: nothing to scrub; give at least one of --cache-dir, "
-            "--queue-dir, --checkpoint",
+            "--queue-dir",
             file=sys.stderr,
         )
         return 2
@@ -712,7 +654,6 @@ def _run_scrub(args) -> int:
     report = scrub_state(
         cache_dir=args.cache_dir,
         queue_dir=args.queue_dir,
-        checkpoints=args.checkpoint,
         databases=databases,
     )
     if args.json:

@@ -118,7 +118,7 @@ class EngineStats:
     All fields must be additive counters: :meth:`merge`, :meth:`diff`, and
     :meth:`reset` operate field-wise over ``dataclasses.fields``, so a new
     counter added here is automatically aggregated everywhere stats are
-    pooled (corpus totals, parallel-shard merging, per-document deltas).
+    pooled (corpus totals, per-document deltas).
     """
 
     #: Logical evaluation requests. ``evaluate_spaces`` (the production
@@ -268,10 +268,9 @@ class QueryEngine:
             from repro.db.diskcache import DiskCubeCache
 
             disk_cache = DiskCubeCache(self.config.cache_dir)
-        # Tiny databases recompute a cube faster than a disk round-trip
-        # (the 0.62x warm-cache regression in BENCH_pipeline.json): below
-        # the row threshold the disk tier is skipped outright, counted so
-        # operators can see the decision.
+        # Tiny databases can recompute a cube faster than a disk
+        # round-trip: below the row threshold the disk tier is skipped
+        # outright, counted so operators can see the decision.
         skipped_small = (
             disk_cache is not None
             and self.config.disk_cache_min_rows is not None

@@ -143,10 +143,6 @@ class InjectedFault(ReproError):
         self.key = key
 
 
-class CheckpointError(ReproError):
-    """A corpus-run checkpoint could not be loaded or does not match."""
-
-
 class RateLimitedError(ReproError):
     """A client exceeded its token-bucket rate limit (maps to HTTP 429)."""
 

@@ -1,18 +1,15 @@
 """Deterministic fault injection for resilience testing.
 
-The recovery paths this repo promises — worker-death retry, corrupt-cache
-quarantine, deadline degradation, per-claim error events — are worthless
-if they can only be exercised by real hardware failures. This module puts
-named *fire points* at the places faults matter and arms them from the
-environment, so tests inject precise failures into otherwise-unmodified
-production code paths (including forked/spawned worker processes, which
-inherit the environment).
+The recovery paths this repo promises — corrupt-cache quarantine, queue
+re-delivery and dead-lettering, deadline degradation, per-claim error
+events — are worthless if they can only be exercised by real hardware
+failures. This module puts named *fire points* at the places faults
+matter and arms them from the environment, so tests inject precise
+failures into otherwise-unmodified production code paths (including a
+``repro serve`` subprocess, which inherits the environment).
 
 Fire points (``fire(point, key, payload)`` is a no-op unless armed):
 
-- ``parallel.shard``  — key = shard ordinal, at worker shard start;
-- ``harness.case``    — key = corpus case index, before each case (fires
-  in both the sequential runner and parallel worker shards);
 - ``checker.stage``   — key = pipeline stage (``match``, ``candidates``,
   ``inference``, ``verdicts``), at that stage boundary;
 - ``checker.rung``    — key = degradation rung (``full``, ``scope``,
@@ -44,18 +41,17 @@ Fire points (``fire(point, key, payload)`` is a no-op unless armed):
   it), ``memo:<fingerprint>`` (``raise`` → poison an incremental-memo
   payload after its CRC is taken), ``verdict:<group>`` (``raise`` → flip
   a verdict payload just before it is acked/memoized — the wrong-verdict
-  driver the shadow auditor must catch), ``journal`` / the checkpoint
-  file name (``bitflip`` on the file after a write).
+  driver the shadow auditor must catch), ``journal`` (``bitflip`` on the
+  queue journal after a write).
 
-Actions: ``kill`` (``os._exit``, simulating SIGKILL/OOM), ``raise``
-(:class:`~repro.errors.InjectedFault`), ``sleep`` (consume ``seconds`` of
-wall clock, for deadline tests), ``corrupt`` (scribble over the payload
-path before it is read), ``bitflip`` (XOR one byte in the middle of the
-payload path — survives framing, caught only by checksums or recompute
-comparison). Each spec fires at most ``times`` times
+Actions: ``raise`` (:class:`~repro.errors.InjectedFault`), ``sleep``
+(consume ``seconds`` of wall clock, for deadline tests), ``corrupt``
+(scribble over the payload path before it is read), ``bitflip`` (XOR one
+byte in the middle of the payload path — survives framing, caught only by
+checksums or recompute comparison). Each spec fires at most ``times`` times
 (0 = unlimited) — "at most N times **across processes**" is arbitrated
-through ``O_EXCL`` marker files in a shared state directory, so a kill
-fault consumed by the first worker does not re-fire on the retry.
+through ``O_EXCL`` marker files in a shared state directory, so the test
+that arms a server subprocess and the server share one budget.
 
 This module is a leaf (stdlib + ``repro.errors``): the engine, disk
 cache, and checker import it without dragging in — or cycling with — the
@@ -81,10 +77,7 @@ ENV_STATE = "REPRO_FAULT_STATE"
 
 _FIELD_SEP = "|"
 _SPEC_SEP = ";"
-_ACTIONS = frozenset({"kill", "raise", "sleep", "corrupt", "bitflip"})
-
-#: Exit code of a ``kill`` action — distinctive in worker-death tests.
-KILL_EXIT_CODE = 70
+_ACTIONS = frozenset({"raise", "sleep", "corrupt", "bitflip"})
 
 
 @dataclass(frozen=True)
@@ -168,8 +161,8 @@ class FaultInjector:
             self._local_counts[spec] = count + 1
             return True
         # Cross-process arbitration: O_EXCL creation of marker k succeeds
-        # in exactly one process, so concurrent workers (and retries after
-        # a kill) together fire at most ``times`` times.
+        # in exactly one process, so all processes sharing the state
+        # directory together fire at most ``times`` times.
         import hashlib
 
         digest = hashlib.sha256(spec.encode().encode("utf-8")).hexdigest()
@@ -212,9 +205,6 @@ class FaultInjector:
                         path.write_bytes(bytes(data))
                     except OSError:
                         pass
-        elif spec.action == "kill":
-            # Simulate SIGKILL/OOM: no cleanup, no exception propagation.
-            os._exit(KILL_EXIT_CODE)
 
 
 #: Injector armed programmatically (same-process tests without env vars).
@@ -265,10 +255,10 @@ def uninstall() -> None:
 def active(*specs: FaultSpec, state_dir: str | Path | None = None):
     """Arm ``specs`` through the environment for the duration of the block.
 
-    Worker processes started inside the block (fork or spawn) inherit the
-    environment and therefore the armed faults; the shared state directory
-    (a fresh temp dir unless given) enforces fire budgets across all of
-    them. Restores the previous environment on exit.
+    Subprocesses started inside the block inherit the environment and
+    therefore the armed faults; the shared state directory (a fresh temp
+    dir unless given) enforces fire budgets across all of them. Restores
+    the previous environment on exit.
     """
     owns_dir = state_dir is None
     state = Path(state_dir) if state_dir is not None else Path(

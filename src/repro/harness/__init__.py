@@ -5,6 +5,10 @@ precision/recall/F1 on erroneous-claim detection, top-k coverage of
 ground-truth queries (and from it the UI feature that resolves each
 claim, Table 3), and processing statistics. The user studies (Tables 4,
 8 and 11, Figures 6-7) measured people and are not reproduced.
+
+:func:`run_corpus` verifies a corpus in-process through one
+:class:`CheckerPool`. :class:`RetryPolicy` is the service's retry
+schedule, re-exported from :mod:`repro.harness.parallel`.
 """
 
 from repro.harness.metrics import (
@@ -14,12 +18,7 @@ from repro.harness.metrics import (
     aggregate_metrics,
     evaluate_case,
 )
-from repro.harness.checkpoint import CorpusCheckpoint, corpus_signature
-from repro.harness.parallel import (
-    RetryPolicy,
-    run_corpus_parallel,
-    shard_cases,
-)
+from repro.harness.parallel import RetryPolicy
 from repro.harness.runner import (
     CheckerPool,
     CorpusRun,
@@ -32,16 +31,12 @@ __all__ = [
     "CaseResult",
     "CheckerPool",
     "ClaimEvaluation",
-    "CorpusCheckpoint",
     "CorpusRun",
     "RetryPolicy",
-    "corpus_signature",
     "RunMetrics",
     "aggregate_metrics",
     "evaluate_case",
     "merge_stats",
     "run_case",
     "run_corpus",
-    "run_corpus_parallel",
-    "shard_cases",
 ]

@@ -1,9 +1,9 @@
 """Configuration variants for the paper's ablation studies.
 
 :func:`run_ladder` executes a whole ladder through the corpus pipeline:
-variants can fan out over worker processes and share one disk cube-cache
-directory, so a sweep pays for each database's cube queries once instead
-of once per variant (most ablations change scoring, not query results).
+variants can share one disk cube-cache directory, so a sweep pays for
+each database's cube queries once instead of once per variant (most
+ablations change scoring, not query results).
 """
 
 from __future__ import annotations
@@ -103,12 +103,10 @@ def run_ladder(
     ladder: list[tuple[str, AggCheckerConfig]],
     corpus: "Corpus",
     limit: int | None = None,
-    workers: int = 1,
     cache_dir: str | None = None,
 ) -> list[tuple[str, "CorpusRun"]]:
     """Run every ladder variant over the corpus through one pipeline.
 
-    ``workers`` shards each variant's cases over processes;
     ``cache_dir`` points all variants at one shared disk cube cache, so
     after the first variant warms it the rest mostly skip cube execution
     (the cache is keyed by database content and cube signature, not by
@@ -120,5 +118,5 @@ def run_ladder(
     for name, config in ladder:
         if cache_dir is not None:
             config = config.with_engine(cache_dir=cache_dir)
-        runs.append((name, run_corpus(corpus, config, limit, workers=workers)))
+        runs.append((name, run_corpus(corpus, config, limit)))
     return runs

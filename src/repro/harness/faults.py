@@ -7,8 +7,8 @@ benchmarks import everything from here::
 
     from repro.harness.faults import FaultSpec, active
 
-    with active(FaultSpec("parallel.case", "kill", match="2")):
-        run = run_corpus_parallel(corpus, workers=2, retry=RetryPolicy())
+    with active(FaultSpec("checker.stage", "raise", match="inference")):
+        checker.check_document(document)  # raises InjectedFault
 
 See the :mod:`repro.faults` docstring for the fire-point and action
 catalog, and ARCHITECTURE.md ("Failure domains & degradation ladder")
@@ -21,7 +21,6 @@ from repro.errors import InjectedFault
 from repro.faults import (
     ENV_FAULTS,
     ENV_STATE,
-    KILL_EXIT_CODE,
     FaultInjector,
     FaultSpec,
     active,
@@ -35,7 +34,6 @@ from repro.faults import (
 __all__ = [
     "ENV_FAULTS",
     "ENV_STATE",
-    "KILL_EXIT_CODE",
     "FaultInjector",
     "FaultSpec",
     "InjectedFault",

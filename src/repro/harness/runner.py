@@ -7,35 +7,28 @@ one :class:`~repro.core.checker.AggChecker` per distinct database, so
 cases sharing a database also share the engine's in-memory
 :class:`~repro.db.cache.ResultCache` *and* the compiled fragment index
 (shared term vocabulary, CSR postings, idf/norm arrays) that
-``keyword_match_batch`` scores documents against. The sequential
-:func:`run_corpus` and the process-parallel runner in
-:mod:`repro.harness.parallel` are both built on the pool, which keeps
-their per-case behavior (and therefore their results) identical.
+``keyword_match_batch`` scores documents against. :func:`run_corpus`
+verifies a corpus in-process, one case after another, through one pool;
+a case that fails raises to the caller.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.core.checker import AggChecker
 from repro.core.config import AggCheckerConfig
 from repro.corpus.generator import Corpus
 from repro.corpus.spec import TestCase
 from repro.db.engine import EngineStats
-from repro.faults import fire
-from repro.harness.checkpoint import open_checkpoint
 from repro.harness.metrics import (
     CaseResult,
     RunMetrics,
     aggregate_metrics,
     evaluate_case,
 )
-
-if TYPE_CHECKING:
-    from repro.harness.parallel import RetryPolicy
 
 
 @dataclass
@@ -45,11 +38,6 @@ class CorpusRun:
     results: list[CaseResult]
     metrics: RunMetrics
     engine_stats: EngineStats = field(default_factory=EngineStats)
-    #: Corpus index -> last error, for cases that exhausted their retry
-    #: budget in the parallel runner (always empty for sequential runs,
-    #: which let exceptions propagate). Quarantined cases contribute
-    #: nothing to ``results`` or ``metrics``.
-    quarantined: dict[int, str] = field(default_factory=dict)
 
     @property
     def total_seconds(self) -> float:
@@ -188,47 +176,12 @@ def run_corpus(
     corpus: Corpus,
     config: AggCheckerConfig | None = None,
     limit: int | None = None,
-    workers: int = 1,
-    checkpoint: str | Path | None = None,
-    resume: bool = False,
-    retry: "RetryPolicy | None" = None,
 ) -> CorpusRun:
-    """Verify every case of the corpus (or the first ``limit`` cases).
-
-    ``workers=1`` runs in-process; any other value delegates to the
-    sharded process-pool runner (``0`` = one worker per CPU). Both paths
-    produce identical results and metrics. ``checkpoint`` persists partial
-    results after every case (shard, when parallel) and ``resume`` reloads
-    them (see :mod:`repro.harness.checkpoint`); ``retry`` tunes the
-    parallel runner's crash recovery and is ignored in-process, where a
-    case failure propagates to the caller instead of being sandboxed.
-    """
-    if workers != 1:
-        from repro.harness.parallel import run_corpus_parallel
-
-        return run_corpus_parallel(
-            corpus, config, limit=limit, workers=workers,
-            retry=retry, checkpoint=checkpoint, resume=resume,
-        )
+    """Verify every case of the corpus (or the first ``limit`` cases)."""
     cases = corpus.cases if limit is None else corpus.cases[:limit]
-    done, quarantined, store = open_checkpoint(
-        cases, config, checkpoint, resume
-    )
     pool = CheckerPool(config)
-    for index, case in enumerate(cases):
-        if index in done or index in quarantined:
-            continue
-        fire("harness.case", str(index))
-        done[index] = pool.run(case)
-        if store is not None:
-            store.save(done, quarantined)
-    results = [done[index] for index in sorted(done)]
-    return CorpusRun(
-        results,
-        aggregate_metrics(results),
-        merge_stats(results),
-        dict(sorted(quarantined.items())),
-    )
+    results = [pool.run(case) for case in cases]
+    return CorpusRun(results, aggregate_metrics(results), merge_stats(results))
 
 
 def merge_stats(results: list[CaseResult]) -> EngineStats:

@@ -31,10 +31,10 @@ stop, everything after is unreachable) from bit corruption *inside* an
 intact line (CRC mismatch — quarantine that record, keep replaying,
 because later appends were independent writes). Both are counted in
 ``corrupt_records`` and surfaced through ``stats()``. Compaction rewrites the journal as a fresh segment via the
-write-temp-then-``os.replace`` recipe of :mod:`repro.harness.checkpoint`
-once completed records dominate, so the journal stays O(live jobs), not
-O(history). ``directory=None`` runs the same queue fully in memory
-(tests, ephemeral servers).
+write-temp-then-``os.replace`` recipe (write a sibling temp file, fsync,
+rename it over the journal) once completed records dominate, so the
+journal stays O(live jobs), not O(history). ``directory=None`` runs the
+same queue fully in memory (tests, ephemeral servers).
 
 **Backpressure.** The queue is bounded: :meth:`submit` raises
 :class:`~repro.errors.QueueFullError` carrying a depth-aware

@@ -17,7 +17,6 @@ import pytest
 from repro.audit.scrub import (
     _bit_equal,
     recompute_matches,
-    scrub_checkpoint,
     scrub_disk_cache,
     scrub_journal,
     scrub_state,
@@ -35,7 +34,6 @@ from repro.db.diskcache import fingerprint_of
 from repro.db.engine import EngineStats
 from repro.errors import QueryError
 from repro.faults import FaultSpec, active
-from repro.harness.checkpoint import CorpusCheckpoint, scan_checkpoint
 from repro.service.queue import _encode_record, scan_journal
 
 
@@ -288,80 +286,6 @@ class TestInvalidateAndMinRows:
         assert EngineStats().audit_cell_mismatches == 0
 
 
-class TestCheckpointFraming:
-    SIGS = ["s0", "s1", "s2"]
-
-    def _store(self, tmp_path) -> CorpusCheckpoint:
-        return CorpusCheckpoint(tmp_path / "run.ckpt", "cfg", list(self.SIGS))
-
-    def test_roundtrip(self, tmp_path):
-        store = self._store(tmp_path)
-        store.save({0: "r0", 1: "r1"}, {2: "boom"})
-        results, quarantined = self._store(tmp_path).load()
-        assert results == {0: "r0", 1: "r1"}
-        assert quarantined == {2: "boom"}
-
-    def test_truncated_tail_keeps_the_prefix(self, tmp_path):
-        store = self._store(tmp_path)
-        store.save({0: "r0", 1: "r1"}, {})
-        path = tmp_path / "run.ckpt"
-        path.write_bytes(path.read_bytes()[:-3])
-        fresh = self._store(tmp_path)
-        results, _ = fresh.load()
-        assert results == {0: "r0"}
-        assert fresh.truncated
-
-    def test_bitflipped_record_is_skipped_and_counted(self, tmp_path):
-        store = self._store(tmp_path)
-        store.save({0: "r0"}, {})
-        short = (tmp_path / "run.ckpt").read_bytes()
-        store.save({0: "r0", 1: "r1"}, {})
-        blob = bytearray((tmp_path / "run.ckpt").read_bytes())
-        # Flip a byte inside record 1 (everything past the shorter file).
-        blob[len(short) + 10] ^= 0x40
-        (tmp_path / "run.ckpt").write_bytes(bytes(blob))
-        fresh = self._store(tmp_path)
-        results, _ = fresh.load()
-        assert results == {0: "r0"}  # record 1 degraded to a recompute
-        assert fresh.corrupt_records == 1
-        assert not fresh.truncated
-
-    def test_corrupt_header_refuses_the_resume(self, tmp_path):
-        from repro.errors import CheckpointError
-        from repro.harness.checkpoint import _MAGIC
-
-        store = self._store(tmp_path)
-        store.save({0: "r0"}, {})
-        blob = bytearray((tmp_path / "run.ckpt").read_bytes())
-        blob[len(_MAGIC) + 6] ^= 0x40  # inside the header frame
-        (tmp_path / "run.ckpt").write_bytes(bytes(blob))
-        with pytest.raises(CheckpointError, match="corrupt header"):
-            self._store(tmp_path).load()
-
-    def test_scan_reports_framing_health(self, tmp_path):
-        store = self._store(tmp_path)
-        store.save({0: "r0", 1: "r1"}, {2: "boom"})
-        scan = scan_checkpoint(tmp_path / "run.ckpt")
-        assert scan["format_ok"]
-        assert scan["records"] == 4  # header + 2 results + 1 quarantine
-        assert scan["corrupt"] == 0 and not scan["truncated"]
-
-    def test_scan_flags_missing_and_foreign_files(self, tmp_path):
-        missing = scan_checkpoint(tmp_path / "nope.ckpt")
-        assert not missing["present"]
-        foreign = tmp_path / "foreign.ckpt"
-        foreign.write_bytes(b"not a checkpoint")
-        assert not scan_checkpoint(foreign)["format_ok"]
-
-    @pytest.mark.faults
-    def test_save_fires_the_bitflip_point(self, tmp_path):
-        store = self._store(tmp_path)
-        with active(FaultSpec("audit.bitflip", "bitflip", match="run.ckpt")):
-            store.save({0: "r0"}, {})
-        scan = scan_checkpoint(tmp_path / "run.ckpt")
-        assert scan["corrupt"] == 1 or not scan["format_ok"]
-
-
 class TestJournalScan:
     def _write(self, tmp_path, lines: list[str]):
         path = tmp_path / "queue.journal"
@@ -416,16 +340,13 @@ class TestScrubState:
         (queue_dir / "queue.journal").write_text(
             _encode_record({"op": "put", "id": "j0"}), encoding="utf-8"
         )
-        store = CorpusCheckpoint(tmp_path / "run.ckpt", "cfg", ["s0"])
-        store.save({0: "r0"}, {})
         report = scrub_state(
             cache_dir=tmp_path / "cache",
             queue_dir=queue_dir,
-            checkpoints=[tmp_path / "run.ckpt"],
             databases=[db],
         )
         assert [tier["tier"] for tier in report["tiers"]] == [
-            "disk_cache", "queue_journal", "checkpoint",
+            "disk_cache", "queue_journal",
         ]
         assert report["clean"] and report["corrupt_total"] == 0
 

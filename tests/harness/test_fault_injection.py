@@ -1,23 +1,15 @@
-"""Fault-injection suite: crash recovery, quarantine, resume, deadlines.
+"""Fault-injection suite: the fault wire format, retry backoff, deadlines.
 
 Every scenario here drives *unmodified* production code paths with faults
-armed through :mod:`repro.faults` (environment-inherited, so forked
-worker processes fire them too). The contracts under test come straight
-from the failure model the harness documents:
+armed through :mod:`repro.faults`. The contracts under test:
 
-- a worker killed mid-corpus is transparent — the run completes with
-  verdicts and metrics bit-identical to sequential;
-- a poison case (kills every worker that touches it) is quarantined with
-  its error after a bounded number of isolated retries, and every other
-  case still matches sequential;
-- a checkpointed run resumes without re-running finished cases;
+- fault specs survive the environment encoding and fire within budget;
+- the shared retry schedule is bounded;
 - a claim deadline degrades verdicts through the documented ladder
   (reduced scope -> no execution -> unverifiable) instead of hanging.
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 
@@ -25,16 +17,9 @@ from repro.core.checker import DEGRADED_SCOPE_BUDGET, AggChecker
 from repro.core.config import AggCheckerConfig
 from repro.core.verdict import VerdictStatus
 from repro.corpus import CorpusConfig, generate_corpus, nfl_suspensions_case
-from repro.errors import CheckpointError, InjectedFault
+from repro.errors import InjectedFault
 from repro.faults import FaultSpec, active, decode_specs, encode_specs
-from repro.harness import RetryPolicy, run_corpus, run_corpus_parallel
-from repro.harness.checkpoint import CorpusCheckpoint, open_checkpoint
-
-from tests.harness.test_parallel import (
-    METRIC_FIELDS,
-    assert_identical_runs,
-    verdict_signature,
-)
+from repro.harness import RetryPolicy, run_corpus
 
 pytestmark = pytest.mark.faults
 
@@ -44,20 +29,10 @@ def corpus():
     return generate_corpus(CorpusConfig(n_articles=4, seed=77))
 
 
-@pytest.fixture(scope="module")
-def sequential(corpus):
-    return run_corpus(corpus)
-
-
-def assert_metrics_match(left, right):
-    for name in METRIC_FIELDS:
-        assert getattr(left.metrics, name) == getattr(right.metrics, name), name
-
-
 class TestFaultSpecWire:
     def test_round_trip(self):
         specs = (
-            FaultSpec("harness.case", "kill", match="2", times=1),
+            FaultSpec("checker.stage", "raise", match="match", times=1),
             FaultSpec("checker.stage", "sleep", match="inference",
                       seconds=0.25, times=0),
             FaultSpec("diskcache.read", "corrupt", match="*.cube"),
@@ -67,7 +42,7 @@ class TestFaultSpecWire:
     def test_unarmed_fire_is_noop(self):
         from repro.faults import fire
 
-        fire("harness.case", "0")  # nothing armed: must not raise
+        fire("checker.stage", "match")  # nothing armed: must not raise
 
     def test_raise_action(self):
         with active(FaultSpec("demo.point", "raise", match="boom")):
@@ -80,41 +55,8 @@ class TestFaultSpecWire:
 
 
 class TestWorkerCrashRecovery:
-    def test_killed_worker_recovers_bit_identical(self, corpus, sequential):
-        # Kill the first worker that reaches case 2; the pool breaks, the
-        # retry layer re-runs the lost cases in sandboxes, and the final
-        # run is indistinguishable in verdicts and metrics. Engine stats
-        # are NOT compared: the sandbox checker starts cold, so cache
-        # counters legitimately differ (the docstring caveat).
-        with active(FaultSpec("harness.case", "kill", match="2", times=1)):
-            run = run_corpus_parallel(
-                corpus, workers=2,
-                retry=RetryPolicy(backoff_base=0.01),
-            )
-        assert run.quarantined == {}
-        assert verdict_signature(run) == verdict_signature(sequential)
-        assert_metrics_match(run, sequential)
-
-    def test_poison_case_is_quarantined(self, corpus, sequential):
-        # times=0 = unlimited: case 1 kills every process that touches
-        # it, including each isolated retry sandbox.
-        with active(FaultSpec("harness.case", "kill", match="1", times=0)):
-            run = run_corpus_parallel(
-                corpus, workers=2,
-                retry=RetryPolicy(max_attempts=2, backoff_base=0.01),
-            )
-        assert set(run.quarantined) == {1}
-        assert "BrokenProcessPool" in run.quarantined[1]
-        # Survivors: everything but case 1, bit-identical to sequential.
-        survivor_sig = [
-            sig for index, sig in enumerate(verdict_signature(sequential))
-            if index != 1
-        ]
-        assert verdict_signature(run) == survivor_sig
-        assert run.metrics.n_claims == sequential.metrics.n_claims - len(
-            sequential.results[1].evaluations
-        )
-
+    # What remains of the crash-recovery suite: the retry schedule the
+    # service's queue and client still share.
     def test_retry_policy_backoff_is_bounded(self):
         policy = RetryPolicy(backoff_base=0.05, backoff_cap=0.2)
         assert policy.backoff_seconds(1) == 0.05
@@ -123,61 +65,6 @@ class TestWorkerCrashRecovery:
         assert policy.backoff_seconds(10) == 0.2
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
-
-
-class TestCheckpointResume:
-    def test_resume_skips_finished_cases(self, corpus, sequential, tmp_path):
-        path = tmp_path / "run.ckpt"
-        partial = run_corpus(corpus, limit=2, checkpoint=path)
-        assert len(partial.results) == 2
-        # Arm always-raise faults on the finished cases: if resume
-        # re-ran either of them the fault would fire and abort — a clean
-        # completion proves they were skipped.
-        with active(FaultSpec("harness.case", "raise", match="[01]", times=0)):
-            full = run_corpus(corpus, checkpoint=path, resume=True)
-        assert full.quarantined == {}
-        assert_identical_runs(full, sequential)
-
-    def test_parallel_resume_matches_sequential(
-        self, corpus, sequential, tmp_path
-    ):
-        path = tmp_path / "run.ckpt"
-        run_corpus(corpus, limit=2, checkpoint=path)
-        with active(FaultSpec("harness.case", "raise", match="[01]", times=0)):
-            full = run_corpus_parallel(
-                corpus, workers=2, checkpoint=path, resume=True
-            )
-        assert verdict_signature(full) == verdict_signature(sequential)
-        assert_metrics_match(full, sequential)
-
-    def test_mismatched_config_is_refused(self, corpus, tmp_path):
-        path = tmp_path / "run.ckpt"
-        run_corpus(corpus, limit=1, checkpoint=path)
-        other = AggCheckerConfig(predicate_hits=7)
-        with pytest.raises(CheckpointError, match="different"):
-            run_corpus(corpus, other, limit=1, checkpoint=path, resume=True)
-
-    def test_corrupt_checkpoint_is_refused(self, corpus, tmp_path):
-        path = tmp_path / "run.ckpt"
-        run_corpus(corpus, limit=1, checkpoint=path)
-        path.write_bytes(b"not a pickle")
-        with pytest.raises(CheckpointError, match="unreadable"):
-            run_corpus(corpus, limit=1, checkpoint=path, resume=True)
-
-    def test_version_gate(self, corpus, tmp_path):
-        path = tmp_path / "run.ckpt"
-        path.write_bytes(pickle.dumps({"version": -1}))
-        with pytest.raises(CheckpointError, match="unknown format"):
-            run_corpus(corpus, limit=1, checkpoint=path, resume=True)
-
-    def test_without_resume_checkpoint_is_overwritten(self, corpus, tmp_path):
-        path = tmp_path / "run.ckpt"
-        run_corpus(corpus, limit=1, checkpoint=path)
-        done, quarantined, store = open_checkpoint(
-            corpus.cases[:1], None, path, resume=False
-        )
-        assert (done, quarantined) == ({}, {})
-        assert isinstance(store, CorpusCheckpoint)
 
 
 class TestDeadlineLadder:

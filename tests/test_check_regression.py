@@ -102,6 +102,29 @@ class TestCheckFile:
         assert rows[0][-1] == "skipped: no committed baseline"
 
     def test_parallel_speedup_guarded_by_cpu_count(self, dirs, monkeypatch):
+        # No committed benchmark runs worker processes, so a guarded spec
+        # is registered under an existing SPECS file name to hold the
+        # guard itself to its contract.
+        lookup = check_regression._lookup
+        monkeypatch.setitem(
+            check_regression.SPECS,
+            "BENCH_service.json",
+            (
+                lambda p: (p["cases"], lookup(p, "results.parallel.workers")),
+                lambda p: {
+                    "parallel_speedup": lookup(
+                        p, "results.parallel.speedup_vs_sequential"
+                    ),
+                    "warm_disk_hit_rate": lookup(
+                        p, "results.warm_cache.disk_cache_hit_rate"
+                    ),
+                },
+                lambda p: ("parallel_speedup",)
+                if (check_regression.os.cpu_count() or 1)
+                < lookup(p, "results.parallel.workers")
+                else (),
+            ),
+        )
         baseline, fresh = dirs
         payload = {
             "cases": 12,
@@ -112,11 +135,11 @@ class TestCheckFile:
         }
         shrunk = json.loads(json.dumps(payload))
         shrunk["results"]["parallel"]["speedup_vs_sequential"] = 0.1
-        write(baseline, "BENCH_pipeline.json", payload)
-        write(fresh, "BENCH_pipeline.json", shrunk)
+        write(baseline, "BENCH_service.json", payload)
+        write(fresh, "BENCH_service.json", shrunk)
         monkeypatch.setattr(check_regression.os, "cpu_count", lambda: 1)
         rows = check_regression.check_file(
-            "BENCH_pipeline.json", 0.5, "HEAD", baseline, fresh
+            "BENCH_service.json", 0.5, "HEAD", baseline, fresh
         )
         statuses = {row[0]: row[-1] for row in rows}
         assert statuses["parallel_speedup"].startswith("skipped: needs more")

@@ -217,6 +217,57 @@ class TestServeParser:
         assert args.backend == "row"
 
 
+class TestCorpusRun:
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_limit_below_one_is_a_usage_error(self, capsys, limit):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["corpus-run", "--limit", limit, "--json"])
+        assert exit_info.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corpus-run", "--workers", "2"],
+            ["corpus-run", "--checkpoint", "run.ckpt"],
+            ["corpus-run", "--resume"],
+            ["corpus-run", "--max-retries", "2"],
+            ["scrub", "--checkpoint", "run.ckpt"],
+        ],
+        ids=[
+            "workers", "checkpoint", "resume", "max-retries", "scrub-checkpoint",
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_json_report(self, capsys):
+        code = main(["corpus-run", "--limit", "1", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["cases"] == 1
+        assert set(payload) == {
+            "cases", "claims", "erroneous", "flagged", "precision", "recall",
+            "f1", "top_k_coverage", "seconds", "case_seconds",
+            "claims_per_sec", "physical_queries", "cube_queries",
+            "memory_cache_hit_rate", "disk_cache_hit_rate",
+        }
+
+    @pytest.mark.faults
+    def test_failing_case_exits_two(self, capsys):
+        from repro.faults import FaultSpec, active
+
+        with active(FaultSpec("checker.stage", "raise", match="match")):
+            code = main(["corpus-run", "--limit", "2", "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "injected fault at 'checker.stage'" in captured.err
+
+
 class TestCorpusStats:
     def test_prints_statistics(self, capsys):
         code = main(["corpus-stats"])

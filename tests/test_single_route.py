@@ -21,14 +21,17 @@ strategy knobs and the result-reuse switch stay deleted.
 The package keeps only what it can run or measure: the backends are a
 closed set with no plug-in registry, capability record or optional-adapter
 gate, and no simulated user study stands in for the paper's human-subject
-results.
+results. The corpus runs in-process: no process pool, retry sandbox,
+quarantine or checkpoint comes back.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import io
 import re
+import tokenize
 from dataclasses import fields
 from pathlib import Path
 
@@ -199,23 +202,42 @@ def test_two_execution_modes():
     assert [mode.value for mode in ExecutionMode] == ["naive", "merged_cached"]
 
 
-#: Traces of the adapter extension point, of the optional adapter, and of
-#: the user-study simulator.
+#: Traces of the adapter extension point, of the optional adapter, of the
+#: user-study simulator, and of the corpus runner's process pool, retry
+#: sandbox and checkpoints.
 UNRUNNABLE = re.compile(
     r"duckdb|DuckDB|register_adapter|adapter_names|adapter_class"
     r"|AdapterCapabilities|MissingDependencyError"
     r"|UserSimulator|run_user_study|run_crowd_study"
+    r"|run_corpus_parallel|shard_cases|resolve_workers|CorpusCheckpoint"
+    r"|open_checkpoint|scan_checkpoint|CheckpointError|KILL_EXIT_CODE"
+    r"|ProcessPoolExecutor"
 )
+#: Identifiers banned as code only: the disk cube tier still reports the
+#: entries it quarantined, in prose and under the ``"quarantined"`` key.
+UNRUNNABLE_NAMES = {"quarantined"}
 
 
 def test_src_keeps_only_what_it_can_run():
     offences = []
     for path in sorted(SRC.rglob("*.py")):
         relative = path.relative_to(SRC).as_posix()
-        for number, line in enumerate(path.read_text().splitlines(), 1):
+        text = path.read_text()
+        for number, line in enumerate(text.splitlines(), 1):
             if UNRUNNABLE.search(line):
                 offences.append(f"{relative}:{number}: {line.strip()}")
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type == tokenize.NAME and token.string in UNRUNNABLE_NAMES:
+                line = token.line.strip()
+                offences.append(f"{relative}:{token.start[0]}: {line}")
     assert not offences, "\n".join(offences)
+
+
+def test_retry_policy_keeps_its_import_path():
+    from repro.harness.parallel import RetryPolicy
+
+    assert RetryPolicy().max_attempts == 3
+    assert importlib.util.find_spec("repro.harness.checkpoint") is None
 
 
 def test_engine_config_accepts_exactly_three_pairs():
