@@ -12,9 +12,6 @@ Comparisons are self-guarding rather than vacuous-or-flaky:
 - a fresh file produced under a different workload than the baseline
   (smoke-sized rows/cases via ``BENCH_*`` env knobs) is **skipped** with a
   note — smoke ratios are not comparable to full-size ones;
-- parallelism-dependent ratios are skipped when the runner has fewer
-  CPUs than the benchmark's worker count (the PR 2 ``cpu_count`` guard),
-  so 1-CPU runners pass cleanly;
 - a missing fresh file means the benchmark did not run — skipped, not
   failed (the CI matrix decides which benchmarks each job runs); a fresh
   file byte-identical to the baseline means the benchmark never rewrote
@@ -33,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -65,8 +61,7 @@ def _swept_rows(payload: dict) -> tuple:
     return tuple(entry.get("rows") for entry in payload.get("results", []))
 
 
-#: file name -> (workload-signature fn, ratio-extraction fn,
-#:               parallelism-guarded ratio names fn)
+#: file name -> (workload-signature fn, ratio-extraction fn)
 SPECS: dict[str, tuple] = {
     # Baseline recorded on 2 CPUs against the queue-backed asyncio server
     # (the one front end; per-field median of five runs): warm pool 3.96x
@@ -81,7 +76,6 @@ SPECS: dict[str, tuple] = {
                 p, "results.incremental.speedup_vs_warm"
             ),
         },
-        lambda p: (),
     ),
     "BENCH_sql.json": (
         _swept_rows,
@@ -101,7 +95,6 @@ SPECS: dict[str, tuple] = {
             "out_of_core_pushdown": _lookup(p, "out_of_core.pushdown_ok"),
             "verdict_identity": _lookup(p, "verdict_identity.identical"),
         },
-        lambda p: (),
     ),
     "BENCH_service_load.json": (
         # The gated ratios are delivery contracts (acked/submitted), not
@@ -115,7 +108,6 @@ SPECS: dict[str, tuple] = {
             "load_completion_ratio": _lookup(p, "load.completion_ratio"),
             "chaos_completion_ratio": _lookup(p, "chaos.completion_ratio"),
         },
-        lambda p: (),
     ),
 }
 
@@ -152,7 +144,7 @@ def check_file(
     fresh_dir: Path = REPO_ROOT,
 ) -> list[tuple[str, str, str, str, str]]:
     """Rows of (metric, baseline, fresh, floor, status) for one file."""
-    params_of, ratios_of, guarded_of = SPECS[name]
+    params_of, ratios_of = SPECS[name]
     fresh = _load_fresh(name, fresh_dir)
     if fresh is None:
         return [("-", "-", "-", "-", "skipped: benchmark did not run")]
@@ -179,23 +171,11 @@ def check_file(
                 f"({params_of(fresh)} != {params_of(baseline)})",
             )
         ]
-    guarded = set(guarded_of(fresh))
     rows = []
     for metric, base_value in ratios_of(baseline).items():
         fresh_value = ratios_of(fresh).get(metric)
         if base_value is None or fresh_value is None:
             rows.append((metric, "-", "-", "-", "skipped: metric missing"))
-            continue
-        if metric in guarded:
-            rows.append(
-                (
-                    metric,
-                    f"{base_value:.2f}",
-                    f"{fresh_value:.2f}",
-                    "-",
-                    f"skipped: needs more CPUs than {os.cpu_count() or 1}",
-                )
-            )
             continue
         floor = tolerance * base_value
         status = "ok" if fresh_value >= floor else "REGRESSED"

@@ -172,15 +172,19 @@ class AggChecker:
     ) -> None:
         self.database = database
         self.config = config or AggCheckerConfig()
+        # The engine comes first: extraction reads the distinct values
+        # through its adapter, so on columnar each column is factorized
+        # once for both the fragments and the relation.
+        self.engine = QueryEngine(database, self.config.engine)
         self.catalog = extract_fragments(
-            database, self.config.extraction, data_dictionary
+            database, self.config.extraction, data_dictionary,
+            adapter=self.engine.adapter,
         )
         self.index = FragmentIndex(self.catalog)
         # Compile the matching artifacts (shared vocabulary, CSR postings,
         # idf/norm arrays) up front: checkers are pooled per database, so
         # every document reuses them.
         self.index.compiled()
-        self.engine = QueryEngine(database, self.config.engine)
 
     def check_html(self, html: str) -> CheckReport:
         """Parse HTML and verify the resulting document."""

@@ -89,6 +89,16 @@ class StorageAdapter(ABC):
         """
         return self.estimated_cardinality(tables)
 
+    def distinct_values(
+        self, table: str, column: str, limit: int | None = None
+    ) -> list[Value]:
+        """Distinct non-missing cells of ``table.column`` in first-seen
+        order, at most ``limit`` (>= 1) of them: the values fragment
+        extraction indexes and the engine's literal lookup reads. Here the
+        table streams them (:meth:`~repro.db.schema.Table.distinct_values`),
+        so a file-backed table materialises no rows."""
+        return self.database.table(table).distinct_values(column, limit)
+
     def fingerprint(self) -> str:
         """Content fingerprint keying the disk cube-cache tier."""
         from repro.db.diskcache import fingerprint_of

@@ -18,7 +18,7 @@ from repro.db.adapters.base import SimpleResult, StorageAdapter
 from repro.db.columnar import ExecutionBackend, execute_cube_columnar
 from repro.db.executor import execute_query
 from repro.db.joins import JoinGraph
-from repro.db.values import normalize_string
+from repro.db.values import Value, normalize_string
 from repro.errors import QueryError
 
 if TYPE_CHECKING:
@@ -126,6 +126,19 @@ class ColumnarAdapter(InMemoryAdapter):
 
     name = "columnar"
     backend = ExecutionBackend.COLUMNAR
+
+    def distinct_values(
+        self, table: str, column: str, limit: int | None = None
+    ) -> list[Value]:
+        """Read off the column's dictionary (the join graph's one
+        factorization, which the relation build reuses): its codes follow
+        the first-seen order of the normalized cell and code 0 is exactly
+        "missing", so ``cells[1:limit + 1]`` is
+        :meth:`~repro.db.schema.Table.distinct_values` element for
+        element."""
+        position = self.database.table(table).column_index(column)
+        cells = self.join_graph.encoded_table(table).dictionary(position).cells
+        return cells[1:] if limit is None else cells[1 : limit + 1]
 
 
 class RowAdapter(InMemoryAdapter):

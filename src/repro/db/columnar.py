@@ -6,13 +6,27 @@ every cube reduction except SUM is a pure function of the per-group multiset
 of dictionary codes. So Python runs once per *distinct raw cell*, array
 kernels run over *(group, code) histograms*, and only SUM reads the rows.
 
-- **Encode** (:func:`encode_column`): one :func:`~repro.db.values.factorize`
-  pass maps the cells to first-seen raw ids in C (two raw cells are the same
-  cell by :func:`~repro.db.values.cell_key`: class- and zero-sign-aware, so
-  ``1``, ``1.0``, ``True``, ``"1"`` and ``0.0``, ``-0.0`` stay apart); code
-  and ``is None`` are computed per distinct cell and gathered by raw id. Code 0 is the missing bucket (NULL and blank strings normalize to
-  ``""``); the dictionary carries the normalized string and the number per
-  code. The SQL shadow encoder and ``Table.distinct_values`` run the same pass.
+- **Encode** (:class:`EncodedTable`), per column and on first use, in two
+  stages that its owner (the engine's join graph: one per checker, never
+  the ``Table``) memoises. *Dictionary*: one
+  :func:`~repro.db.values.factorize` pass over the column
+  (``map(itemgetter(j), rows)``; a streamed table's rows are read once
+  per table) finds the distinct raw cells in first-seen order in C (two
+  raw cells are the same cell by :func:`~repro.db.values.cell_key`:
+  class- and zero-sign-aware, so ``1``, ``1.0``, ``True``, ``"1"`` and
+  ``0.0``, ``-0.0`` stay apart) and gives each its code. Code 0 is the
+  missing bucket (NULL and blank strings normalize to ``""``); the
+  dictionary carries per code the normalized string, the number and the
+  first raw cell seen, so ``cells[1:]`` is ``Table.distinct_values``,
+  which fragment extraction reads through
+  :meth:`~repro.db.adapters.memory.ColumnarAdapter.distinct_values`. A
+  column whose non-NULL cells are all exact ``int``/``float`` (no NaN, no
+  ``int`` beyond float range) is built in bulk: each cell coerces to
+  itself and ``str`` is injective on them, so codes are ranks, the
+  numbers one ``np.array``, and the strings wait for their first use;
+  any other column interns each distinct cell. *Codes*: the per-row
+  ``codes``/``none_mask`` gather by raw id, which only
+  :func:`build_columnar_relation` reads.
 - **Join** (:func:`build_columnar_relation`): hash joins on key codes; a
   one-table path hands the encoded vectors through untouched.
 - **Cube** (:func:`execute_cube_columnar`), three phases. *Group*: per
@@ -51,6 +65,7 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Sequence
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as _np
 
@@ -90,30 +105,66 @@ class ColumnDictionary:
 
     Code 0 is reserved for the missing bucket: NULLs and blank strings both
     normalize to ``""``, and nothing else does, so ``code == 0`` is exactly
-    :func:`~repro.db.values.is_missing`. ``numbers[code]`` caches the numeric
-    coercion of the first raw cell seen for the code (cells sharing a
-    normalized string coerce identically, modulo the ``inf`` caveat above).
+    :func:`~repro.db.values.is_missing`. ``cells[code]`` is the first raw
+    cell seen for the code (``cells[0]`` is a ``None`` placeholder), so
+    ``cells[1:]`` are the column's distinct non-missing values in
+    first-seen order. ``numbers[code]`` caches the numeric coercion of that
+    cell (cells sharing a normalized string coerce identically, modulo the
+    ``inf`` caveat above).
     """
 
-    __slots__ = ("values", "index", "numbers", "_numbers_arr", "_numeric_arr")
+    __slots__ = ("cells", "numbers", "_values", "_index", "_numbers_arr", "_numeric_arr")
 
     def __init__(self) -> None:
-        self.values: list[str] = [""]
-        self.index: dict[str, int] = {"": 0}
+        self.cells: list[Value] = [None]
         self.numbers: list[float | int | None] = [None]
+        self._values: list[str] | None = [""]
+        self._index: dict[str, int] | None = {"": 0}
         self._numbers_arr = None
         self._numeric_arr = None
 
+    @classmethod
+    def of_numbers(cls, numbers: list, numbers_arr) -> "ColumnDictionary":
+        """The dictionary of distinct exact ``int``/``float`` cells, each
+        its own code in the given order, with ``numbers_arr`` their float64
+        images. The normalized strings are built on first use: ``str`` is
+        injective on such cells and is their normalized form."""
+        dictionary = cls()
+        dictionary.cells = [None, *numbers]
+        dictionary.numbers = dictionary.cells.copy()
+        dictionary._values = dictionary._index = None
+        dictionary._numbers_arr = _np.concatenate(([_np.nan], numbers_arr))
+        dictionary._numeric_arr = _np.arange(len(dictionary.cells)) > 0
+        return dictionary
+
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.numbers)
+
+    @property
+    def values(self) -> list[str]:
+        """Normalized string per code."""
+        if self._values is None:
+            values = list(map(str, self.cells))
+            values[0] = ""
+            self._values = values
+        return self._values
+
+    @property
+    def index(self) -> dict[str, int]:
+        """Code per normalized string."""
+        if self._index is None:
+            self._index = dict(zip(self.values, range(len(self.values))))
+        return self._index
 
     def intern(self, cell: Value) -> int:
         key = normalize_string(cell)
-        code = self.index.get(key)
+        index = self.index
+        code = index.get(key)
         if code is None:
-            code = len(self.values)
+            code = len(self.numbers)
             self.values.append(key)
-            self.index[key] = code
+            index[key] = code
+            self.cells.append(cell)
             self.numbers.append(coerce_number(cell))
             self._numbers_arr = None
             self._numeric_arr = None
@@ -163,6 +214,76 @@ class ColumnVector:
         )
 
 
+#: The cell classes a dictionary is built for in bulk (``bool`` is not one:
+#: its cells normalize to ``"true"``/``"false"`` and do not coerce).
+_BULK_CLASSES = frozenset({int, float, type(None)})
+
+_LARGEST_FLOAT = _np.finfo(_np.float64).max
+
+
+class _DictionaryStage:
+    """One column's factorization: its dictionary, the code of each
+    distinct raw cell, the raw id of ``None`` (None is its own raw cell,
+    so there is at most one), and the (lazy, single-use) raw id of every
+    row, which only :meth:`vector` reads."""
+
+    __slots__ = ("dictionary", "raw_codes", "none_id", "raw_ids", "n_rows")
+
+    def __init__(self, cells: Sequence[Value]) -> None:
+        distinct, self.raw_ids = factorize(cells)
+        self.n_rows = len(cells)
+        kinds = set(map(type, distinct))
+        if not (kinds <= _BULK_CLASSES and self._bulk(distinct, kinds)):
+            self.none_id = (
+                distinct.index(None) if type(None) in kinds else None
+            )
+            self.dictionary = ColumnDictionary()
+            self.raw_codes = _np.array(
+                list(map(self.dictionary.intern, distinct)), dtype=_np.int64
+            )
+
+    def _bulk(self, distinct: list, kinds: set) -> bool:
+        """Build the dictionary of exact ``int``/``float`` cells in bulk,
+        or return False when ``intern`` must: for a NaN cell, or an
+        ``int`` beyond float range. Every other such cell coerces to
+        itself, and no two of them share a normalized string (``str``),
+        so each non-NULL raw cell is its own code, in first-seen order."""
+        try:
+            images = _np.array(distinct, dtype=_np.float64)  # None -> NaN
+        except OverflowError:  # an int beyond every float
+            return False
+        none_ids = _np.flatnonzero(_np.isnan(images))
+        if len(none_ids) > (type(None) in kinds):
+            return False  # a NaN cell
+        # An int just beyond float range still rounds to the largest float
+        # (and does not coerce); a float equal to it falls back too, which
+        # is merely slower.
+        if int in kinds and (_np.abs(images) == _LARGEST_FLOAT).any():
+            return False
+        self.raw_codes = _np.arange(1, len(distinct) + 1, dtype=_np.int64)
+        numbers = distinct
+        if len(none_ids):
+            self.none_id = none_id = int(none_ids[0])
+            self.raw_codes[none_id:] -= 1
+            self.raw_codes[none_id] = 0
+            numbers = distinct[:none_id] + distinct[none_id + 1 :]
+            images = _np.delete(images, none_id)
+        else:
+            self.none_id = None
+        self.dictionary = ColumnDictionary.of_numbers(numbers, images)
+        return True
+
+    def vector(self) -> ColumnVector:
+        """The code stage: gather code and ``is None`` to the rows."""
+        raw_ids = _np.fromiter(self.raw_ids, dtype=_np.intp, count=self.n_rows)
+        self.raw_ids = None
+        if self.none_id is None:
+            none_mask = _np.zeros(self.n_rows, dtype=bool)
+        else:
+            none_mask = raw_ids == self.none_id
+        return ColumnVector(self.dictionary, self.raw_codes[raw_ids], none_mask)
+
+
 def encode_column(cells: Sequence[Value]) -> ColumnVector:
     """Dictionary-encode one column of raw cells.
 
@@ -171,31 +292,52 @@ def encode_column(cells: Sequence[Value]) -> ColumnVector:
     and gathered to the rows by index. Codes come out in first-seen order,
     exactly as if every cell had been interned in turn.
     """
-    dictionary = ColumnDictionary()
-    distinct, index = factorize(cells)
-    codes = [dictionary.intern(cell) for cell in distinct]
-    none_mask = [cell is None for cell in distinct]
-    index = _np.fromiter(index, dtype=_np.intp, count=len(cells))
-    return ColumnVector(
-        dictionary,
-        _np.array(codes, dtype=_np.int64)[index],
-        _np.array(none_mask, dtype=bool)[index],
-    )
+    return _DictionaryStage(cells).vector()
 
 
 class EncodedTable:
-    """All columns of one base table, encoded once and reused by every join."""
+    """The columns of one base table, each encoded on first use in two
+    memoised stages: :meth:`dictionary` (one factorization of the column)
+    and :meth:`vector` (the per-row code gather, which only the relation
+    build reads). The owner -- one :class:`~repro.db.joins.JoinGraph`, so
+    one per checker -- memoises the table; nothing is kept on the
+    :class:`~repro.db.schema.Table`, so a new checker encodes cold."""
 
-    __slots__ = ("name", "vectors")
+    __slots__ = ("_table", "_rows", "_stages", "_vectors")
 
-    def __init__(self, name: str, vectors: list[ColumnVector]) -> None:
-        self.name = name
-        self.vectors = vectors
+    def __init__(self, table: Table) -> None:
+        self._table = table
+        self._rows: list | None = None
+        self._stages: list[_DictionaryStage | None] = [None] * len(table.columns)
+        self._vectors: list[ColumnVector | None] = [None] * len(table.columns)
 
+    def _stage(self, column: int) -> _DictionaryStage:
+        stage = self._stages[column]
+        if stage is None:
+            if self._rows is None:
+                # A streamed (file-backed) table is read once, not per column.
+                rows = self._table.rows
+                self._rows = rows if isinstance(rows, list) else list(rows)
+            cells = list(map(itemgetter(column), self._rows))
+            stage = self._stages[column] = _DictionaryStage(cells)
+            if all(self._stages):
+                self._rows = None
+        return stage
 
-def encode_table(table: Table) -> EncodedTable:
-    columns = list(zip(*table.rows)) or [()] * len(table.columns)
-    return EncodedTable(table.name, [encode_column(cells) for cells in columns])
+    def dictionary(self, column: int) -> ColumnDictionary:
+        """The dictionary of the table's ``column``-th column."""
+        return self._stage(column).dictionary
+
+    def vector(self, column: int) -> ColumnVector:
+        """The encoded ``column``-th column."""
+        vector = self._vectors[column]
+        if vector is None:
+            vector = self._vectors[column] = self._stage(column).vector()
+        return vector
+
+    @property
+    def vectors(self) -> list[ColumnVector]:
+        return [self.vector(column) for column in range(len(self._vectors))]
 
 
 class ColumnarRelation:

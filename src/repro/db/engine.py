@@ -369,15 +369,11 @@ class QueryEngine:
             if isinstance(predicate.value, str):
                 return predicate
             column = predicate.column
-            table = (
-                self.database.table(column.table)
-                if column.table
-                else self.database.single_table()
-            )
+            table = column.table or self.database.single_table().name
             # One raw cell per normalized literal.
             cells = [
                 cell
-                for cell in table.distinct_values(column.column)
+                for cell in self.adapter.distinct_values(table, column.column)
                 if predicate.matches(cell)
             ]
             if len(cells) > 1:

@@ -16,7 +16,6 @@ from repro.db.columnar import (
     EncodedTable,
     ExecutionBackend,
     build_columnar_relation,
-    encode_table,
 )
 from repro.db.refs import ColumnRef
 from repro.db.schema import Database, ForeignKey
@@ -139,9 +138,10 @@ class JoinGraph:
         return frozenset(tables) in self._relations
 
     def encoded_table(self, name: str) -> EncodedTable:
-        """Dictionary-encode a base table once; reused by every join."""
+        """A base table's encoding (each column encoded on first use),
+        shared by fragment extraction and every join."""
         if name not in self._encoded:
-            self._encoded[name] = encode_table(self.database.table(name))
+            self._encoded[name] = EncodedTable(self.database.table(name))
         return self._encoded[name]
 
     def clear_memo(self) -> None:

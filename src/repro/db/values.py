@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 
 Value = None | str | int | float
@@ -109,7 +109,27 @@ def cell_key(cell: Value) -> tuple:
     return (cell.__class__, cell)
 
 
-def factorize(cells: Sequence[Value]) -> tuple[list[Value], Iterator[int]]:
+#: Cell classes that equal no cell of another class.
+_TEXT_CLASSES = frozenset({str, type(None)})
+
+
+class _RawIds:
+    """Every cell's index into the distinct cells, as an iterable: the
+    index is built on ``iter()``, so unread it costs nothing, and the
+    iterator it returns runs in C."""
+
+    __slots__ = ("_memo", "_keys")
+
+    def __init__(self, memo: dict, keys: Sequence) -> None:
+        self._memo = memo
+        self._keys = keys
+
+    def __iter__(self) -> Iterator[int]:
+        index = dict(zip(self._memo, range(len(self._memo))))
+        return map(index.__getitem__, self._keys)
+
+
+def factorize(cells: Sequence[Value]) -> tuple[list[Value], Iterable[int]]:
     """Distinct raw cells in first-seen order, and every cell's index
     into them (lazily; unread, it costs nothing).
 
@@ -120,8 +140,13 @@ def factorize(cells: Sequence[Value]) -> tuple[list[Value], Iterator[int]]:
     cell and gathers by index.
     """
     memo = dict.fromkeys(cells)
-    # A str or None equals no instance of another class; numbers can.
-    numbers = set(map(type, cells)) - {str, type(None)}
+    # A str or None equals no instance of another class; numbers can. So
+    # a number among the cells leaves a number among the distinct ones,
+    # and only then must every cell's class be read.
+    kinds = set(map(type, memo))
+    if not kinds <= _TEXT_CLASSES:
+        kinds = set(map(type, cells))
+    numbers = kinds - _TEXT_CLASSES
     if len(numbers) <= 1 and not (
         0.0 in memo and any(issubclass(kind, float) for kind in numbers)
     ):
@@ -130,8 +155,7 @@ def factorize(cells: Sequence[Value]) -> tuple[list[Value], Iterator[int]]:
         keys = list(map(cell_key, cells))
         memo = dict.fromkeys(keys)
         distinct = [key[1] for key in memo]
-    index = dict(zip(memo, range(len(memo))))
-    return distinct, map(index.__getitem__, keys)
+    return distinct, _RawIds(memo, keys)
 
 
 def values_equal(left: Value, right: Value) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.db.adapters.base import StorageAdapter
 from repro.db.aggregates import AggregateFunction
 from repro.db.predicates import Predicate
 from repro.db.refs import STAR, ColumnRef
@@ -48,8 +49,15 @@ def extract_fragments(
     database: Database,
     config: ExtractionConfig | None = None,
     data_dictionary: dict[str, str] | None = None,
+    adapter: StorageAdapter | None = None,
 ) -> FragmentCatalog:
-    """Build the full fragment catalog for a database."""
+    """Build the full fragment catalog for a database.
+
+    Predicate values come from ``adapter``'s
+    :meth:`~repro.db.adapters.base.StorageAdapter.distinct_values` (the
+    checker passes its engine's, so the columnar route reads the column
+    dictionaries its relations reuse), else from each table's own scan.
+    """
     config = config or ExtractionConfig()
     dictionary = {
         name.strip().lower(): description
@@ -86,8 +94,11 @@ def extract_fragments(
                 and not config.include_numeric_predicates
             ):
                 continue
-            values = table.distinct_values(
-                column.name, limit=config.max_distinct_per_column + 1
+            limit = config.max_distinct_per_column + 1
+            values = (
+                table.distinct_values(column.name, limit)
+                if adapter is None
+                else adapter.distinct_values(table.name, column.name, limit)
             )
             if len(values) > config.max_distinct_per_column:
                 continue

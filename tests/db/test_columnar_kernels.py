@@ -7,6 +7,8 @@ histograms; every test here pins one of them to the loop it replaced.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -28,11 +30,12 @@ from repro.db import (
     STAR,
     Table,
 )
+from repro.db.adapters import ColumnarAdapter
 from repro.db.columnar import (
     ColumnarRelation,
     ColumnDictionary,
+    EncodedTable,
     encode_column,
-    encode_table,
 )
 from repro.db.joins import JoinGraph
 from repro.db.values import (
@@ -50,6 +53,47 @@ from tests.db.strategies import BEYOND_FLOAT, shadow_cells
 MIXED_CELLS = shadow_cells() | st.sampled_from(
     [1, 1.0, True, "1", " 1 ", 0, 0.0, -0.0, False, "$1,200", BEYOND_FLOAT]
 )
+
+#: Cells of a column the encoder builds in bulk: exact ``int``/``float``
+#: (ints past 2**53 and 2**63, infinities, both zeros) and NULL.
+NUMBER_CELLS = (
+    st.none()
+    | st.integers(min_value=-3, max_value=3)
+    | st.integers(min_value=2**53 - 2, max_value=2**53 + 2)
+    | st.sampled_from([2**63, -(2**64), 10**30, -(2**53) - 1])
+    | st.floats(allow_nan=False)
+    | st.sampled_from([0.0, -0.0, 1.0, float("inf"), -float("inf")])
+)
+
+#: Cells that send a number column back to ``intern``: NaN objects (a new
+#: one per draw), ``bool``, ints beyond float range (one rounds to the
+#: largest float), and ``1``/``1.0``/``"1"`` mixes.
+FALLBACK_CELLS = (
+    st.builds(float, st.just("nan"))
+    | st.booleans()
+    | st.sampled_from([BEYOND_FLOAT, int(sys.float_info.max) + 1, 1, 1.0, "1"])
+)
+
+#: A column drawn mostly from ``NUMBER_CELLS``, sometimes spoiled.
+ENCODE_COLUMNS = st.lists(NUMBER_CELLS, max_size=16) | st.lists(
+    NUMBER_CELLS | FALLBACK_CELLS | MIXED_CELLS, max_size=16
+)
+
+
+def builds_in_bulk(cells) -> bool:
+    """The bulk rule: every non-NULL cell an exact ``int``/``float``, no
+    NaN, and beside an ``int`` no finite number at or beyond the largest
+    float (an int there may not coerce; a float there is told apart from
+    it by a slower path)."""
+    numbers = [cell for cell in cells if cell is not None]
+    if any(type(cell) not in (int, float) or cell != cell for cell in numbers):
+        return False
+    if int not in map(type, numbers):
+        return True
+    return all(
+        abs(cell) < sys.float_info.max or cell in (math.inf, -math.inf)
+        for cell in numbers
+    )
 
 
 def assert_same_scalars(expected, actual, context=""):
@@ -113,9 +157,38 @@ class TestFactorizedEncode:
         assert len(vector.codes) == 10_000
         assert len(calls) <= 7 + 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(cells=ENCODE_COLUMNS)
+    def test_bulk_dictionary_equals_interned_one(self, cells):
+        """A column of exact numbers gets its dictionary in bulk, and it is
+        the per-cell ``intern`` one field for field; any other column is
+        interned."""
+        dictionary, codes, none_mask = reference_encode(cells)
+        vector = encode_column(cells)
+        built = vector.dictionary
+        # Untouched, a bulk dictionary has no strings yet.
+        assert (built._values is None) == builds_in_bulk(cells)
+        assert vector.codes.tolist() == codes
+        assert vector.none_mask.tolist() == none_mask
+        assert built.values == dictionary.values
+        assert built.index == dictionary.index
+        assert len(built) == len(dictionary)
+        assert_same_scalars(dictionary.cells, built.cells, "cells")
+        assert_same_scalars(dictionary.numbers, built.numbers, "numbers")
+        assert built.numbers_arr.tobytes() == dictionary.numbers_arr.tobytes()
+        assert built.numeric_arr.tolist() == dictionary.numeric_arr.tolist()
+
+    def test_bulk_dictionary_builds_its_strings_on_first_use(self):
+        vector = encode_column([3, None, 2.5, 3, -0.0, 2**60])
+        dictionary = vector.dictionary
+        assert dictionary._values is None and dictionary._index is None
+        assert vector.codes.tolist() == [1, 0, 2, 1, 3, 4]
+        assert dictionary.code_of("-0.0") == 3
+        assert dictionary.values == ["", "3", "2.5", "-0.0", str(2**60)]
+
     def test_empty_table_encodes_every_column(self):
         table = Table("t", [Column("a"), Column("b")])
-        encoded = encode_table(table)
+        encoded = EncodedTable(table)
         assert [len(vector.codes) for vector in encoded.vectors] == [0, 0]
 
 
@@ -149,6 +222,19 @@ class TestDistinctValues:
                 )
         finally:
             schema._DISTINCT_CHUNK = original
+
+    @settings(max_examples=150, deadline=None)
+    @given(cells=st.lists(MIXED_CELLS | NUMBER_CELLS | FALLBACK_CELLS, max_size=20))
+    def test_columnar_adapter_reads_them_off_the_dictionary(self, cells):
+        """``dictionary.cells[1:limit + 1]`` is the scan, for every limit."""
+        table = Table("t", [Column("pad"), Column("c")], [(0, cell) for cell in cells])
+        adapter = ColumnarAdapter(Database("d", [table]))
+        for limit in (None, *range(1, len(cells) + 2)):
+            assert_same_scalars(
+                table.distinct_values("c", limit),
+                adapter.distinct_values("t", "c", limit),
+                f"limit={limit}",
+            )
 
 
 class TestRelationBuild:

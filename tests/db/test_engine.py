@@ -188,6 +188,29 @@ class TestSharing:
             assert oracle.evaluate_one(query) == expected, sql
         engine.close()
 
+    def test_columnar_literal_lookup_scans_no_rows(self, monkeypatch):
+        """The number-to-literal lookup reads the column's dictionary, not
+        a scan of the table's rows per query."""
+        table = Table(
+            "prices",
+            [Column("item"), Column("price", ColumnType.NUMERIC)],
+            [("a", 10.0), ("b", 10.0), ("c", 12.5), ("d", 7)],
+        )
+        database = Database("prices", [table])
+        scanned = []
+        scan = Table.distinct_values
+        monkeypatch.setattr(
+            Table, "distinct_values",
+            lambda self, *args: scanned.append(args) or scan(self, *args),
+        )
+        engine = QueryEngine(database)
+        for sql, expected in (
+            ("SELECT Count(*) FROM prices WHERE price = 10", 2),
+            ("SELECT Avg(price) FROM prices WHERE price = 7.0", 7.0),
+        ):
+            assert engine.evaluate_one(parse_query(sql, database)) == expected
+        assert scanned == []
+
     def test_evaluate_one_refuses_a_number_of_two_literals(self):
         table = Table(
             "prices",

@@ -15,7 +15,10 @@ from dataclasses import replace
 
 import pytest
 
+import repro.db.columnar as columnar
 from repro.budget import ResourceBudget
+from repro.core.checker import AggChecker
+from repro.core.config import AggCheckerConfig
 from repro.db import (
     Database,
     EngineConfig,
@@ -24,7 +27,10 @@ from repro.db import (
     parse_query,
 )
 from repro.db.adapters import SqlBackedTable, load_sqlite_database
+from repro.db.adapters.sqlite import _SqlRows
+from repro.db.columnar import ExecutionBackend
 from repro.db.diskcache import database_fingerprint
+from repro.db.joins import JoinGraph
 from repro.db.schema import ColumnType, SchemaError
 from repro.errors import BudgetExceeded
 
@@ -162,6 +168,44 @@ class TestOutOfCoreVerification:
         assert warm.stats.cube_queries == 0
         engine.close()
         warm.close()
+
+
+class TestExtractionStaysOutOfCore:
+    def test_checker_extracts_from_the_file_without_materialising(
+        self, orders_db, monkeypatch
+    ):
+        factorized = []
+        original = columnar.factorize
+        monkeypatch.setattr(
+            columnar, "factorize",
+            lambda cells: factorized.append(len(cells)) or original(cells),
+        )
+        checker = AggChecker(
+            orders_db, AggCheckerConfig(engine=EngineConfig(backend="sqlite"))
+        )
+        values = {
+            fragment.predicate.value for fragment in checker.catalog.predicates
+        }
+        assert {"r0", "open", "closed", "east"} <= values
+        assert checker.engine.stats.rows_materialized == 0
+        assert factorized == []  # extraction streamed; nothing was encoded
+        checker.engine.close()
+
+    def test_columnar_encode_streams_the_file_once(self, orders_db, monkeypatch):
+        streamed = []
+        original = _SqlRows.__iter__
+
+        def counting(rows):
+            streamed.append(rows._table)
+            return original(rows)
+
+        monkeypatch.setattr(_SqlRows, "__iter__", counting)
+        graph = JoinGraph(orders_db, backend=ExecutionBackend.COLUMNAR)
+        encoded = graph.encoded_table("orders")
+        vectors = encoded.vectors
+        assert streamed == ["orders"]
+        assert [len(vector.codes) for vector in vectors] == [N_ORDERS] * 4
+        assert encoded.dictionary(1).cells[1:] == [f"r{i}" for i in range(5)]
 
 
 def open_handles(*needles: str) -> list[str]:

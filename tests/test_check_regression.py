@@ -101,50 +101,6 @@ class TestCheckFile:
         )
         assert rows[0][-1] == "skipped: no committed baseline"
 
-    def test_parallel_speedup_guarded_by_cpu_count(self, dirs, monkeypatch):
-        # No committed benchmark runs worker processes, so a guarded spec
-        # is registered under an existing SPECS file name to hold the
-        # guard itself to its contract.
-        lookup = check_regression._lookup
-        monkeypatch.setitem(
-            check_regression.SPECS,
-            "BENCH_service.json",
-            (
-                lambda p: (p["cases"], lookup(p, "results.parallel.workers")),
-                lambda p: {
-                    "parallel_speedup": lookup(
-                        p, "results.parallel.speedup_vs_sequential"
-                    ),
-                    "warm_disk_hit_rate": lookup(
-                        p, "results.warm_cache.disk_cache_hit_rate"
-                    ),
-                },
-                lambda p: ("parallel_speedup",)
-                if (check_regression.os.cpu_count() or 1)
-                < lookup(p, "results.parallel.workers")
-                else (),
-            ),
-        )
-        baseline, fresh = dirs
-        payload = {
-            "cases": 12,
-            "results": {
-                "parallel": {"workers": 4, "speedup_vs_sequential": 2.5},
-                "warm_cache": {"disk_cache_hit_rate": 1.0},
-            },
-        }
-        shrunk = json.loads(json.dumps(payload))
-        shrunk["results"]["parallel"]["speedup_vs_sequential"] = 0.1
-        write(baseline, "BENCH_service.json", payload)
-        write(fresh, "BENCH_service.json", shrunk)
-        monkeypatch.setattr(check_regression.os, "cpu_count", lambda: 1)
-        rows = check_regression.check_file(
-            "BENCH_service.json", 0.5, "HEAD", baseline, fresh
-        )
-        statuses = {row[0]: row[-1] for row in rows}
-        assert statuses["parallel_speedup"].startswith("skipped: needs more")
-        assert statuses["warm_disk_hit_rate"] == "ok"
-
 
 class TestMain:
     def test_exit_one_on_regression(self, dirs, capsys):
@@ -189,7 +145,7 @@ class TestMain:
         # Both sides are the checked-out files, so a baseline re-recorded
         # together with its gate entry reads the same before and after it
         # is committed.
-        for name, (_, ratios_of, _) in check_regression.SPECS.items():
+        for name, (_, ratios_of) in check_regression.SPECS.items():
             path = check_regression.REPO_ROOT / name
             if not path.exists():
                 continue
