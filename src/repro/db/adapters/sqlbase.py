@@ -26,8 +26,9 @@ the normalized literals. The adapter runs cube queries only: they emulate
 ``GROUP BY GROUPING SETS`` with one ``UNION ALL`` arm per dimension subset
 over a shared base CTE (SQLite has no native GROUPING SETS); each arm
 computes the per-cell partials (counts, numeric count, total, extremes)
-with native ``COUNT/SUM/MIN/MAX``, and finalization happens in Python
-with the executor's NULL rules, so verdicts match the in-memory routes'.
+with native ``COUNT/SUM/MIN/MAX``, and the columnar route's finalizer
+(:func:`~repro.db.cube.finalize_cells`) applies the executor's NULL rules
+in Python, so verdicts match the in-memory routes'.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ from itertools import chain, combinations, islice
 from typing import TYPE_CHECKING
 
 from repro.db.adapters.base import StorageAdapter
-from repro.db.aggregates import AggregateFunction
 from repro.db.columnar import ColumnDictionary, ExecutionBackend
-from repro.db.cube import ALL, CellKey, CubeResult
+from repro.db.cube import ALL, PARTIALS_BY_FN, CellKey, CubeResult, finalize_cells
 from repro.db.joins import JoinGraph, JoinPath
-from repro.db.query import AggregateSpec, ColumnRef
+from repro.db.query import ColumnRef
 from repro.db.values import (
     DEFAULT_LITERAL,
     Value,
@@ -55,20 +55,11 @@ if TYPE_CHECKING:
     from repro.db.cube import CubeQuery
     from repro.db.schema import Database, Table
 
-#: Partial-aggregate fields an arm can compute per aggregation column,
+#: Partial-aggregate fields an arm can compute per aggregation column
+#: (:data:`~repro.db.cube.PARTIALS_BY_FN` names those each function needs;
+#: star COUNT needs only the row count, which every statement computes),
 #: in result-row layout order.
 _FIELD_ORDER = ("count", "distinct", "ncount", "total", "minimum", "maximum")
-
-#: Fields needed per aggregate function (star COUNT needs only the row
-#: count, which every statement computes).
-_FIELDS_BY_FN = {
-    AggregateFunction.COUNT: ("count",),
-    AggregateFunction.COUNT_DISTINCT: ("distinct",),
-    AggregateFunction.SUM: ("ncount", "total"),
-    AggregateFunction.AVG: ("ncount", "total"),
-    AggregateFunction.MIN: ("ncount", "minimum"),
-    AggregateFunction.MAX: ("ncount", "maximum"),
-}
 
 #: The partial fields computed over a column's code image; the rest are
 #: computed over its number image.
@@ -135,33 +126,6 @@ def _field_expr(field: str, k: str, n: str) -> str:
     raise QueryError(f"unknown partial field {field!r}")
 
 
-def _finalize(
-    spec: AggregateSpec, group_rows: int, fields: dict[str, Value]
-) -> Value:
-    """A cell's value of ``spec`` from SQL-computed partial fields, with
-    the executor's NULL rules."""
-    fn = spec.function
-    if spec.column.is_star:
-        if fn is AggregateFunction.COUNT:
-            return group_rows
-        raise QueryError(f"unsupported star aggregate {fn}")
-    if fn is AggregateFunction.COUNT:
-        return fields["count"]
-    if fn is AggregateFunction.COUNT_DISTINCT:
-        return fields["distinct"]
-    if fields["ncount"] == 0:
-        return None
-    if fn is AggregateFunction.SUM:
-        return fields["total"]
-    if fn is AggregateFunction.AVG:
-        return fields["total"] / fields["ncount"]
-    if fn is AggregateFunction.MIN:
-        return fields["minimum"]
-    if fn is AggregateFunction.MAX:
-        return fields["maximum"]
-    raise QueryError(f"unsupported basis aggregate {fn}")
-
-
 class _CubePlan:
     """A compiled cube statement plus the recipe to decode its rows."""
 
@@ -178,7 +142,7 @@ class _CubePlan:
             if spec.column.is_star:
                 continue
             fields = set(self.needs.get(spec.column, ()))
-            fields.update(_FIELDS_BY_FN[spec.function])
+            fields.update(PARTIALS_BY_FN[spec.function])
             self.needs[spec.column] = tuple(
                 f for f in _FIELD_ORDER if f in fields
             )
@@ -264,7 +228,8 @@ class _CubePlan:
     ) -> CubeResult:
         """Assemble fetched partial rows into a canonical CubeResult."""
         n_dims = self.n_dims
-        cells: dict[CellKey, dict[AggregateSpec, Value]] = {}
+        keys: list[CellKey] = []
+        partials: list[tuple] = []
         rows_scanned = 0
         for row in rows:
             key = tuple(
@@ -284,22 +249,26 @@ class _CubePlan:
                 # SQL returns one all-ALL row even over an empty relation;
                 # the in-memory cube produces no cells for empty groups.
                 continue
-            offset = n_dims + 1
-            partials: dict[ColumnRef, dict[str, Value]] = {}
-            for column in self.columns:
-                fields = self.needs[column]
-                partials[column] = dict(
-                    zip(fields, row[offset : offset + len(fields)])
-                )
-                offset += len(fields)
-            cells[key] = {
-                spec: _finalize(spec, group_rows, partials.get(spec.column))
-                for spec in cube.aggregates
-            }
+            keys.append(key)
+            partials.append(row[n_dims:])
             if budget is not None:
                 # Streaming guard: same limit the in-memory cube enforces before
                 # rollup, applied to actual rolled cells as pages arrive.
-                budget.check_cube(len(cells), "cube-rollup")
+                budget.check_cube(len(keys), "cube-rollup")
+        # One column per partial, in result-row layout order: the row
+        # count, then each aggregation column's fields.
+        columns = zip(*partials)
+        counts = next(columns, ())
+        fields = {
+            column: {field: next(columns, ()) for field in self.needs[column]}
+            for column in self.columns
+        }
+        cells = {
+            spec: finalize_cells(
+                spec, keys, counts, fields.get(spec.column, {}).__getitem__
+            )
+            for spec in cube.aggregates
+        }
         return CubeResult(cube, cells, rows_scanned=rows_scanned)
 
 

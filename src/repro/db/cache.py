@@ -14,15 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.db.aggregates import AggregateFunction
-from repro.db.cube import CellKey
+from repro.db.cube import ZERO_ON_EMPTY, CellKey
 from repro.db.query import AggregateSpec, ColumnRef
 from repro.db.values import Value
 
 CacheKey = tuple[frozenset[str], AggregateSpec, tuple[ColumnRef, ...]]
-
-#: Aggregates whose empty-group cells are 0 rather than NULL.
-_ZERO_ON_EMPTY = (AggregateFunction.COUNT, AggregateFunction.COUNT_DISTINCT)
 
 
 @dataclass
@@ -42,7 +38,7 @@ class CacheEntry:
 
     def empty_value(self) -> Value:
         """Value of a cell for an empty group under this entry's spec."""
-        return 0 if self.spec.function in _ZERO_ON_EMPTY else None
+        return 0 if self.spec.function in ZERO_ON_EMPTY else None
 
     def lookup(self, key: CellKey) -> Value:
         """Cell value for ``key`` with the empty-group default applied."""
@@ -109,7 +105,8 @@ class ResultCache:
         literal_map: dict[ColumnRef, frozenset[str]],
         cells: dict[CellKey, Value],
     ) -> CacheEntry:
-        """Insert or extend the entry for this key."""
+        """Insert or extend the entry for this key; a new entry keeps
+        ``cells`` itself (a cube result's map for ``spec``) as its map."""
         key = (tables, spec, dimensions)
         entry = self._entries.get(key)
         if entry is None:
@@ -117,7 +114,7 @@ class ResultCache:
                 spec,
                 dimensions,
                 {dim: set(literals) for dim, literals in literal_map.items()},
-                dict(cells),
+                cells,
             )
             self._entries[key] = entry
         else:

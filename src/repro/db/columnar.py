@@ -36,8 +36,11 @@ kernels run over *(group, code) histograms*, and only SUM reads the rows.
   and the distinct code sets from a few entries per group; SUM alone stays a
   row-order ``bincount(weights=...)``, because float addition is not
   associative and regrouping by code would move the last bits of every SUM
-  and AVG. *Roll up*: the (few) groups merge into every dimension subset in
-  Python; distinct counts roll up from the pair arrays. A histogram is
+  and AVG. *Roll up and finalize*, one aggregate at a time: each partial
+  the aggregates read is folded from the (few) groups into every dimension
+  subset in Python, distinct counts from the pair arrays, and each
+  aggregate is finalized over all cells at once
+  (:func:`~repro.db.cube.finalize_cells`). A histogram is
   counted densely while its id space is within ``_DENSE_SLOTS_PER_ID`` times
   the ids counted (scratch bounded by the input's own size, computed, not
   configured) and by one sort beyond that; both routes yield the same arrays.
@@ -65,12 +68,12 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable, Sequence
 from itertools import combinations
-from operator import itemgetter
+from operator import add, itemgetter
 
 import numpy as _np
 
 from repro.db.aggregates import AggregateFunction
-from repro.db.cube import ALL, CubeResult, _check_rollup_budget
+from repro.db.cube import ALL, CubeResult, _check_rollup_budget, finalize_cells
 from repro.db.refs import ColumnRef
 from repro.db.schema import Database, Table
 from repro.db.values import (
@@ -80,7 +83,7 @@ from repro.db.values import (
     factorize,
     normalize_string,
 )
-from repro.errors import JoinPathError, QueryError
+from repro.errors import JoinPathError
 
 
 class ExecutionBackend(enum.Enum):
@@ -482,60 +485,29 @@ def build_columnar_relation(
 # ----------------------------------------------------------------------
 
 
-class _GroupAcc:
-    """Mergeable per-cell accumulator used by the rollup phase.
+#: Per partial field, the start and the fold of its rollup. ``min``/``max``
+#: keep the earlier of equal extremes, and a group without numbers holds
+#: the extremes' infinities, so it never wins.
+_FOLDS = {
+    "rows": (0, add),
+    "count": (0, add),
+    "ncount": (0, add),
+    "total": (0.0, add),
+    "minimum": (_np.inf, min),
+    "maximum": (-_np.inf, max),
+}
 
-    ``distinct`` is the cell's finished distinct count, set once the rollup
-    knows every cell's groups (a union, not a sum, so it cannot be absorbed
-    group by group).
-    """
 
-    __slots__ = ("rows", "count", "total", "ncount", "minimum", "maximum", "distinct")
-
-    def __init__(self) -> None:
-        self.rows = 0
-        self.count = 0
-        self.total = 0.0
-        self.ncount = 0
-        self.minimum: float | None = None
-        self.maximum: float | None = None
-        self.distinct = 0
-
-    def absorb(self, stats: "_ColumnStats", group: int) -> None:
-        self.rows += stats.rows[group]
-        if stats.star:
-            return
-        self.count += stats.count[group]
-        self.total += stats.total[group]
-        self.ncount += stats.ncount[group]
-        if stats.ncount[group]:
-            minimum = stats.minimum[group]
-            maximum = stats.maximum[group]
-            if self.minimum is None or minimum < self.minimum:
-                self.minimum = minimum
-            if self.maximum is None or maximum > self.maximum:
-                self.maximum = maximum
-
-    def finalize(self, spec) -> Value:
-        """The cell's value of ``spec``, with the executor's NULL rules."""
-        fn = spec.function
-        if fn is AggregateFunction.COUNT:
-            return int(self.rows if spec.column.is_star else self.count)
-        if fn is AggregateFunction.COUNT_DISTINCT:
-            return self.distinct
-        if self.ncount == 0:
-            # No numeric cells: Sum/Avg/Min/Max are NULL.
-            return None
-        if fn is AggregateFunction.SUM:
-            return float(self.total)
-        if fn is AggregateFunction.AVG:
-            # Divide by the numeric count (matches compute_plain).
-            return float(self.total) / int(self.ncount)
-        if fn is AggregateFunction.MIN:
-            return float(self.minimum)
-        if fn is AggregateFunction.MAX:
-            return float(self.maximum)
-        raise QueryError(f"unsupported basis aggregate {fn}")
+def _roll_up(values: list, cell_of: list[list[int]], n_cells: int, field: str) -> list:
+    """Per rolled-up cell, the per-group ``values`` of one partial folded
+    over the groups the cell covers, in group order (so a float SUM adds
+    per-group subtotals)."""
+    start, fold = _FOLDS[field]
+    rolled = [start] * n_cells
+    for value, cells in zip(values, cell_of):
+        for cell in cells:
+            rolled[cell] = fold(rolled[cell], value)
+    return rolled
 
 
 class _ColumnStats:
@@ -546,11 +518,10 @@ class _ColumnStats:
     distinct non-missing (group, code) pairs plus the dictionary size.
     """
 
-    __slots__ = ("star", "rows", "count", "total", "ncount", "minimum", "maximum", "distinct")
+    __slots__ = ("rows", "count", "total", "ncount", "minimum", "maximum", "distinct", "_rolled")
 
-    def __init__(self, rows: list[int], star: bool) -> None:
+    def __init__(self, rows: list[int]) -> None:
         n_groups = len(rows)
-        self.star = star
         self.rows = rows
         self.count = [0] * n_groups
         self.total = [0.0] * n_groups
@@ -558,6 +529,19 @@ class _ColumnStats:
         self.minimum = [0.0] * n_groups
         self.maximum = [0.0] * n_groups
         self.distinct = None
+        self._rolled: dict[str, list] = {}
+
+    def rolled(self, field: str, cell_of: list[list[int]], n_cells: int) -> list:
+        """One partial per rolled-up cell, rolled up on first use (a distinct
+        count is a union, not a fold, so it rolls up from the pair arrays)."""
+        rolled = self._rolled.get(field)
+        if rolled is None:
+            if field == "distinct":
+                rolled = self.distinct_counts(cell_of, n_cells)
+            else:
+                rolled = _roll_up(getattr(self, field), cell_of, n_cells, field)
+            self._rolled[field] = rolled
+        return rolled
 
     def distinct_counts(self, cell_of: list[list[int]], n_cells: int) -> list[int]:
         """Distinct non-missing codes per rolled-up cell; ``cell_of[g]``
@@ -641,7 +625,7 @@ def _column_stats_numpy(
 ) -> _ColumnStats:
     """Reduce from the (group, code) histogram; only ``total`` reads rows
     (see the module docstring)."""
-    stats = _ColumnStats(rows, star=column is None)
+    stats = _ColumnStats(rows)
     if column is None:
         return stats
     n_groups = len(rows)
@@ -685,10 +669,12 @@ def execute_cube_columnar(relation: ColumnarRelation, cube, budget=None):
     """Execute a cube over a columnar relation.
 
     Phase 1 reduces every basis aggregate per fully-specified group with
-    array kernels; phase 2 rolls the (few) groups up to every dimension
-    subset in Python, except the distinct counts, which each column rolls
-    up for all cells at once; phase 3 finalizes into the standard
-    :class:`~repro.db.cube.CubeResult` cell dictionary. ``budget``
+    array kernels; phase 2 maps each (of the few) groups to its cell in
+    every dimension subset; phase 3 finalizes one aggregate at a time,
+    through :func:`~repro.db.cube.finalize_cells`, into the per-aggregate
+    maps of :class:`~repro.db.cube.CubeResult`, rolling each partial it
+    reads up to the cells once, in Python (distinct counts from the pair
+    arrays, for all cells at once). ``budget``
     (optional :class:`repro.budget.ResourceBudget`) bounds the rollup
     work — ``n_groups * 2^n_dims`` merges — before phase 2 starts, using
     the real group count rather than the engine's literal-based estimate.
@@ -716,38 +702,32 @@ def execute_cube_columnar(relation: ColumnarRelation, cube, budget=None):
         for key in bundle_of
     ]
 
-    # Phase 2: roll up to every subset of dimensions.
+    # Phase 2: each group's cell in every subset of dimensions.
     n_dims = len(cube.dimensions)
     masks: list[frozenset[int]] = []
     for size in range(n_dims + 1):
         masks.extend(frozenset(m) for m in combinations(range(n_dims), size))
     slots: dict[tuple, int] = {}
-    rolled: list[list[_GroupAcc]] = []
     cell_of: list[list[int]] = []
-    for group, full_key in enumerate(group_keys):
-        group_cells = []
-        for kept in masks:
-            key = tuple(
-                full_key[i] if i in kept else ALL for i in range(n_dims)
+    for full_key in group_keys:
+        cell_of.append([
+            slots.setdefault(
+                tuple(full_key[i] if i in kept else ALL for i in range(n_dims)),
+                len(slots),
             )
-            slot = slots.setdefault(key, len(rolled))
-            if slot == len(rolled):
-                rolled.append([_GroupAcc() for _ in bundles])
-            for acc, bundle in zip(rolled[slot], bundles):
-                acc.absorb(bundle, group)
-            group_cells.append(slot)
-        cell_of.append(group_cells)
-    for position, bundle in enumerate(bundles):
-        if bundle.distinct is not None:
-            counts = bundle.distinct_counts(cell_of, len(rolled))
-            for accs, count in zip(rolled, counts):
-                accs[position].distinct = count
+            for kept in masks
+        ])
 
-    # Phase 3: finalize.
-    cells: dict[tuple, dict] = {}
-    for key, accs in zip(slots, rolled):
-        cells[key] = {
-            spec: accs[bundle_of[column_of(spec)]].finalize(spec)
-            for spec in cube.aggregates
-        }
+    # Phase 3: finalize one aggregate at a time, each partial rolled up once.
+    keys = list(slots)
+    cell_rows = _roll_up(rows, cell_of, len(keys), "rows")
+    cells = {}
+    for spec in cube.aggregates:
+        stats = bundles[bundle_of[column_of(spec)]]
+        cells[spec] = finalize_cells(
+            spec,
+            keys,
+            cell_rows,
+            lambda field: stats.rolled(field, cell_of, len(keys)),
+        )
     return CubeResult(cube, cells, rows_scanned=len(relation))

@@ -7,13 +7,16 @@ probability are collapsed into a default bucket before grouping — the
 ``InOrDefault`` rewrite — so result sets stay small while aggregates over
 *unrestricted* dimensions (the ``ALL`` cells) remain exact.
 
-This module holds the cube's query and result types; the storage adapters
-execute it (:func:`~repro.db.columnar.execute_cube_columnar` in memory,
-:mod:`repro.db.adapters.sqlbase` in SQL).
+This module holds the cube's query and result types and the one finalizer
+both storage adapters end in (:func:`~repro.db.columnar.execute_cube_columnar`
+in memory, :mod:`repro.db.adapters.sqlbase` in SQL): each computes per-cell
+partials, and :func:`finalize_cells` turns them into one aggregate's
+``{cell key: value}`` map at a time, the form the result cache stores.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.db.aggregates import AggregateFunction
@@ -88,21 +91,71 @@ class CubeQuery:
 CellKey = tuple  # tuple of normalized literal | DEFAULT_LITERAL | ALL per dim
 
 
+#: Aggregates whose empty-group cells are 0 rather than NULL.
+ZERO_ON_EMPTY = (AggregateFunction.COUNT, AggregateFunction.COUNT_DISTINCT)
+
+#: The per-cell partials a basis aggregate of a real column is finalized
+#: from: non-missing cells, distinct non-missing cells, numeric cells, and
+#: the sum, minimum and maximum of the numeric cells.
+PARTIALS_BY_FN = {
+    AggregateFunction.COUNT: ("count",),
+    AggregateFunction.COUNT_DISTINCT: ("distinct",),
+    AggregateFunction.SUM: ("ncount", "total"),
+    AggregateFunction.AVG: ("ncount", "total"),
+    AggregateFunction.MIN: ("ncount", "minimum"),
+    AggregateFunction.MAX: ("ncount", "maximum"),
+}
+
+
+def finalize_cells(
+    spec: AggregateSpec,
+    keys: Sequence[CellKey],
+    rows: Sequence[int],
+    partial: Callable[[str], Sequence],
+) -> dict[CellKey, Value]:
+    """The cells of ``spec`` with the executor's NULL rules: SUM, AVG, MIN
+    and MAX of a cell without numeric cells are NULL, and AVG divides by
+    the numeric count.
+
+    ``rows`` holds each cell's row count and ``partial(name)`` one
+    :data:`PARTIALS_BY_FN` partial of the spec's column, both aligned with
+    ``keys``. Values are taken as the executor computed them, never
+    coerced.
+    """
+    fn = spec.function
+    if spec.column.is_star:
+        values = rows  # Count(*): the only star basis aggregate
+    elif fn in ZERO_ON_EMPTY:
+        values = partial(PARTIALS_BY_FN[fn][0])  # "count" or "distinct"
+    elif fn is AggregateFunction.AVG:
+        values = [
+            total / n if n else None
+            for n, total in zip(partial("ncount"), partial("total"))
+        ]
+    else:
+        values = [
+            value if n else None
+            for n, value in zip(partial("ncount"), partial(PARTIALS_BY_FN[fn][1]))
+        ]
+    return dict(zip(keys, values))
+
+
 class CubeResult:
-    """Finalized cube cells: ``{cell key: {aggregate spec: value}}``.
+    """Finalized cube cells, per aggregate: ``{spec: {cell key: value}}``.
 
     Keys cover every subset of restricted dimensions (standard CUBE
     semantics); unrestricted dimensions carry the :data:`ALL` marker.
+    Every aggregate has a cell for the same keys: the non-empty groups.
     """
 
     def __init__(
         self,
         query: CubeQuery,
-        cells: dict[CellKey, dict[AggregateSpec, Value]],
+        cells: dict[AggregateSpec, dict[CellKey, Value]],
         rows_scanned: int,
     ) -> None:
         self.query = query
-        self.cells = cells
+        self._cells = cells
         self.rows_scanned = rows_scanned
         self._literals = query.literal_map()
 
@@ -129,19 +182,13 @@ class CubeResult:
                 key_parts.append(literal)
             else:
                 key_parts.append(ALL)
-        cell = self.cells.get(tuple(key_parts))
-        if cell is None:
-            # Empty group: counts are 0, other aggregates NULL.
-            if spec.function is AggregateFunction.COUNT:
-                return 0
-            if spec.function is AggregateFunction.COUNT_DISTINCT:
-                return 0
-            return None
-        return cell.get(spec)
+        # Empty group: counts are 0, other aggregates NULL.
+        empty = 0 if spec.function in ZERO_ON_EMPTY else None
+        return self._cells[spec].get(tuple(key_parts), empty)
 
     def cells_for(self, spec: AggregateSpec) -> dict[CellKey, Value]:
-        """All cells of one aggregate (used to populate the result cache)."""
-        return {key: values[spec] for key, values in self.cells.items() if spec in values}
+        """All cells of one aggregate (what the result cache stores)."""
+        return self._cells[spec]
 
 
 def _check_rollup_budget(budget, n_groups: int, n_dims: int) -> None:

@@ -33,6 +33,14 @@ class AggregateSpec:
             AggregateFunction.CONDITIONAL_PROBABILITY,
         ):
             raise QueryError(f"{self.function.sql_name} requires a real column")
+        object.__setattr__(self, "_hash", hash((self.function, self.column)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Pickle-safe like ColumnRef: the hash is recomputed on load.
+        return (AggregateSpec, (self.function, self.column))
 
     def __str__(self) -> str:
         return f"{self.function.sql_name}({self.column})"
@@ -71,9 +79,17 @@ class SimpleAggregateQuery:
         # Queries serve as keys in large probability/result tables; caching
         # the hash removes the dominant cost of those lookups.
         object.__setattr__(
-            self,
-            "_cached_hash",
-            hash((self.aggregate, self.predicates, self.condition)),
+            self, "_hash", hash((self.aggregate, self.predicates, self.condition))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Pickle-safe like ColumnRef: the hash is recomputed on load.
+        return (
+            SimpleAggregateQuery,
+            (self.aggregate, self.predicates, self.condition),
         )
 
     @property
@@ -108,11 +124,3 @@ class SimpleAggregateQuery:
 
         return render_sql(self)
 
-
-def _cached_query_hash(query: "SimpleAggregateQuery") -> int:
-    return query._cached_hash  # type: ignore[attr-defined]
-
-
-# dataclass(frozen=True) would regenerate __hash__; install the cached
-# version after class creation.
-SimpleAggregateQuery.__hash__ = _cached_query_hash  # type: ignore[assignment]

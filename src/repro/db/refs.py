@@ -22,6 +22,16 @@ class ColumnRef:
     def __post_init__(self) -> None:
         if not self.column:
             raise QueryError("column reference must name a column")
+        # References key every cube, cache and probability table: hash once.
+        object.__setattr__(self, "_hash", hash((self.table, self.column)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor: string hashes are salted per
+        # process, so a pickled hash would be stale in another one.
+        return (ColumnRef, (self.table, self.column))
 
     @property
     def is_star(self) -> bool:

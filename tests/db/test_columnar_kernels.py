@@ -478,8 +478,8 @@ class TestHistogramCube:
     def check(self, database, cube):
         result = run_cube(database, cube)
         assert_cube_matches_oracle(database, cube, result, "columnar", sample=100)
-        for cell in result.cells.values():
-            for value in cell.values():
+        for spec in cube.aggregates:
+            for value in result.cells_for(spec).values():
                 assert type(value) in (int, float, type(None))
         assert result.rows_scanned == len(database.table("facts"))
         return result
@@ -491,7 +491,8 @@ class TestHistogramCube:
         )
         # (The all-missing column has no pairs; an empty array may be "sorted".)
         assert not any(calls["unique"]) and not calls["searchsorted"]
-        assert len(result.cells) == 4  # ALL, alpha, beta, default
+        for spec in result.query.aggregates:
+            assert len(result.cells_for(spec)) == 4  # ALL, alpha, beta, default
 
     def test_sparse_histogram(self, calls):
         """Hundreds of groups x hundreds of amount codes is far beyond four
@@ -512,7 +513,8 @@ class TestHistogramCube:
     def test_empty_relation(self):
         database = histogram_database(0, n_amounts=1)
         result = self.check(database, histogram_cube({KIND: {"alpha"}}))
-        assert result.cells == {}
+        for spec in result.query.aggregates:
+            assert result.cells_for(spec) == {}
 
 
 def reference_group_rows(relation, cube):

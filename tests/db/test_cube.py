@@ -16,7 +16,7 @@ from repro.db import (
 from repro.db.cube import ALL, MAX_CUBE_DIMENSIONS
 from repro.errors import QueryError
 
-from tests.db.oracle import assert_matches_oracle, run_cube
+from tests.db.oracle import FLOAT64_BACKENDS, assert_matches_oracle, run_cube
 from tests.db.strategies import claim_queries, small_databases
 
 GAMES = ColumnRef("nflsuspensions", "Games")
@@ -228,6 +228,30 @@ class TestNullAndNonNumericCells:
         assert result.value(specs[3], beta) == pytest.approx(10.0 / 2)
         assert result.value(specs[4], beta) == pytest.approx(4.0)  # Min
         assert result.value(specs[5], beta) == pytest.approx(6.0)  # Max
+
+    @pytest.mark.parametrize("backend", ["columnar", "sqlite"])
+    def test_finalizer_keeps_types(self, backend):
+        """Both routes end in one finalizer, which coerces nothing: counts
+        stay ints, SUM and AVG floats, MIN/MAX the route's number image,
+        and numerics over a group without a number are NULL."""
+        result, specs, category = self.result(backend)
+        keys = {(ALL,), ("alpha",), ("beta",)}
+        for spec in specs:
+            assert result.cells_for(spec).keys() == keys, spec
+        alpha = [result.value(spec, {category: "alpha"}) for spec in specs]
+        assert [(type(v), v) for v in alpha] == [(int, 1), (int, 1)] + [
+            (type(None), None)
+        ] * 4
+        beta = [result.value(spec, {category: "beta"}) for spec in specs]
+        extreme = float if backend in FLOAT64_BACKENDS else int
+        assert [(type(v), v) for v in beta] == [
+            (int, 3),
+            (int, 3),
+            (float, 10.0),
+            (float, 5.0),  # divided by the 2 numeric cells, not by 3
+            (extreme, 4),
+            (extreme, 6),
+        ]
 
 
 @settings(max_examples=60, deadline=None)

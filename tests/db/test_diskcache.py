@@ -3,6 +3,7 @@ CSV-edit invalidation."""
 
 from __future__ import annotations
 
+import json
 import marshal
 import os
 import pickle
@@ -246,6 +247,84 @@ class TestAcrossProcesses:
                 timeout=60,
             )
             assert there.stdout.strip() == here
+
+
+#: Pickles each hashed query-key class in one process and checks the
+#: loaded objects against fresh ones in another (argv[1]: dump | load).
+PICKLE_SCRIPT = """
+import pickle, sys
+from repro.db import (
+    STAR, AggregateFunction, AggregateSpec, ColumnRef, Predicate,
+    SimpleAggregateQuery,
+)
+column = ColumnRef("t", "x")
+built = [
+    column,
+    AggregateSpec(AggregateFunction.SUM, column),
+    SimpleAggregateQuery(
+        AggregateSpec(AggregateFunction.COUNT, STAR), (Predicate(column, "a"),)
+    ),
+]
+if sys.argv[1] == "dump":
+    sys.stdout.write(pickle.dumps(built).hex())
+else:
+    loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+    for fresh, back in zip(built, loaded, strict=True):
+        assert back == fresh, (back, fresh)
+        assert hash(back) == hash(fresh), back
+        assert {back: 1}.get(fresh) == 1, back
+    print("ok")
+"""
+
+#: Verifies the first three corpus cases over the cube cache in argv[1]
+#: and prints the engine's cube work and every verdict.
+CORPUS_SCRIPT = """
+import json, sys
+from repro.core.config import AggCheckerConfig
+from repro.corpus import generate_corpus
+from repro.db import EngineConfig
+from repro.harness import run_corpus
+from repro.service.protocol import verdict_payload
+config = AggCheckerConfig(engine=EngineConfig(cache_dir=sys.argv[1]))
+run = run_corpus(generate_corpus(), config, limit=3)
+print(json.dumps({
+    "cube_queries": run.engine_stats.cube_queries,
+    "disk_hit_rate": run.engine_stats.disk_hit_rate(),
+    "verdicts": [
+        verdict_payload(verdict)
+        for result in run.results
+        for verdict in result.report.verdicts
+    ],
+}))
+"""
+
+
+def run_seeded(script: str, seed: str, *args: str, stdin: str = "") -> str:
+    """Run ``script`` in a fresh interpreter under ``PYTHONHASHSEED=seed``."""
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, input=stdin, capture_output=True, text=True, check=True,
+        timeout=120,
+    ).stdout
+
+
+class TestHashSeeds:
+    """String hashes are salted per process: whatever crosses a process
+    boundary must not carry one."""
+
+    def test_query_keys_unpickle_under_another_seed(self):
+        dumped = run_seeded(PICKLE_SCRIPT, "1", "dump")
+        assert run_seeded(PICKLE_SCRIPT, "2", "load", stdin=dumped) == "ok\n"
+
+    def test_disk_tier_serves_a_second_process(self, tmp_path):
+        cold = json.loads(run_seeded(CORPUS_SCRIPT, "1", str(tmp_path)))
+        warm = json.loads(run_seeded(CORPUS_SCRIPT, "2", str(tmp_path)))
+        assert cold["cube_queries"] > 0
+        assert warm["cube_queries"] == 0
+        assert warm["disk_hit_rate"] == 1.0
+        assert warm["verdicts"] == cold["verdicts"]
 
 
 class TestColdStaysCold:

@@ -58,8 +58,8 @@ def test_cube_children_sum_to_parent(database):
     result = run_cube(database, cube)
     total = result.value(COUNT_STAR, {})
     by_value = sum(
-        cells.get(COUNT_STAR, 0)
-        for key, cells in result.cells.items()
+        count
+        for key, count in result.cells_for(COUNT_STAR).items()
         if key[0] is not ALL
     )
     assert total == by_value
