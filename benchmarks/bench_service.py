@@ -1,9 +1,8 @@
 """Verification-service throughput: cold vs warm pool vs incremental tier.
 
 Drives a live server on a loopback port — ``create_async_server``, the
-front end of ``python -m repro serve``, with the shadow audit off so
-only requests do work — through the request ladder an editing loop
-produces, and writes ``BENCH_service.json``:
+front end of ``python -m repro serve`` — through the request ladder an
+editing loop produces, and writes ``BENCH_service.json``:
 
 - ``cold``: first request per database on a fresh service. Pays full
   startup: fragment extraction, index compilation, cube execution.
@@ -146,7 +145,7 @@ def test_service_throughput(capsys, tmp_path):
             {"csv": [str(csv_path)], "article_path": str(article_path)}
         )
 
-    server = create_async_server(port=0, audit_rate=0.0)
+    server = create_async_server(port=0)
     server.start_in_thread()
     try:
         cold_results, cold_seconds = _timed_round(server.url, jobs)
@@ -290,7 +289,7 @@ def test_service_resilience_smoke(tmp_path):
     _write_database_csv(csv_path, rows=200, seed=100)
     _write_article(article_path, 0, claims=4, seed=200)
 
-    server = create_async_server(port=0, audit_rate=0.0)
+    server = create_async_server(port=0)
     server.start_in_thread()
     results: list[list[dict]] = []
     errors: list[BaseException] = []

@@ -6,12 +6,8 @@ port — the deployment shape of ``python -m repro serve`` — and writes
 
 - ``load``: open-loop arrivals (documents POSTed on a fixed schedule,
   independent of completion — the arrival process never slows down to
-  flatter the server) across several databases, run **twice**: once with
-  the shadow auditor disabled and once with every acked group audited
-  (``audit_rate=1.0``, a superset of the default 5% sampling). Reports
-  sustained claims/sec and per-document stream latency p50/p99 for the
-  audited pass, the baseline claims/sec, and their ratio — the audit
-  overhead, asserted to stay within the 10% budget — and asserts the
+  flatter the server) across several databases. Reports sustained
+  claims/sec and per-document stream latency p50/p99, and asserts the
   delivery contract: zero lost claims (every stream reaches its summary
   with every claim index present exactly once) and zero duplicated acks.
 - ``chaos``: the same workload shape at reduced scale with
@@ -19,15 +15,13 @@ port — the deployment shape of ``python -m repro serve`` — and writes
   recovery), a clean executor failure (nack -> retry), a slow pipeline
   stage, a space-budget blowup (``budget.estimate``), a cost-admission
   refusal (``admission.cost``) — plus ``audit.bitflip`` corruption in
-  every state tier: a verdict payload flipped just before it is acked, a
-  cube cell poisoned before its CRC, an incremental-memo payload
-  poisoned after its CRC, and a byte flipped in the queue journal. The
-  soak passes only if, despite the injected failures, every *admitted*
-  job is acked exactly once, the shadow auditor (sampling at 100%)
-  catches **exactly** the injected wrong verdict — zero *undetected*
-  wrong verdicts acked — repairs it, and demotes the database's trust;
-  and the offline scrub (``repro scrub``'s engine) detects every
-  surviving corruption, after which the state verifies clean.
+  every stored tier: a cube cell poisoned before its CRC, an
+  incremental-memo payload poisoned after its CRC, and a byte flipped in
+  the queue journal. The soak passes only if, despite the injected
+  failures, every *admitted* job is acked exactly once, the memo and
+  journal CRCs catch their corruption, and the offline scrub (``repro
+  scrub``'s engine) detects every cube-tier corruption, after which the
+  state verifies clean.
 
 The regression gate (``benchmarks/check_regression.py``) tracks the two
 ``completion_ratio`` values (acked/submitted — hardware-independent and
@@ -61,9 +55,6 @@ from repro.service.queue import JOURNAL_NAME, scan_journal
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_service_load.json"
-
-#: Sustained-throughput floor of the fully-audited pass vs. the baseline.
-AUDIT_OVERHEAD_FLOOR = 0.90
 
 
 def _env_float(name: str, default: float) -> float:
@@ -222,8 +213,7 @@ def _merge_output(section: str, payload: dict) -> dict:
 
 
 def _run_load_pass(
-    jobs: list[dict], claims_per_doc: int, rate: float, workers: int,
-    audit_rate: float,
+    jobs: list[dict], claims_per_doc: int, rate: float, workers: int
 ) -> dict:
     """One open-loop pass on a fresh server; returns its measurements."""
     server = create_async_server(
@@ -231,17 +221,12 @@ def _run_load_pass(
         workers=workers,
         queue_capacity=max(256, len(jobs) * claims_per_doc),
         visibility_timeout=120.0,
-        audit_rate=audit_rate,
     )
     server.start_in_thread()
     try:
         wall_started = time.perf_counter()
         outcomes = _open_loop(server.url, jobs, rate)
         wall = time.perf_counter() - wall_started
-        audit = None
-        if server.service.auditor is not None:
-            assert server.service.auditor.flush(120.0)
-            audit = server.service.auditor.snapshot()
         stats = server.service.stats()
     finally:
         server.shutdown_gracefully()
@@ -256,7 +241,6 @@ def _run_load_pass(
     return {
         "outcomes": outcomes,
         "queue": queue,
-        "audit": audit,
         "wall": wall,
         "claims_per_sec": total_claims / max(wall, 1e-9),
     }
@@ -273,31 +257,12 @@ def test_service_open_loop_load(capsys, tmp_path):
     jobs = _build_workload(
         tmp_path, n_databases, docs_per_db, claims_per_doc, rows
     )
-    # Two passes on fresh servers: the audited one samples at 100% — a
-    # strict superset of the default 5% rate, so its overhead bounds the
-    # default's from above.
-    baseline = _run_load_pass(
-        jobs, claims_per_doc, rate, workers, audit_rate=0.0
-    )
-    audited = _run_load_pass(
-        jobs, claims_per_doc, rate, workers, audit_rate=1.0
-    )
-    assert audited["audit"] is not None
-    assert audited["audit"]["divergences"] == 0, audited["audit"]
-    assert audited["audit"]["checks"] >= 1, audited["audit"]
-    overhead_ratio = audited["claims_per_sec"] / max(
-        baseline["claims_per_sec"], 1e-9
-    )
-    assert overhead_ratio >= AUDIT_OVERHEAD_FLOOR, (
-        f"shadow audit cost too high: {audited['claims_per_sec']:.1f} vs "
-        f"{baseline['claims_per_sec']:.1f} claims/s "
-        f"(ratio {overhead_ratio:.3f} < {AUDIT_OVERHEAD_FLOOR})"
-    )
+    run = _run_load_pass(jobs, claims_per_doc, rate, workers)
 
-    queue = audited["queue"]
+    queue = run["queue"]
     submitted = queue["enqueued"]
-    latencies = sorted(o["latency"] for o in audited["outcomes"])
-    total_claims = round(audited["claims_per_sec"] * audited["wall"])
+    latencies = sorted(o["latency"] for o in run["outcomes"])
+    total_claims = round(run["claims_per_sec"] * run["wall"])
     results = {
         "databases": n_databases,
         "documents": len(jobs),
@@ -309,15 +274,10 @@ def test_service_open_loop_load(capsys, tmp_path):
         "acked_jobs": queue["acked"],
         "duplicate_acks": queue["duplicate_acks"],
         "completion_ratio": round(queue["acked"] / max(submitted, 1), 4),
-        "claims_per_sec": round(audited["claims_per_sec"], 2),
-        "baseline_claims_per_sec": round(baseline["claims_per_sec"], 2),
-        "audit_rate": 1.0,
-        "audit_checks": audited["audit"]["checks"],
-        "audit_divergences": audited["audit"]["divergences"],
-        "audit_overhead_ratio": round(overhead_ratio, 4),
+        "claims_per_sec": round(run["claims_per_sec"], 2),
         "p50_seconds": round(_percentile(latencies, 0.50), 4),
         "p99_seconds": round(_percentile(latencies, 0.99), 4),
-        "wall_seconds": round(audited["wall"], 4),
+        "wall_seconds": round(run["wall"], 4),
     }
     _merge_output("load", results)
 
@@ -330,12 +290,7 @@ def test_service_open_loop_load(capsys, tmp_path):
                 [
                     ["documents", str(len(jobs))],
                     ["claims", str(total_claims)],
-                    ["claims/s (audited)", f"{results['claims_per_sec']:.1f}"],
-                    ["claims/s (baseline)",
-                     f"{results['baseline_claims_per_sec']:.1f}"],
-                    ["audit overhead",
-                     f"{results['audit_overhead_ratio']:.3f}x"],
-                    ["audit checks", str(results["audit_checks"])],
+                    ["claims/s", f"{results['claims_per_sec']:.1f}"],
                     ["p50", f"{results['p50_seconds']:.3f}s"],
                     ["p99", f"{results['p99_seconds']:.3f}s"],
                     ["completion", f"{results['completion_ratio']:.4f}"],
@@ -359,17 +314,14 @@ def test_service_chaos_soak(capsys, tmp_path):
     verdicts instead of crashing the worker), one admission rejection
     (``admission.cost``/``raise`` — one document refused with a
     structured 413 before it ever enqueues), and the ``audit.bitflip``
-    corruptions: one verdict payload flipped just before ack (the shadow
-    auditor, sampling at 100%, must catch exactly this one divergence —
-    every other acked verdict audits clean), one incremental-memo
-    payload poisoned *after* its CRC (the next hit must self-detect and
-    recompute), and one byte flipped in the durable queue journal
-    (caught by the per-record CRC scan over a pre-compaction snapshot).
-    The cube tier is corrupted post-drain — one cell poisoned before its
-    CRC (semantic) and one byte flipped in a stored file (structural) —
-    and the offline scrub (the engine behind ``python -m repro scrub``)
-    must detect both, quarantine them, and leave the state verifiably
-    clean.
+    corruptions: one incremental-memo payload poisoned *after* its CRC
+    (the next hit must self-detect and recompute), and one byte flipped
+    in the durable queue journal (caught by the per-record CRC scan over
+    a pre-compaction snapshot). The cube tier is corrupted post-drain —
+    one cell poisoned before its CRC (semantic) and one byte flipped in a
+    stored file (structural) — and the offline scrub (the engine behind
+    ``python -m repro scrub``) must detect both, quarantine them, and
+    leave the state verifiably clean.
     """
     n_databases = _env_int("BENCH_LOAD_CHAOS_DBS", 1)
     docs_per_db = _env_int("BENCH_LOAD_CHAOS_DOCS", 3)
@@ -392,11 +344,6 @@ def test_service_chaos_soak(capsys, tmp_path):
         workers=2,
         visibility_timeout=1.0,
         retry=RetryPolicy(max_attempts=6, backoff_base=0.05, backoff_cap=0.2),
-        audit_rate=1.0,
-        # Keep the demoted database demoted through the resubmission pass
-        # so the DISK_BYPASS rung is observably exercised (recovery
-        # itself is covered by the unit/service tests).
-        trust_recover_after=10_000,
     )
     server.start_in_thread()
     specs = (
@@ -406,16 +353,10 @@ def test_service_chaos_soak(capsys, tmp_path):
                   seconds=0.3, times=1),
         FaultSpec("budget.estimate", "raise", times=1),
         FaultSpec("admission.cost", "raise", times=1),
-        # The integrity tier: one wrong verdict and one journal flip.
-        # (The memo poison is armed separately below — on the first soak
-        # group it would land on the same claim as the verdict poison,
-        # and the auditor's repair of that claim would overwrite the
-        # corrupted entry before its CRC check ever ran. The cube-tier
-        # corruptions are planted after drain: the divergence repair
-        # wholesale-invalidates the demoted database's disk entries, so
-        # corruption injected during the soak is destroyed — correctly,
-        # but unobservably — by the trust ladder's own containment.)
-        FaultSpec("audit.bitflip", "raise", match="verdict:*", times=1),
+        # The integrity tier: one journal flip. The memo poison is armed
+        # on its own resubmission pass below, so the entry it poisons is
+        # read back by the next pass; the cube-tier corruptions are
+        # planted after drain.
         FaultSpec("audit.bitflip", "bitflip", match="journal", times=1),
     )
     memo_spec = FaultSpec("audit.bitflip", "raise", match="memo:*", times=1)
@@ -432,30 +373,23 @@ def test_service_chaos_soak(capsys, tmp_path):
             wall_started = time.perf_counter()
             outcomes = _open_loop(server.url, jobs, rate)
             wall = time.perf_counter() - wall_started
-            assert server.service.auditor.flush(120.0)
             fired = {
                 f"{spec.point}:{spec.match}": _fired(state_dir, spec)
                 for spec in specs
             }
-        divergences_after_soak = server.service.auditor.stats.audit_divergences
-        # First resubmission pass: repaired claims serve from the memo,
-        # the soak's degraded claims recompute at full quality — and the
-        # memo fault poisons one of those fresh verdicts after its CRC
-        # was taken.
+        # First resubmission pass: acked claims serve from the memo, the
+        # soak's degraded claims recompute at full quality — and the memo
+        # fault poisons one of those fresh verdicts after its CRC was
+        # taken.
         with active(memo_spec) as memo_state:
             resubmit_all()
-            assert server.service.auditor.flush(120.0)
             fired[f"{memo_spec.point}:{memo_spec.match}"] = _fired(
                 memo_state, memo_spec
             )
         # Second resubmission pass, nothing armed: the poisoned memo
         # entry must fail its CRC on the hit, degrade to a miss, and
-        # recompute. The recomputed singleton batches are themselves
-        # shadow-audited — zero *new* divergences across both passes
-        # proves no wrong verdict survived anywhere.
+        # recompute.
         resubmit_all()
-        assert server.service.auditor.flush(120.0)
-        audit = server.service.auditor.snapshot()
         stats = server.service.stats()
         # Snapshot the journal *before* drain: close() compacts (rewrites)
         # it, which would scrub away the injected flip.
@@ -492,20 +426,6 @@ def test_service_chaos_soak(capsys, tmp_path):
     )
     assert degraded_claims >= 1, "budget fault should degrade one stream"
 
-    # --- integrity: the injected wrong verdict was the ONLY divergence,
-    # it was caught, repaired, and the database's trust demoted. Nothing
-    # was silently dropped from sampling, so "exactly one divergence"
-    # really means zero undetected wrong verdicts were acked.
-    assert fired["audit.bitflip:verdict:*"] == 1, fired
-    assert audit["divergences"] == 1, audit
-    assert divergences_after_soak == 1, divergences_after_soak
-    assert audit["repairs"] >= 1, audit
-    assert audit["dropped_tasks"] == 0, audit
-    assert audit["audit_errors"] == 0, audit
-    assert audit["skipped_stale"] == 0, audit
-    assert audit["ladder"]["demotions"] >= 1, audit["ladder"]
-    assert audit["disk_bypassed_groups"] >= 1, audit
-
     # --- integrity: the poisoned memo entry self-detected on its next
     # hit (CRC mismatch -> counted -> recomputed) during the resubmission
     # pass.
@@ -519,18 +439,25 @@ def test_service_chaos_soak(capsys, tmp_path):
     journal_detected = journal_scan["corrupt"] + int(journal_scan["truncated"])
     assert journal_detected >= 1, journal_scan
 
-    # --- integrity: the cube tier, post-drain. The cache directory is
-    # empty here — the verdict-divergence repair invalidated the demoted
-    # database's disk entries and DISK_BYPASS prevented re-stores — so
-    # it is repopulated offline and both corruption classes are planted:
-    # one cell poisoned *before* its CRC (semantic — invisible to any
-    # framing check, only the scrub's recompute can see it) and one byte
-    # flipped in a stored file (structural — the per-entry CRC catches
-    # it). After quarantine the state must verify clean end to end.
+    # --- integrity: the cube tier, post-drain. The cache directory holds
+    # every cube the soak stored; two more entries are written offline
+    # and both corruption classes are planted: one cell poisoned *before*
+    # its CRC (semantic — invisible to any framing check, only the
+    # scrub's recompute can see it) and one byte flipped in a stored file
+    # (structural — the per-entry CRC catches it). The first scrub
+    # recomputes the soak's entries too, so exactly one mismatch says
+    # each of them is bit-exact. After quarantine the state must verify
+    # clean end to end.
     from repro.db import EngineConfig, QueryEngine, parse_query
 
     databases = _workload_databases(jobs)
-    probe_db = databases[0]
+    # The probe copies the first table under another name, hence another
+    # database fingerprint: its entries are written fresh even where the
+    # soak already stored the same cubes.
+    probe_db = Database(
+        "probe", [load_csv(sorted(job["csv"][0] for job in jobs)[0], "probe")]
+    )
+    databases.append(probe_db)
     first_row = probe_db.tables[0].rows[0]
     table = probe_db.tables[0].name
     cell_spec = FaultSpec("audit.bitflip", "raise", match="cell:*", times=1)
@@ -556,7 +483,7 @@ def test_service_chaos_soak(capsys, tmp_path):
         t for t in scrub_first["tiers"] if t["tier"] == "disk_cache"
     ]
     semantic_detected = cube_first["semantic_mismatch"]
-    assert semantic_detected >= 1, cube_first
+    assert semantic_detected == 1, cube_first
 
     survivor = sorted(cache_dir.glob("*.cube"))[0]
     blob = bytearray(survivor.read_bytes())
@@ -585,11 +512,6 @@ def test_service_chaos_soak(capsys, tmp_path):
         "deadlettered": queue["deadlettered"],
         "admission_rejected": rejected,
         "degraded_claims": degraded_claims,
-        "audit_checks": audit["checks"],
-        "audit_divergences": audit["divergences"],
-        "audit_repairs": audit["repairs"],
-        "audit_cell_scrubs": audit["cell_scrubs"],
-        "trust_demotions": audit["ladder"]["demotions"],
         "memo_corruption_detected": stats["incremental"]["corrupted"],
         "journal_corruption_detected": journal_detected,
         "semantic_corruption_detected": semantic_detected,
@@ -615,8 +537,6 @@ def test_service_chaos_soak(capsys, tmp_path):
                     ["duplicated", str(queue["duplicate_acks"])],
                     ["413 refusals", str(rejected)],
                     ["degraded claims", str(degraded_claims)],
-                    ["audit checks", str(audit["checks"])],
-                    ["divergences caught", str(audit["divergences"])],
                     ["corruption detected",
                      str(results["scrub_corrupt_detected"]
                          + journal_detected

@@ -13,12 +13,13 @@ disk cube cache           magic + CRC32 + unpickle    recompute cells from
                                                       compare bit-exact,
                                                       quarantine mismatches
 queue journal             per-record CRC32 (v2),      — (payloads are
-(``queue.journal``)       truncated-tail detection    verdicts; the online
-                                                      shadow auditor covers
-                                                      them at ack time)
-incremental memo LRU      per-entry CRC32 on every    shadow auditor
-(in-memory, not walked    hit (in process)            repairs divergent
-here)                                                 entries at ack time
+(``queue.journal``)       truncated-tail detection    verdicts, computed
+                                                      by the engine the
+                                                      tests hold to the
+                                                      oracle)
+incremental memo LRU      per-entry CRC32 on every    — (a failed CRC
+(in-memory, not walked    hit (in process)            drops the entry; the
+here)                                                 miss recomputes it)
 ========================  ==========================  =====================
 
 Semantic validation of the disk tier needs the source data: pass the

@@ -6,8 +6,8 @@ materialized, and how cube/group-by execution runs. The
 :class:`~repro.db.engine.QueryEngine` holds exactly one adapter and speaks
 to it in canonical terms — :class:`~repro.db.cube.CubeQuery` in,
 :class:`~repro.db.cube.CubeResult` (``{key: Value}`` per aggregate) out — so every
-layer above the adapter (result cache, disk cube cache, audit oracle, trust
-ladder) is storage-agnostic. The ``row`` adapter is the exception: it is the
+layer above the adapter (result cache, disk cube cache, scrub) is
+storage-agnostic. The ``row`` adapter is the exception: it is the
 ``NAIVE`` oracle, runs no cubes, and answers one
 :class:`~repro.db.query.SimpleAggregateQuery` at a time instead.
 

@@ -38,9 +38,8 @@ magic tag plus a CRC32 of the pickled payload (single bit flips are now
 *detected*, not just lucky unpickle failures), the payload carries a
 ``meta`` block (fingerprint, backend, tables, aggregate spec, dimensions)
 sufficient to *recompute* the stored cells from the source database, and
-file names are prefixed with the owning database fingerprint so
-:meth:`DiskCubeCache.invalidate` can drop one database's entries with a
-glob. See :mod:`repro.audit.scrub` for the offline scrubber that consumes
+file names are prefixed with the owning database fingerprint. See
+:mod:`repro.audit.scrub` for the offline scrubber that consumes
 :meth:`entries` / :meth:`read_payload` / :meth:`quarantine`.
 """
 
@@ -367,10 +366,6 @@ class DiskCubeCache:
         """Every live entry file, sorted for deterministic scrub order."""
         return sorted(self.root.glob("*.cube"))
 
-    def paths_for(self, fingerprint: str) -> list[Path]:
-        """Live entries owned by one database fingerprint."""
-        return sorted(self.root.glob(f"{fingerprint[:16]}-*.cube"))
-
     def read_payload(self, path: Path) -> dict | None:
         """Structurally validate one entry (corrupt files are quarantined).
 
@@ -386,22 +381,6 @@ class DiskCubeCache:
         quarantined by :meth:`read_payload`."""
         self.stats.corrupt += 1
         self._quarantine(path)
-
-    def invalidate(self, fingerprint: str) -> int:
-        """Drop every entry owned by a database fingerprint.
-
-        Called when the shadow auditor catches a divergence: one proven-bad
-        tier member poisons trust in all of that database's cells, and a
-        recompute is always safe.
-        """
-        removed = 0
-        for path in self.paths_for(fingerprint):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                self.stats.errors += 1
-        return removed
 
     def clear(self) -> None:
         """Remove every entry (leaves the directory in place)."""

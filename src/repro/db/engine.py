@@ -167,20 +167,6 @@ class EngineStats:
     #: Claims reported as unverifiable because a space budget was
     #: exceeded before inference could run at all (rung 4).
     budget_unverifiable: int = 0
-    #: Acked verdicts re-verified by the shadow auditor against the
-    #: NAIVE/row-wise oracle with every cache tier bypassed.
-    audit_checks: int = 0
-    #: Audited verdicts whose served payload diverged from the oracle's.
-    audit_divergences: int = 0
-    #: Poisoned incremental-memo entries replaced with the oracle verdict
-    #: after a divergence (the self-healing half of the audit loop).
-    audit_repairs: int = 0
-    #: Disk cube-cache cells recomputed and compared bit-exact by the
-    #: online scrubber or ``repro scrub``.
-    audit_cell_scrubs: int = 0
-    #: Scrubbed cells that failed the bit-identity comparison and were
-    #: quarantined (``*.corrupt``).
-    audit_cell_mismatches: int = 0
     #: Statements the storage adapter pushed down into an external SQL
     #: engine (SQLite). 0 for in-memory adapters.
     pushdown_queries: int = 0

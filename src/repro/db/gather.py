@@ -123,7 +123,7 @@ class CellView:
     """Row-aligned view of one (tables, dims) group's cache entries.
 
     Derived per ``evaluate_spaces`` call and dropped with it: the cache,
-    the disk tier, scrub and audit keep ``CacheEntry.cells`` as the one
+    the disk tier and scrub keep ``CacheEntry.cells`` as the one
     stored representation.
     """
 

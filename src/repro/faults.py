@@ -33,16 +33,14 @@ Fire points (``fire(point, key, payload)`` is a no-op unless armed):
   (``raise`` is translated into
   :class:`~repro.errors.AdmissionRejectedError` — a structured 413 —
   exercising the rejection path under normal load);
-- ``audit.bitflip``   — the integrity-audit corruption points, one per
-  persisted/served tier, distinguished by key prefix: ``cell:<stem>``
+- ``audit.bitflip``   — the integrity corruption points, one per
+  stored tier, distinguished by key prefix: ``cell:<stem>``
   (``raise`` → poison a cube cell value *before* the CRC is computed — a
   semantic corruption only a recompute can catch), ``<file>.cube``
   (``bitflip`` → flip a byte of the written cache file; the CRC catches
   it), ``memo:<fingerprint>`` (``raise`` → poison an incremental-memo
-  payload after its CRC is taken), ``verdict:<group>`` (``raise`` → flip
-  a verdict payload just before it is acked/memoized — the wrong-verdict
-  driver the shadow auditor must catch), ``journal`` (``bitflip`` on the
-  queue journal after a write).
+  payload after its CRC is taken; the CRC catches it on the next hit),
+  ``journal`` (``bitflip`` on the queue journal after a write).
 
 Actions: ``raise`` (:class:`~repro.errors.InjectedFault`), ``sleep``
 (consume ``seconds`` of wall clock, for deadline tests), ``corrupt``

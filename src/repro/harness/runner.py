@@ -144,16 +144,6 @@ class CheckerPool:
                 totals += entry.checker.engine.stats
         return totals
 
-    def peek(self, key: object) -> PoolEntry | None:
-        """The entry for ``key`` if one exists — never builds a checker.
-
-        The shadow auditor uses this to reach a production checker's
-        in-memory caches after a divergence without constructing one as
-        a side effect of the audit.
-        """
-        with self._lock:
-            return self._entries.get(key)
-
     def discard(self, key: object) -> None:
         """Drop one entry (no-op if absent). Callers holding the entry
         keep a working checker; the pool just stops handing it out."""

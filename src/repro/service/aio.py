@@ -38,12 +38,10 @@ import math
 import threading
 import time
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import faults
-from repro.audit.shadow import DEFAULT_AUDIT_RATE, ShadowAuditor
-from repro.audit.trust import TrustLadder
 from repro.core.checker import claim_fingerprint
 from repro.core.config import AggCheckerConfig
 from repro.errors import (
@@ -134,9 +132,6 @@ class QueueService:
         max_request_cost: int | None = None,
         max_rss_mb: float | None = None,
         rss_interval: float = 1.0,
-        audit_rate: float = DEFAULT_AUDIT_RATE,
-        audit_backlog: int = 64,
-        trust_recover_after: int = 8,
     ) -> None:
         self.service = VerificationService(
             config,
@@ -156,22 +151,8 @@ class QueueService:
             reusable_result=lambda payload: not payload.get("degraded"),
         )
         self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown)
-        #: Online integrity audit: sampled acked groups are re-verified in
-        #: the background against the NAIVE/row-wise oracle, divergences
-        #: repair the memo tier and demote the database's trust rung.
-        #: ``audit_rate=0.0`` disables the subsystem entirely.
-        self.auditor = (
-            ShadowAuditor(
-                self.service,
-                rate=audit_rate,
-                ladder=TrustLadder(trust_recover_after),
-                max_backlog=audit_backlog,
-            )
-            if audit_rate > 0.0
-            else None
-        )
         self.executor = GroupExecutor(
-            self.service, self.breaker, request_timeout, auditor=self.auditor
+            self.service, self.breaker, request_timeout
         )
         self.workers = WorkerPool(
             self.queue,
@@ -211,8 +192,6 @@ class QueueService:
         self.workers.start()
         if self.memwatch is not None:
             self.memwatch.start()
-        if self.auditor is not None:
-            self.auditor.start()
 
     # ------------------------------------------------------------------
     # Admission
@@ -376,16 +355,11 @@ class QueueService:
             "rejected_cost": self.rejected_cost,
         }
         payload["draining"] = self.draining
-        audit = (
-            self.auditor.health() if self.auditor is not None else None
-        )
-        payload["audit"] = audit
         if self.draining:
             payload["status"] = "draining"
         elif (
             queue["depth"] >= queue["capacity"]
             or payload["breaker"]["state"] == "open"
-            or (audit is not None and audit["degraded"])
         ):
             payload["status"] = "degraded"
         else:
@@ -404,16 +378,6 @@ class QueueService:
             "rejected_cost": self.rejected_cost,
         }
         payload["draining"] = self.draining
-        if self.auditor is not None:
-            payload["audit"] = self.auditor.snapshot()
-            # The audit_* counters live on the auditor's own EngineStats
-            # (the pooled checkers never touch them); fold them into the
-            # merged engine block so one endpoint has every counter.
-            for name, value in asdict(self.auditor.stats).items():
-                if name.startswith("audit_"):
-                    payload["engine"][name] = (
-                        payload["engine"].get(name, 0) + value
-                    )
         return payload
 
     def _memory_stats(self) -> dict:
@@ -443,8 +407,6 @@ class QueueService:
                 self.memwatch.stop()
             journaled = self.queue.drain(timeout)
             self.workers.stop()
-            if self.auditor is not None:
-                self.auditor.close()
             self.queue.close()
             self.journaled_on_drain = journaled
             self._drained = True
@@ -638,14 +600,6 @@ class AsyncVerificationServer:
                 await self._send_json(
                     writer, 200, {"count": len(dead), "deadletter": dead}
                 )
-            elif path == "/audit":
-                auditor = self.service.auditor
-                if auditor is None:
-                    await self._send_json(
-                        writer, 200, {"enabled": False}
-                    )
-                else:
-                    await self._send_json(writer, 200, auditor.snapshot())
             else:
                 await self._send_json(
                     writer, 404, {"error": f"unknown path {path!r}"}
@@ -917,9 +871,6 @@ def create_async_server(
     max_request_cost: int | None = None,
     max_rss_mb: float | None = None,
     rss_interval: float = 1.0,
-    audit_rate: float = DEFAULT_AUDIT_RATE,
-    audit_backlog: int = 64,
-    trust_recover_after: int = 8,
     verbose: bool = False,
 ) -> AsyncVerificationServer:
     """Build an :class:`AsyncVerificationServer` (port 0 picks a free port)."""
@@ -943,8 +894,5 @@ def create_async_server(
         max_request_cost=max_request_cost,
         max_rss_mb=max_rss_mb,
         rss_interval=rss_interval,
-        audit_rate=audit_rate,
-        audit_backlog=audit_backlog,
-        trust_recover_after=trust_recover_after,
     )
     return AsyncVerificationServer(service, host=host, port=port, verbose=verbose)

@@ -35,9 +35,7 @@ canonical JSON encoding (:func:`repro.service.protocol.payload_crc`),
 re-verified on every hit: a memo whose bytes no longer match what was
 stored (bit rot, or any accidental in-place mutation of the shared dict)
 is dropped and counted (``corrupted``) — the miss recomputes a correct
-verdict, so this tier can serve stale *nothing*, wrong *nothing*. The
-shadow auditor additionally *replaces* entries it proved divergent with
-the oracle's payload (see :mod:`repro.audit.shadow`).
+verdict, so this tier can serve stale *nothing*, wrong *nothing*.
 """
 
 from __future__ import annotations
@@ -168,11 +166,6 @@ class IncrementalCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
-
-    def remove(self, key: ResultKey) -> bool:
-        """Drop one entry (the shadow auditor's repair path)."""
-        with self._lock:
-            return self._entries.pop(key, None) is not None
 
     def clear(self) -> None:
         with self._lock:

@@ -123,10 +123,8 @@ class VerificationService:
             self.requests += 1
         return PreparedCheck(document, entry, claims, database_fp, scope_fp)
 
-    def resolve_scope(
-        self, scope_fp: str, source: dict
-    ) -> tuple[str, PoolEntry]:
-        """``(database fingerprint, pool entry)`` a queued group runs on.
+    def resolve_scope(self, scope_fp: str, source: dict) -> PoolEntry:
+        """The pool entry a queued group runs on.
 
         Registry first: while ``scope_fp`` is registered, this is the
         checker admission resolved — no CSV parse, no re-hash, and data
@@ -141,10 +139,11 @@ class VerificationService:
             registered = self._by_scope.get(scope_fp)
             if registered is not None:
                 self._by_scope.move_to_end(scope_fp)
-                return registered
+                _, entry = registered
+                return entry
         request = spec_request(source, article="", title="document")
-        database_fp, _, entry = self._load(request, expected_scope=scope_fp)
-        return database_fp, entry
+        _, _, entry = self._load(request, expected_scope=scope_fp)
+        return entry
 
     def _load(
         self, request: CheckRequest, expected_scope: str | None = None

@@ -34,19 +34,13 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING
 
-from repro.audit.trust import TrustLevel
 from repro.deadline import Deadline
-from repro.errors import InjectedFault
 from repro.faults import fire
 from repro.service.protocol import parse_article, verdict_payload
 from repro.service.queue import DurableJobQueue, Job
 from repro.service.warm import VerificationService
 from repro.text.claims import detect_claims
-
-if TYPE_CHECKING:
-    from repro.audit.shadow import ShadowAuditor
 
 #: Deadline handed to the checker while the breaker is open: already
 #: expired at the first stage check, so every claim degrades to an
@@ -167,46 +161,18 @@ class CircuitBreaker:
         }
 
 
-def _poison_payload(payload: dict) -> dict:
-    """The ``audit.bitflip`` verdict action: a wrong-but-plausible payload.
-
-    Flips the status and inverts the probability — exactly the class of
-    silent corruption the shadow auditor exists to catch (the payload is
-    structurally valid JSON, so no framing check can reject it).
-    """
-    flipped = dict(payload)
-    flipped["status"] = (
-        "erroneous" if payload.get("status") == "verified" else "verified"
-    )
-    probability = payload.get("probability_correct")
-    if isinstance(probability, (int, float)):
-        flipped["probability_correct"] = round(1.0 - float(probability), 4)
-    return flipped
-
-
 class GroupExecutor:
-    """Rebuilds one job group into a joint ``check_claims`` call.
-
-    When a :class:`~repro.audit.shadow.ShadowAuditor` is attached, the
-    executor consults its trust ladder before running: ``DISK_BYPASS``
-    databases execute with the persistent cube tier detached for the call,
-    ``ORACLE_ONLY`` databases execute on the auditor's NAIVE/row-wise
-    oracle checker with no caches at all. After acking payloads are
-    computed, the group is offered to the auditor for background shadow
-    verification.
-    """
+    """Rebuilds one job group into a joint ``check_claims`` call."""
 
     def __init__(
         self,
         service: VerificationService,
         breaker: CircuitBreaker | None = None,
         request_timeout: float | None = None,
-        auditor: "ShadowAuditor | None" = None,
     ) -> None:
         self.service = service
         self.breaker = breaker
         self.request_timeout = request_timeout
-        self.auditor = auditor
 
     def run(self, jobs: list[Job]) -> dict[str, dict]:
         """Verify one leased group; ``job id -> verdict payload``.
@@ -219,7 +185,7 @@ class GroupExecutor:
         source = jobs[0].source
         scope_fp = jobs[0].scope
         fire("queue.exec", jobs[0].group)
-        database_fp, entry = self.service.resolve_scope(scope_fp, source)
+        entry = self.service.resolve_scope(scope_fp, source)
         document = parse_article(
             source.get("article") or "", source.get("title") or "document"
         )
@@ -237,73 +203,26 @@ class GroupExecutor:
             deadline = Deadline(self.request_timeout)
         else:
             deadline = None
-        trust = TrustLevel.FULL
-        if self.auditor is not None and not shed:
-            trust = self.auditor.ladder.level(database_fp)
         selected = [claims[job.index] for job in jobs]
         try:
-            if trust is TrustLevel.ORACLE_ONLY:
-                # Fully distrusted database: ground-truth execution, no
-                # cache tier of any kind (the auditor owns the oracle).
-                assert self.auditor is not None
-                report = self.auditor.oracle_check(
-                    scope_fp,
-                    database_fp,
-                    source,
-                    document,
-                    selected,
-                    deadline=deadline,
+            with entry.lock:
+                checker = entry.checker
+                assert checker is not None
+                report = checker.check_claims(
+                    document, selected, deadline=deadline
                 )
-            else:
-                with entry.lock:
-                    checker = entry.checker
-                    assert checker is not None
-                    engine = checker.engine
-                    saved_disk = engine.disk_cache
-                    if trust is TrustLevel.DISK_BYPASS:
-                        # Suspend the persistent tier for this call: cells
-                        # are recomputed (and not read back from disk)
-                        # until the database earns its way back up.
-                        engine.disk_cache = None
-                        self.auditor.disk_bypassed_groups += 1
-                    try:
-                        report = checker.check_claims(
-                            document, selected, deadline=deadline
-                        )
-                    finally:
-                        engine.disk_cache = saved_disk
         except Exception:
             if self.breaker is not None and not shed:
                 self.breaker.record_failure()
             raise
         if self.breaker is not None and not shed:
             self.breaker.record_success()
-        raw_payloads = [verdict_payload(v) for v in report.verdicts]
-        # Fault point: corrupt one verdict payload after computation but
-        # before it is acked/memoized — the deterministic wrong-verdict
-        # injection the shadow audit (and the chaos soak's zero-wrong
-        # contract) must catch and repair. Only fired when the group has
-        # a non-degraded payload the poison can actually land on, so a
-        # one-shot fault budget is not consumed by a fully-degraded
-        # group that the auditor would (correctly) never sample.
-        poison_group = False
-        if any(not p.get("degraded") for p in raw_payloads):
-            try:
-                fire("audit.bitflip", key=f"verdict:{jobs[0].group}")
-            except InjectedFault:
-                poison_group = True
         payloads: dict[str, dict] = {}
-        observed: list = []
-        for job, payload in zip(jobs, raw_payloads):
-            if poison_group and not payload.get("degraded"):
-                payload = _poison_payload(payload)
-                poison_group = False
+        for job, verdict in zip(jobs, report.verdicts):
+            payload = verdict_payload(verdict)
             payloads[job.id] = payload
-            observed.append((job.index, job.claim_fp, payload))
             if job.claim_fp and self.service.incremental_enabled:
                 self.service.cache.put((scope_fp, job.claim_fp), payload)
-        if self.auditor is not None:
-            self.auditor.observe_group(scope_fp, database_fp, source, observed)
         return payloads
 
 

@@ -10,7 +10,6 @@ the repaired state reports clean.
 from __future__ import annotations
 
 import json
-from types import SimpleNamespace
 
 import pytest
 
@@ -30,8 +29,6 @@ from repro.db import (
     QueryEngine,
     Table,
 )
-from repro.db.diskcache import fingerprint_of
-from repro.db.engine import EngineStats
 from repro.errors import QueryError
 from repro.faults import FaultSpec, active
 from repro.service.queue import _encode_record, scan_journal
@@ -191,7 +188,7 @@ def plant_row_entry(cache_dir, db, backend="row"):
 class TestEntriesOfTheCubeLessBackend:
     """The row backend is the NAIVE oracle and runs no cubes, and a backend
     outside the closed set has no adapter, so neither's entry can be
-    recomputed: both scrubs check it structurally only."""
+    recomputed: the scrub checks it structurally only."""
 
     def test_offline_scrub_skips_the_recompute(self, tmp_path, backend, refusal):
         db = small_db()
@@ -223,42 +220,8 @@ class TestEntriesOfTheCubeLessBackend:
         assert code == 0
         assert tier["skipped_semantic"] == 1 and tier["corrupt"] == 0
 
-    def test_online_cell_scrub_skips_the_recompute(
-        self, tmp_path, backend, refusal
-    ):
-        from repro.audit.shadow import ShadowAuditor, _AuditTask, _OracleEntry
-        from repro.audit.trust import TrustLevel
-        from repro.core.config import AggCheckerConfig
 
-        db = small_db()
-        plant_row_entry(tmp_path, db, backend)
-        service = SimpleNamespace(
-            config=AggCheckerConfig(engine=EngineConfig(cache_dir=str(tmp_path)))
-        )
-        auditor = ShadowAuditor(service, rate=1.0, scrub_cells=10)
-        fingerprint = fingerprint_of(db)
-        auditor._scrub_sample(
-            _AuditTask(fingerprint, fingerprint, {}, []), _OracleEntry(None, db)
-        )
-        assert auditor.skipped_semantic == 1
-        assert auditor.snapshot()["skipped_semantic"] == 1
-        assert auditor.stats.audit_cell_mismatches == 0
-        assert auditor.ladder.level(fingerprint) is TrustLevel.FULL
-        assert list(tmp_path.glob("*.cube"))
-
-
-class TestInvalidateAndMinRows:
-    def test_invalidate_drops_only_the_owning_database(self, tmp_path):
-        db_a = warm_cache(tmp_path)
-        db_b = small_db([("a", 1), ("b", 2), ("b", 3)])
-        warm_cache(tmp_path, db_b)
-        cache = DiskCubeCache(tmp_path)
-        assert len(cache.entries()) == 2
-        removed = cache.invalidate(fingerprint_of(db_a))
-        assert removed == 1
-        assert cache.paths_for(fingerprint_of(db_a)) == []
-        assert len(cache.paths_for(fingerprint_of(db_b))) == 1
-
+class TestMinRows:
     def test_min_rows_threshold_skips_the_disk_tier(self, tmp_path):
         db = small_db()  # 4 rows
         engine = QueryEngine(
@@ -280,10 +243,6 @@ class TestInvalidateAndMinRows:
         assert engine.stats.disk_skipped_small == 0
         assert engine.disk_cache.stats.skipped_small == 0
         assert list(tmp_path.glob("*.cube"))
-
-    def test_stats_field_exists(self):
-        assert EngineStats().audit_checks == 0
-        assert EngineStats().audit_cell_mismatches == 0
 
 
 class TestJournalScan:

@@ -7,7 +7,7 @@ scoped candidates with ``query_at``, ``QueryEngine.evaluate`` them on an
 engine of the same mode and backend, check every value with ``rounds_to``
 — must give the same per-candidate values, evaluated/match vectors and
 physical-work stats. The same route on a NAIVE engine over the row
-adapter (one physical query per candidate: what the shadow auditor runs)
+adapter (one physical query per candidate)
 must give the same values (under the named clauses of
 ``tests/db/oracle.py``), probabilities and verdicts. Both across every
 engine (the oracle and the cube on the in-memory and the SQL backend),

@@ -62,8 +62,8 @@ def serve(**kwargs):
 
 @pytest.fixture()
 def server():
-    """A server whose counters only requests move (no shadow audit)."""
-    instance = serve(audit_rate=0.0)
+    """A server whose counters only requests move."""
+    instance = serve()
     try:
         yield instance
     finally:
@@ -291,7 +291,7 @@ class TestFingerprintReferences:
         assert "unknown database fingerprint" in body["error"]
 
     def test_lru_eviction_bounds_warm_checkers(self, data_files):
-        server = serve(max_databases=1, audit_rate=0.0)
+        server = serve(max_databases=1)
         try:
             first = post_check(server.url, nfl_payload(data_files))
             post_check(
@@ -401,7 +401,7 @@ class TestAdmittedChecker:
     ):
         admitted = admitted_copy(tmp_path, data_files)
         oracle = cli_claims(capsys, admitted, data_files["nfl_article"])
-        server = serve(workers=1, audit_rate=0.0)
+        server = serve(workers=1)
         try:
             # Hold the leased group, then edit the CSV under it.
             with active(FaultSpec("queue.exec", "sleep", seconds=0.5)):
@@ -433,7 +433,7 @@ class TestAdmittedChecker:
         self, data_files, capsys
     ):
         oracle = cli_claims(capsys, data_files["nfl"], data_files["nfl_article"])
-        server = serve(workers=1, retry=FAST_RETRY, audit_rate=0.0)
+        server = serve(workers=1, retry=FAST_RETRY)
         try:
             with active(FaultSpec("queue.exec", "sleep", seconds=0.5)):
                 finish = post_in_thread(server.url, nfl_payload(data_files))
@@ -458,14 +458,14 @@ class TestAdmittedChecker:
             csv_paths=(str(data_files["nfl"]),),
             article_path=str(data_files["nfl_article"]),
         )
-        first = QueueService(queue_dir=queue_dir, workers=1, audit_rate=0.0)
+        first = QueueService(queue_dir=queue_dir, workers=1)
         admission = first.admit(request, "client", lambda index: lambda *a: None)
         n = len(admission.pending)
         assert first.drain() == n
         data_files["nfl"].write_text(NFL_CSV_EDITED)
 
         second = QueueService(
-            queue_dir=queue_dir, workers=1, retry=FAST_RETRY, audit_rate=0.0
+            queue_dir=queue_dir, workers=1, retry=FAST_RETRY
         )
         second.start()
         try:
@@ -560,6 +560,7 @@ class TestServiceSurface:
                 return error.code
 
         assert status_of("GET", "/nope") == 404
+        assert status_of("GET", "/audit") == 404
         assert status_of("POST", "/nope", b"{}") == 404
         assert status_of("PUT", "/check", b"{}") == 405
         assert status_of("POST", "/check", b"") == 411
@@ -575,6 +576,9 @@ class TestServiceSurface:
         health = get_json(server.url + "/health")
         # Routing 404/405s are not client payload errors; the other four are.
         assert health["request_errors"] == 4
+        stats = get_json(server.url + "/stats")
+        assert "audit" not in health and "audit" not in stats
+        assert not [n for n in stats["engine"] if n.startswith("audit_")]
 
     def test_oversized_body_rejected_before_buffering(self, server):
         with socket.create_connection(address(server), timeout=30) as sock:
@@ -795,7 +799,7 @@ class TestFaultTolerance:
             server.shutdown_gracefully()
 
     def test_request_timeout_degrades_and_is_never_memoized(self, data_files):
-        server = serve(workers=1, request_timeout=1e-9, audit_rate=0.0)
+        server = serve(workers=1, request_timeout=1e-9)
         try:
             payload = nfl_payload(data_files)
             events = post_check(server.url, payload)
@@ -821,7 +825,7 @@ class TestFaultTolerance:
             server.shutdown_gracefully()
 
     def test_client_hangup_is_counted_not_raised(self, data_files):
-        server = serve(workers=1, audit_rate=0.0)
+        server = serve(workers=1)
         try:
             body = json.dumps(nfl_payload(data_files)).encode()
             # Hold the group so the server is still mid-stream when the
@@ -858,7 +862,7 @@ class TestFaultTolerance:
 class TestGracefulShutdown:
     @pytest.mark.faults
     def test_shutdown_completes_a_leased_group_stream(self, data_files):
-        server = serve(workers=1, audit_rate=0.0)
+        server = serve(workers=1)
         with active(FaultSpec("queue.exec", "sleep", seconds=0.5)):
             finish = post_in_thread(server.url, nfl_payload(data_files))
             assert wait_for(lambda: server.service.queue.stats()["leased"] > 0)
@@ -871,7 +875,7 @@ class TestGracefulShutdown:
         assert summary["errors"] == 0
 
     def test_no_new_connections_after_shutdown(self):
-        server = serve(workers=1, audit_rate=0.0)
+        server = serve(workers=1)
         url = server.url
         assert get_json(url + "/health")["status"] == "ok"
         server.shutdown_gracefully()

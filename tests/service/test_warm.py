@@ -28,10 +28,7 @@ def test_registered_scope_resolves_without_loading(data_files, nfl_request):
     service = VerificationService()
     prepared = service.prepare(nfl_request)
     data_files["nfl"].unlink()
-    database_fp, entry = service.resolve_scope(
-        prepared.scope_fp, data_spec(nfl_request)
-    )
-    assert database_fp == prepared.database_fp
+    entry = service.resolve_scope(prepared.scope_fp, data_spec(nfl_request))
     assert entry is prepared.entry
 
 
@@ -39,7 +36,7 @@ def test_unregistered_scope_is_rebuilt_and_registered(nfl_request):
     scope_fp = VerificationService().prepare(nfl_request).scope_fp
     restarted = VerificationService()
     source = data_spec(nfl_request)
-    _, entry = restarted.resolve_scope(scope_fp, source)
+    entry = restarted.resolve_scope(scope_fp, source)
     assert entry.checker is not None
     assert len(restarted.pool) == 1
     assert restarted.source_for(scope_fp) == source

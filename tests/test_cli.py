@@ -216,6 +216,17 @@ class TestServeParser:
         assert args.cache_dir == ".cubecache"
         assert args.backend == "row"
 
+    def test_audit_rate_accepts_only_zero(self, capsys):
+        from repro.cli import build_parser
+
+        assert build_parser().parse_args(
+            ["serve", "--audit-rate", "0"]
+        ).audit_rate == 0.0
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["serve", "--audit-rate", "0.05"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestCorpusRun:
     @pytest.mark.parametrize("limit", ["-1", "0"])
@@ -233,9 +244,12 @@ class TestCorpusRun:
             ["corpus-run", "--resume"],
             ["corpus-run", "--max-retries", "2"],
             ["scrub", "--checkpoint", "run.ckpt"],
+            ["serve", "--audit-backlog", "64"],
+            ["serve", "--trust-recover-after", "8"],
         ],
         ids=[
             "workers", "checkpoint", "resume", "max-retries", "scrub-checkpoint",
+            "audit-backlog", "trust-recover-after",
         ],
     )
     def test_removed_flags_are_usage_errors(self, capsys, argv):
