@@ -140,9 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
         "streamed per-claim NDJSON verdicts), GET /health, GET /stats, and "
         "GET /deadletter from a long-running process. Admission decomposes "
         "each document into per-claim jobs on a bounded durable queue; a "
-        "worker pool leases, verifies, and acks them with at-least-once "
-        "delivery, retries with jittered backoff, and a dead-letter "
-        "quarantine. With --queue-dir the queue journal survives crashes: "
+        "worker pool leases each document's group, verifies it once, and "
+        "acks its jobs; a group that fails ends as per-claim error events "
+        "and lands in the dead-letter quarantine (verdicts are "
+        "deterministic, so nothing is retried). With --queue-dir the queue journal survives crashes: "
         "a restarted server resumes unfinished jobs. "
         "Resource governance bounds every request in four layers: hostile "
         "or oversized input (CSV rows/columns/field bytes, inline tables, "
@@ -226,14 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="N",
         help="verification worker threads leasing off the queue (default: 2)",
-    )
-    serve.add_argument(
-        "--visibility-timeout",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="lease duration; a job unacked past this is presumed lost "
-        "and re-delivered (default: 30)",
     )
     serve.add_argument(
         "--rate-limit",
@@ -563,7 +556,6 @@ def _run_serve(args) -> int:
         queue_dir=args.queue_dir,
         queue_capacity=args.queue_capacity,
         workers=args.queue_workers,
-        visibility_timeout=args.visibility_timeout,
         rate_limit=args.rate_limit,
         rate_burst=args.rate_burst,
         incremental=not args.no_incremental,
@@ -597,7 +589,7 @@ def _run_serve(args) -> int:
 
 
 def _run_scrub(args) -> int:
-    from repro.audit.scrub import scrub_state
+    from repro.scrub import scrub_state
 
     if not args.cache_dir and not args.queue_dir:
         print(

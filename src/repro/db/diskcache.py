@@ -33,13 +33,13 @@ instead of a silent perpetual miss. Quarantines are counted in
 :class:`DiskCacheStats.corrupt` and mirrored into
 ``EngineStats.disk_corrupt`` by every engine sharing the cache.
 
-Format v2 (this revision) adds the audit surface: every file starts with a
+Format v2 (this revision) adds the integrity surface: every file starts with a
 magic tag plus a CRC32 of the pickled payload (single bit flips are now
 *detected*, not just lucky unpickle failures), the payload carries a
 ``meta`` block (fingerprint, backend, tables, aggregate spec, dimensions)
 sufficient to *recompute* the stored cells from the source database, and
 file names are prefixed with the owning database fingerprint. See
-:mod:`repro.audit.scrub` for the offline scrubber that consumes
+:mod:`repro.scrub` for the offline scrubber that consumes
 :meth:`entries` / :meth:`read_payload` / :meth:`quarantine`.
 """
 
@@ -283,7 +283,7 @@ class DiskCubeCache:
         # (``path.stem``, not ``.name``: a ``match="*.cube"`` glob arming
         # the structural flip below must not also consume fires here.)
         try:
-            faults.fire("audit.bitflip", key=f"cell:{path.stem}")
+            faults.fire("state.bitflip", key=f"cell:{path.stem}")
         except InjectedFault:
             merged_cells = _poison_cells(merged_cells)
         payload = {
@@ -325,7 +325,7 @@ class DiskCubeCache:
             return
         # Fault point (structural tier): flip one byte of the file just
         # written — the CRC catches it on the next read.
-        faults.fire("audit.bitflip", key=path.name, payload=path)
+        faults.fire("state.bitflip", key=path.name, payload=path)
 
     def _read(self, path: Path, entry_key: str | None = None) -> dict | None:
         faults.fire("diskcache.read", key=path.name, payload=path)
@@ -360,7 +360,7 @@ class DiskCubeCache:
             except OSError:
                 self.stats.errors += 1  # truly stuck: next read retries
 
-    # -- audit surface -------------------------------------------------
+    # -- integrity surface ---------------------------------------------
 
     def entries(self) -> list[Path]:
         """Every live entry file, sorted for deterministic scrub order."""
@@ -411,7 +411,7 @@ def _decode(blob: bytes) -> dict | None:
 
 
 def _poison_cells(cells: dict[CellKey, Value]) -> dict[CellKey, Value]:
-    """Corrupt one cell value (the ``audit.bitflip`` semantic action).
+    """Corrupt one cell value (the ``state.bitflip`` semantic action).
 
     Prefers a cell outside the default bucket: default-bucket values are
     legitimately irreproducible from a merged literal set, so the

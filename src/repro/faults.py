@@ -1,12 +1,12 @@
 """Deterministic fault injection for resilience testing.
 
 The recovery paths this repo promises — corrupt-cache quarantine, queue
-re-delivery and dead-lettering, deadline degradation, per-claim error
-events — are worthless if they can only be exercised by real hardware
-failures. This module puts named *fire points* at the places faults
-matter and arms them from the environment, so tests inject precise
-failures into otherwise-unmodified production code paths (including a
-``repro serve`` subprocess, which inherits the environment).
+dead-lettering, deadline degradation, per-claim error events — are
+worthless if they can only be exercised by real hardware failures. This
+module puts named *fire points* at the places faults matter and arms
+them from the environment, so tests inject precise failures into
+otherwise-unmodified production code paths (including a ``repro serve``
+subprocess, which inherits the environment).
 
 Fire points (``fire(point, key, payload)`` is a no-op unless armed):
 
@@ -16,13 +16,9 @@ Fire points (``fire(point, key, payload)`` is a no-op unless armed):
   ``no_exec``), at the start of that inference attempt;
 - ``checker.claim``   — key = the claim mention text, per claim;
 - ``diskcache.read``  — key = cache file name, payload = its path;
-- ``queue.worker``    — key = worker name, at the top of each queue
-  worker loop (``raise`` kills the worker thread before it leases);
-- ``queue.lease``     — key = job group id, after a group is leased but
-  outside the nack handler (``raise`` simulates a worker dying mid-job:
-  no ack, no nack — recovery is lease expiry + re-delivery);
-- ``queue.exec``      — key = job group id, inside the execution handler
-  (``raise`` exercises the clean nack -> retry -> dead-letter path);
+- ``queue.exec``      — key = job group id, as a leased group starts
+  executing (``raise`` dead-letters the group: one ``error`` event per
+  claim; ``sleep`` holds it leased);
 - ``budget.estimate`` — key = sorted table names of the cube, payload =
   estimated cell count, fired where the engine sizes a cube *before*
   materializing it (``raise`` is translated into
@@ -33,7 +29,7 @@ Fire points (``fire(point, key, payload)`` is a no-op unless armed):
   (``raise`` is translated into
   :class:`~repro.errors.AdmissionRejectedError` — a structured 413 —
   exercising the rejection path under normal load);
-- ``audit.bitflip``   — the integrity corruption points, one per
+- ``state.bitflip``   — the integrity corruption points, one per
   stored tier, distinguished by key prefix: ``cell:<stem>``
   (``raise`` → poison a cube cell value *before* the CRC is computed — a
   semantic corruption only a recompute can catch), ``<file>.cube``

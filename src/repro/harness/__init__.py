@@ -7,8 +7,8 @@ claim, Table 3), and processing statistics. The user studies (Tables 4,
 8 and 11, Figures 6-7) measured people and are not reproduced.
 
 :func:`run_corpus` verifies a corpus in-process through one
-:class:`CheckerPool`. :class:`RetryPolicy` is the service's retry
-schedule, re-exported from :mod:`repro.harness.parallel`.
+:class:`CheckerPool`. :class:`RetryPolicy` is the service client's
+retry schedule, re-exported from :mod:`repro.harness.parallel`.
 """
 
 from repro.harness.metrics import (

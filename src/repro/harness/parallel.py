@@ -1,10 +1,11 @@
-"""The retry schedule shared by the service's retrying consumers.
+"""The HTTP client's retry schedule.
 
 :class:`RetryPolicy` is the bounded exponential backoff (with
-decorrelated jitter) that the queue, the async front end and the HTTP
-client use between attempts. It lives here because the end-to-end
-benchmark imports it from ``repro.harness.parallel``; moving it means
-changing the benchmark in the same commit.
+decorrelated jitter) that :class:`~repro.service.client.ServiceClient`
+sleeps between attempts after a ``429`` or a dropped connection. The
+server retries nothing: a queued group runs once. It lives here because
+the end-to-end benchmark imports it from ``repro.harness.parallel``;
+moving it means changing the benchmark in the same commit.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ class RetryPolicy:
     """Bounded retry with exponential backoff plus decorrelated jitter.
 
     ``max_attempts`` counts the original attempt plus retries: the default
-    of 3 gives a queued job two retries before it is dead-lettered.
+    of 3 gives a request two retries before the client gives up.
     :meth:`backoff_seconds` is the
     deterministic exponential schedule (the reproducible floor tests pin
     down); :meth:`sleep_seconds` layers *decorrelated jitter* on top —
     uniform in ``[base, min(cap, 3 * previous sleep)]`` — so many
-    consumers retrying the same shared resource (the service worker pool,
-    clients honoring 429s) decorrelate instead of thundering back in
-    lockstep. The jittered value is always within
+    clients honoring 429s from the same server decorrelate instead of
+    thundering back in lockstep. The jittered value is always within
     ``[backoff_seconds(1), backoff_cap]``.
     """
 

@@ -39,12 +39,11 @@ from repro.service.protocol import (
 from repro.service.queue import DurableJobQueue
 from repro.service.ratelimit import ClientRateLimiter
 from repro.service.warm import VerificationService
-from repro.service.workers import CircuitBreaker, WorkerPool
+from repro.service.workers import WorkerPool
 
 __all__ = [
     "AsyncVerificationServer",
     "CheckRequest",
-    "CircuitBreaker",
     "ClientRateLimiter",
     "DurableJobQueue",
     "IncrementalCache",

@@ -17,7 +17,9 @@ in-flight document:
 - **Delivery**: each queued job carries a subscriber that trampolines
   the ack into the connection's asyncio queue
   (``loop.call_soon_threadsafe``); the handler streams NDJSON claim
-  events in ack order and finishes with a summary.
+  events in ack order and finishes with a summary. Every queued job
+  ends exactly once — acked, dead-lettered, or drained — so the handler
+  waits for its events without a timer.
 
 Backpressure is explicit: a rate-limited client or a full queue gets
 ``429`` + ``Retry-After`` (depth-aware for the queue) *before* any work
@@ -52,7 +54,6 @@ from repro.errors import (
     RateLimitedError,
     ReproError,
 )
-from repro.harness.parallel import RetryPolicy
 from repro.service.memwatch import MemoryWatchdog, read_rss_mb
 from repro.service.protocol import (
     MAX_BODY_BYTES,
@@ -66,7 +67,7 @@ from repro.service.protocol import (
 from repro.service.queue import DurableJobQueue
 from repro.service.ratelimit import ClientRateLimiter
 from repro.service.warm import PreparedCheck, VerificationService
-from repro.service.workers import CircuitBreaker, GroupExecutor, WorkerPool
+from repro.service.workers import GroupExecutor, WorkerPool
 
 _REASONS = {
     200: "OK",
@@ -106,7 +107,7 @@ class QueueService:
 
     Composes the warm :class:`VerificationService` (checkers, incremental
     tier, reference registry), the :class:`DurableJobQueue`, the
-    :class:`WorkerPool` with its :class:`CircuitBreaker`, and the
+    :class:`WorkerPool`, the optional :class:`MemoryWatchdog`, and the
     per-client :class:`ClientRateLimiter`. The HTTP layer above is a thin
     framing shim; tests drive :meth:`admit` directly.
     """
@@ -117,17 +118,12 @@ class QueueService:
         queue_dir: str | Path | None = None,
         queue_capacity: int = 1024,
         workers: int = 2,
-        visibility_timeout: float = 30.0,
-        retry: RetryPolicy | None = None,
         rate_limit: float = 0.0,
         rate_burst: float | None = None,
-        breaker_threshold: int = 5,
-        breaker_cooldown: float = 30.0,
         incremental: bool = True,
         incremental_capacity: int = 16384,
         max_databases: int = 64,
         request_timeout: float | None = None,
-        stream_timeout: float | None = None,
         fsync: bool = False,
         max_request_cost: int | None = None,
         max_rss_mb: float | None = None,
@@ -139,27 +135,27 @@ class QueueService:
             incremental_capacity=incremental_capacity,
             max_databases=max_databases,
         )
-        retry = retry or RetryPolicy()
         self.queue = DurableJobQueue(
             queue_dir,
             capacity=queue_capacity,
-            retry=retry,
             fsync=fsync,
-            # Degraded verdicts (exhausted budget, open breaker) must not
+            # Degraded verdicts (exhausted budget, memory shedding) must not
             # be pinned by queue idempotency: resubmission re-executes,
             # exactly as the incremental tier refuses to memoize them.
             reusable_result=lambda payload: not payload.get("degraded"),
         )
-        self.breaker = CircuitBreaker(breaker_threshold, breaker_cooldown)
+        #: Memory-pressure shedding: a stdlib-only RSS sampler whose flag
+        #: makes execution degrade instead of OOMing while the process is
+        #: over ``max_rss_mb``.
+        self.memwatch = (
+            MemoryWatchdog(max_rss_mb, rss_interval)
+            if max_rss_mb is not None
+            else None
+        )
         self.executor = GroupExecutor(
-            self.service, self.breaker, request_timeout
+            self.service, request_timeout, self.memwatch
         )
-        self.workers = WorkerPool(
-            self.queue,
-            self.executor,
-            workers=workers,
-            visibility_timeout=visibility_timeout,
-        )
+        self.workers = WorkerPool(self.queue, self.executor, workers=workers)
         self.limiter = ClientRateLimiter(rate_limit, rate_burst)
         #: Cost-based admission: reject requests whose estimated cost
         #: (tables x rows x claims — a coarse upper bound on demanded
@@ -167,21 +163,6 @@ class QueueService:
         #: *before* anything reaches the queue. None disables the check.
         self.max_request_cost = max_request_cost
         self.rejected_cost = 0
-        #: Memory-pressure shedding: a stdlib-only RSS sampler that holds
-        #: the circuit breaker open while the process is over
-        #: ``max_rss_mb``, so execution degrades instead of OOMing.
-        self.memwatch = (
-            MemoryWatchdog(self.breaker, max_rss_mb, rss_interval)
-            if max_rss_mb is not None
-            else None
-        )
-        if stream_timeout is None:
-            # Worst case before a job must have resolved: every attempt
-            # times out its lease, plus scheduling slack.
-            stream_timeout = (
-                (retry.max_attempts + 1) * visibility_timeout + 30.0
-            )
-        self.stream_timeout = stream_timeout
         self._drain_lock = threading.Lock()
         self._drained = False
         self.draining = False
@@ -347,7 +328,6 @@ class QueueService:
         queue = self.queue.stats()
         payload["queue"] = queue
         payload["workers"] = self.workers.stats()
-        payload["breaker"] = self.breaker.stats()
         payload["rate_limiter"] = self.limiter.stats()
         payload["memory"] = self._memory_stats()
         payload["admission"] = {
@@ -359,7 +339,7 @@ class QueueService:
             payload["status"] = "draining"
         elif (
             queue["depth"] >= queue["capacity"]
-            or payload["breaker"]["state"] == "open"
+            or payload["memory"]["shedding"]
         ):
             payload["status"] = "degraded"
         else:
@@ -370,7 +350,6 @@ class QueueService:
         payload = self.service.stats()
         payload["queue"] = self.queue.stats()
         payload["workers"] = self.workers.stats()
-        payload["breaker"] = self.breaker.stats()
         payload["rate_limiter"] = self.limiter.stats()
         payload["memory"] = self._memory_stats()
         payload["admission"] = {
@@ -750,23 +729,10 @@ class AsyncVerificationServer:
 
         statuses = admission.statuses
         evaluated = drained = 0
-        remaining = len(admission.pending)
-        while remaining > 0:
-            try:
-                kind, index, result = await asyncio.wait_for(
-                    events_q.get(), timeout=service.stream_timeout
-                )
-            except asyncio.TimeoutError:
-                base.note_error()
-                writer.write(
-                    encode_event(
-                        error_event(
-                            f"timed out after {service.stream_timeout:.0f}s "
-                            f"waiting for {remaining} queued claim(s)"
-                        )
-                    )
-                )
-                break
+        # Every queued job ends exactly once (ack, dead, or drained), so
+        # one event is owed per pending entry and the wait needs no timer.
+        for _ in admission.pending:
+            kind, index, result = await events_q.get()
             if kind == "ack":
                 statuses[index] = result["status"]
                 evaluated += 1
@@ -792,7 +758,6 @@ class AsyncVerificationServer:
                         }
                     )
                 )
-            remaining -= 1
             await writer.drain()
 
         base.note_served(len(statuses), admission.n_cached)
@@ -852,47 +817,14 @@ class AsyncVerificationServer:
 def create_async_server(
     host: str = "127.0.0.1",
     port: int = 8765,
-    config: AggCheckerConfig | None = None,
-    queue_dir: str | Path | None = None,
-    queue_capacity: int = 1024,
-    workers: int = 2,
-    visibility_timeout: float = 30.0,
-    retry: RetryPolicy | None = None,
-    rate_limit: float = 0.0,
-    rate_burst: float | None = None,
-    breaker_threshold: int = 5,
-    breaker_cooldown: float = 30.0,
-    incremental: bool = True,
-    incremental_capacity: int = 16384,
-    max_databases: int = 64,
-    request_timeout: float | None = None,
-    stream_timeout: float | None = None,
-    fsync: bool = False,
-    max_request_cost: int | None = None,
-    max_rss_mb: float | None = None,
-    rss_interval: float = 1.0,
     verbose: bool = False,
+    **service_options,
 ) -> AsyncVerificationServer:
-    """Build an :class:`AsyncVerificationServer` (port 0 picks a free port)."""
-    service = QueueService(
-        config,
-        queue_dir=queue_dir,
-        queue_capacity=queue_capacity,
-        workers=workers,
-        visibility_timeout=visibility_timeout,
-        retry=retry,
-        rate_limit=rate_limit,
-        rate_burst=rate_burst,
-        breaker_threshold=breaker_threshold,
-        breaker_cooldown=breaker_cooldown,
-        incremental=incremental,
-        incremental_capacity=incremental_capacity,
-        max_databases=max_databases,
-        request_timeout=request_timeout,
-        stream_timeout=stream_timeout,
-        fsync=fsync,
-        max_request_cost=max_request_cost,
-        max_rss_mb=max_rss_mb,
-        rss_interval=rss_interval,
+    """An :class:`AsyncVerificationServer` over a :class:`QueueService`.
+
+    ``service_options`` are :class:`QueueService`'s keyword arguments;
+    port 0 picks a free port.
+    """
+    return AsyncVerificationServer(
+        QueueService(**service_options), host=host, port=port, verbose=verbose
     )
-    return AsyncVerificationServer(service, host=host, port=port, verbose=verbose)

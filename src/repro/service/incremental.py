@@ -154,7 +154,7 @@ class IncrementalCache:
         # Fault point: poison the payload *after* its CRC was taken — the
         # next get() must detect the mismatch and degrade to a miss.
         try:
-            faults.fire("audit.bitflip", key=f"memo:{key[0]}")
+            faults.fire("state.bitflip", key=f"memo:{key[0]}")
         except InjectedFault:
             payload = dict(payload)
             payload["probability_correct"] = -1.0

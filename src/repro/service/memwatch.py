@@ -5,18 +5,18 @@ serves many requests; their aggregate footprint (pooled checkers, cube
 caches, journal state) can still creep toward the container limit, where
 the kernel's OOM killer ends the story without a stack trace. The
 watchdog samples resident-set size from ``/proc/self/statm``
-(stdlib-only, no dependencies) on a background thread and, when RSS
-crosses ``max_rss_mb``, *forces* the worker pool's
-:class:`~repro.service.workers.CircuitBreaker` open: leased job groups
+(stdlib-only, no dependencies) on a background thread and, while RSS
+is over ``max_rss_mb``, raises its :attr:`~MemoryWatchdog.shedding`
+flag — the one shed signal the worker pool's
+:class:`~repro.service.workers.GroupExecutor` reads: leased job groups
 take the shed path (instantly-expired deadline -> explicit degraded
 unverifiable verdicts) and the queue keeps draining without allocating,
 while ``/health`` reports the pressure. When RSS drops back under the
-threshold (with hysteresis, so the breaker does not flap at the
-boundary) the hold is released and normal execution resumes.
+threshold (with hysteresis, so shedding does not flap at the boundary)
+the flag clears and normal execution resumes.
 
 On platforms without ``/proc`` the watchdog is inert: sampling returns
-None, the breaker is never forced, and health reports RSS as
-unavailable.
+None, the flag is never raised, and health reports RSS as unavailable.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import threading
 
-#: Release the forced-open hold only once RSS drops below this share of
+#: Stop shedding only once RSS drops below this share of
 #: the limit — flapping at the threshold would alternate verdict quality
 #: request by request.
 _RELEASE_SHARE = 0.9
@@ -45,13 +45,10 @@ def read_rss_mb() -> float | None:
 
 
 class MemoryWatchdog:
-    """Samples RSS and force-opens a breaker past ``max_rss_mb``."""
+    """Samples RSS and sheds execution while it is past ``max_rss_mb``."""
 
     def __init__(
-        self,
-        breaker,
-        max_rss_mb: float,
-        interval_seconds: float = 1.0,
+        self, max_rss_mb: float, interval_seconds: float = 1.0
     ) -> None:
         if max_rss_mb <= 0:
             raise ValueError(f"max_rss_mb must be > 0, got {max_rss_mb}")
@@ -59,7 +56,6 @@ class MemoryWatchdog:
             raise ValueError(
                 f"interval_seconds must be > 0, got {interval_seconds}"
             )
-        self.breaker = breaker
         self.max_rss_mb = max_rss_mb
         self.interval_seconds = interval_seconds
         self._stop = threading.Event()
@@ -69,6 +65,12 @@ class MemoryWatchdog:
         self._last_rss_mb: float | None = None
         self.samples = 0
         self.trips = 0
+
+    @property
+    def shedding(self) -> bool:
+        """True while RSS is over the limit (and not yet back under 90%)."""
+        with self._lock:
+            return self._shedding
 
     def start(self) -> None:
         self._thread = threading.Thread(
@@ -97,13 +99,8 @@ class MemoryWatchdog:
             if not self._shedding and rss > self.max_rss_mb:
                 self._shedding = True
                 self.trips += 1
-                self.breaker.force_open(
-                    f"rss {rss:.0f} MiB over the {self.max_rss_mb:.0f} MiB "
-                    "limit"
-                )
             elif self._shedding and rss < self.max_rss_mb * _RELEASE_SHARE:
                 self._shedding = False
-                self.breaker.release_forced()
         return rss
 
     def stats(self) -> dict:

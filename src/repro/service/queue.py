@@ -1,31 +1,32 @@
-"""Durable at-least-once job queue: the service's unit of admitted work.
+"""Durable job queue: the service's unit of admitted work.
 
 ``POST /check`` no longer pins a thread per in-flight document: admission
 decomposes the document into one *job per claim* (grouped so a document's
 fresh claims still verify as one joint batch) and enqueues them here.
-Workers lease jobs under a visibility timeout, ack with the verdict
-payload on completion, and nack (or simply die) on failure; unacked
-leases expire back to pending, retries back off with decorrelated jitter
-(:class:`~repro.harness.parallel.RetryPolicy`), and jobs that exhaust
-their attempts are quarantined in a dead-letter queue surfaced via
-``GET /deadletter`` instead of poisoning the pool forever.
+Workers lease a group, run it once, and end every job of it: ``ack``
+with the verdict payload, or — when running or acking the group raised —
+``fail_group``, which moves each still-unacked job to the dead-letter
+queue surfaced via ``GET /deadletter``. A verdict is a deterministic
+function of the document and the data, so a failure would fail again:
+there is no retry, and a lease has no deadline because a worker thread
+cannot die holding one (see :mod:`repro.service.workers`).
 
-**Delivery semantics.** At-least-once execution, exactly-once ack: a job
-may *run* more than once (a worker that dies mid-lease leaves no ack, so
-the lease expires and the job is re-delivered — verdicts are
-deterministic, so re-execution is safe), but only the first ``ack`` wins;
-later acks for the same job are counted (``duplicate_acks``) and
+**Delivery semantics.** Each job ends exactly once in this process —
+acked, dead, or ``drained`` at shutdown — and only the first ``ack``
+wins; later acks for the same job are counted (``duplicate_acks``) and
 dropped, so no subscriber ever sees two results for one job. Subscriber
 notification happens under the queue lock in ack order, so a client's
-event stream can never observe acks out of order.
+event stream can never observe acks out of order. An outcome is applied
+and notified *before* it is journaled: a failed journal write never
+strands a subscriber, it only means a restart runs the job again, which
+is safe because the verdict is deterministic.
 
 **Durability.** Every state change that must survive a crash is one
 JSON line in an append-only journal (``queue.journal`` in the queue
 directory): ``put`` when a job is admitted, ``ack`` with its payload,
-``dead`` with its last error. Leases are deliberately *not* journaled —
-they are volatile by definition, and a restarted process must treat
-every journaled-but-unacked job as pending again (the at-least-once
-contract). Every record carries a CRC32 (``crc``) over its canonical
+``dead`` with its error. Leases are deliberately *not* journaled: a
+restarted process treats every journaled-but-unacked job as pending
+again. Every record carries a CRC32 (``crc``) over its canonical
 encoding: replay distinguishes a truncated final line (crash mid-write —
 stop, everything after is unreachable) from bit corruption *inside* an
 intact line (CRC mismatch — quarantine that record, keep replaying,
@@ -50,7 +51,7 @@ pending or leased attaches the new subscriber to the existing job
 payload immediately; only dead or unknown keys create new jobs. The
 ``reusable_result`` predicate narrows ack-reuse: the service passes one
 that refuses *degraded* payloads, so a verdict produced under an
-exhausted time/space budget or an open breaker is re-executed on
+exhausted time/space budget or under memory shedding is re-executed on
 resubmission rather than pinned forever by queue-level idempotency
 (mirroring the incremental tier, which never memoizes degraded
 verdicts).
@@ -71,7 +72,6 @@ from typing import Callable
 
 from repro import faults
 from repro.errors import QueueFullError, ReproError
-from repro.harness.parallel import RetryPolicy
 
 #: Journal format version (bump when the record layout changes).
 #: v2: every record carries a ``crc`` checksum field.
@@ -103,7 +103,7 @@ def scan_journal(path: str | Path) -> dict:
     Replicates replay's corruption taxonomy — truncated tail stops the
     scan, an intact line with a bad CRC is counted and skipped — without
     constructing a queue (which would replay, compact, and *rewrite* the
-    file; a scrubber must never mutate the state it is auditing).
+    file; a scrubber must never mutate the state it is checking).
     """
     report = {
         "path": str(path),
@@ -168,17 +168,10 @@ class Job:
     claim_fp: str = ""
     attempts: int = 0
     state: str = PENDING
-    #: Monotonic timestamp before which the job may not be leased (retry
-    #: backoff). Never journaled: restarts retry immediately.
-    not_before: float = 0.0
-    lease_deadline: float | None = None
-    worker: str | None = None
     result: dict | None = None
     error: str | None = None
-    #: Admission order; ready jobs are leased lowest-seq-first.
+    #: Admission order; pending jobs are leased lowest-seq-first.
     seq: int = 0
-    #: Previous backoff sleep (decorrelated jitter state).
-    last_backoff: float = 0.0
     subscribers: list[Subscriber] = field(default_factory=list)
 
     def snapshot(self) -> dict:
@@ -203,7 +196,6 @@ class DurableJobQueue:
         self,
         directory: str | Path | None = None,
         capacity: int = 1024,
-        retry: RetryPolicy | None = None,
         compact_min_records: int = 1024,
         fsync: bool = False,
         reusable_result: Callable[[dict], bool] | None = None,
@@ -211,7 +203,6 @@ class DurableJobQueue:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.retry = retry or RetryPolicy()
         self.compact_min_records = compact_min_records
         self.fsync = fsync
         self.reusable_result = reusable_result
@@ -220,7 +211,6 @@ class DurableJobQueue:
         self._jobs: dict[str, Job] = {}
         self._by_key: dict[str, str] = {}
         self._seq = 0
-        self._ack_seq = 0
         self._journal = None
         self._journal_records = 0
         self._draining = False
@@ -231,8 +221,6 @@ class DurableJobQueue:
         self.acked = 0
         self.duplicate_acks = 0
         self.deduped = 0
-        self.retried = 0
-        self.expired_leases = 0
         self.deadlettered = 0
         self.rejected = 0
         self.resumed = 0
@@ -333,7 +321,7 @@ class DurableJobQueue:
         self._journal_records += 1
         # Fault point: flip one byte of the journal after the append —
         # replay's CRC (and the offline scrubber) must catch it.
-        faults.fire("audit.bitflip", key="journal", payload=self.journal_path)
+        faults.fire("state.bitflip", key="journal", payload=self.journal_path)
 
     def _should_compact(self) -> bool:
         live = sum(
@@ -486,7 +474,7 @@ class DurableJobQueue:
             return existing, None
         # DEAD (tombstone keeps the history) or a non-reusable ack
         # (degraded payload): fall through — the resubmission revives the
-        # work as a fresh job with a fresh attempt budget.
+        # work as a fresh job.
         self._seq += 1
         job = Job(
             id=uuid.uuid4().hex,
@@ -564,20 +552,15 @@ class DurableJobQueue:
             return [self._submit_locked(**entry) for entry in entries]
 
     # ------------------------------------------------------------------
-    # Lease / ack / nack
+    # Lease / ack / fail
 
-    def lease_group(
-        self,
-        worker: str,
-        visibility_timeout: float,
-        timeout: float | None = None,
-    ) -> list[Job]:
-        """Lease the oldest ready job *and every ready job in its group*.
+    def lease_group(self, timeout: float | None = None) -> list[Job]:
+        """Lease the oldest pending job *and every pending job in its group*.
 
         Jobs of one group are the fresh claims of one document: verifying
         them as one batch keeps joint inference identical to the
         synchronous path. Blocks up to ``timeout`` seconds for work
-        (None = do not block); returns ``[]`` when none is ready.
+        (None = do not block); returns ``[]`` when none is pending.
         """
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
@@ -586,28 +569,22 @@ class DurableJobQueue:
             while True:
                 if self._closed or self._draining:
                     return []
-                now = time.monotonic()
-                ready = [
-                    job
-                    for job in self._jobs.values()
-                    if job.state == PENDING and job.not_before <= now
+                pending = [
+                    job for job in self._jobs.values() if job.state == PENDING
                 ]
-                if ready:
-                    head = min(ready, key=lambda job: job.seq)
+                if pending:
+                    head = min(pending, key=lambda job: job.seq)
                     batch = sorted(
-                        (job for job in ready if job.group == head.group),
+                        (job for job in pending if job.group == head.group),
                         key=lambda job: job.index,
                     )
-                    lease_until = now + visibility_timeout
                     for job in batch:
                         job.state = LEASED
                         job.attempts += 1
-                        job.worker = worker
-                        job.lease_deadline = lease_until
                     return batch
                 if deadline is None:
                     return []
-                remaining = deadline - now
+                remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return []
                 self._cond.wait(remaining)
@@ -615,113 +592,47 @@ class DurableJobQueue:
     def ack(self, job_id: str, payload: dict) -> bool:
         """Complete one job with its verdict payload. First ack wins.
 
-        A late ack (the lease expired and the job was re-delivered, or it
-        already dead-lettered) is counted and dropped — subscribers never
-        see a duplicate result.
+        A late ack (the job already acked or dead-lettered) is counted
+        and dropped — subscribers never see a duplicate result. The job
+        is completed and its subscribers told before the journal write,
+        so a write that raises leaves the outcome delivered, only
+        unjournaled.
         """
         with self._cond:
             job = self._jobs.get(job_id)
             if job is None or job.state in (ACKED, DEAD):
                 self.duplicate_acks += 1
                 return False
-            self._append({"op": "ack", "id": job.id, "payload": payload})
             job.state = ACKED
             job.result = payload
-            job.worker = None
-            job.lease_deadline = None
             self.acked += 1
-            self._ack_seq += 1
             self._notify_locked(job, "ack", payload)
+            self._cond.notify_all()
+            self._append({"op": "ack", "id": job.id, "payload": payload})
             if self._should_compact():
                 self._compact_locked()
-            self._cond.notify_all()
             return True
 
-    def nack(self, job_id: str, error: str) -> None:
-        """Fail one attempt: schedule a retry or dead-letter the job."""
-        with self._cond:
-            job = self._jobs.get(job_id)
-            if job is None or job.state in (ACKED, DEAD):
-                return
-            self._fail_locked(job, error)
-            self._cond.notify_all()
+    def fail_group(self, job_ids: list[str], error: str) -> None:
+        """Dead-letter every still-unacked job of a failed group, once.
 
-    def nack_group(self, job_ids: list[str], error: str) -> None:
+        As in :meth:`ack`, the jobs end and their subscribers are told
+        before the ``dead`` records are written.
+        """
         with self._cond:
             jobs = [
                 job
                 for job in (self._jobs.get(job_id) for job_id in job_ids)
                 if job is not None and job.state not in (ACKED, DEAD)
             ]
-            self._fail_group_locked(jobs, error)
+            for job in jobs:
+                job.state = DEAD
+                job.error = error
+                self.deadlettered += 1
+                self._notify_locked(job, "dead", error)
             self._cond.notify_all()
-
-    def _fail_group_locked(self, jobs: list[Job], error: str) -> None:
-        """Fail a set of group-mates with ONE shared backoff.
-
-        Members of a group must become ready at the same instant — if each
-        drew its own jittered backoff, the next lease would catch only the
-        earliest and split the joint batch (breaking bit-identity on the
-        retry path).
-        """
-        if not jobs:
-            return
-        previous = max(job.last_backoff for job in jobs) or None
-        backoff = self.retry.sleep_seconds(
-            max(job.attempts for job in jobs), previous=previous
-        )
-        for job in jobs:
-            self._fail_locked(job, error, backoff=backoff)
-
-    def _fail_locked(
-        self, job: Job, error: str, backoff: float | None = None
-    ) -> None:
-        job.error = error
-        job.worker = None
-        job.lease_deadline = None
-        if job.attempts >= self.retry.max_attempts:
-            self._append({"op": "dead", "id": job.id, "error": error})
-            job.state = DEAD
-            self.deadlettered += 1
-            self._notify_locked(job, "dead", error)
-            return
-        job.state = PENDING
-        job.last_backoff = (
-            backoff
-            if backoff is not None
-            else self.retry.sleep_seconds(
-                job.attempts, previous=job.last_backoff or None
-            )
-        )
-        job.not_before = time.monotonic() + job.last_backoff
-        self.retried += 1
-
-    def expire_leases(self) -> int:
-        """Return expired leases to pending (the worker died mid-job)."""
-        expired = 0
-        with self._cond:
-            now = time.monotonic()
-            by_group: dict[str, list[Job]] = {}
-            for job in self._jobs.values():
-                if (
-                    job.state == LEASED
-                    and job.lease_deadline is not None
-                    and job.lease_deadline <= now
-                ):
-                    self.expired_leases += 1
-                    expired += 1
-                    by_group.setdefault(job.group, []).append(job)
-            for group_jobs in by_group.values():
-                worker = group_jobs[0].worker
-                attempts = max(job.attempts for job in group_jobs)
-                self._fail_group_locked(
-                    group_jobs,
-                    f"lease expired after {attempts} attempt(s) "
-                    f"(worker {worker!r} presumed dead)",
-                )
-            if expired:
-                self._cond.notify_all()
-        return expired
+            for job in jobs:
+                self._append({"op": "dead", "id": job.id, "error": error})
 
     def _notify_locked(self, job: Job, kind: str, payload: object) -> None:
         # Under the queue lock on purpose: acks notify in ack order, so a
@@ -777,8 +688,6 @@ class DurableJobQueue:
                 "acked": self.acked,
                 "duplicate_acks": self.duplicate_acks,
                 "deduped": self.deduped,
-                "retried": self.retried,
-                "expired_leases": self.expired_leases,
                 "deadlettered": self.deadlettered,
                 "rejected": self.rejected,
                 "resumed": self.resumed,

@@ -132,8 +132,8 @@ class VerificationService:
         Only an unregistered scope (a restarted process, an LRU eviction)
         is rebuilt from the journaled data spec ``source``; if the data
         no longer hashes to ``scope_fp`` this raises, so the group is
-        nacked instead of verified on other data under the admitted
-        fingerprint.
+        dead-lettered instead of verified on other data under the
+        admitted fingerprint.
         """
         with self._registry_lock:
             registered = self._by_scope.get(scope_fp)

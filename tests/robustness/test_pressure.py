@@ -2,8 +2,8 @@
 
 The watchdog tests drive :class:`MemoryWatchdog` deterministically by
 monkeypatching the RSS sampler — trip above the limit, hold inside the
-hysteresis band, release below it — against the real
-:class:`CircuitBreaker` forced-open mode. The journal tests corrupt
+hysteresis band, release below it — and read the ``shedding`` flag the
+worker pool sheds on. The journal tests corrupt
 records *inside* intact JSON lines (a bit flip the old parse-only replay
 would have swallowed silently) and assert the CRC layer quarantines
 exactly the damaged record while the rest of the journal replays.
@@ -18,35 +18,6 @@ import pytest
 from repro.service import memwatch as memwatch_module
 from repro.service.memwatch import MemoryWatchdog, read_rss_mb
 from repro.service.queue import DurableJobQueue, JOURNAL_NAME
-from repro.service.workers import CircuitBreaker
-
-
-class TestForcedBreaker:
-    def test_force_open_sheds_until_released(self):
-        breaker = CircuitBreaker(failure_threshold=5)
-        assert breaker.allow()
-        breaker.force_open("rss over limit")
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.stats()["forced_open"] == "rss over limit"
-        breaker.release_forced()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-
-    def test_repeated_force_open_counts_one_trip(self):
-        breaker = CircuitBreaker()
-        breaker.force_open("first")
-        breaker.force_open("still over")
-        assert breaker.forced_trips == 1
-        assert breaker.stats()["forced_open"] == "still over"
-
-    def test_forced_hold_is_independent_of_failure_state(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=0.0)
-        breaker.record_failure()  # failure-opened, cooldown already over
-        breaker.force_open("pressure")
-        assert not breaker.allow()  # forced wins over the half-open probe
-        breaker.release_forced()
-        assert breaker.allow()  # back to the failure-driven half-open
 
 
 class TestMemoryWatchdog:
@@ -55,7 +26,7 @@ class TestMemoryWatchdog:
         monkeypatch.setattr(
             memwatch_module, "read_rss_mb", lambda: next(values)
         )
-        return MemoryWatchdog(CircuitBreaker(), max_rss_mb=100.0)
+        return MemoryWatchdog(max_rss_mb=100.0)
 
     def test_trips_above_limit_and_releases_below_hysteresis(
         self, monkeypatch
@@ -64,13 +35,11 @@ class TestMemoryWatchdog:
         dog.sample_once()
         assert not dog.stats()["shedding"]
         dog.sample_once()  # 150 > 100: trip
-        assert dog.stats()["shedding"]
-        assert not dog.breaker.allow()
+        assert dog.stats()["shedding"] and dog.shedding
         dog.sample_once()  # 95 is inside the hysteresis band: hold
         assert dog.stats()["shedding"]
         dog.sample_once()  # 80 < 90: release
-        assert not dog.stats()["shedding"]
-        assert dog.breaker.allow()
+        assert not dog.stats()["shedding"] and not dog.shedding
         assert dog.stats()["trips"] == 1
         assert dog.stats()["samples"] == 4
 
@@ -79,15 +48,13 @@ class TestMemoryWatchdog:
         assert dog.sample_once() is None
         assert not dog.stats()["shedding"]
         assert dog.stats()["rss_mb"] is None
-        assert dog.breaker.allow()
+        assert not dog.shedding
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MemoryWatchdog(CircuitBreaker(), max_rss_mb=0)
+            MemoryWatchdog(max_rss_mb=0)
         with pytest.raises(ValueError):
-            MemoryWatchdog(
-                CircuitBreaker(), max_rss_mb=10, interval_seconds=0
-            )
+            MemoryWatchdog(max_rss_mb=10, interval_seconds=0)
 
     def test_read_rss_mb_on_this_platform(self):
         rss = read_rss_mb()
@@ -158,7 +125,7 @@ class TestJournalChecksums:
             reusable_result=lambda payload: not payload.get("degraded"),
         )
         queue.submit("k1", "g1", 0, "scope", {"title": "a"})
-        [job] = queue.lease_group("w", 30.0)
+        [job] = queue.lease_group()
         queue.ack(job.id, {"status": "unverifiable", "degraded": "no_exec"})
         revived, payload = queue.submit(
             "k1", "g2", 0, "scope", {"title": "a"}
@@ -166,7 +133,7 @@ class TestJournalChecksums:
         assert payload is None, "degraded ack must not short-circuit"
         assert revived.id != job.id
         # A full-quality ack, by contrast, is reused.
-        [job2] = queue.lease_group("w", 30.0)
+        [job2] = queue.lease_group()
         queue.ack(job2.id, {"status": "verified"})
         _, reused = queue.submit("k1", "g3", 0, "scope", {"title": "a"})
         assert reused == {"status": "verified"}

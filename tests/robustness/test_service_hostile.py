@@ -211,7 +211,7 @@ class TestMemoryPressure:
             )
             health = get_json(server.url + "/health")
             assert health["memory"]["rss_mb"] > health["memory"]["max_rss_mb"]
-            assert health["breaker"]["forced_open"]
+            assert health["memory"]["shedding"]
             events = post_check(server.url, BENIGN)
             claims = claims_of(events)
             assert claims, "shedding still answers, degraded"

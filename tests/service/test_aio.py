@@ -9,10 +9,11 @@ registered, so data edited or deleted after admission never reaches its
 verdicts; the NDJSON stream frames correctly and answers cached claims
 first; per-client rate limiting and queue-depth backpressure shed with
 ``429`` + ``Retry-After`` (and the stdlib client honors it); request
-errors map to 400/404/405/411/413/422; poison claims land in the
-dead-letter quarantine without poisoning the stream; a request timeout
-and an open circuit breaker degrade verdicts instead of collapsing the
-queue; a client hangup is counted, not raised; a graceful drain
+errors map to 400/404/405/411/413/422; a poison group runs once and
+lands in the dead-letter quarantine without poisoning the stream; a
+journal write that fails mid-ack still ends the stream and leaves the
+workers serving; a request timeout degrades verdicts instead of
+collapsing the queue; a client hangup is counted, not raised; a graceful drain
 completes leased groups and journals pending jobs, a restarted service
 resumes and completes them, and a ``kill -9`` mid-load loses nothing.
 """
@@ -48,13 +49,7 @@ from tests.service.conftest import (
     post_check,
 )
 
-FAST_RETRY = RetryPolicy(
-    max_attempts=2, backoff_base=0.01, backoff_cap=0.05
-)
-
-
 def serve(**kwargs):
-    kwargs.setdefault("visibility_timeout", 5.0)
     server = create_async_server(port=0, **kwargs)
     server.start_in_thread()
     return server
@@ -433,7 +428,7 @@ class TestAdmittedChecker:
         self, data_files, capsys
     ):
         oracle = cli_claims(capsys, data_files["nfl"], data_files["nfl_article"])
-        server = serve(workers=1, retry=FAST_RETRY)
+        server = serve(workers=1)
         try:
             with active(FaultSpec("queue.exec", "sleep", seconds=0.5)):
                 finish = post_in_thread(server.url, nfl_payload(data_files))
@@ -464,9 +459,7 @@ class TestAdmittedChecker:
         assert first.drain() == n
         data_files["nfl"].write_text(NFL_CSV_EDITED)
 
-        second = QueueService(
-            queue_dir=queue_dir, workers=1, retry=FAST_RETRY
-        )
+        second = QueueService(queue_dir=queue_dir, workers=1)
         second.start()
         try:
             assert wait_for(
@@ -715,7 +708,7 @@ class TestFaultTolerance:
     def test_poison_jobs_deadletter_without_poisoning_the_stream(
         self, data_files
     ):
-        server = serve(workers=1, retry=FAST_RETRY)
+        server = serve(workers=1)
         try:
             with active(
                 FaultSpec("queue.exec", "raise", times=0)
@@ -737,64 +730,60 @@ class TestFaultTolerance:
             dead = get_json(server.url + "/deadletter")
             assert dead["count"] == n
             assert all("injected fault" in d["error"] for d in dead["deadletter"])
-            stats = server.service.queue.stats()
-            assert stats["retried"] >= n  # at least one retry each
-            assert stats["deadlettered"] == n
+            # One run, no retry: the group failed once and ended.
+            assert all(d["attempts"] == 1 for d in dead["deadletter"])
+            assert server.service.queue.stats()["deadlettered"] == n
+            assert server.service.workers.stats()["groups_failed"] == 1
         finally:
             server.shutdown_gracefully()
 
-    def test_killed_workers_are_respawned_and_jobs_complete(
-        self, data_files, capsys
+    def test_journal_write_failure_on_ack_still_ends_the_stream(
+        self, tmp_path, data_files, capsys, monkeypatch
     ):
-        server = serve(
-            workers=2,
-            retry=RetryPolicy(max_attempts=5),
-            visibility_timeout=1.0,
+        server = serve(workers=1, queue_dir=tmp_path / "queue")
+        queue = server.service.queue
+        append = queue._append
+        failed = []
+
+        def disk_full_on_first_ack(record):
+            if record["op"] == "ack" and not failed:
+                failed.append(record["id"])
+                raise OSError(28, "No space left on device")
+            append(record)
+
+        monkeypatch.setattr(queue, "_append", disk_full_on_first_ack)
+        client = ServiceClient(
+            server.url, retry=RetryPolicy(max_attempts=1), timeout=10.0
         )
         try:
-            # Kill each worker thread once, mid-lease: no ack, no nack.
-            # Recovery is reaper respawn + lease expiry + re-delivery.
-            with active(
-                FaultSpec("queue.lease", "raise", times=2)
-            ):
-                events = post_check(
-                    server.url,
-                    {
-                        "csv": str(data_files["nfl"]),
-                        "article_path": str(data_files["nfl_article"]),
-                    },
-                )
+            started = time.monotonic()
+            events = client.check(nfl_payload(data_files))
+            assert time.monotonic() - started < 10.0
+            assert failed, "the first ack's journal write raised"
+            summary = events[-1]
+            assert summary["event"] == "summary"
+            n = summary["claims"]
+            ended = [
+                e for e in events
+                if e["event"] == "claim"
+                or (e["event"] == "error" and "index" in e)
+            ]
+            # One event per claim: the acked one, the rest dead-lettered.
+            assert sorted(e["index"] for e in ended) == list(range(n))
+            assert summary["errors"] == n - 1
+            assert get_json(server.url + "/deadletter")["count"] == n - 1
+            # The worker survived: the next document verifies normally.
             oracle = cli_claims(
-                capsys, data_files["nfl"], data_files["nfl_article"]
+                capsys, data_files["sales"], data_files["sales_article"]
             )
-            assert claims_of(events) == oracle
-            pool = server.service.workers.stats()
-            assert pool["worker_deaths"] >= 1
-            assert pool["alive"] == 2  # respawned
-            assert server.service.queue.stats()["expired_leases"] >= 1
-        finally:
-            server.shutdown_gracefully()
-
-    def test_open_breaker_degrades_verdicts_instead_of_queueing(
-        self, data_files
-    ):
-        server = serve(workers=1, breaker_threshold=1, breaker_cooldown=60.0)
-        try:
-            server.service.breaker.record_failure()  # force open
-            assert server.service.breaker.state == "open"
-            events = post_check(
-                server.url,
+            sales = client.check(
                 {
-                    "csv": str(data_files["nfl"]),
-                    "article_path": str(data_files["nfl_article"]),
-                },
+                    "csv": [str(data_files["sales"])],
+                    "article_path": str(data_files["sales_article"]),
+                }
             )
-            claims = claims_of(events)
-            assert claims, "breaker-open stream still delivers verdicts"
-            for claim in claims:
-                assert claim["status"] == "unverifiable"
-                assert claim["degraded"] is not None
-            assert get_json(server.url + "/health")["status"] == "degraded"
+            assert claims_of(sales) == oracle
+            assert sales[-1]["errors"] == 0
         finally:
             server.shutdown_gracefully()
 
@@ -941,10 +930,10 @@ class TestKillDashNine:
         state_dir.mkdir()
         env = dict(os.environ)
         env["PYTHONPATH"] = str(repo_root / "src")
-        # Stall every worker loop so admitted jobs stay pending long
+        # Stall every leased group so admitted jobs stay unacked long
         # enough to be killed mid-load.
         env[ENV_FAULTS] = encode_specs(
-            (FaultSpec("queue.worker", "sleep", seconds=30.0, times=0),)
+            (FaultSpec("queue.exec", "sleep", seconds=30.0, times=0),)
         )
         env[ENV_STATE] = str(state_dir)
         proc = subprocess.Popen(

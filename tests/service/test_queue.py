@@ -1,17 +1,16 @@
-"""Unit tests for the durable job queue, breaker, and rate limiter.
+"""Unit tests for the durable job queue and the rate limiter.
 
-Delivery semantics (at-least-once execution, exactly-once ack,
-first-ack-wins), durability (journal replay, truncated tails,
-compaction), backpressure, retry jitter bounds, breaker state
-transitions, and per-client token buckets are pure control-plane logic:
-no checker is involved.
+Delivery semantics (one run per job, first-ack-wins, a failed group
+dead-letters once), durability (journal replay, truncated tails,
+compaction), backpressure, the client's retry jitter bounds, and
+per-client token buckets are pure control-plane logic: no checker is
+involved.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import time
 
 import pytest
 
@@ -19,7 +18,6 @@ from repro.errors import QueueFullError, ReproError
 from repro.harness.parallel import RetryPolicy
 from repro.service.queue import DurableJobQueue
 from repro.service.ratelimit import ClientRateLimiter, TokenBucket
-from repro.service.workers import CircuitBreaker
 
 
 def submit(queue, key, group="g", index=0, subscriber=None):
@@ -50,7 +48,7 @@ class TestLeaseAckNack:
         seen = Recorder()
         job, done = submit(queue, "k1", subscriber=seen)
         assert done is None
-        batch = queue.lease_group("w1", visibility_timeout=30.0)
+        batch = queue.lease_group()
         assert [j.id for j in batch] == [job.id]
         assert queue.ack(job.id, {"status": "verified"})
         assert seen.events == [("ack", job.id, {"status": "verified"})]
@@ -63,63 +61,38 @@ class TestLeaseAckNack:
             for i in (2, 0, 1)
         ]
         submit(queue, "other", group="doc2", index=0)
-        batch = queue.lease_group("w1", visibility_timeout=30.0)
+        batch = queue.lease_group()
         assert [j.index for j in batch] == [0, 1, 2]
         assert {j.id for j in batch} == {j.id for j in jobs}
 
     def test_leased_jobs_are_not_re_leased(self):
         queue = DurableJobQueue()
         submit(queue, "k1")
-        assert queue.lease_group("w1", visibility_timeout=30.0)
-        assert queue.lease_group("w2", visibility_timeout=30.0) == []
+        assert queue.lease_group()
+        assert queue.lease_group() == []
 
     def test_first_ack_wins_duplicates_are_dropped(self):
         queue = DurableJobQueue()
         seen = Recorder()
         job, _ = submit(queue, "k1", subscriber=seen)
-        queue.lease_group("w1", visibility_timeout=30.0)
+        queue.lease_group()
         assert queue.ack(job.id, {"status": "verified"})
         assert not queue.ack(job.id, {"status": "contradicted"})
         assert len(seen.events) == 1
         assert queue.stats()["duplicate_acks"] == 1
 
-    def test_nack_schedules_retry_with_future_not_before(self):
-        queue = DurableJobQueue(retry=RetryPolicy(max_attempts=3))
-        job, _ = submit(queue, "k1")
-        queue.lease_group("w1", visibility_timeout=30.0)
-        queue.nack(job.id, "boom")
-        assert job.state == "pending"
-        assert job.not_before > time.monotonic()
-        assert queue.stats()["retried"] == 1
-        # Backoff means not immediately leasable.
-        assert queue.lease_group("w1", visibility_timeout=30.0) == []
-
     def test_exhausted_attempts_dead_letter_with_notification(self):
-        queue = DurableJobQueue(retry=RetryPolicy(max_attempts=1))
+        queue = DurableJobQueue()
         seen = Recorder()
         job, _ = submit(queue, "k1", subscriber=seen)
-        queue.lease_group("w1", visibility_timeout=30.0)
-        queue.nack(job.id, "poison claim")
+        queue.lease_group()
+        queue.fail_group([job.id], "poison claim")
         assert job.state == "dead"
         assert seen.events == [("dead", job.id, "poison claim")]
         dead = queue.deadletter()
         assert len(dead) == 1
         assert dead[0]["error"] == "poison claim"
         assert dead[0]["attempts"] == 1
-
-    def test_expired_lease_returns_to_pending_and_redelivers(self):
-        queue = DurableJobQueue(retry=RetryPolicy(max_attempts=5))
-        job, _ = submit(queue, "k1")
-        queue.lease_group("w1", visibility_timeout=0.01)
-        time.sleep(0.05)
-        assert queue.expire_leases() == 1
-        assert job.state == "pending"
-        # Retry backoff applies; wait it out, then the job re-leases.
-        time.sleep(job.not_before - time.monotonic() + 0.01)
-        batch = queue.lease_group("w2", visibility_timeout=30.0)
-        assert [j.id for j in batch] == [job.id]
-        assert batch[0].attempts == 2
-
 
 class TestIdempotency:
     def test_pending_key_attaches_subscriber_instead_of_new_job(self):
@@ -129,24 +102,24 @@ class TestIdempotency:
         again, done = submit(queue, "k1", subscriber=second)
         assert again.id == job.id and done is None
         assert queue.stats()["deduped"] == 1
-        queue.lease_group("w1", visibility_timeout=30.0)
+        queue.lease_group()
         queue.ack(job.id, {"status": "verified"})
         assert first.events == second.events  # one execution, fan-out
 
     def test_acked_key_returns_payload_immediately(self):
         queue = DurableJobQueue()
         job, _ = submit(queue, "k1")
-        queue.lease_group("w1", visibility_timeout=30.0)
+        queue.lease_group()
         queue.ack(job.id, {"status": "verified"})
         again, done = submit(queue, "k1")
         assert done == {"status": "verified"}
         assert queue.stats()["enqueued"] == 1
 
     def test_dead_key_revives_as_fresh_job(self):
-        queue = DurableJobQueue(retry=RetryPolicy(max_attempts=1))
+        queue = DurableJobQueue()
         job, _ = submit(queue, "k1")
-        queue.lease_group("w1", visibility_timeout=30.0)
-        queue.nack(job.id, "boom")
+        queue.lease_group()
+        queue.fail_group([job.id], "boom")
         assert job.state == "dead"
         revived, done = submit(queue, "k1")
         assert done is None and revived.id != job.id
@@ -166,7 +139,7 @@ class TestBackpressure:
     def test_acked_jobs_free_capacity(self):
         queue = DurableJobQueue(capacity=1)
         job, _ = submit(queue, "k1")
-        queue.lease_group("w1", visibility_timeout=30.0)
+        queue.lease_group()
         queue.ack(job.id, {"status": "verified"})
         submit(queue, "k2")  # does not raise
 
@@ -182,14 +155,14 @@ class TestDurability:
         queue = DurableJobQueue(tmp_path)
         done, _ = submit(queue, "done", group="g", index=0)
         kept, _ = submit(queue, "kept", group="g", index=1)
-        queue.lease_group("w1", visibility_timeout=30.0)
+        queue.lease_group()
         queue.ack(done.id, {"status": "verified"})
         # Crash: no drain, no close. The lease on "kept" is volatile.
         queue._journal.close()
 
         reborn = DurableJobQueue(tmp_path)
         assert reborn.resumed == 1
-        batch = reborn.lease_group("w1", visibility_timeout=30.0)
+        batch = reborn.lease_group()
         assert [j.key for j in batch] == ["kept"]
         assert batch[0].source == {"article": "text", "title": "t"}
         # The acked job answers from its journaled payload, not a re-run.
@@ -197,16 +170,16 @@ class TestDurability:
         assert payload == {"status": "verified"}
 
     def test_dead_letter_survives_restart(self, tmp_path):
-        queue = DurableJobQueue(tmp_path, retry=RetryPolicy(max_attempts=1))
+        queue = DurableJobQueue(tmp_path)
         job, _ = submit(queue, "k1")
-        queue.lease_group("w1", visibility_timeout=30.0)
-        queue.nack(job.id, "poison")
+        queue.lease_group()
+        queue.fail_group([job.id], "poison")
         queue.close()
 
         reborn = DurableJobQueue(tmp_path)
         dead = reborn.deadletter()
         assert len(dead) == 1 and dead[0]["error"] == "poison"
-        assert reborn.lease_group("w1", visibility_timeout=30.0) == []
+        assert reborn.lease_group() == []
 
     def test_truncated_tail_is_tolerated(self, tmp_path):
         queue = DurableJobQueue(tmp_path)
@@ -224,7 +197,7 @@ class TestDurability:
     def test_compaction_drops_completed_jobs(self, tmp_path):
         queue = DurableJobQueue(tmp_path, compact_min_records=1)
         jobs = [submit(queue, f"k{i}", index=i)[0] for i in range(8)]
-        queue.lease_group("w1", visibility_timeout=30.0)
+        queue.lease_group()
         for job in jobs[:-1]:
             queue.ack(job.id, {"status": "verified"})
         queue.close()
@@ -273,45 +246,6 @@ class TestRetryJitter:
         assert [policy.backoff_seconds(n) for n in (1, 2, 3, 10)] == [
             0.05, 0.1, 0.2, 0.2,
         ]
-
-
-class TestCircuitBreaker:
-    def test_trips_after_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_seconds=60.0)
-        for _ in range(2):
-            breaker.record_failure()
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert not breaker.allow()
-        assert breaker.trips == 1
-
-    def test_success_resets_the_failure_run(self):
-        breaker = CircuitBreaker(failure_threshold=2, cooldown_seconds=60.0)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_half_open_probe_closes_on_success(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=0.01)
-        breaker.record_failure()
-        assert breaker.state == "open"
-        time.sleep(0.02)
-        assert breaker.state == "half-open"
-        assert breaker.allow()  # the single probe
-        assert not breaker.allow()  # everyone else still sheds
-        breaker.record_success()
-        assert breaker.state == "closed" and breaker.allow()
-
-    def test_failed_probe_reopens_for_a_fresh_cooldown(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=0.01)
-        breaker.record_failure()
-        time.sleep(0.02)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.trips == 2
 
 
 class TestRateLimiter:

@@ -3,7 +3,7 @@
 Hypothesis drives the three contracts the service core stands on:
 
 - **Crash anywhere**: replaying *any* prefix of the journal (a crash can
-  land between any two appended records) plus arbitrary re-delivery
+  land between any two appended records) and running what it resumes
   never double-acks a job and never resurrects an acked one.
 - **Stream order**: a subscriber observes acks in global ack order —
   the HTTP layer's claim-event ordering guarantee is the queue's, not
@@ -21,7 +21,6 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from repro.harness.parallel import RetryPolicy
 from repro.service.queue import JOURNAL_NAME, DurableJobQueue
 
 
@@ -37,11 +36,11 @@ def submit(queue, key, group="g", index=0, subscriber=None):
     )
 
 
-def drain_all(queue, worker="w"):
+def drain_all(queue):
     """Lease and ack everything leasable; returns acked job keys."""
     acked = []
     while True:
-        batch = queue.lease_group(worker, visibility_timeout=30.0)
+        batch = queue.lease_group()
         if not batch:
             return acked
         for job in batch:
@@ -57,16 +56,14 @@ def drain_all(queue, worker="w"):
 def test_any_journal_prefix_replays_consistently(n_jobs, ack_mask):
     """Cut the journal after every record; each prefix must be sane."""
     with tempfile.TemporaryDirectory() as tmp:
-        queue = DurableJobQueue(tmp, retry=RetryPolicy(max_attempts=2))
+        queue = DurableJobQueue(tmp)
         jobs = [
             submit(queue, f"k{i}", group=f"g{i % 2}", index=i)[0]
             for i in range(n_jobs)
         ]
         leased = {
             job.id
-            for batch in iter(
-                lambda: queue.lease_group("w", visibility_timeout=30.0), []
-            )
+            for batch in iter(queue.lease_group, [])
             for job in batch
         }
         assert leased == {job.id for job in jobs}
@@ -131,9 +128,7 @@ def test_subscriber_stream_follows_global_ack_order(order):
         submit(queue, f"k{i}", group=f"g{i}", index=0, subscriber=subscriber)[0]
         for i in range(6)
     ]
-    for batch in iter(
-        lambda: queue.lease_group("w", visibility_timeout=30.0), []
-    ):
+    for batch in iter(queue.lease_group, []):
         pass
     for position in order:
         queue.ack(jobs[position].id, {"status": "verified"})
@@ -179,28 +174,3 @@ def test_idempotency_keys_dedupe_resubmissions(keys):
         payload = received[ordinal][0]
         assert payload["key"] == key
         assert by_key.setdefault(key, payload) == payload
-
-
-@settings(max_examples=20, deadline=None)
-@given(late_ack_first=st.booleans())
-def test_redelivery_plus_duplicate_ack_notifies_exactly_once(late_ack_first):
-    """A worker presumed dead acks late: the subscriber hears one result."""
-    queue = DurableJobQueue(retry=RetryPolicy(max_attempts=5, backoff_base=0.0, backoff_cap=0.0))
-    inbox: list = []
-    job, _ = submit(
-        queue, "k", subscriber=lambda kind, j, p: inbox.append((kind, p))
-    )
-    first = queue.lease_group("w1", visibility_timeout=0.0)
-    assert first
-    assert queue.expire_leases() == 1
-    second = queue.lease_group("w2", visibility_timeout=30.0)
-    assert [j.id for j in second] == [job.id]
-    acks = [("w1", {"status": "verified", "by": "w1"}),
-            ("w2", {"status": "verified", "by": "w2"})]
-    if late_ack_first:
-        acks.reverse()
-    results = [queue.ack(job.id, payload) for _, payload in acks]
-    assert results == [True, False]
-    assert len(inbox) == 1
-    assert inbox[0] == ("ack", acks[0][1])
-    assert queue.stats()["duplicate_acks"] == 1

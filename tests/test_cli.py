@@ -246,10 +246,11 @@ class TestCorpusRun:
             ["scrub", "--checkpoint", "run.ckpt"],
             ["serve", "--audit-backlog", "64"],
             ["serve", "--trust-recover-after", "8"],
+            ["serve", "--visibility-timeout", "30"],
         ],
         ids=[
             "workers", "checkpoint", "resume", "max-retries", "scrub-checkpoint",
-            "audit-backlog", "trust-recover-after",
+            "audit-backlog", "trust-recover-after", "visibility-timeout",
         ],
     )
     def test_removed_flags_are_usage_errors(self, capsys, argv):

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.audit.scrub import (
+from repro.scrub import (
     _bit_equal,
     recompute_matches,
     scrub_disk_cache,
@@ -80,8 +80,8 @@ class TestBitflipAction:
         target = tmp_path / "victim.bin"
         original = bytes(range(16))
         target.write_bytes(original)
-        with active(FaultSpec("audit.bitflip", "bitflip", match="victim*")):
-            fire("audit.bitflip", key="victim.bin", payload=target)
+        with active(FaultSpec("state.bitflip", "bitflip", match="victim*")):
+            fire("state.bitflip", key="victim.bin", payload=target)
         flipped = target.read_bytes()
         assert len(flipped) == len(original)
         assert flipped != original
@@ -96,7 +96,7 @@ class TestDiskCacheStructural:
         # Flip one byte of the entry file after the atomic write: framing
         # still parses as far as the magic goes, but the CRC disagrees.
         db = small_db()
-        with active(FaultSpec("audit.bitflip", "bitflip", match="*.cube")):
+        with active(FaultSpec("state.bitflip", "bitflip", match="*.cube")):
             warm_cache(tmp_path, db)
         engine = QueryEngine(db, EngineConfig(cache_dir=tmp_path))
         cache = engine.disk_cache
@@ -136,7 +136,7 @@ class TestDiskCacheSemantic:
         # The cell is corrupted BEFORE the checksum is computed: the file
         # is structurally pristine and only the recompute catches it.
         db = small_db()
-        with active(FaultSpec("audit.bitflip", "raise", match="cell:*")):
+        with active(FaultSpec("state.bitflip", "raise", match="cell:*")):
             warm_cache(tmp_path, db)
         structural = scrub_disk_cache(tmp_path)
         assert structural["corrupt"] == 0  # CRC is (correctly) silent
@@ -352,7 +352,7 @@ class TestScrubCli:
         from repro.db import load_csv
 
         db = Database("cli", [load_csv(csv_path)])
-        with active(FaultSpec("audit.bitflip", "raise", match="cell:*")):
+        with active(FaultSpec("state.bitflip", "raise", match="cell:*")):
             warm_cache(cache_dir, db)
         code = cli_main(
             ["scrub", "--cache-dir", str(cache_dir),
