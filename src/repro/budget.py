@@ -1,10 +1,8 @@
-"""Resource budgets: wall-clock deadlines generalized to time + space.
+"""Resource budgets: the space limits that drive the degradation ladder.
 
-PR 6 bounded claim verification in *time* only — a :class:`~repro.deadline.
-Deadline` checked at stage boundaries. Nothing bounded *space*: a wide
-cross product, a million-group cube, or a huge candidate space could OOM
-a worker before any deadline fired. A :class:`ResourceBudget` carries the
-optional deadline plus three space limits:
+A wide cross product, a million-group cube, or a huge candidate space
+could exhaust a worker's memory. A :class:`ResourceBudget` carries three
+space limits:
 
 - ``max_rows`` — rows a single materialized relation (join result) may
   hold before the engine executes a query over it;
@@ -17,17 +15,18 @@ Space checks are predictive where possible: :func:`estimate_cube_cells`
 bounds the rolled-up result of a cube without touching a row, so the
 engine can refuse to build an intractable cube entirely. Exceeding any
 limit raises :class:`~repro.errors.BudgetExceeded`, which the checker
-converts into the same reduced-scope -> unverifiable degradation ladder
-as deadline expiry (budget-degraded verdicts are never memoized).
+converts into its reduced-scope -> no-execution degradation ladder
+(budget-degraded verdicts are never memoized). The limits count work,
+not time, so the same input under the same budget degrades the same way
+on every run.
 
-Like :class:`~repro.deadline.Deadline`, a budget is shared by reference:
-the checker installs one budget on the engine for the duration of a
-document, so nested consumers count against one set of limits.
+A budget is shared by reference: the checker installs one budget on the
+engine for the duration of an inference attempt, so nested consumers
+count against one set of limits.
 """
 
 from __future__ import annotations
 
-from repro.deadline import Deadline
 from repro.errors import BudgetExceeded
 
 
@@ -68,18 +67,16 @@ def estimate_cube_cells(
 
 
 class ResourceBudget:
-    """Time + space limits checked cooperatively at stage boundaries.
+    """Space limits checked cooperatively at stage boundaries.
 
     Any limit may be ``None`` (unlimited); a budget with no limits at all
-    is valid and checks are no-ops. ``deadline`` is shared by reference,
-    so one wall clock governs every consumer holding this budget.
+    is valid and checks are no-ops.
     """
 
-    __slots__ = ("deadline", "max_rows", "max_cube_cells", "max_candidates")
+    __slots__ = ("max_rows", "max_cube_cells", "max_candidates")
 
     def __init__(
         self,
-        deadline: Deadline | None = None,
         max_rows: int | None = None,
         max_cube_cells: int | None = None,
         max_candidates: int | None = None,
@@ -91,15 +88,9 @@ class ResourceBudget:
         ):
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
-        self.deadline = deadline
         self.max_rows = max_rows
         self.max_cube_cells = max_cube_cells
         self.max_candidates = max_candidates
-
-    def check_time(self, stage: str) -> None:
-        """Raise :class:`DeadlineExceeded` if the wall clock is spent."""
-        if self.deadline is not None:
-            self.deadline.check(stage)
 
     def check_rows(self, n_rows: int, stage: str) -> None:
         """Refuse to execute over a relation larger than ``max_rows``."""
@@ -128,8 +119,7 @@ class ResourceBudget:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"ResourceBudget(deadline={self.deadline!r}, "
-            f"max_rows={self.max_rows}, "
+            f"ResourceBudget(max_rows={self.max_rows}, "
             f"max_cube_cells={self.max_cube_cells}, "
             f"max_candidates={self.max_candidates})"
         )

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro import faults
 from repro.budget import ResourceBudget
 from repro.core.config import AggCheckerConfig
-from repro.core.verdict import ClaimVerdict, make_verdict, unverifiable_verdict
+from repro.core.verdict import ClaimVerdict, make_verdict
 from repro.db.engine import EngineStats, QueryEngine
-from repro.deadline import Deadline
-from repro.errors import BudgetExceeded, DeadlineExceeded
+from repro.errors import BudgetExceeded
 from repro.db.schema import Database
 from repro.fragments.extract import extract_fragments
 from repro.fragments.indexer import FragmentIndex
@@ -41,16 +40,11 @@ from repro.text.htmlparse import parse_html
 #: can only win through priors and evaluation results).
 _POOL_SHARE = 0.02
 
-#: Per-claim evaluation budget on the degraded-scope rung of the deadline
-#: ladder: small enough to finish fast under the grace budget, large
-#: enough that the true query usually stays in scope.
+#: Per-claim evaluation budget on the degraded-scope rung of the budget
+#: ladder: small enough that the shrunken cubes usually fit the space
+#: budget that refused the full rung, large enough that the true query
+#: usually stays in scope.
 DEGRADED_SCOPE_BUDGET = 16
-
-#: Fraction of the original budget granted to each degraded retry. The
-#: ladder has two retrying rungs, so a timed-out document costs at most
-#: ~2x its nominal budget before the unverifiable fallback (which does no
-#: engine work and is bounded by construction).
-_GRACE_SHARE = 0.5
 
 
 def _pool_predicate_fragments(scores: dict[Claim, RelevanceScores]) -> None:
@@ -207,71 +201,37 @@ class AggChecker:
         return self._check(document, claims, started)
 
     def check_claims(
-        self,
-        document: Document,
-        claims: list[Claim],
-        deadline: Deadline | None = None,
+        self, document: Document, claims: list[Claim]
     ) -> CheckReport:
-        """Verify a caller-provided claim list (corpus ground truth mode).
-
-        ``deadline`` overrides the config-derived per-claim budget (the
-        service layer passes its per-request timeout through here).
-        """
-        return self._check(document, claims, time.perf_counter(), deadline)
+        """Verify a caller-provided claim list (corpus ground truth mode)."""
+        return self._check(document, claims, time.perf_counter())
 
     def _check(
-        self,
-        document: Document,
-        claims: list[Claim],
-        started: float,
-        deadline: Deadline | None = None,
+        self, document: Document, claims: list[Claim], started: float
     ) -> CheckReport:
         # Checkers are reused across documents (and, via CheckerPool, across
         # corpus cases sharing a database); the report carries this
         # document's engine-stats *delta* so per-case numbers stay additive.
         stats_before = self.engine.stats.copy()
-        if deadline is None and self.config.claim_deadline is not None:
-            # Claims of one document are verified jointly (pooled
-            # fragments, shared priors), so the document budget scales
-            # with the claim count.
-            deadline = Deadline(
-                self.config.claim_deadline * max(1, len(claims))
-            )
-        try:
-            spaces = self._match_and_build(claims, deadline)
-        except (DeadlineExceeded, BudgetExceeded) as exhausted:
-            # The budget died before inference even had inputs: the last
-            # ladder rung reports every claim as unverifiable. The stream
-            # (and the corpus run) continues; nothing hangs or errors.
-            if isinstance(exhausted, BudgetExceeded):
-                self.engine.stats.budget_unverifiable += len(claims)
-            else:
-                self.engine.stats.deadline_unverifiable += len(claims)
-            return self._finish(
-                document,
-                claims,
-                [unverifiable_verdict(claim) for claim in claims],
-                InferenceResult({}, None, 0),
-                stats_before,
-                started,
-            )
-        inference, degraded = self._infer_ladder(spaces, deadline)
+        spaces = self._match_and_build(claims)
+        inference, degraded = self._infer_ladder(spaces)
         faults.fire("checker.stage", "verdicts")
         verdicts = [
             make_verdict(claim, inference.distributions[claim], degraded)
             for claim in claims
         ]
-        return self._finish(
-            document, claims, verdicts, inference, stats_before, started
+        return CheckReport(
+            document=document,
+            claims=claims,
+            verdicts=verdicts,
+            inference=inference,
+            engine_stats=self.engine.stats.diff(stats_before),
+            total_seconds=time.perf_counter() - started,
         )
 
-    def _match_and_build(
-        self, claims: list[Claim], deadline: Deadline | None
-    ) -> dict:
-        """Matching and candidate construction with stage deadline checks."""
+    def _match_and_build(self, claims: list[Claim]) -> dict:
+        """Keyword matching, then one candidate space per claim."""
         faults.fire("checker.stage", "match")
-        if deadline is not None:
-            deadline.check("match")
         scores = keyword_match_batch(
             claims,
             self.index,
@@ -282,36 +242,30 @@ class AggChecker:
         if self.config.pool_predicates:
             _pool_predicate_fragments(scores)
         faults.fire("checker.stage", "candidates")
-        if deadline is not None:
-            deadline.check("candidates")
-        for claim in claims:
-            faults.fire("checker.claim", claim.mention.text)
         return {
             claim: build_candidates(claim, scores[claim], self.config.candidates)
             for claim in claims
         }
 
     def _infer_ladder(
-        self, spaces: dict, deadline: Deadline | None
+        self, spaces: dict
     ) -> tuple[InferenceResult, str | None]:
         """Inference under the degradation ladder.
 
-        Rung 1 is full inference against ``deadline`` and the configured
-        space budget. On expiry — deadline or space — rung 2 retries with
-        a shrunken per-claim evaluation scope under a fresh grace budget
-        (a smaller scope means fewer candidates, a smaller literal union,
-        and therefore smaller cube estimates, so space pressure shrinks
-        with it); rung 3 drops query execution entirely (keyword and
-        prior evidence only — cheap and bounded by construction, so it
-        can exceed neither time nor space). Every rung still yields a
-        verdict per claim.
+        Rung 1 is full inference under the configured space budget. When
+        a budget refuses an execution, rung 2 retries with a shrunken
+        per-claim evaluation scope under the same budget (a smaller scope
+        means fewer candidates, a smaller literal union, and therefore
+        smaller cube estimates, so space pressure shrinks with it); rung 3
+        drops query execution entirely (keyword and prior evidence only,
+        so it touches no budget). Every rung still yields a verdict per
+        claim, and the budgets count work, not time, so the same input
+        lands on the same rung on every run.
         """
         faults.fire("checker.stage", "inference")
         em = self.config.em
         try:
-            return self._infer(spaces, em, deadline, "full"), None
-        except DeadlineExceeded:
-            self.engine.stats.deadline_degraded += 1
+            return self._infer(spaces, em), None
         except BudgetExceeded:
             self.engine.stats.budget_degraded += 1
         budget = em.scope.max_evaluations_per_claim
@@ -328,44 +282,26 @@ class AggChecker:
             ),
         )
         try:
-            grace = self._grace(deadline)
-            return self._infer(spaces, shrunken, grace, "scope"), "scope"
-        except DeadlineExceeded:
-            self.engine.stats.deadline_exec_skipped += 1
+            return self._infer(spaces, shrunken), "scope"
         except BudgetExceeded:
             self.engine.stats.budget_exec_skipped += 1
         no_exec = replace(em, max_iterations=1, use_evaluations=False)
-        return self._infer(spaces, no_exec, None, "no_exec"), "no_exec"
+        return self._infer(spaces, no_exec), "no_exec"
 
-    def _infer(
-        self,
-        spaces: dict,
-        em_config,
-        deadline: Deadline | None,
-        rung: str,
-    ) -> InferenceResult:
-        faults.fire("checker.rung", rung)
-        if deadline is not None:
-            deadline.check("inference")
-        # The engine checks the deadline right before every physical cube
-        # or query execution — the unbounded work inside an EM iteration —
-        # and the space budget right before every materialization.
-        self.engine.deadline = deadline
-        self.engine.budget = self._budget_for(deadline)
+    def _infer(self, spaces: dict, em_config) -> InferenceResult:
+        # The engine checks the space budget right before every
+        # materialization: the unbounded work inside an EM iteration.
+        self.engine.budget = self._budget()
         try:
             return query_and_learn(
-                spaces, self.catalog, self.engine, em_config, deadline
+                spaces, self.catalog, self.engine, em_config
             )
         finally:
-            self.engine.deadline = None
             self.engine.budget = None
 
-    def _budget_for(self, deadline: Deadline | None) -> ResourceBudget | None:
-        """The config's space limits wrapped around the active deadline.
-
-        None when no space limit is configured: the engine then skips all
-        budget guards (deadline checks still run off ``engine.deadline``).
-        """
+    def _budget(self) -> ResourceBudget | None:
+        """The config's space limits, or None when none is configured
+        (the engine then skips all budget guards)."""
         config = self.config
         if (
             config.max_rows_materialized is None
@@ -374,34 +310,7 @@ class AggChecker:
         ):
             return None
         return ResourceBudget(
-            deadline=deadline,
             max_rows=config.max_rows_materialized,
             max_cube_cells=config.max_cube_cells,
             max_candidates=config.max_candidates,
-        )
-
-    @staticmethod
-    def _grace(deadline: Deadline | None) -> Deadline | None:
-        """A fresh, smaller budget for a degraded retry (the original is
-        spent; retrying against it would fail instantly)."""
-        if deadline is None:
-            return None
-        return Deadline(max(deadline.budget_seconds * _GRACE_SHARE, 0.05))
-
-    def _finish(
-        self,
-        document: Document,
-        claims: list[Claim],
-        verdicts: list[ClaimVerdict],
-        inference: InferenceResult,
-        stats_before: EngineStats,
-        started: float,
-    ) -> CheckReport:
-        return CheckReport(
-            document=document,
-            claims=claims,
-            verdicts=verdicts,
-            inference=inference,
-            engine_stats=self.engine.stats.diff(stats_before),
-            total_seconds=time.perf_counter() - started,
         )

@@ -50,16 +50,12 @@ class AggCheckerConfig:
     #: Share predicate fragments across the document's claims (paper
     #: Section 6.3 pools literals "for any claim in the document").
     pool_predicates: bool = True
-    #: Wall-clock execution budget per claim, in seconds (None = no
-    #: deadline). A document gets ``claim_deadline * n_claims`` (claims
-    #: are verified jointly); when it expires the checker degrades
-    #: stepwise — shrink the evaluation scope, then skip query execution,
-    #: then report claims unverifiable — instead of hanging (see
-    #: ARCHITECTURE.md, "Failure domains & degradation ladder").
-    claim_deadline: float | None = None
     #: Space budget: maximum rows a materialized relation (join result)
     #: may hold before the engine executes over it (None = unlimited).
-    #: Exceeding it walks the same degradation ladder as deadline expiry.
+    #: Exceeding any space budget makes the checker degrade stepwise —
+    #: shrink the evaluation scope, then skip query execution — instead
+    #: of exhausting memory (see ARCHITECTURE.md, "Failure domains &
+    #: degradation ladder").
     max_rows_materialized: int | None = None
     #: Space budget: maximum *estimated* rolled-up cube cells. The engine
     #: bounds a cube's result before executing it (see
@@ -80,9 +76,6 @@ class AggCheckerConfig:
 
     def with_em(self, **changes) -> "AggCheckerConfig":
         return replace(self, em=replace(self.em, **changes))
-
-    def with_context(self, **changes) -> "AggCheckerConfig":
-        return replace(self, context=replace(self.context, **changes))
 
 
 __all__ = [

@@ -80,9 +80,9 @@ class InteractiveSession:
         distribution = self.report.verdict_for(claim).distribution
         if distribution is None:
             raise CheckerError(
-                "claim timed out during verification (unverifiable verdict "
-                "carries no candidate distribution); re-check without a "
-                "deadline to interact with it"
+                "claim was not verified (an unverifiable verdict carries "
+                "no candidate distribution); re-check it once the service "
+                "stops shedding to interact with it"
             )
         return distribution
 

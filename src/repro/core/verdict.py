@@ -24,8 +24,8 @@ class VerdictStatus(enum.Enum):
     VERIFIED = "verified"
     ERRONEOUS = "erroneous"
     UNRESOLVED = "unresolved"
-    #: The claim could not be checked within its execution deadline (the
-    #: degradation ladder's last rung, see ``AggChecker._check``).
+    #: The claim was not checked: the service was shedding load under
+    #: memory pressure (see ``service/workers.py::GroupExecutor``).
     UNVERIFIABLE = "unverifiable"
 
     @property
@@ -45,9 +45,10 @@ class ClaimVerdict:
     probability_correct: float
     #: None only for UNVERIFIABLE verdicts (inference never ran).
     distribution: ClaimDistribution | None
-    #: How the result was degraded under deadline pressure: None (full
-    #: inference), "scope" (shrunken evaluation budget), "no_exec"
-    #: (query execution skipped), or "timeout" (unverifiable).
+    #: How the result was degraded: None (full inference), "scope"
+    #: (a space budget refused full inference; shrunken evaluation
+    #: scope), "no_exec" (query execution skipped), or "shed"
+    #: (unverifiable: the service shed the claim under memory pressure).
     degraded: str | None = None
 
     @property
@@ -69,8 +70,8 @@ def make_verdict(
 
     Works position-first: only the single most likely candidate is
     materialized into a query object — the rest of the (factorized) space
-    is never touched. ``degraded`` tags verdicts produced under deadline
-    pressure (see the checker's degradation ladder).
+    is never touched. ``degraded`` tags verdicts produced under a space
+    budget (see the checker's degradation ladder).
     """
     position = distribution.top_position()
     if position is None:
@@ -104,13 +105,13 @@ def make_verdict(
 
 
 def unverifiable_verdict(claim: Claim) -> ClaimVerdict:
-    """The timed-out verdict: inference never ran, nothing is known.
+    """The shed verdict: inference never ran, nothing is known.
 
     UNVERIFIABLE is flagged (like UNRESOLVED): surfacing "we could not
     check this" beats silently passing a claim through.
     """
     return ClaimVerdict(
-        claim, VerdictStatus.UNVERIFIABLE, None, None, 0.0, None, "timeout"
+        claim, VerdictStatus.UNVERIFIABLE, None, None, 0.0, None, "shed"
     )
 
 

@@ -117,10 +117,6 @@ class TestCase:
                 )
         return claims
 
-    def truth_for(self, claim: Claim) -> GroundTruthClaim:
-        index = self.claims.index(claim)
-        return self.ground_truth[index]
-
     @property
     def erroneous_count(self) -> int:
         return sum(1 for truth in self.ground_truth if not truth.is_correct)

@@ -13,7 +13,7 @@ import csv
 import io
 from pathlib import Path
 
-from repro.db.schema import Column, Database, Table
+from repro.db.schema import Column, Table
 from repro.errors import DataDictionaryError
 
 
@@ -50,12 +50,6 @@ def apply_data_dictionary(table: Table, dictionary: dict[str, str]) -> Table:
     # with_columns keeps the row storage: a plain Table shares its row
     # list, a SQL-file-backed table stays lazy (no materialization).
     return table.with_columns(columns)
-
-
-def apply_to_database(database: Database, dictionary: dict[str, str]) -> Database:
-    """Apply one dictionary to every table of a database."""
-    tables = [apply_data_dictionary(table, dictionary) for table in database.tables]
-    return Database(database.name, tables, database.foreign_keys)
 
 
 def _looks_like_csv(text: str) -> bool:

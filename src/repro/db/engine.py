@@ -47,7 +47,6 @@ from repro.errors import BudgetExceeded, InjectedFault, QueryError
 
 if TYPE_CHECKING:  # runtime import would be circular via repro.db.cache users
     from repro.budget import ResourceBudget
-    from repro.deadline import Deadline
 
 
 class ExecutionMode(enum.Enum):
@@ -145,28 +144,16 @@ class EngineStats:
     #: ``disk_cache_min_rows`` (recomputing tiny cubes beats the disk
     #: round-trip; the decision is counted, not silent).
     disk_skipped_small: int = 0
-    #: Documents whose inference fell back to a shrunken evaluation scope
-    #: after the claim deadline expired (degradation-ladder rung 2).
-    deadline_degraded: int = 0
-    #: Documents whose inference skipped query execution entirely after
-    #: even the shrunken scope missed its deadline (rung 3).
-    deadline_exec_skipped: int = 0
-    #: Claims reported as unverifiable because the deadline expired
-    #: before inference could run at all (rung 4).
-    deadline_unverifiable: int = 0
     #: Space-budget refusals in the engine: estimated cube cells, join
     #: rows, or candidate counts crossed a limit and the execution was
     #: refused *before* materializing (see :mod:`repro.budget`).
     budget_rejections: int = 0
     #: Documents whose inference fell back to a shrunken evaluation scope
-    #: after a space budget was exceeded (same ladder rung 2 as deadline).
+    #: after a space budget was exceeded (degradation-ladder rung 2).
     budget_degraded: int = 0
     #: Documents whose inference skipped query execution entirely after
     #: even the shrunken scope exceeded a space budget (rung 3).
     budget_exec_skipped: int = 0
-    #: Claims reported as unverifiable because a space budget was
-    #: exceeded before inference could run at all (rung 4).
-    budget_unverifiable: int = 0
     #: Statements the storage adapter pushed down into an external SQL
     #: engine (SQLite). 0 for in-memory adapters.
     pushdown_queries: int = 0
@@ -275,16 +262,12 @@ class QueryEngine:
         # delta-sync pattern of ``_disk_corrupt_seen``).
         self._adapter_pushdown_seen = 0
         self._adapter_materialized_seen = 0
-        #: Cooperative execution budget (see :mod:`repro.deadline`): when
-        #: set, checked immediately before every physical cube or query
-        #: execution — the expensive, unbounded work. The checker installs
-        #: it around inference and clears it in a ``finally``.
-        self.deadline: "Deadline | None" = None
         #: Cooperative space budget (see :mod:`repro.budget`): when set,
         #: the engine refuses to materialize joins, cubes, or candidate
         #: spaces whose estimated size crosses a limit, raising
         #: :class:`~repro.errors.BudgetExceeded` for the checker's
-        #: degradation ladder. Installed/cleared alongside ``deadline``.
+        #: degradation ladder. The checker installs it around inference
+        #: and clears it in a ``finally``.
         self.budget: "ResourceBudget | None" = None
         # Disk-cache corrupt counter seen at construction: the cache
         # object may be shared, so this engine mirrors only *new*
@@ -548,8 +531,6 @@ class QueryEngine:
     # ------------------------------------------------------------------
 
     def _execute_naive(self, query: SimpleAggregateQuery) -> Value:
-        if self.deadline is not None:
-            self.deadline.check("query-exec")
         tables = self._query_tables(query)
         self._check_relation_budget(tables, "query-exec")
         start = time.perf_counter()
@@ -659,8 +640,6 @@ class QueryEngine:
         self.stats.cache_hits += cache.stats.hits - hits_before
         self.stats.cache_misses += cache.stats.misses - misses_before
         if missing:
-            if self.deadline is not None:
-                self.deadline.check("cube-exec")
             self._check_cube_budget(tables, dims, literal_map)
             self._check_relation_budget(tables, "cube-exec")
             cube = CubeQuery(

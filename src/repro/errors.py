@@ -78,29 +78,13 @@ class CheckerError(ReproError):
     """The AggChecker pipeline was driven incorrectly."""
 
 
-class DeadlineExceeded(ReproError):
-    """A claim-execution deadline expired at a pipeline stage boundary.
-
-    Carries the stage where the budget ran out; the checker catches this
-    to walk its degradation ladder instead of failing the document.
-    """
-
-    def __init__(self, stage: str, budget_seconds: float) -> None:
-        super().__init__(
-            f"deadline of {budget_seconds:.3f}s exceeded at stage {stage!r}"
-        )
-        self.stage = stage
-        self.budget_seconds = budget_seconds
-
-
 class BudgetExceeded(ReproError):
     """A space budget would be exceeded at a pipeline stage boundary.
 
-    Unlike :class:`DeadlineExceeded` (which fires *after* time is spent),
-    this fires *before* materialization: the engine estimates the size of
-    a cube result, join, or candidate space and refuses to build it when
+    Fires *before* materialization: the engine estimates the size of a
+    cube result, join, or candidate space and refuses to build it when
     the estimate crosses the configured limit. The checker catches this
-    to walk the same degradation ladder as deadline expiry.
+    to walk its degradation ladder instead of failing the document.
     """
 
     def __init__(

@@ -1,7 +1,7 @@
 """Deterministic fault injection for resilience testing.
 
 The recovery paths this repo promises — corrupt-cache quarantine, queue
-dead-lettering, deadline degradation, per-claim error events — are
+dead-lettering, budget degradation, per-claim error events — are
 worthless if they can only be exercised by real hardware failures. This
 module puts named *fire points* at the places faults matter and arms
 them from the environment, so tests inject precise failures into
@@ -12,9 +12,6 @@ Fire points (``fire(point, key, payload)`` is a no-op unless armed):
 
 - ``checker.stage``   — key = pipeline stage (``match``, ``candidates``,
   ``inference``, ``verdicts``), at that stage boundary;
-- ``checker.rung``    — key = degradation rung (``full``, ``scope``,
-  ``no_exec``), at the start of that inference attempt;
-- ``checker.claim``   — key = the claim mention text, per claim;
 - ``diskcache.read``  — key = cache file name, payload = its path;
 - ``queue.exec``      — key = job group id, as a leased group starts
   executing (``raise`` dead-letters the group: one ``error`` event per
@@ -39,17 +36,17 @@ Fire points (``fire(point, key, payload)`` is a no-op unless armed):
   ``journal`` (``bitflip`` on the queue journal after a write).
 
 Actions: ``raise`` (:class:`~repro.errors.InjectedFault`), ``sleep``
-(consume ``seconds`` of wall clock, for deadline tests), ``corrupt``
-(scribble over the payload path before it is read), ``bitflip`` (XOR one
-byte in the middle of the payload path — survives framing, caught only by
-checksums or recompute comparison). Each spec fires at most ``times`` times
+(consume ``seconds`` of wall clock, to hold a stage or a leased group
+open), ``corrupt`` (scribble over the payload path before it is read),
+``bitflip`` (XOR one byte in the middle of the payload path — survives
+framing, caught only by checksums or recompute comparison). Each spec fires at most ``times`` times
 (0 = unlimited) — "at most N times **across processes**" is arbitrated
 through ``O_EXCL`` marker files in a shared state directory, so the test
 that arms a server subprocess and the server share one budget.
 
 This module is a leaf (stdlib + ``repro.errors``): the engine, disk
 cache, and checker import it without dragging in — or cycling with — the
-harness package. Tests use the :mod:`repro.harness.faults` façade.
+harness package.
 """
 
 from __future__ import annotations

@@ -57,9 +57,6 @@ class RelevanceScores:
         default=None, init=False, repr=False, compare=False
     )
 
-    def total_fragments(self) -> int:
-        return len(self.functions) + len(self.columns) + len(self.predicates)
-
     def value_arrays(self) -> tuple[list[float], list[float], list[float]]:
         """(function, column, predicate) score values in dict order, cached.
 

@@ -13,7 +13,6 @@ from typing import TYPE_CHECKING
 from dataclasses import replace
 
 from repro.core.config import AggCheckerConfig
-from repro.evalexec.scope import ScopeConfig
 from repro.matching.context import ContextConfig
 
 if TYPE_CHECKING:  # runner imports nothing from here; keep it lazy anyway
@@ -80,23 +79,6 @@ def pt_ladder(values=(0.5, 0.9, 0.99, 0.999, 0.9999)) -> list[tuple[str, AggChec
     """Figure 12: the assumed probability of encountering true claims."""
     base = AggCheckerConfig()
     return [(f"pT = {value}", base.with_em(p_true=value)) for value in values]
-
-
-def evaluation_budget_ladder(
-    budgets=(25, 100, 400, None),
-) -> list[tuple[str, AggCheckerConfig]]:
-    """Evaluation-scope budget (PickScope cost threshold)."""
-    base = AggCheckerConfig()
-    variants = []
-    for budget in budgets:
-        label = "full scope" if budget is None else f"budget = {budget}"
-        variants.append(
-            (
-                label,
-                base.with_em(scope=ScopeConfig(max_evaluations_per_claim=budget)),
-            )
-        )
-    return variants
 
 
 def run_ladder(

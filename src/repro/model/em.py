@@ -10,7 +10,6 @@ stops when Θ moves less than a tolerance or an iteration cap is reached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.db.engine import QueryEngine
 from repro.db.gather import SpaceResults
@@ -25,9 +24,6 @@ from repro.model.probability import (
     compute_distribution,
 )
 from repro.text.claims import Claim
-
-if TYPE_CHECKING:
-    from repro.deadline import Deadline
 
 
 @dataclass(frozen=True)
@@ -57,15 +53,8 @@ def query_and_learn(
     catalog: FragmentCatalog,
     engine: QueryEngine,
     config: EmConfig | None = None,
-    deadline: "Deadline | None" = None,
 ) -> InferenceResult:
-    """Infer a query distribution per claim (paper ``QueryAndLearn``).
-
-    ``deadline`` is checked at each iteration boundary (the engine checks
-    it before every physical execution within an iteration); on expiry
-    :class:`~repro.errors.DeadlineExceeded` propagates to the checker's
-    degradation ladder.
-    """
+    """Infer a query distribution per claim (paper ``QueryAndLearn``)."""
     config = config or EmConfig()
     priors = Priors.uniform(catalog) if config.use_priors else None
 
@@ -79,8 +68,6 @@ def query_and_learn(
     max_iterations = config.max_iterations if config.use_priors else 1
     for iteration in range(max_iterations):
         iterations = iteration + 1
-        if deadline is not None:
-            deadline.check("inference")
         if config.use_evaluations:
             # With the full evaluation scope, results never change across
             # iterations — compute the outcomes once.

@@ -123,7 +123,6 @@ class QueueService:
         incremental: bool = True,
         incremental_capacity: int = 16384,
         max_databases: int = 64,
-        request_timeout: float | None = None,
         fsync: bool = False,
         max_request_cost: int | None = None,
         max_rss_mb: float | None = None,
@@ -139,8 +138,8 @@ class QueueService:
             queue_dir,
             capacity=queue_capacity,
             fsync=fsync,
-            # Degraded verdicts (exhausted budget, memory shedding) must not
-            # be pinned by queue idempotency: resubmission re-executes,
+            # Degraded verdicts (space budget, memory shedding) must not be
+            # pinned by queue idempotency: resubmission re-executes,
             # exactly as the incremental tier refuses to memoize them.
             reusable_result=lambda payload: not payload.get("degraded"),
         )
@@ -152,9 +151,7 @@ class QueueService:
             if max_rss_mb is not None
             else None
         )
-        self.executor = GroupExecutor(
-            self.service, request_timeout, self.memwatch
-        )
+        self.executor = GroupExecutor(self.service, self.memwatch)
         self.workers = WorkerPool(self.queue, self.executor, workers=workers)
         self.limiter = ClientRateLimiter(rate_limit, rate_burst)
         #: Cost-based admission: reject requests whose estimated cost

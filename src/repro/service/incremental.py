@@ -13,7 +13,7 @@ Key structure (all SHA-256):
 - **configuration fingerprint** (:func:`config_fingerprint` over the full
   frozen ``AggCheckerConfig``, folded with the data-dictionary content) —
   any knob change or dictionary edit invalidates;
-- **claim fingerprint** (:func:`repro.core.checker.claim_fingerprint`) —
+- **claim fingerprint** (``claim_fingerprint`` in :mod:`repro.core.checker`) —
   the mention, its sentence, and the complete Algorithm-2 keyword context
   (previous sentence, paragraph start, enclosing headlines).
 
@@ -90,7 +90,7 @@ class IncrementalStats:
     misses: int = 0
     stores: int = 0
     evictions: int = 0
-    #: Degraded (deadline-shaped) payloads refused by :meth:`put`.
+    #: Degraded (budget or shed) payloads refused by :meth:`put`.
     skipped: int = 0
     #: Entries dropped on hit because their payload no longer matched its
     #: stored CRC (served as a miss; the recompute is always correct).
@@ -142,10 +142,11 @@ class IncrementalCache:
             return payload
 
     def put(self, key: ResultKey, payload: dict) -> None:
-        # Never memoize a degraded verdict: it reflects that request's
-        # time budget, not the claim. Caching it would pin a low-quality
-        # answer until eviction; recomputing on resubmission gives the
-        # claim a fresh chance at the full-quality rung.
+        # Never memoize a degraded verdict: a shed one reflects the
+        # process's memory pressure at that moment, not the claim.
+        # Caching it would pin a low-quality answer until eviction;
+        # recomputing on resubmission gives the claim a fresh chance at
+        # the full-quality rung.
         if payload.get("degraded"):
             with self._lock:
                 self.stats.skipped += 1

@@ -1,17 +1,17 @@
 """Memory-pressure watchdog: RSS sampling that sheds before the OOM killer.
 
-Deadlines and space budgets bound *per-request* work, but a process
-serves many requests; their aggregate footprint (pooled checkers, cube
-caches, journal state) can still creep toward the container limit, where
-the kernel's OOM killer ends the story without a stack trace. The
-watchdog samples resident-set size from ``/proc/self/statm``
-(stdlib-only, no dependencies) on a background thread and, while RSS
-is over ``max_rss_mb``, raises its :attr:`~MemoryWatchdog.shedding`
-flag — the one shed signal the worker pool's
+Space budgets bound *per-request* work, but a process serves many
+requests; their aggregate footprint (pooled checkers, cube caches,
+journal state) can still creep toward the container limit, where the
+kernel's OOM killer ends the story without a stack trace. The watchdog
+samples resident-set size from ``/proc/self/statm`` (stdlib-only, no
+dependencies) on a background thread and, while RSS is over
+``max_rss_mb``, raises its :attr:`~MemoryWatchdog.shedding` flag — the
+one shed signal the worker pool's
 :class:`~repro.service.workers.GroupExecutor` reads: leased job groups
-take the shed path (instantly-expired deadline -> explicit degraded
-unverifiable verdicts) and the queue keeps draining without allocating,
-while ``/health`` reports the pressure. When RSS drops back under the
+take the shed path (explicit unverifiable verdicts marked
+``"degraded": "shed"``, no checker call) and the queue keeps draining
+without allocating, while ``/health`` reports the pressure. When RSS drops back under the
 threshold (with hysteresis, so shedding does not flap at the boundary)
 the flag clears and normal execution resumes.
 

@@ -16,9 +16,10 @@ complete JSON object per line, streamed as results become available:
   ``errors`` counts), cache/engine counters, timing;
 - ``{"event": "error", "index": i, "error": msg}`` — *one claim* failed
   verification (the stream continues: remaining claims still get their
-  events and the summary still arrives). A claim verified under a
-  deadline carries ``"degraded"`` in its payload (``"scope"``,
-  ``"no_exec"``, or ``"timeout"``) naming the degradation rung;
+  events and the summary still arrives). A degraded claim carries
+  ``"degraded"`` in its payload naming the rung: ``"scope"`` or
+  ``"no_exec"`` under a space budget, ``"shed"`` (status
+  ``unverifiable``) under memory pressure;
 - ``{"event": "error", "error": msg}`` — terminal mid-stream failure
   (no ``index``): the whole stream is aborted after this event.
 
@@ -306,7 +307,7 @@ def verdict_payload(verdict: ClaimVerdict) -> dict:
         "probability_correct": round(verdict.probability_correct, 4),
     }
     # Only present when set: undegraded payloads stay byte-identical to
-    # every release before deadlines existed.
+    # every release before degradation existed.
     if verdict.degraded is not None:
         payload["degraded"] = verdict.degraded
     return payload

@@ -51,7 +51,7 @@ pending or leased attaches the new subscriber to the existing job
 payload immediately; only dead or unknown keys create new jobs. The
 ``reusable_result`` predicate narrows ack-reuse: the service passes one
 that refuses *degraded* payloads, so a verdict produced under an
-exhausted time/space budget or under memory shedding is re-executed on
+exhausted space budget or under memory shedding is re-executed on
 resubmission rather than pinned forever by queue-level idempotency
 (mirroring the incremental tier, which never memoizes degraded
 verdicts).

@@ -17,10 +17,10 @@ group: the loop catches everything, so a worker cannot exit before
 :meth:`WorkerPool.stop`. Verdicts are deterministic, so there is nothing
 to retry, and no worker death for a lease timeout to recover from.
 
-While the memory watchdog reports pressure, a leased group runs under an
-already-expired deadline, so the checker walks its degradation ladder
-(reduced scope -> no execution -> unverifiable) and the queue keeps
-draining with explicit degraded verdicts instead of allocating.
+While the memory watchdog reports pressure, a leased group does not
+reach the checker: each claim is answered with an explicit unverifiable
+verdict marked ``"degraded": "shed"``, so the queue keeps draining
+instead of allocating.
 
 Fault point (see :mod:`repro.faults`): ``queue.exec`` fires as a group
 starts executing (``raise`` dead-letters the group, ``sleep`` holds it
@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.deadline import Deadline
+from repro.core.verdict import unverifiable_verdict
 from repro.faults import fire
 from repro.service.memwatch import MemoryWatchdog
 from repro.service.protocol import parse_article, verdict_payload
@@ -40,23 +40,15 @@ from repro.service.queue import DurableJobQueue, Job
 from repro.service.warm import VerificationService
 from repro.text.claims import detect_claims
 
-#: Deadline handed to the checker while memory is shedding: already
-#: expired at the first stage check, so every claim degrades to an
-#: explicit unverifiable verdict in microseconds instead of allocating.
-_SHED_BUDGET_SECONDS = 1e-9
-
-
 class GroupExecutor:
     """Rebuilds one job group into a joint ``check_claims`` call."""
 
     def __init__(
         self,
         service: VerificationService,
-        request_timeout: float | None = None,
         memwatch: MemoryWatchdog | None = None,
     ) -> None:
         self.service = service
-        self.request_timeout = request_timeout
         self.memwatch = memwatch
 
     def run(self, jobs: list[Job]) -> dict[str, dict]:
@@ -82,21 +74,16 @@ class GroupExecutor:
                     f"journaled job {job.id} references claim {job.index} "
                     f"but the rebuilt document has {len(claims)} claims"
                 )
-        if self.memwatch is not None and self.memwatch.shedding:
-            deadline: Deadline | None = Deadline(_SHED_BUDGET_SECONDS)
-        elif self.request_timeout is not None:
-            deadline = Deadline(self.request_timeout)
-        else:
-            deadline = None
         selected = [claims[job.index] for job in jobs]
-        with entry.lock:
-            checker = entry.checker
-            assert checker is not None
-            report = checker.check_claims(
-                document, selected, deadline=deadline
-            )
+        if self.memwatch is not None and self.memwatch.shedding:
+            verdicts = [unverifiable_verdict(claim) for claim in selected]
+        else:
+            with entry.lock:
+                checker = entry.checker
+                assert checker is not None
+                verdicts = checker.check_claims(document, selected).verdicts
         payloads: dict[str, dict] = {}
-        for job, verdict in zip(jobs, report.verdicts):
+        for job, verdict in zip(jobs, verdicts):
             payload = verdict_payload(verdict)
             payloads[job.id] = payload
             if job.claim_fp and self.service.incremental_enabled:

@@ -6,13 +6,14 @@ of (distinct literals + DEFAULT + ALL) — and :class:`ResourceBudget` is
 the stage-boundary check that turns an over-estimate into
 :class:`BudgetExceeded` instead of an allocation.
 
-Pipeline layer: a budget the running example cannot meet
-must walk the same PR-6 ladder as a deadline — reduced scope, then
-no-execution priors — producing explicit ``degraded`` verdicts, budget
-counters on the engine stats, and (the PR's acceptance bar) CLI output
-bit-identical to the service under the same limits. The ``faults`` tests
-drive the ladder through the ``budget.estimate`` fire point, no hostile
-data required.
+Pipeline layer: a budget the running example cannot meet walks the
+degradation ladder — reduced scope, then no-execution priors — producing
+explicit ``degraded`` verdicts, budget counters on the engine stats, and
+CLI output bit-identical to the service under the same limits. Budgets
+count work, not time, so a budgeted run is reproducible: the same inputs
+land on the same rungs in every run, in process and served. The
+``faults`` tests drive the ladder through the ``budget.estimate`` fire
+point, no hostile data required.
 """
 
 from __future__ import annotations
@@ -23,6 +24,48 @@ import pytest
 
 from repro.budget import ResourceBudget, estimate_cube_cells
 from repro.errors import BudgetExceeded, ReproError
+
+#: A cube-cell budget under which the documents of
+#: :func:`budgeted_documents` land on every rung: one degrades to
+#: ``scope``, two to ``no_exec`` and one not at all.
+MIXED_CUBE_CELLS = 8
+
+
+def budgeted_documents():
+    """(name, inline tables, article) for the determinism tests."""
+    from tests.service.conftest import (
+        NFL_ARTICLE,
+        NFL_CSV,
+        SALES_ARTICLE,
+        SALES_CSV,
+    )
+
+    return [
+        ("nfl", {"nflsuspensions": NFL_CSV}, NFL_ARTICLE),
+        ("sales", {"sales": SALES_CSV}, SALES_ARTICLE),
+        ("price", {"sales": SALES_CSV}, "The average price was 17."),
+        ("products", {"sales": SALES_CSV}, "There were 5 products."),
+    ]
+
+
+def check_in_process(config):
+    """Per-claim payloads of every budgeted document, fresh checkers."""
+    from repro.core.checker import AggChecker
+    from repro.db import Database
+    from repro.db.csvio import load_csv_text
+    from repro.service.protocol import parse_article, verdict_payload
+
+    payloads = []
+    for name, tables, article in budgeted_documents():
+        database = Database(
+            name, [load_csv_text(text, table) for table, text in tables.items()]
+        )
+        # The service titles a request without one "document".
+        report = AggChecker(database, config).check_document(
+            parse_article(article, "document")
+        )
+        payloads.append([verdict_payload(v) for v in report.verdicts])
+    return payloads
 
 
 class TestEstimateCubeCells:
@@ -131,6 +174,20 @@ class TestBudgetLadder:
         assert stats.budget_degraded == 1
         assert stats.budget_exec_skipped == 1
 
+    def test_no_budget_is_the_default(self, nfl):
+        checker, document = nfl()
+        config = checker.config
+        assert config.max_rows_materialized is None
+        assert config.max_cube_cells is None
+        assert config.max_candidates is None
+        report = checker.check_document(document)
+        assert all(v.degraded is None for v in report.verdicts)
+
+    def test_degraded_scope_budget_is_bounded(self):
+        from repro.core.checker import DEGRADED_SCOPE_BUDGET
+
+        assert DEGRADED_SCOPE_BUDGET >= 1
+
     def test_generous_budget_changes_nothing(self, nfl):
         bounded, document = nfl(
             max_cube_cells=10**9,
@@ -167,6 +224,78 @@ class TestBudgetLadder:
         for verdict in report.verdicts:
             assert verdict.degraded == "no_exec"
         assert report.engine_stats.budget_rejections >= 2
+
+    @pytest.mark.faults
+    def test_refused_full_rung_degrades_to_scope(self, nfl):
+        # One refused cube estimate fails the full rung; the shrunken
+        # scope rung then executes and answers every claim.
+        from repro.faults import FaultSpec, active
+
+        checker, document = nfl()
+        with active(FaultSpec("budget.estimate", "raise", times=1)):
+            report = checker.check_document(document)
+        assert report.verdicts
+        for verdict in report.verdicts:
+            assert verdict.degraded == "scope"
+            assert verdict.distribution is not None
+        stats = report.engine_stats
+        assert stats.budget_rejections == 1
+        assert stats.budget_degraded == 1
+        assert stats.budget_exec_skipped == 0
+
+    def test_corpus_run_under_an_impossible_budget(self):
+        # The ladder composes with the corpus runner: every claim is
+        # answered on the no-execution rung, nothing errors.
+        from repro.core.config import AggCheckerConfig
+        from repro.corpus import CorpusConfig, generate_corpus
+        from repro.harness import run_corpus
+
+        corpus = generate_corpus(CorpusConfig(n_articles=4, seed=77))
+        run = run_corpus(corpus, AggCheckerConfig(max_cube_cells=1), limit=2)
+        verdicts = [
+            verdict
+            for result in run.results
+            for verdict in result.report.verdicts
+        ]
+        assert verdicts and run.metrics.n_claims == len(verdicts)
+        assert {verdict.degraded for verdict in verdicts} == {"no_exec"}
+
+
+class TestBudgetDeterminism:
+    def test_budgeted_runs_are_identical_in_process(self):
+        from repro.core.config import AggCheckerConfig
+
+        config = AggCheckerConfig(max_cube_cells=MIXED_CUBE_CELLS)
+        first = check_in_process(config)
+        markers = [[c.get("degraded") for c in doc] for doc in first]
+        assert markers == [
+            ["scope"] * 3, ["no_exec"] * 3, ["no_exec"], [None],
+        ]
+        for _ in range(2):
+            assert check_in_process(config) == first
+
+    def test_budgeted_runs_are_identical_served(self):
+        from repro.core.config import AggCheckerConfig
+
+        from tests.service.test_aio import serve
+        from tests.service.conftest import claims_of, post_check
+
+        config = AggCheckerConfig(max_cube_cells=MIXED_CUBE_CELLS)
+        oracle = check_in_process(config)
+        server = serve(workers=1, config=config)
+        try:
+            for _ in range(3):
+                served = [
+                    claims_of(
+                        post_check(
+                            server.url, {"tables": tables, "article": article}
+                        )
+                    )
+                    for _, tables, article in budgeted_documents()
+                ]
+                assert served == oracle
+        finally:
+            server.shutdown_gracefully()
 
 
 class TestCliServiceBitIdentity:

@@ -217,7 +217,20 @@ class TestMemoryPressure:
             assert claims, "shedding still answers, degraded"
             for claim in claims:
                 assert claim["status"] == "unverifiable"
-                assert claim["degraded"] is not None
+                assert claim["degraded"] == "shed"
+            assert events[-1]["flagged"] == len(claims)
+            assert events[-1]["errors"] == 0
+
+            # Shed verdicts depend on RSS, not on the claim: neither the
+            # incremental tier nor queue idempotency may reuse them.
+            again = post_check(server.url, BENIGN)
+            assert all(
+                not e["cached"] for e in again if e["event"] == "claim"
+            )
+            assert claims_of(again) == claims
+            stats = get_json(server.url + "/stats")
+            assert stats["incremental"]["skipped"] >= 2 * len(claims)
+            assert stats["incremental"]["stores"] == 0
         finally:
             server.shutdown_gracefully()
 
