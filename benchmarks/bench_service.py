@@ -10,16 +10,18 @@ editing loop produces, and writes ``BENCH_service.json``:
   declined (``"incremental": false``) — isolates the warm
   ``CheckerPool`` (compiled index + in-memory result cache reuse).
 - ``incremental``: the same documents re-checked through the memo tier —
-  every claim served from the (database fingerprint, claim fingerprint,
-  config fingerprint) cache without touching the engine. One round takes
+  every document served whole from the (scope fingerprint, document
+  fingerprint) cache without touching the engine. One round takes
   milliseconds, so each sample times back-to-back rounds for at least
   ``MIN_SAMPLE_SECONDS`` and divides.
-- ``incremental_edit``: one sentence edited per document — exactly one
-  claim re-evaluated per request, the rest cached.
+- ``incremental_edit``: one sentence edited per document — the memo
+  misses and every claim is re-evaluated as one joint batch on the warm
+  checker.
 
 Verdict identity is asserted before any number is reported: every tier's
-per-claim payloads must be bit-identical to ``python -m repro check
---json`` on the same CSV/article files. Gates: the warm path must beat
+per-claim payloads, the edited documents' included, must be
+bit-identical to ``python -m repro check --json`` on the same
+CSV/article files. Gates: the warm path must beat
 cold by >= 1.5x and the incremental path must beat warm by >= 3x at the
 full default workload (smoke runs via ``BENCH_SERVICE_*`` env knobs skip
 the gates; they are CPU-count independent, so they hold on 1-CPU
@@ -196,10 +198,8 @@ def test_service_throughput(capsys, tmp_path):
             for _ in range(repeats)
         )
 
-        # Edit the *last* sentence per document: exactly one claim
-        # re-evaluates. (Editing the first sentence would correctly
-        # invalidate every claim — it is part of each claim's
-        # paragraph-start keyword context.)
+        # Edit the *last* sentence per document: the document misses the
+        # memo and every claim re-evaluates.
         for index, (_, article_path) in enumerate(files):
             text = article_path.read_text()
             head, _, tail = text.rpartition("There were")
@@ -210,27 +210,20 @@ def test_service_throughput(capsys, tmp_path):
     finally:
         server.shutdown_gracefully()
 
-    # Bit-identity of every tier against the one-shot CLI oracle.
+    # Bit-identity of every tier against the one-shot CLI oracle. The
+    # articles on disk are the edited ones: check the edit tier first.
     n_claims = 0
     for job_index, (csv_path, article_path) in enumerate(files):
-        # The articles were edited in place above; restore for the oracle
-        # of the unedited tiers by comparing against the *served* claims.
         cold = _claims_of(cold_results[job_index])
         assert cold == _claims_of(warm_results[job_index])
         assert cold == _claims_of(incremental_results[job_index])
         edited_events = edit_results[job_index]
         summary = edited_events[-1]
-        assert summary["evaluated_claims"] == 1, summary
-        assert summary["cached_claims"] == len(cold) - 1, summary
-        # No CLI-oracle comparison for the edit tier: cached verdicts
-        # keep their original document context by design, and the fresh
-        # claim is inferred in a 1-claim batch — only a non-incremental
-        # request guarantees the jointly-inferred CLI result (see
-        # repro/service/incremental.py). The guaranteed properties are
-        # the counts above and the re-evaluated claim's index/status
-        # being present and well-formed.
-        fresh_claims = _claims_of(edited_events)
-        assert all(claim["status"] for claim in fresh_claims)
+        assert summary["evaluated_claims"] == summary["claims"], summary
+        assert summary["cached_claims"] == 0, summary
+        assert _claims_of(edited_events) == _cli_claims(
+            capsys, csv_path, article_path
+        ), job_index
         n_claims += len(cold)
 
     # CLI oracle for the unedited tiers: regenerate the original articles.

@@ -152,9 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
         "recovering automatically when pressure subsides. Per-client "
         "token buckets (--rate-limit) and queue-depth backpressure shed "
         "excess load with 429 + Retry-After. Checkers stay warm per "
-        "database content fingerprint; verdicts are memoized per claim "
-        "(degraded verdicts never are) so resubmitting an edited "
-        "document re-evaluates only changed claims.",
+        "database content fingerprint; verdicts are memoized per "
+        "document (one with a degraded verdict never is), so resubmitting "
+        "an unchanged document answers from memory and an edited one is "
+        "verified whole.",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
@@ -173,18 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent cube-cell cache shared by all served databases",
     )
     _add_disk_cache_min_rows(serve)
-    serve.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="disable the per-claim incremental re-check tier",
-    )
-    serve.add_argument(
-        "--incremental-capacity",
-        type=int,
-        default=16384,
-        metavar="N",
-        help="max memoized claim verdicts before LRU eviction",
-    )
     serve.add_argument(
         "--max-databases",
         type=int,
@@ -530,7 +519,6 @@ def _run_serve(args) -> int:
         max_cube_cells=args.max_cube_cells,
         max_candidates=args.max_candidates,
     ).with_em(p_true=args.p_true)
-    tier = "off" if args.no_incremental else "on"
 
     from repro.service.aio import create_async_server
 
@@ -543,8 +531,6 @@ def _run_serve(args) -> int:
         workers=args.queue_workers,
         rate_limit=args.rate_limit,
         rate_burst=args.rate_burst,
-        incremental=not args.no_incremental,
-        incremental_capacity=args.incremental_capacity,
         max_databases=args.max_databases,
         max_request_cost=args.max_request_cost,
         max_rss_mb=args.max_rss_mb,
@@ -557,8 +543,8 @@ def _run_serve(args) -> int:
         note = f"; resumed {resumed} journaled job(s)" if resumed else ""
         print(
             f"repro service listening on {instance.url} "
-            f"({durable} queue, {args.queue_workers} worker(s), "
-            f"incremental re-check {tier}{note}; Ctrl-C drains and stops)",
+            f"({durable} queue, {args.queue_workers} worker(s){note}; "
+            "Ctrl-C drains and stops)",
             flush=True,
         )
 

@@ -92,9 +92,11 @@ def claim_fingerprint(claim: Claim) -> str:
     flag), the claim sentence, and the full Algorithm-2 keyword context:
     the previous sentence, the paragraph's first sentence, and the
     headlines of all enclosing sections. Two claims with equal fingerprints
-    are indistinguishable to matching and candidate construction, so the
-    service layer's incremental re-check tier may reuse one's result for
-    the other (on the same database content and configuration).
+    are indistinguishable to matching and candidate construction, yet
+    their verdicts may differ: the EM learns its priors jointly over all
+    of a document's claims. The service's incremental re-check tier
+    therefore keys a whole document by its ordered claim fingerprints
+    and never reuses one claim's result for another.
 
     Deliberately excludes the claim ordinal: inserting or editing *other*
     text must not invalidate an untouched claim.

@@ -5,11 +5,11 @@ in-flight document:
 
 - **Admission** (cheap, bounded): parse the request, rate-limit the
   client (per-client token buckets — ``X-Client-Id`` header or peer
-  address), warm or reuse the pooled checker, detect claims, answer
-  cached claims immediately, and enqueue one durable job per fresh claim
-  (grouped per document so joint inference is preserved). Admission runs
-  on the default executor; the event loop itself never blocks on the
-  checker.
+  address), warm or reuse the pooled checker, detect claims, and either
+  answer the whole document from the incremental tier (one lookup keyed
+  by the document) or enqueue one durable job per claim, all claims as
+  one group so joint inference is preserved. Admission runs on the
+  default executor; the event loop itself never blocks on the checker.
 - **Execution**: the :class:`~repro.service.workers.WorkerPool` leases
   job groups off the :class:`~repro.service.queue.DurableJobQueue`,
   verifies each on the checker admission registered under the group's
@@ -39,12 +39,10 @@ import json
 import math
 import threading
 import time
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import faults
-from repro.core.checker import claim_fingerprint
 from repro.core.config import AggCheckerConfig
 from repro.errors import (
     AdmissionRejectedError,
@@ -54,6 +52,7 @@ from repro.errors import (
     RateLimitedError,
     ReproError,
 )
+from repro.service.incremental import document_fingerprint
 from repro.service.memwatch import MemoryWatchdog, read_rss_mb
 from repro.service.protocol import (
     MAX_BODY_BYTES,
@@ -98,7 +97,6 @@ class Admission:
     pending: list = field(default_factory=list)
     statuses: list = field(default_factory=list)
     n_cached: int = 0
-    n_deduped: int = 0
     started: float = 0.0
 
 
@@ -120,28 +118,15 @@ class QueueService:
         workers: int = 2,
         rate_limit: float = 0.0,
         rate_burst: float | None = None,
-        incremental: bool = True,
-        incremental_capacity: int = 16384,
         max_databases: int = 64,
         fsync: bool = False,
         max_request_cost: int | None = None,
         max_rss_mb: float | None = None,
         rss_interval: float = 1.0,
     ) -> None:
-        self.service = VerificationService(
-            config,
-            incremental=incremental,
-            incremental_capacity=incremental_capacity,
-            max_databases=max_databases,
-        )
+        self.service = VerificationService(config, max_databases=max_databases)
         self.queue = DurableJobQueue(
-            queue_dir,
-            capacity=queue_capacity,
-            fsync=fsync,
-            # Degraded verdicts (space budget, memory shedding) must not be
-            # pinned by queue idempotency: resubmission re-executes,
-            # exactly as the incremental tier refuses to memoize them.
-            reusable_result=lambda payload: not payload.get("degraded"),
+            queue_dir, capacity=queue_capacity, fsync=fsync
         )
         #: Memory-pressure shedding: a stdlib-only RSS sampler whose flag
         #: makes execution degrade instead of OOMing while the process is
@@ -175,7 +160,7 @@ class QueueService:
     # Admission
 
     def admit(self, request: CheckRequest, client: str, subscriber_factory):
-        """Admit one document: cache answers now, queue the rest.
+        """Admit one document: answer it from the memo, or queue it whole.
 
         ``subscriber_factory(index)`` must return a cheap, thread-safe
         callback (the queue notifies under its lock). Raises
@@ -196,12 +181,69 @@ class QueueService:
         started = time.perf_counter()
         prepared = self.service.prepare(request)
         self._check_admission_cost(prepared, client)
-        use_cache = self.service.incremental_enabled and request.incremental
         claims = prepared.claims
+        admission = Admission(
+            prepared=prepared,
+            statuses=[None] * len(claims),
+            started=started,
+        )
+        # The memo key is the whole document: the EM learns its priors
+        # jointly over all of a document's claims, so a claim's verdict
+        # is never reused from another document's batch.
+        document_fp = (
+            document_fingerprint(claims)
+            if request.incremental and claims
+            else ""
+        )
+        memoized = (
+            self.service.cache.get((prepared.scope_fp, document_fp))
+            if document_fp
+            else None
+        )
+        if memoized is not None:
+            admission.n_cached = len(memoized)
+            for index, payload in enumerate(memoized):
+                admission.statuses[index] = payload["status"]
+                admission.events.append(
+                    claim_event(index, payload, cached=True)
+                )
+        elif claims:
+            try:
+                # Atomic: either every claim is admitted as one group (a
+                # worker can never lease a partial group, which would
+                # split the joint batch and change the pooled priors) or
+                # nothing is enqueued and the 429 carries the retry hint.
+                jobs = self.queue.submit_group(
+                    prepared.scope_fp,
+                    self._journal_source(request, prepared),
+                    [subscriber_factory(i) for i in range(len(claims))],
+                    document=document_fp,
+                )
+            except QueueFullError:
+                self.service.note_rejected()
+                raise
+            admission.pending = [(job.id, job.index) for job in jobs]
+        admission.events.insert(
+            0,
+            {
+                "event": "start",
+                "document": prepared.document.title,
+                "claims": len(claims),
+                "database_fingerprint": prepared.database_fp,
+                "checker_fingerprint": prepared.scope_fp,
+                "incremental": request.incremental,
+                "queued": len(admission.pending),
+            },
+        )
+        return admission
 
-        # Journalable rebuild material: the data spec plus the article
-        # *text* (even for path requests — the file may be gone after a
-        # restart) and a title that reproduces load_document() exactly.
+    def _journal_source(self, request: CheckRequest, prepared) -> dict:
+        """Journalable rebuild material for one admitted document.
+
+        The data spec plus the article *text* (even for path requests —
+        the file may be gone after a restart) and a title that
+        reproduces ``load_document()`` exactly.
+        """
         if request.article is not None:
             article, title = request.article, request.title
         else:
@@ -221,73 +263,7 @@ class QueueService:
             source = data_spec(request)
         source["article"] = article
         source["title"] = title
-
-        admission = Admission(
-            prepared=prepared,
-            statuses=[None] * len(claims),
-            started=started,
-        )
-        fresh: list[tuple[int, str]] = []
-        for index, claim in enumerate(claims):
-            if not use_cache:  # don't hash contexts for an unused key
-                fresh.append((index, ""))
-                continue
-            fp = claim_fingerprint(claim)
-            payload = self.service.cache.get((prepared.scope_fp, fp))
-            if payload is not None:
-                admission.statuses[index] = payload["status"]
-                admission.n_cached += 1
-                admission.events.append(claim_event(index, payload, cached=True))
-            else:
-                fresh.append((index, fp))
-        group = uuid.uuid4().hex
-        entries = []
-        for index, fp in fresh:
-            # With the incremental tier on, the idempotency key is the
-            # same identity the tier memoizes under, so identical claims
-            # dedupe across concurrent requests; with it off, the key is
-            # request-scoped — every submission recomputes.
-            entries.append({
-                "key": f"{prepared.scope_fp}:{fp}" if fp else f"{group}:{index}",
-                "group": group,
-                "index": index,
-                "scope": prepared.scope_fp,
-                "source": source,
-                "claim_fp": fp,
-                "subscriber": subscriber_factory(index),
-            })
-        try:
-            # Atomic: either the whole document's fresh claims are
-            # admitted as one group (a worker can never lease a partial
-            # group, which would split the joint batch and change the
-            # pooled priors) or nothing is enqueued and the 429 carries
-            # the retry hint.
-            submitted = self.queue.submit_group(entries) if entries else []
-        except QueueFullError:
-            self.service.note_rejected()
-            raise
-        for entry, (job, done) in zip(entries, submitted):
-            index = entry["index"]
-            if done is not None:
-                admission.statuses[index] = done["status"]
-                admission.n_deduped += 1
-                admission.events.append(claim_event(index, done, cached=True))
-            else:
-                admission.pending.append((job.id, index))
-        admission.events.insert(
-            0,
-            {
-                "event": "start",
-                "document": prepared.document.title,
-                "claims": len(claims),
-                "database_fingerprint": prepared.database_fp,
-                "checker_fingerprint": prepared.scope_fp,
-                "incremental": use_cache,
-                "queued": len(admission.pending),
-                "deduped": admission.n_deduped,
-            },
-        )
-        return admission
+        return source
 
     def _check_admission_cost(self, prepared, client: str) -> None:
         """Reject oversized work before it reaches the queue.
@@ -774,7 +750,9 @@ class AsyncVerificationServer:
                     "flagged": flagged,
                     "errors": errors,
                     "cached_claims": admission.n_cached,
-                    "deduped_claims": admission.n_deduped,
+                    # Always 0 (nothing dedupes); the e2e benchmark's
+                    # served.py still reads the field.
+                    "deduped_claims": 0,
                     "evaluated_claims": evaluated,
                     "drained_claims": drained,
                     "seconds": round(

@@ -56,8 +56,9 @@ class ServiceClient:
         exhausting the budget raises :class:`ReproError`. A connection
         lost mid-stream (server crash, socket reset, truncated body)
         raises :class:`StreamInterruptedError` and is retried on the
-        same budget — resubmission after a restart is near-free because
-        completed verdicts land in the server's incremental tier.
+        same budget — resubmission after a restart is near-free once the
+        document's group has completed, because the server memoizes
+        every completed document in its incremental tier.
         """
         body = json.dumps(payload).encode("utf-8")
         previous = 0.0

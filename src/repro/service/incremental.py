@@ -1,39 +1,40 @@
-"""The incremental re-check tier: per-claim verdict memoization.
+"""The incremental re-check tier: per-document verdict memoization.
 
-The editing loop the paper's interface implies — a journalist fixes one
-number and resubmits the draft — repays claim-level caching: everything
-the pipeline reads for a claim is captured by three fingerprints, and a
-resubmission re-evaluates only claims whose key changed.
+The editing loop the paper's interface implies — a journalist checks a
+draft, then resubmits it — repays caching whole documents. A verdict is
+a function of the whole document, not of one claim: the EM learns its
+priors jointly over all of a document's claims (arXiv 1804.07686), so
+the same sentence can get a different verdict in another document. The
+memo therefore keys the document's complete list of verdict payloads:
+a request either hits for every claim or verifies every claim as one
+joint batch, and no verdict ever crosses from one document to another.
 
 Key structure (all SHA-256):
 
-- **database content fingerprint** (:func:`repro.db.diskcache.fingerprint_of`)
-  — editing a source CSV changes it, so every cached verdict against the
-  old data becomes structurally unreachable;
-- **configuration fingerprint** (:func:`config_fingerprint` over the full
-  frozen ``AggCheckerConfig``, folded with the data-dictionary content) —
-  any knob change or dictionary edit invalidates;
-- **claim fingerprint** (``claim_fingerprint`` in :mod:`repro.core.checker`) —
-  the mention, its sentence, and the complete Algorithm-2 keyword context
-  (previous sentence, paragraph start, enclosing headlines).
+- **scope fingerprint** (:func:`scope_fingerprint`) folds the database
+  content fingerprint (:func:`repro.db.diskcache.fingerprint_of`) with
+  the configuration fingerprint (:func:`config_fingerprint` over the
+  full frozen ``AggCheckerConfig`` plus the data-dictionary content) —
+  a CSV edit, a knob change or a dictionary edit makes every old entry
+  unreachable;
+- **document fingerprint** (:func:`document_fingerprint`) hashes the
+  document's *ordered* claim fingerprints (``claim_fingerprint`` in
+  :mod:`repro.core.checker`: each mention, its sentence, and its
+  complete Algorithm-2 keyword context). Editing any claim's text or
+  context, or reordering claims, misses; adding a sentence without a
+  number that feeds no claim's context still hits.
 
-Reuse semantics: a hit returns the verdict exactly as computed in its
-original submission. Claims of one document are weakly coupled through
-pooled predicate fragments and learned document priors, so after an edit
-the unchanged claims keep their verdicts (stable editor feedback) while
-the edited claims are evaluated together as one fresh batch; a
-non-incremental ``/check`` of the same body gives the canonical jointly
-inferred result. A resubmission with *no* changed claims is bit-identical
-to the warm path by construction.
+A hit is bit-identical to a fresh joint run on the same body, and so to
+``python -m repro check --json``.
 
-The cache is a bounded, thread-safe LRU: the service is a long-running
-process and documents churn, so least-recently-used verdicts fall out
-once ``max_entries`` is reached.
+The cache is a bounded, thread-safe LRU of :data:`MAX_DOCUMENTS`
+documents: the service is a long-running process and documents churn,
+so least-recently-used documents fall out.
 
-**Self-checking entries.** Each stored payload carries a CRC32 of its
-canonical JSON encoding (:func:`repro.service.protocol.payload_crc`),
+**Self-checking entries.** Each stored payload list carries a CRC32 of
+its canonical JSON encoding (:func:`repro.service.protocol.payload_crc`),
 re-verified on every hit: a memo whose bytes no longer match what was
-stored (bit rot, or any accidental in-place mutation of the shared dict)
+stored (bit rot, or any accidental in-place mutation of a shared dict)
 is dropped and counted (``corrupted``) — the miss recomputes a correct
 verdict, so this tier can serve stale *nothing*, wrong *nothing*.
 """
@@ -46,12 +47,19 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro import faults
+from repro.core.checker import claim_fingerprint
 from repro.core.config import AggCheckerConfig
 from repro.errors import InjectedFault
 from repro.service.protocol import payload_crc
+from repro.text.claims import Claim
 
-#: Result-cache key: (scope fingerprint, claim fingerprint).
+#: Result-cache key: (scope fingerprint, document fingerprint).
 ResultKey = tuple[str, str]
+
+#: Memo capacity in documents. At the corpus mean of about 8 claims per
+#: document, 2048 documents hold about 16,384 claim verdicts, the bound
+#: the tier had when it memoized single claims.
+MAX_DOCUMENTS = 2048
 
 
 def config_fingerprint(
@@ -82,6 +90,14 @@ def scope_fingerprint(
     return hashlib.sha256(combined.encode("utf-8")).hexdigest()
 
 
+def document_fingerprint(claims: list[Claim]) -> str:
+    """SHA-256 over a document's ordered claim fingerprints."""
+    digest = hashlib.sha256()
+    for claim in claims:
+        digest.update(claim_fingerprint(claim).encode("ascii"))
+    return digest.hexdigest()
+
+
 @dataclass
 class IncrementalStats:
     """Counters of the memoization tier (surfaced by GET /stats)."""
@@ -90,7 +106,8 @@ class IncrementalStats:
     misses: int = 0
     stores: int = 0
     evictions: int = 0
-    #: Degraded (budget or shed) payloads refused by :meth:`put`.
+    #: Documents refused by :meth:`put` for a degraded (budget or shed)
+    #: payload.
     skipped: int = 0
     #: Entries dropped on hit because their payload no longer matched its
     #: stored CRC (served as a miss; the recompute is always correct).
@@ -102,16 +119,16 @@ class IncrementalStats:
 
 
 class IncrementalCache:
-    """Thread-safe bounded LRU of per-claim verdict payloads."""
+    """Thread-safe bounded LRU of per-document verdict payload lists."""
 
-    def __init__(self, max_entries: int = 16384) -> None:
+    def __init__(self, max_entries: int = MAX_DOCUMENTS) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self.stats = IncrementalStats()
         self._lock = threading.Lock()
-        #: key -> (payload, CRC32 of the payload at store time).
-        self._entries: "OrderedDict[ResultKey, tuple[dict, int]]" = (
+        #: key -> (payloads in claim order, their CRC32 at store time).
+        self._entries: "OrderedDict[ResultKey, tuple[list[dict], int]]" = (
             OrderedDict()
         )
 
@@ -119,8 +136,8 @@ class IncrementalCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: ResultKey) -> dict | None:
-        """The cached verdict payload for ``key`` (marks it most recent).
+    def get(self, key: ResultKey) -> list[dict] | None:
+        """The cached payloads for ``key`` (marks it most recent).
 
         Every hit is integrity-checked against the CRC taken at store
         time; a mismatch drops the entry and reports a miss, so the
@@ -131,38 +148,39 @@ class IncrementalCache:
             if entry is None:
                 self.stats.misses += 1
                 return None
-            payload, crc = entry
-            if payload_crc(payload) != crc:
+            payloads, crc = entry
+            if payload_crc(payloads) != crc:
                 del self._entries[key]
                 self.stats.corrupted += 1
                 self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return payload
+            return payloads
 
-    def put(self, key: ResultKey, payload: dict) -> None:
-        # Never memoize a degraded verdict: a shed one reflects the
-        # process's memory pressure at that moment, not the claim.
-        # Caching it would pin a low-quality answer until eviction;
-        # recomputing on resubmission gives the claim a fresh chance at
-        # the full-quality rung.
-        if payload.get("degraded"):
+    def put(self, key: ResultKey, payloads: list[dict]) -> None:
+        # Never memoize a document with a degraded verdict: a shed one
+        # reflects the process's memory pressure at that moment, not the
+        # claim. Caching it would pin a low-quality answer until
+        # eviction; recomputing on resubmission gives the document a
+        # fresh chance at the full-quality rung.
+        if any(payload.get("degraded") for payload in payloads):
             with self._lock:
                 self.stats.skipped += 1
             return
-        crc = payload_crc(payload)
-        # Fault point: poison the payload *after* its CRC was taken — the
+        crc = payload_crc(payloads)
+        # Fault point: poison a payload *after* the CRC was taken — the
         # next get() must detect the mismatch and degrade to a miss.
         try:
             faults.fire("state.bitflip", key=f"memo:{key[0]}")
         except InjectedFault:
-            payload = dict(payload)
-            payload["probability_correct"] = -1.0
+            payloads = [
+                dict(payloads[0], probability_correct=-1.0), *payloads[1:]
+            ]
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = (payload, crc)
+            self._entries[key] = (payloads, crc)
             self.stats.stores += 1
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

@@ -9,9 +9,8 @@ complete JSON object per line, streamed as results become available:
   one verdict. ``claim`` carries *exactly* the per-claim payload of
   ``python -m repro check --json`` (:func:`verdict_payload` is shared by
   the CLI), so service output is bit-comparable to one-shot runs.
-  ``index`` is the claim's document-order ordinal — cached verdicts
-  stream before fresh ones complete, so events may arrive out of
-  document order;
+  ``index`` is the claim's document-order ordinal; events stream as
+  verdicts complete, so a client orders by ``index``, not by arrival;
 - ``{"event": "summary", ...}`` — totals (including ``flagged`` and
   ``errors`` counts), cache/engine counters, timing;
 - ``{"event": "error", "index": i, "error": msg}`` — *one claim* failed
@@ -313,12 +312,12 @@ def verdict_payload(verdict: ClaimVerdict) -> dict:
     return payload
 
 
-def payload_crc(payload: dict) -> int:
-    """CRC32 of a verdict payload's canonical JSON encoding.
+def payload_crc(payload: dict | list[dict]) -> int:
+    """CRC32 of a verdict payload's (or payload list's) canonical JSON.
 
     Canonical = sorted keys, no whitespace, ``default=str`` for the odd
     non-JSON value (inf/nan round-trip via repr). The incremental memo
-    tier stores this next to each cached payload and re-verifies it on
+    tier stores this next to each cached document and re-verifies it on
     every hit, so an in-memory bit flip (or any post-store mutation of a
     shared payload dict) is detected and degrades to a recompute instead
     of serving a corrupted verdict.

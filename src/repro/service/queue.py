@@ -2,7 +2,7 @@
 
 ``POST /check`` no longer pins a thread per in-flight document: admission
 decomposes the document into one *job per claim* (grouped so a document's
-fresh claims still verify as one joint batch) and enqueues them here.
+claims still verify as one joint batch) and enqueues them here.
 Workers lease a group, run it once, and end every job of it: ``ack``
 with the verdict payload, or — when running or acking the group raised —
 ``fail_group``, which moves each still-unacked job to the dead-letter
@@ -14,12 +14,13 @@ cannot die holding one (see :mod:`repro.service.workers`).
 **Delivery semantics.** Each job ends exactly once in this process —
 acked, dead, or ``drained`` at shutdown — and only the first ``ack``
 wins; later acks for the same job are counted (``duplicate_acks``) and
-dropped, so no subscriber ever sees two results for one job. Subscriber
-notification happens under the queue lock in ack order, so a client's
-event stream can never observe acks out of order. An outcome is applied
-and notified *before* it is journaled: a failed journal write never
-strands a subscriber, it only means a restart runs the job again, which
-is safe because the verdict is deterministic.
+dropped, so no subscriber ever sees two results for one job. An acked
+job leaves the queue at once: the queue holds only live and dead jobs.
+Subscriber notification happens under the queue lock in ack order, so a
+client's event stream can never observe acks out of order. An outcome is
+applied and notified *before* it is journaled: a failed journal write
+never strands a subscriber, it only means a restart runs the job again,
+which is safe because the verdict is deterministic.
 
 **Durability.** Every state change that must survive a crash is one
 JSON line in an append-only journal (``queue.journal`` in the queue
@@ -31,30 +32,24 @@ encoding: replay distinguishes a truncated final line (crash mid-write —
 stop, everything after is unreachable) from bit corruption *inside* an
 intact line (CRC mismatch — quarantine that record, keep replaying,
 because later appends were independent writes). Both are counted in
-``corrupt_records`` and surfaced through ``stats()``. Compaction rewrites the journal as a fresh segment via the
+``corrupt_records`` and surfaced through ``stats()``. Compaction
+rewrites the journal as a fresh segment via the
 write-temp-then-``os.replace`` recipe (write a sibling temp file, fsync,
 rename it over the journal) once completed records dominate, so the
 journal stays O(live jobs), not O(history). ``directory=None`` runs the
 same queue fully in memory (tests, ephemeral servers).
 
-**Backpressure.** The queue is bounded: :meth:`submit` raises
+**Backpressure.** The queue is bounded: :meth:`submit_group` raises
 :class:`~repro.errors.QueueFullError` carrying a depth-aware
-``retry_after_seconds`` estimate once ``capacity`` live (pending +
-leased) jobs exist, which the HTTP front end converts into
-``429`` + ``Retry-After``.
+``retry_after_seconds`` estimate when a group would take the queue past
+``capacity`` live (pending + leased) jobs, which the HTTP front end
+converts into ``429`` + ``Retry-After``.
 
-**Idempotency.** Jobs carry an idempotency key (the service uses
-``scope fingerprint + claim fingerprint`` — the exact identity the
-incremental tier memoizes under). Submitting a key that is already
-pending or leased attaches the new subscriber to the existing job
-(one execution, fan-out delivery); a key that already acked returns its
-payload immediately; only dead or unknown keys create new jobs. The
-``reusable_result`` predicate narrows ack-reuse: the service passes one
-that refuses *degraded* payloads, so a verdict produced under an
-exhausted space budget or under memory shedding is re-executed on
-resubmission rather than pinned forever by queue-level idempotency
-(mirroring the incremental tier, which never memoizes degraded
-verdicts).
+**No dedupe.** Every submission is its own group of fresh jobs, even
+when an equal document is pending or was acked a moment ago: a verdict
+is a function of the whole document, and the one memo of verdicts is
+the service's per-document incremental tier
+(:mod:`repro.service.incremental`), keyed by each job's ``document``.
 """
 
 from __future__ import annotations
@@ -75,7 +70,9 @@ from repro.errors import QueueFullError, ReproError
 
 #: Journal format version (bump when the record layout changes).
 #: v2: every record carries a ``crc`` checksum field.
-JOURNAL_VERSION = 2
+#: v3: a ``put`` carries ``document`` in place of ``key`` and
+#: ``claim_fp``; a v2 ``put`` still replays, as a job nothing memoizes.
+JOURNAL_VERSION = 3
 #: Journal file name inside the queue directory.
 JOURNAL_NAME = "queue.journal"
 
@@ -151,8 +148,6 @@ class Job:
     """One unit of admitted work: a single claim of one document."""
 
     id: str
-    #: Idempotency key (dedupe identity); unique per job when dedupe is off.
-    key: str
     #: Joint-execution batch: jobs sharing a group are leased and verified
     #: together so document-level inference stays identical to the
     #: synchronous path.
@@ -164,11 +159,11 @@ class Job:
     #: JSON-serializable material to rebuild the database, document, and
     #: claim after a restart (CSV paths / inline tables / article text).
     source: dict
-    #: Claim fingerprint for the incremental tier ("" = do not memoize).
-    claim_fp: str = ""
+    #: Document fingerprint the group's verdicts are memoized under in
+    #: the incremental tier ("" = do not memoize).
+    document: str = ""
     attempts: int = 0
     state: str = PENDING
-    result: dict | None = None
     error: str | None = None
     #: Admission order; pending jobs are leased lowest-seq-first.
     seq: int = 0
@@ -178,7 +173,6 @@ class Job:
         """The public JSON shape (health/stats/deadletter endpoints)."""
         return {
             "id": self.id,
-            "key": self.key,
             "group": self.group,
             "index": self.index,
             "scope": self.scope,
@@ -198,18 +192,16 @@ class DurableJobQueue:
         capacity: int = 1024,
         compact_min_records: int = 1024,
         fsync: bool = False,
-        reusable_result: Callable[[dict], bool] | None = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.compact_min_records = compact_min_records
         self.fsync = fsync
-        self.reusable_result = reusable_result
         self.directory = Path(directory) if directory is not None else None
         self._cond = threading.Condition()
+        #: Live (pending, leased) and dead jobs; an acked job leaves.
         self._jobs: dict[str, Job] = {}
-        self._by_key: dict[str, str] = {}
         self._seq = 0
         self._journal = None
         self._journal_records = 0
@@ -220,7 +212,6 @@ class DurableJobQueue:
         self.enqueued = 0
         self.acked = 0
         self.duplicate_acks = 0
-        self.deduped = 0
         self.deadlettered = 0
         self.rejected = 0
         self.resumed = 0
@@ -267,11 +258,9 @@ class DurableJobQueue:
                 continue
             self._journal_records += 1
             self._apply(record)
-        resumed = 0
-        for job in self._jobs.values():
-            if job.state == PENDING:
-                resumed += 1
-        self.resumed = resumed
+        self.resumed = sum(
+            1 for job in self._jobs.values() if job.state == PENDING
+        )
 
     def _apply(self, record: dict) -> None:
         op = record.get("op")
@@ -280,12 +269,11 @@ class DurableJobQueue:
             try:
                 job = Job(
                     id=str(data["id"]),
-                    key=str(data["key"]),
                     group=str(data["group"]),
                     index=int(data["index"]),
                     scope=str(data.get("scope", "")),
                     source=dict(data.get("source") or {}),
-                    claim_fp=str(data.get("claim_fp", "")),
+                    document=str(data.get("document", "")),
                     attempts=int(data.get("attempts", 0)),
                 )
             except (KeyError, TypeError, ValueError):
@@ -294,12 +282,8 @@ class DurableJobQueue:
             self._seq += 1
             job.seq = self._seq
             self._jobs[job.id] = job
-            self._by_key[job.key] = job.id
         elif op == "ack":
-            job = self._jobs.get(str(record.get("id")))
-            if job is not None and job.state != ACKED:
-                job.state = ACKED
-                job.result = record.get("payload")
+            self._jobs.pop(str(record.get("id")), None)
         elif op == "dead":
             job = self._jobs.get(str(record.get("id")))
             if job is not None:
@@ -335,11 +319,11 @@ class DurableJobQueue:
     def _compact_locked(self) -> None:
         """Rewrite the journal as one fresh segment (atomic ``os.replace``).
 
-        Completed (acked) jobs are dropped entirely — job and ack records
-        together — so they can never be re-delivered from a journal that
-        no longer mentions them. Pending/leased jobs are re-put (leases
-        are volatile) and dead jobs keep their tombstones so the
-        dead-letter queue survives restarts.
+        Acked jobs left the queue at ack, so the fresh segment drops
+        their put and ack records together and can never re-deliver
+        them. Pending/leased jobs are re-put (leases are volatile) and
+        dead jobs keep their tombstones so the dead-letter queue
+        survives restarts.
         """
         if self.directory is None:
             return
@@ -353,8 +337,6 @@ class DurableJobQueue:
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 for job in sorted(self._jobs.values(), key=lambda j: j.seq):
-                    if job.state == ACKED:
-                        continue
                     handle.write(_encode_record(self._put_record(job)))
                     records += 1
                     if job.state == DEAD:
@@ -373,14 +355,6 @@ class DurableJobQueue:
             except OSError:
                 pass
             raise
-        # Acked jobs are now unjournaled; forget the completed ones that
-        # nothing can reference anymore to keep memory O(live).
-        for job_id in [
-            job.id for job in self._jobs.values() if job.state == ACKED
-        ]:
-            job = self._jobs.pop(job_id)
-            if self._by_key.get(job.key) == job_id:
-                del self._by_key[job.key]
         self._journal_records = records
         self._journal = open(self.journal_path, "a", encoding="utf-8")
 
@@ -391,12 +365,11 @@ class DurableJobQueue:
             "v": JOURNAL_VERSION,
             "job": {
                 "id": job.id,
-                "key": job.key,
                 "group": job.group,
                 "index": job.index,
                 "scope": job.scope,
                 "source": job.source,
-                "claim_fp": job.claim_fp,
+                "document": job.document,
             },
         }
 
@@ -423,133 +396,59 @@ class DurableJobQueue:
             return float(min(30, max(1, live)))
         return float(min(60.0, max(1.0, live / rate)))
 
-    def submit(
-        self,
-        key: str,
-        group: str,
-        index: int,
-        scope: str,
-        source: dict,
-        claim_fp: str = "",
-        subscriber: Subscriber | None = None,
-    ) -> tuple[Job, dict | None]:
-        """Admit one claim job (or dedupe onto an existing one).
-
-        Returns ``(job, payload)``: ``payload`` is non-None when the key
-        already completed — the caller emits the result immediately and no
-        subscriber is registered. Raises :class:`QueueFullError` when the
-        queue is at capacity and the key does not dedupe.
-        """
-        with self._cond:
-            if self._closed or self._draining:
-                raise ReproError("queue is draining; resubmit after restart")
-            if self._live_locked() >= self.capacity:
-                if self._dedupe_target_locked(key) is None:
-                    self.rejected += 1
-                    raise QueueFullError(
-                        self.capacity, self.retry_after_seconds()
-                    )
-            return self._submit_locked(
-                key, group, index, scope, source, claim_fp, subscriber
-            )
-
-    def _submit_locked(
-        self,
-        key: str,
-        group: str,
-        index: int,
-        scope: str,
-        source: dict,
-        claim_fp: str = "",
-        subscriber: Subscriber | None = None,
-    ) -> tuple[Job, dict | None]:
-        existing = self._dedupe_target_locked(key)
-        if existing is not None:
-            if existing.state == ACKED:
-                self.deduped += 1
-                return existing, existing.result
-            self.deduped += 1
-            if subscriber is not None:
-                existing.subscribers.append(subscriber)
-            return existing, None
-        # DEAD (tombstone keeps the history) or a non-reusable ack
-        # (degraded payload): fall through — the resubmission revives the
-        # work as a fresh job.
-        self._seq += 1
-        job = Job(
-            id=uuid.uuid4().hex,
-            key=key,
-            group=group,
-            index=index,
-            scope=scope,
-            source=source,
-            claim_fp=claim_fp,
-            seq=self._seq,
-        )
-        if subscriber is not None:
-            job.subscribers.append(subscriber)
-        self._jobs[job.id] = job
-        self._by_key[key] = job.id
-        self._append(self._put_record(job))
-        self.enqueued += 1
-        self._cond.notify()
-        return job, None
-
-    def _dedupe_target_locked(self, key: str) -> Job | None:
-        """The existing job a submission of ``key`` would attach to.
-
-        None when the key must create a fresh job: unknown, dead, or
-        acked with a payload the ``reusable_result`` predicate refuses
-        (a degraded verdict must not be pinned by idempotency).
-        """
-        job_id = self._by_key.get(key)
-        if job_id is None:
-            return None
-        job = self._jobs[job_id]
-        if job.state == DEAD:
-            return None
-        if (
-            job.state == ACKED
-            and self.reusable_result is not None
-            and not self.reusable_result(job.result or {})
-        ):
-            return None
-        return job
-
     def submit_group(
-        self, entries: list[dict]
-    ) -> list[tuple[Job, dict | None]]:
-        """Admit a whole job group atomically (all-or-nothing).
+        self,
+        scope: str,
+        source: dict,
+        subscribers: list[Subscriber],
+        document: str = "",
+    ) -> list[Job]:
+        """Admit one document's claims as one group (all-or-nothing).
 
-        ``entries`` are :meth:`submit` keyword dicts sharing one group id.
+        Job ``i`` is claim ``i`` of the document rebuilt from ``source``
+        and tells ``subscribers[i]`` how it ended. ``document`` is the
+        memo key its verdicts are stored under ("" = do not memoize).
         Holding the lock across the batch matters for *bit-identity*: a
         worker must never lease a partially-admitted group, or the
-        document's fresh claims would verify as two smaller joint batches
-        whose pooled priors differ from the synchronous path. The capacity
-        check covers the whole batch up front, so either every entry is
-        admitted (or deduped) or none is and :class:`QueueFullError`
+        document's claims would verify as two smaller joint batches
+        whose pooled priors differ from the synchronous path. Either
+        every job is admitted or none is and :class:`QueueFullError`
         carries the retry hint.
         """
         with self._cond:
             if self._closed or self._draining:
                 raise ReproError("queue is draining; resubmit after restart")
-            fresh = 0
-            keys_seen: set[str] = set()
-            for entry in entries:
-                key = entry["key"]
-                dedupes = (
-                    self._dedupe_target_locked(key) is not None
-                    or key in keys_seen
-                )
-                if not dedupes:
-                    fresh += 1
-                    keys_seen.add(key)
-            if self._live_locked() + fresh > self.capacity:
+            if self._live_locked() + len(subscribers) > self.capacity:
                 self.rejected += 1
                 raise QueueFullError(
                     self.capacity, self.retry_after_seconds()
                 )
-            return [self._submit_locked(**entry) for entry in entries]
+            group = uuid.uuid4().hex
+            jobs = []
+            for index, subscriber in enumerate(subscribers):
+                self._seq += 1
+                jobs.append(
+                    Job(
+                        id=uuid.uuid4().hex,
+                        group=group,
+                        index=index,
+                        scope=scope,
+                        source=source,
+                        document=document,
+                        seq=self._seq,
+                        subscribers=[subscriber],
+                    )
+                )
+            # Journal the whole group before registering any of it: an
+            # append that raises (a full disk) leaves no job to run for
+            # a request that was refused.
+            for job in jobs:
+                self._append(self._put_record(job))
+            for job in jobs:
+                self._jobs[job.id] = job
+            self.enqueued += len(jobs)
+            self._cond.notify()
+            return jobs
 
     # ------------------------------------------------------------------
     # Lease / ack / fail
@@ -557,7 +456,7 @@ class DurableJobQueue:
     def lease_group(self, timeout: float | None = None) -> list[Job]:
         """Lease the oldest pending job *and every pending job in its group*.
 
-        Jobs of one group are the fresh claims of one document: verifying
+        Jobs of one group are the claims of one document: verifying
         them as one batch keeps joint inference identical to the
         synchronous path. Blocks up to ``timeout`` seconds for work
         (None = do not block); returns ``[]`` when none is pending.
@@ -594,17 +493,17 @@ class DurableJobQueue:
 
         A late ack (the job already acked or dead-lettered) is counted
         and dropped — subscribers never see a duplicate result. The job
-        is completed and its subscribers told before the journal write,
-        so a write that raises leaves the outcome delivered, only
+        leaves the queue and its subscribers are told before the journal
+        write, so a write that raises leaves the outcome delivered, only
         unjournaled.
         """
         with self._cond:
             job = self._jobs.get(job_id)
-            if job is None or job.state in (ACKED, DEAD):
+            if job is None or job.state == DEAD:
                 self.duplicate_acks += 1
                 return False
+            del self._jobs[job_id]
             job.state = ACKED
-            job.result = payload
             self.acked += 1
             self._notify_locked(job, "ack", payload)
             self._cond.notify_all()
@@ -623,7 +522,7 @@ class DurableJobQueue:
             jobs = [
                 job
                 for job in (self._jobs.get(job_id) for job_id in job_ids)
-                if job is not None and job.state not in (ACKED, DEAD)
+                if job is not None and job.state != DEAD
             ]
             for job in jobs:
                 job.state = DEAD
@@ -674,7 +573,7 @@ class DurableJobQueue:
 
     def stats(self) -> dict:
         with self._cond:
-            states = {PENDING: 0, LEASED: 0, ACKED: 0, DEAD: 0}
+            states = {PENDING: 0, LEASED: 0, DEAD: 0}
             for job in self._jobs.values():
                 states[job.state] += 1
             return {
@@ -682,12 +581,10 @@ class DurableJobQueue:
                 "depth": states[PENDING] + states[LEASED],
                 "pending": states[PENDING],
                 "leased": states[LEASED],
-                "completed": states[ACKED],
                 "deadletter": states[DEAD],
                 "enqueued": self.enqueued,
                 "acked": self.acked,
                 "duplicate_acks": self.duplicate_acks,
-                "deduped": self.deduped,
                 "deadlettered": self.deadlettered,
                 "rejected": self.rejected,
                 "resumed": self.resumed,

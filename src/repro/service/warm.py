@@ -11,7 +11,8 @@ holds that state:
   (database content, data dictionary, config) fingerprint;
 - the reference registry behind ``{"database": <fingerprint>}`` requests,
   which is also how a queue worker finds the checker admission resolved;
-- the incremental re-check tier (:class:`IncrementalCache`);
+- the incremental re-check tier (:class:`IncrementalCache`), one memo
+  of whole-document verdicts;
 - the counters ``GET /health`` and ``GET /stats`` report.
 
 Its users are the HTTP front end (:mod:`repro.service.aio`), which
@@ -64,16 +65,13 @@ class VerificationService:
     def __init__(
         self,
         config: AggCheckerConfig | None = None,
-        incremental: bool = True,
-        incremental_capacity: int = 16384,
         max_databases: int = 64,
     ) -> None:
         if max_databases < 1:
             raise ValueError(f"max_databases must be >= 1, got {max_databases}")
         self.config = config or AggCheckerConfig()
         self.pool = CheckerPool(self.config)
-        self.incremental_enabled = incremental
-        self.cache = IncrementalCache(incremental_capacity)
+        self.cache = IncrementalCache()
         self.max_databases = max_databases
         self.started = time.monotonic()
         self._counter_lock = threading.Lock()
@@ -247,7 +245,6 @@ class VerificationService:
             "databases": len(self.pool),
             **counters,
             "incremental": {
-                "enabled": self.incremental_enabled,
                 "entries": len(self.cache),
                 "hit_rate": round(self.cache.stats.hit_rate(), 4),
             },

@@ -4,11 +4,12 @@ Workers are threads, not processes: an :class:`~repro.core.checker.AggChecker`
 per database is the expensive shared asset, and the thread pool reuses the
 service's warm :class:`~repro.harness.runner.CheckerPool` directly (the
 per-entry lock serializes same-database execution). Each worker loops:
-lease the oldest pending *group* (all fresh claims of one document —
-verified as one joint batch so inference stays bit-identical to the
-one-shot CLI), rebuild document and claims from the journaled article
-text, run them on the checker admission registered under the group's
-scope fingerprint, ack each job with its verdict payload.
+lease the oldest pending *group* (all claims of one document — verified
+as one joint batch so inference stays bit-identical to the one-shot
+CLI), rebuild document and claims from the journaled article text, run
+them on the checker admission registered under the group's scope
+fingerprint, memoize the document's verdicts in the incremental tier,
+and ack each job with its verdict payload.
 
 A group runs once and always ends. Any exception while running *or
 acking* it dead-letters each still-unacked job of the group (one
@@ -18,9 +19,9 @@ group: the loop catches everything, so a worker cannot exit before
 to retry, and no worker death for a lease timeout to recover from.
 
 While the memory watchdog reports pressure, a leased group does not
-reach the checker: each claim is answered with an explicit unverifiable
-verdict marked ``"degraded": "shed"``, so the queue keeps draining
-instead of allocating.
+reach the checker, nor load one: each claim is answered with an
+explicit unverifiable verdict marked ``"degraded": "shed"``, so the
+queue keeps draining instead of allocating.
 
 Fault point (see :mod:`repro.faults`): ``queue.exec`` fires as a group
 starts executing (``raise`` dead-letters the group, ``sleep`` holds it
@@ -63,7 +64,12 @@ class GroupExecutor:
         source = jobs[0].source
         scope_fp = jobs[0].scope
         fire("queue.exec", jobs[0].group)
-        entry = self.service.resolve_scope(scope_fp, source)
+        # Shed before resolving: an unregistered scope would load its
+        # data and build a checker, the allocation shedding avoids.
+        shedding = self.memwatch is not None and self.memwatch.shedding
+        entry = (
+            None if shedding else self.service.resolve_scope(scope_fp, source)
+        )
         document = parse_article(
             source.get("article") or "", source.get("title") or "document"
         )
@@ -75,20 +81,19 @@ class GroupExecutor:
                     f"but the rebuilt document has {len(claims)} claims"
                 )
         selected = [claims[job.index] for job in jobs]
-        if self.memwatch is not None and self.memwatch.shedding:
+        if entry is None:
             verdicts = [unverifiable_verdict(claim) for claim in selected]
         else:
             with entry.lock:
                 checker = entry.checker
                 assert checker is not None
                 verdicts = checker.check_claims(document, selected).verdicts
-        payloads: dict[str, dict] = {}
-        for job, verdict in zip(jobs, verdicts):
-            payload = verdict_payload(verdict)
-            payloads[job.id] = payload
-            if job.claim_fp and self.service.incremental_enabled:
-                self.service.cache.put((scope_fp, job.claim_fp), payload)
-        return payloads
+        payloads = [verdict_payload(verdict) for verdict in verdicts]
+        # Only a whole document is memoized: a journal cut inside a
+        # group's put records resumes part of it.
+        if jobs[0].document and len(jobs) == len(claims):
+            self.service.cache.put((scope_fp, jobs[0].document), payloads)
+        return {job.id: payload for job, payload in zip(jobs, payloads)}
 
 
 class WorkerPool:

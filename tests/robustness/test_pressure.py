@@ -65,8 +65,8 @@ class TestMemoryWatchdog:
 
 def _seed_queue(directory):
     queue = DurableJobQueue(directory)
-    queue.submit("claim-one", "g1", 0, "scope", {"title": "a"})
-    queue.submit("claim-two", "g2", 0, "scope", {"title": "b"})
+    for title in ("claim-one", "claim-two"):
+        queue.submit_group("scope", {"title": title}, [lambda *event: None])
     queue.close()
     return directory / JOURNAL_NAME
 
@@ -95,7 +95,9 @@ class TestJournalChecksums:
         assert queue.stats()["corrupt_records"] == 1
         # The undamaged record still replays: corruption is contained.
         assert queue.resumed == 1
-        assert [j.key for j in queue.pending_jobs()] == ["claim-two"]
+        assert [j.source["title"] for j in queue.pending_jobs()] == [
+            "claim-two"
+        ]
         queue.close()
 
     def test_missing_crc_field_is_corruption(self, tmp_path):
@@ -117,24 +119,4 @@ class TestJournalChecksums:
         queue = DurableJobQueue(tmp_path)
         assert queue.corrupt_records == 1
         assert queue.resumed == 1
-        queue.close()
-
-    def test_degraded_acks_are_not_reused_by_idempotency(self, tmp_path):
-        queue = DurableJobQueue(
-            tmp_path,
-            reusable_result=lambda payload: not payload.get("degraded"),
-        )
-        queue.submit("k1", "g1", 0, "scope", {"title": "a"})
-        [job] = queue.lease_group()
-        queue.ack(job.id, {"status": "unverifiable", "degraded": "no_exec"})
-        revived, payload = queue.submit(
-            "k1", "g2", 0, "scope", {"title": "a"}
-        )
-        assert payload is None, "degraded ack must not short-circuit"
-        assert revived.id != job.id
-        # A full-quality ack, by contrast, is reused.
-        [job2] = queue.lease_group()
-        queue.ack(job2.id, {"status": "verified"})
-        _, reused = queue.submit("k1", "g3", 0, "scope", {"title": "a"})
-        assert reused == {"status": "verified"}
         queue.close()

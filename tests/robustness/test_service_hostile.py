@@ -221,15 +221,15 @@ class TestMemoryPressure:
             assert events[-1]["flagged"] == len(claims)
             assert events[-1]["errors"] == 0
 
-            # Shed verdicts depend on RSS, not on the claim: neither the
-            # incremental tier nor queue idempotency may reuse them.
+            # Shed verdicts depend on RSS, not on the claim: the
+            # incremental tier refuses both shed documents.
             again = post_check(server.url, BENIGN)
             assert all(
                 not e["cached"] for e in again if e["event"] == "claim"
             )
             assert claims_of(again) == claims
             stats = get_json(server.url + "/stats")
-            assert stats["incremental"]["skipped"] >= 2 * len(claims)
+            assert stats["incremental"]["skipped"] == 2
             assert stats["incremental"]["stores"] == 0
         finally:
             server.shutdown_gracefully()

@@ -3,12 +3,14 @@
 Against a live loopback server: queued-path verdicts are bit-identical
 to the one-shot ``check`` CLI, also under concurrency; fingerprint
 references pin the registered data and dictionary; the warm pool is
-content-keyed and LRU-bounded; the incremental tier invalidates on CSV
-and sentence edits; a queued group runs on the checker admission
-registered, so data edited or deleted after admission never reaches its
-verdicts; the NDJSON stream frames correctly and answers cached claims
-first; per-client rate limiting and queue-depth backpressure shed with
-``429`` + ``Retry-After`` (and the stdlib client honors it); request
+content-keyed and LRU-bounded; the incremental tier memoizes whole
+documents, so a CSV or sentence edit re-verifies every claim and
+articles that share claims never share verdicts; a queued group runs on
+the checker admission registered, so data edited or deleted after
+admission never reaches its verdicts; the NDJSON stream frames correctly
+and answers a memoized document without queueing; per-client rate
+limiting and queue-depth backpressure shed with ``429`` +
+``Retry-After`` (and the stdlib client honors it); request
 errors map to 400/404/405/411/413/422; a poison group runs once and
 lands in the dead-letter quarantine without poisoning the stream; a
 journal write that fails mid-ack still ends the stream and leaves the
@@ -19,6 +21,7 @@ resumes and completes them, and a ``kill -9`` mid-load loses nothing.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import signal
@@ -34,6 +37,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
+from repro.corpus.builtin import nfl_database
 from repro.faults import ENV_FAULTS, ENV_STATE, FaultSpec, active, encode_specs
 from repro.harness.parallel import RetryPolicy
 from repro.service import CheckRequest, ServiceClient
@@ -350,8 +354,8 @@ class TestIncrementalTier:
         # Two distinct database contents are now pooled.
         assert get_json(server.url + "/health")["databases"] == 2
 
-    def test_document_edit_reevaluates_only_changed_claims(
-        self, server, data_files, tmp_path
+    def test_document_edit_reevaluates_every_claim(
+        self, server, data_files, tmp_path, capsys
     ):
         article = tmp_path / "edit.txt"
         article.write_text(
@@ -367,12 +371,72 @@ class TestIncrementalTier:
             "Exactly one was for gambling."
         )
         second = post_check(server.url, payload)
-        by_index = {e["index"]: e for e in second if e["event"] == "claim"}
-        assert by_index[0]["cached"] is False  # the edited sentence
-        assert by_index[1]["cached"] is True  # untouched paragraph
-        assert by_index[0]["claim"]["status"] == "erroneous"
-        assert second[-1]["evaluated_claims"] == 1
-        assert second[-1]["cached_claims"] == 1
+        assert all(not e["cached"] for e in second if e["event"] == "claim")
+        assert second[-1]["evaluated_claims"] == second[-1]["claims"] == 2
+        assert second[-1]["cached_claims"] == 0
+        assert claims_of(second)[0]["status"] == "erroneous"
+        assert claims_of(second) == cli_claims(
+            capsys, data_files["nfl"], article
+        )
+
+    def test_articles_sharing_claims_never_share_verdicts(
+        self, tmp_path, capsys
+    ):
+        """Two articles on the builtin NFL database share their claims, and
+        the jointly learned priors give the shared claims different
+        verdicts in each. Served in either order, and after an edit and
+        resubmission, every stream is byte-identical to ``check --json``
+        of that article: no verdict crosses from one document's batch
+        into another's."""
+        [table] = nfl_database().tables
+        csv_path = tmp_path / f"{table.name}.csv"
+        with csv_path.open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow([column.name for column in table.columns])
+            writer.writerows(table.rows)
+        paragraphs = [
+            "There were only four previous lifetime bans in my database.",
+            "Three were for repeated substance abuse, one was for gambling.",
+            "Five players were suspended for 16 games.",
+        ]
+        articles = {}
+        for name, body in (
+            ("long", paragraphs),
+            ("short", paragraphs[:2]),
+            ("edited", paragraphs[:2] + ["Six players were suspended."]),
+        ):
+            articles[name] = tmp_path / f"{name}.html"
+            articles[name].write_text(
+                "<title>Punishing players</title><h1>Lifetime bans</h1>"
+                + "".join(f"<p>{text}</p>" for text in body)
+            )
+
+        def oracle(name):
+            return json.dumps(
+                cli_claims(capsys, csv_path, articles[name]), sort_keys=True
+            )
+
+        def served(url, name):
+            events = post_check(
+                url,
+                {"csv": [str(csv_path)], "article_path": str(articles[name])},
+            )
+            return json.dumps(claims_of(events), sort_keys=True)
+
+        expected = {name: oracle(name) for name in articles}
+        # The inputs must make per-claim reuse visible: the short
+        # article's claims are a prefix of the long one's, yet verified
+        # jointly they get other verdicts.
+        long_claims = json.loads(expected["long"])
+        short_claims = json.loads(expected["short"])
+        assert long_claims[: len(short_claims)] != short_claims
+        for order in (("long", "short", "edited"), ("short", "long")):
+            server = serve(workers=1)
+            try:
+                for name in order:
+                    assert served(server.url, name) == expected[name], order
+            finally:
+                server.shutdown_gracefully()
 
     def test_incremental_opt_out_per_request(self, server, data_files):
         payload = nfl_payload(data_files, incremental=False)
@@ -411,14 +475,12 @@ class TestAdmittedChecker:
                 capsys, data_files["nfl"], data_files["nfl_article"]
             )
             assert get_json(server.url + "/health")["databases"] == 1
-            # Every memoized verdict is the admitted data's, under its
-            # admitted scope.
+            # The one memoized document holds the admitted data's
+            # verdicts, under its admitted scope.
             memo = dict(server.service.service.cache._entries)
-            assert {key[0] for key in memo} == {scope}
-            assert sorted(
-                json.dumps(payload, sort_keys=True)
-                for payload, _ in memo.values()
-            ) == sorted(json.dumps(claim, sort_keys=True) for claim in oracle)
+            [(key, (payloads, _))] = memo.items()
+            assert key[0] == scope
+            assert payloads == oracle
         finally:
             server.shutdown_gracefully()
 
@@ -468,7 +530,7 @@ class TestAdmittedChecker:
             assert all(
                 "data changed since admission" in d["error"] for d in dead
             )
-            assert second.queue.stats()["completed"] == 0
+            assert second.queue.stats()["acked"] == 0
             assert len(second.service.cache) == 0
             assert len(second.service.pool) == 0
         finally:
@@ -505,21 +567,34 @@ class TestStreamingProtocol:
         assert set(kinds[1:-1]) == {"claim"}
         assert events[0]["claims"] == len(kinds) - 2
 
-    def test_cached_claims_stream_before_fresh_work(self, server, data_files):
-        """Events are ordered cached-first: instant feedback on warm claims."""
-        article = data_files["sales_article"]
-        payload = {"csv": [str(data_files["sales"])], "article_path": str(article)}
-        post_check(server.url, payload)
-        article.write_text(
-            "We sold five kinds of items across two regions.\n\n"
-            "The north region moved 999 units in total."
-        )
-        events = post_check(server.url, payload)
-        claim_events = [e for e in events if e["event"] == "claim"]
-        cached = [i for i, e in enumerate(claim_events) if e["cached"]]
-        fresh = [i for i, e in enumerate(claim_events) if not e["cached"]]
-        assert cached and fresh
-        assert max(cached) < min(fresh)
+    @pytest.mark.faults
+    def test_cached_claims_stream_before_fresh_work(self, data_files):
+        """A memoized document is answered at admission, never queued
+        behind a document whose group is still running."""
+        payload = nfl_payload(data_files)
+        sales = {
+            "csv": [str(data_files["sales"])],
+            "article_path": str(data_files["sales_article"]),
+        }
+        server = serve(workers=1)
+        try:
+            first = post_check(server.url, payload)
+            with active(FaultSpec("queue.exec", "sleep", seconds=1.0)):
+                finish = post_in_thread(server.url, sales)
+                assert wait_for(
+                    lambda: server.service.queue.stats()["leased"] > 0
+                )
+                again = post_check(server.url, payload)
+                assert server.service.queue.stats()["leased"] > 0
+                fresh = finish()
+            assert all(e["cached"] for e in again if e["event"] == "claim")
+            assert claims_of(again) == claims_of(first)
+            assert again[0]["queued"] == 0
+            assert not any(
+                e["cached"] for e in fresh if e["event"] == "claim"
+            )
+        finally:
+            server.shutdown_gracefully()
 
 
 class TestServiceSurface:
@@ -535,9 +610,7 @@ class TestServiceSurface:
         assert engine["physical_queries"] > 0
         assert 0.0 <= engine["memory_cache_hit_rate"] <= 1.0
         incremental = stats["incremental"]
-        assert incremental["enabled"] is True
-        assert incremental["entries"] == stats["claims_from_cache"]
-        assert incremental["hits"] == stats["claims_from_cache"]
+        assert incremental["entries"] == incremental["hits"] == 1
 
     def test_error_statuses(self, server):
         def status_of(method, path, body=None):
@@ -871,7 +944,7 @@ class TestDrainAndResume:
         assert second.queue.resumed == n
         second.start()  # journaled jobs execute with no client attached
         assert wait_for(
-            lambda: second.queue.stats()["completed"] == n
+            lambda: second.queue.stats()["acked"] == n
         ), second.queue.stats()
         # The resumed executions landed in the incremental tier:
         # resubmission answers entirely from cache, bit-identical to the
@@ -970,7 +1043,7 @@ class TestKillDashNine:
             assert f"resumed {len(puts)} journaled job(s)" in banner
             url = banner.split("listening on ", 1)[1].split()[0]
             assert wait_for(
-                lambda: get_json(url + "/health")["queue"]["completed"]
+                lambda: get_json(url + "/health")["queue"]["acked"]
                 == len(puts),
                 timeout=30.0,
             )

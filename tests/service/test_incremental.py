@@ -1,4 +1,4 @@
-"""Unit tests for fingerprints and the incremental LRU."""
+"""Unit tests for fingerprints and the per-document incremental LRU."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from repro.core.config import AggCheckerConfig
 from repro.service.incremental import (
     IncrementalCache,
     config_fingerprint,
+    document_fingerprint,
     scope_fingerprint,
 )
 from repro.text.claims import detect_claims
@@ -56,6 +57,22 @@ class TestClaimFingerprint:
         assert claim_fingerprint(base[0]) == claim_fingerprint(shifted[-1])
 
 
+class TestDocumentFingerprint:
+    def test_every_claim_and_its_order_are_part_of_the_key(self):
+        base = claims_of("t", ["There were four bans.", "Then five more."])
+        edited = claims_of("t", ["There were nine bans.", "Then five more."])
+        assert document_fingerprint(base) != document_fingerprint(edited)
+        assert document_fingerprint(base) != document_fingerprint(base[:1])
+        assert document_fingerprint(base) != document_fingerprint(base[::-1])
+
+    def test_a_sentence_without_a_number_feeds_no_claim(self):
+        base = claims_of("t", ["There were four bans.", "Then five more."])
+        longer = claims_of(
+            "t", ["There were four bans.", "Then five more.", "The end."]
+        )
+        assert document_fingerprint(base) == document_fingerprint(longer)
+
+
 class TestConfigFingerprint:
     def test_equal_configs_agree(self):
         assert config_fingerprint(AggCheckerConfig()) == config_fingerprint(
@@ -87,10 +104,10 @@ class TestConfigFingerprint:
 class TestIncrementalCache:
     def test_round_trip_and_stats(self):
         cache = IncrementalCache(max_entries=8)
-        key = ("scope", "claim")
+        key = ("scope", "document")
         assert cache.get(key) is None
-        cache.put(key, {"status": "verified"})
-        assert cache.get(key) == {"status": "verified"}
+        cache.put(key, [{"status": "verified"}])
+        assert cache.get(key) == [{"status": "verified"}]
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.stores == 1
@@ -98,10 +115,10 @@ class TestIncrementalCache:
 
     def test_lru_eviction_order(self):
         cache = IncrementalCache(max_entries=2)
-        cache.put(("s", "a"), {"v": 1})
-        cache.put(("s", "b"), {"v": 2})
+        cache.put(("s", "a"), [{"v": 1}])
+        cache.put(("s", "b"), [{"v": 2}])
         assert cache.get(("s", "a")) is not None  # refresh a
-        cache.put(("s", "c"), {"v": 3})  # evicts b, the LRU
+        cache.put(("s", "c"), [{"v": 3}])  # evicts b, the LRU
         assert cache.get(("s", "b")) is None
         assert cache.get(("s", "a")) is not None
         assert cache.get(("s", "c")) is not None
@@ -110,10 +127,22 @@ class TestIncrementalCache:
 
     def test_put_overwrites_in_place(self):
         cache = IncrementalCache(max_entries=2)
-        cache.put(("s", "a"), {"v": 1})
-        cache.put(("s", "a"), {"v": 2})
+        cache.put(("s", "a"), [{"v": 1}])
+        cache.put(("s", "a"), [{"v": 2}])
         assert len(cache) == 1
-        assert cache.get(("s", "a")) == {"v": 2}
+        assert cache.get(("s", "a")) == [{"v": 2}]
+
+    def test_a_degraded_payload_refuses_the_whole_document(self):
+        cache = IncrementalCache()
+        cache.put(
+            ("s", "a"),
+            [
+                {"status": "verified"},
+                {"status": "unverifiable", "degraded": "shed"},
+            ],
+        )
+        assert cache.get(("s", "a")) is None
+        assert cache.stats.skipped == 1 and cache.stats.stores == 0
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -121,7 +150,7 @@ class TestIncrementalCache:
 
     def test_clear(self):
         cache = IncrementalCache()
-        cache.put(("s", "a"), {})
+        cache.put(("s", "a"), [{}])
         cache.clear()
         assert len(cache) == 0
 
@@ -132,9 +161,9 @@ class TestIncrementalCache:
         def worker(seed: int) -> None:
             try:
                 for i in range(200):
-                    key = ("s", f"claim-{(seed * 7 + i) % 96}")
+                    key = ("s", f"document-{(seed * 7 + i) % 96}")
                     if i % 3 == 0:
-                        cache.put(key, {"v": i})
+                        cache.put(key, [{"v": i}])
                     else:
                         cache.get(key)
             except BaseException as exc:  # pragma: no cover - failure path

@@ -1,7 +1,8 @@
 """Unit tests for the durable job queue and the rate limiter.
 
 Delivery semantics (one run per job, first-ack-wins, a failed group
-dead-letters once), durability (journal replay, truncated tails,
+dead-letters once, an acked job leaves the queue, equal submissions
+never share a job), durability (journal replay, truncated tails,
 compaction), backpressure, the client's retry jitter bounds, and
 per-client token buckets are pure control-plane logic: no checker is
 involved.
@@ -16,19 +17,20 @@ import pytest
 
 from repro.errors import QueueFullError, ReproError
 from repro.harness.parallel import RetryPolicy
-from repro.service.queue import DurableJobQueue
+from repro.service.queue import JOURNAL_NAME, DurableJobQueue, _encode_record
 from repro.service.ratelimit import ClientRateLimiter, TokenBucket
 
 
-def submit(queue, key, group="g", index=0, subscriber=None):
-    return queue.submit(
-        key=key,
-        group=group,
-        index=index,
+def ignore(kind, job, payload):
+    pass
+
+
+def submit(queue, claims=1, subscriber=ignore):
+    """Admit one document of ``claims`` claims; returns its jobs."""
+    return queue.submit_group(
         scope="scope",
         source={"article": "text", "title": "t"},
-        claim_fp=key,
-        subscriber=subscriber,
+        subscribers=[subscriber] * claims,
     )
 
 
@@ -46,8 +48,7 @@ class TestLeaseAckNack:
     def test_ack_delivers_payload_to_subscriber(self):
         queue = DurableJobQueue()
         seen = Recorder()
-        job, done = submit(queue, "k1", subscriber=seen)
-        assert done is None
+        [job] = submit(queue, subscriber=seen)
         batch = queue.lease_group()
         assert [j.id for j in batch] == [job.id]
         assert queue.ack(job.id, {"status": "verified"})
@@ -56,25 +57,22 @@ class TestLeaseAckNack:
 
     def test_group_is_leased_together_in_index_order(self):
         queue = DurableJobQueue()
-        jobs = [
-            submit(queue, f"k{i}", group="doc", index=i)[0]
-            for i in (2, 0, 1)
-        ]
-        submit(queue, "other", group="doc2", index=0)
+        jobs = submit(queue, claims=3)
+        submit(queue)
         batch = queue.lease_group()
         assert [j.index for j in batch] == [0, 1, 2]
         assert {j.id for j in batch} == {j.id for j in jobs}
 
     def test_leased_jobs_are_not_re_leased(self):
         queue = DurableJobQueue()
-        submit(queue, "k1")
+        submit(queue)
         assert queue.lease_group()
         assert queue.lease_group() == []
 
     def test_first_ack_wins_duplicates_are_dropped(self):
         queue = DurableJobQueue()
         seen = Recorder()
-        job, _ = submit(queue, "k1", subscriber=seen)
+        [job] = submit(queue, subscriber=seen)
         queue.lease_group()
         assert queue.ack(job.id, {"status": "verified"})
         assert not queue.ack(job.id, {"status": "contradicted"})
@@ -84,7 +82,7 @@ class TestLeaseAckNack:
     def test_exhausted_attempts_dead_letter_with_notification(self):
         queue = DurableJobQueue()
         seen = Recorder()
-        job, _ = submit(queue, "k1", subscriber=seen)
+        [job] = submit(queue, subscriber=seen)
         queue.lease_group()
         queue.fail_group([job.id], "poison claim")
         assert job.state == "dead"
@@ -94,67 +92,84 @@ class TestLeaseAckNack:
         assert dead[0]["error"] == "poison claim"
         assert dead[0]["attempts"] == 1
 
-class TestIdempotency:
-    def test_pending_key_attaches_subscriber_instead_of_new_job(self):
+class TestNoDedupe:
+    def test_equal_submissions_are_separate_jobs(self):
         queue = DurableJobQueue()
         first, second = Recorder(), Recorder()
-        job, _ = submit(queue, "k1", subscriber=first)
-        again, done = submit(queue, "k1", subscriber=second)
-        assert again.id == job.id and done is None
-        assert queue.stats()["deduped"] == 1
-        queue.lease_group()
-        queue.ack(job.id, {"status": "verified"})
-        assert first.events == second.events  # one execution, fan-out
+        [job] = submit(queue, subscriber=first)
+        [again] = submit(queue, subscriber=second)
+        assert again.id != job.id and again.group != job.group
+        assert queue.stats()["enqueued"] == 2
+        for batch in iter(queue.lease_group, []):
+            for leased in batch:
+                queue.ack(leased.id, {"status": "verified"})
+        assert first.events == [("ack", job.id, {"status": "verified"})]
+        assert second.events == [("ack", again.id, {"status": "verified"})]
 
-    def test_acked_key_returns_payload_immediately(self):
+    def test_acked_job_leaves_the_queue(self):
         queue = DurableJobQueue()
-        job, _ = submit(queue, "k1")
+        acked = [job for _ in range(50) for job in submit(queue, claims=2)]
+        for batch in iter(queue.lease_group, []):
+            for job in batch:
+                queue.ack(job.id, {"status": "verified"})
+        [dead] = submit(queue)
         queue.lease_group()
-        queue.ack(job.id, {"status": "verified"})
-        again, done = submit(queue, "k1")
-        assert done == {"status": "verified"}
-        assert queue.stats()["enqueued"] == 1
+        queue.fail_group([dead.id], "boom")
+        [live] = submit(queue)
+        assert set(queue._jobs) == {dead.id, live.id}
+        assert all(queue.job(job.id) is None for job in acked)
+        assert queue.stats()["acked"] == len(acked)
+        assert not queue.ack(acked[0].id, {"status": "verified"})
+        assert queue.stats()["duplicate_acks"] == 1
 
-    def test_dead_key_revives_as_fresh_job(self):
+    def test_dead_group_resubmits_as_fresh_jobs(self):
         queue = DurableJobQueue()
-        job, _ = submit(queue, "k1")
+        [job] = submit(queue)
         queue.lease_group()
         queue.fail_group([job.id], "boom")
         assert job.state == "dead"
-        revived, done = submit(queue, "k1")
-        assert done is None and revived.id != job.id
+        [revived] = submit(queue)
+        assert revived.id != job.id
         assert revived.attempts == 0
+        assert [d["id"] for d in queue.deadletter()] == [job.id]
 
 
 class TestBackpressure:
     def test_capacity_rejects_with_retry_after(self):
         queue = DurableJobQueue(capacity=2)
-        submit(queue, "k1")
-        submit(queue, "k2")
+        submit(queue)
+        submit(queue)
         with pytest.raises(QueueFullError) as excinfo:
-            submit(queue, "k3")
+            submit(queue)
         assert excinfo.value.retry_after_seconds >= 1.0
         assert queue.stats()["rejected"] == 1
 
+    def test_a_group_is_admitted_whole_or_not_at_all(self):
+        queue = DurableJobQueue(capacity=3)
+        submit(queue, claims=2)
+        with pytest.raises(QueueFullError):
+            submit(queue, claims=2)
+        assert queue.stats()["enqueued"] == 2
+        submit(queue)  # one claim still fits
+
     def test_acked_jobs_free_capacity(self):
         queue = DurableJobQueue(capacity=1)
-        job, _ = submit(queue, "k1")
+        [job] = submit(queue)
         queue.lease_group()
         queue.ack(job.id, {"status": "verified"})
-        submit(queue, "k2")  # does not raise
+        submit(queue)  # does not raise
 
     def test_draining_queue_refuses_admission(self):
         queue = DurableJobQueue()
         queue.drain(timeout=0.1)
         with pytest.raises(ReproError):
-            submit(queue, "k1")
+            submit(queue)
 
 
 class TestDurability:
     def test_restart_resumes_unacked_jobs_only(self, tmp_path):
         queue = DurableJobQueue(tmp_path)
-        done, _ = submit(queue, "done", group="g", index=0)
-        kept, _ = submit(queue, "kept", group="g", index=1)
+        done, kept = submit(queue, claims=2)
         queue.lease_group()
         queue.ack(done.id, {"status": "verified"})
         # Crash: no drain, no close. The lease on "kept" is volatile.
@@ -163,15 +178,55 @@ class TestDurability:
         reborn = DurableJobQueue(tmp_path)
         assert reborn.resumed == 1
         batch = reborn.lease_group()
-        assert [j.key for j in batch] == ["kept"]
+        assert [j.id for j in batch] == [kept.id]
         assert batch[0].source == {"article": "text", "title": "t"}
-        # The acked job answers from its journaled payload, not a re-run.
-        again, payload = submit(reborn, "done")
-        assert payload == {"status": "verified"}
+        # The journaled ack keeps the done job out of the reborn queue.
+        assert reborn.job(done.id) is None
+
+    def test_v2_put_replays_as_an_unmemoized_job(self, tmp_path):
+        """A put journaled before jobs carried their document fingerprint
+        (``key`` and ``claim_fp`` instead) still runs after a restart;
+        its empty ``document`` keeps its verdict out of the memo."""
+        record = {
+            "op": "put",
+            "v": 2,
+            "job": {
+                "id": "legacy",
+                "key": "scope:claim",
+                "group": "g",
+                "index": 0,
+                "scope": "scope",
+                "source": {"article": "text", "title": "t"},
+                "claim_fp": "claim",
+            },
+        }
+        (tmp_path / JOURNAL_NAME).write_text(_encode_record(record))
+        reborn = DurableJobQueue(tmp_path)
+        assert reborn.corrupt_records == 0 and reborn.resumed == 1
+        [job] = reborn.lease_group()
+        assert (job.id, job.document) == ("legacy", "")
+        assert reborn.ack(job.id, {"status": "verified"})
+
+    def test_a_failed_put_append_admits_nothing(self, tmp_path, monkeypatch):
+        queue = DurableJobQueue(tmp_path)
+        append = queue._append
+        calls = []
+
+        def full_disk(record):
+            calls.append(record)
+            if len(calls) == 2:
+                raise OSError("No space left on device")
+            append(record)
+
+        monkeypatch.setattr(queue, "_append", full_disk)
+        with pytest.raises(OSError):
+            submit(queue, claims=3)
+        assert queue.lease_group() == []
+        assert queue.stats()["enqueued"] == 0 and not queue._jobs
 
     def test_dead_letter_survives_restart(self, tmp_path):
         queue = DurableJobQueue(tmp_path)
-        job, _ = submit(queue, "k1")
+        [job] = submit(queue)
         queue.lease_group()
         queue.fail_group([job.id], "poison")
         queue.close()
@@ -183,8 +238,8 @@ class TestDurability:
 
     def test_truncated_tail_is_tolerated(self, tmp_path):
         queue = DurableJobQueue(tmp_path)
-        submit(queue, "k1")
-        submit(queue, "k2")
+        submit(queue)
+        submit(queue)
         queue.close()
         path = tmp_path / "queue.journal"
         raw = path.read_bytes()
@@ -192,11 +247,11 @@ class TestDurability:
 
         reborn = DurableJobQueue(tmp_path)
         assert reborn.corrupt_records == 1
-        assert reborn.resumed == 1  # k1 intact, k2's record truncated
+        assert reborn.resumed == 1  # the first intact, the second truncated
 
     def test_compaction_drops_completed_jobs(self, tmp_path):
         queue = DurableJobQueue(tmp_path, compact_min_records=1)
-        jobs = [submit(queue, f"k{i}", index=i)[0] for i in range(8)]
+        jobs = submit(queue, claims=8)
         queue.lease_group()
         for job in jobs[:-1]:
             queue.ack(job.id, {"status": "verified"})
@@ -207,12 +262,12 @@ class TestDurability:
         ]
         # Only the unacked job survives compaction; acked job ids are
         # gone entirely (job + ack records dropped together).
-        assert [r["job"]["key"] for r in lines] == [jobs[-1].key]
+        assert [r["job"]["id"] for r in lines] == [jobs[-1].id]
 
     def test_drain_notifies_pending_and_reports_journaled(self, tmp_path):
         queue = DurableJobQueue(tmp_path)
         seen = Recorder()
-        job, _ = submit(queue, "k1", subscriber=seen)
+        [job] = submit(queue, subscriber=seen)
         journaled = queue.drain(timeout=0.1)
         assert journaled == 1
         assert seen.events == [("drained", job.id, None)]

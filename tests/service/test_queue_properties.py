@@ -8,9 +8,9 @@ Hypothesis drives the three contracts the service core stands on:
 - **Stream order**: a subscriber observes acks in global ack order —
   the HTTP layer's claim-event ordering guarantee is the queue's, not
   the handler's.
-- **Idempotency**: resubmitting any multiset of keys executes each
-  distinct key exactly once, and every subscriber of a key sees that
-  key's single payload.
+- **No dedupe**: submitting any sequence of equal and distinct
+  documents runs every submission exactly once, and each subscriber
+  sees its own job's payload; an acked job leaves the queue.
 """
 
 from __future__ import annotations
@@ -24,28 +24,30 @@ from hypothesis import given, settings, strategies as st
 from repro.service.queue import JOURNAL_NAME, DurableJobQueue
 
 
-def submit(queue, key, group="g", index=0, subscriber=None):
-    return queue.submit(
-        key=key,
-        group=group,
-        index=index,
+def ignore(kind, job, payload):
+    pass
+
+
+def submit(queue, article="text", subscriber=ignore):
+    """Admit one single-claim document; returns its job."""
+    [job] = queue.submit_group(
         scope="scope",
-        source={"article": "text", "title": "t"},
-        claim_fp=key,
-        subscriber=subscriber,
+        source={"article": article, "title": "t"},
+        subscribers=[subscriber],
     )
+    return job
 
 
 def drain_all(queue):
-    """Lease and ack everything leasable; returns acked job keys."""
+    """Lease and ack everything leasable; returns acked job ids."""
     acked = []
     while True:
         batch = queue.lease_group()
         if not batch:
             return acked
         for job in batch:
-            if queue.ack(job.id, {"status": "verified", "key": job.key}):
-                acked.append(job.key)
+            if queue.ack(job.id, {"status": "verified", "id": job.id}):
+                acked.append(job.id)
 
 
 @settings(max_examples=40, deadline=None)
@@ -57,34 +59,28 @@ def test_any_journal_prefix_replays_consistently(n_jobs, ack_mask):
     """Cut the journal after every record; each prefix must be sane."""
     with tempfile.TemporaryDirectory() as tmp:
         queue = DurableJobQueue(tmp)
-        jobs = [
-            submit(queue, f"k{i}", group=f"g{i % 2}", index=i)[0]
-            for i in range(n_jobs)
-        ]
+        jobs = [submit(queue, f"doc {i}") for i in range(n_jobs)]
         leased = {
             job.id
             for batch in iter(queue.lease_group, [])
             for job in batch
         }
         assert leased == {job.id for job in jobs}
-        acked_keys = set()
         for job, ack in zip(jobs, ack_mask):
             if ack:
-                queue.ack(job.id, {"status": "verified", "key": job.key})
-                acked_keys.add(job.key)
+                queue.ack(job.id, {"status": "verified", "id": job.id})
         # Simulate a crash: no drain, no close, no compaction.
         lines = (Path(tmp) / JOURNAL_NAME).read_bytes().splitlines(True)
-        key_of = {job.id: job.key for job in jobs}
 
         for cut in range(len(lines) + 1):
             prefix = lines[:cut]
             acked_in_prefix = {
-                key_of[record["id"]]
+                record["id"]
                 for record in map(json.loads, prefix)
                 if record.get("op") == "ack"
             }
             put_in_prefix = {
-                record["job"]["key"]
+                record["job"]["id"]
                 for record in map(json.loads, prefix)
                 if record.get("op") == "put"
             }
@@ -94,18 +90,14 @@ def test_any_journal_prefix_replays_consistently(n_jobs, ack_mask):
                 )
                 replayed = DurableJobQueue(replay_dir)
                 # Replay partitions journaled jobs into acked-in-prefix
-                # (answer immediately, never re-deliver) and unacked
-                # (re-deliver exactly once). No key appears twice.
-                pending = [job.key for job in replayed.pending_jobs()]
+                # (gone, never re-delivered) and unacked (re-delivered
+                # exactly once). No job appears twice.
+                pending = [job.id for job in replayed.pending_jobs()]
                 assert len(set(pending)) == len(pending)
                 redelivered = drain_all(replayed)
                 assert sorted(redelivered) == sorted(pending)
                 assert set(redelivered) == put_in_prefix - acked_in_prefix
-                for key in acked_in_prefix:
-                    job, payload = submit(replayed, key)
-                    # Answered from the journaled ack — the original
-                    # payload, with no re-execution.
-                    assert payload is not None and payload["key"] == key
+                assert not any(map(replayed.job, acked_in_prefix))
                 # Never double-acked: each live job acked exactly once,
                 # no duplicates anywhere in this queue's lifetime.
                 stats = replayed.stats()
@@ -122,55 +114,42 @@ def test_subscriber_stream_follows_global_ack_order(order):
     observed = []
 
     def subscriber(kind, job, payload):
-        observed.append(job.key)
+        observed.append(job.id)
 
-    jobs = [
-        submit(queue, f"k{i}", group=f"g{i}", index=0, subscriber=subscriber)[0]
-        for i in range(6)
-    ]
+    jobs = [submit(queue, f"doc {i}", subscriber) for i in range(6)]
     for batch in iter(queue.lease_group, []):
         pass
     for position in order:
         queue.ack(jobs[position].id, {"status": "verified"})
-    assert observed == [f"k{position}" for position in order]
+    assert observed == [jobs[position].id for position in order]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    keys=st.lists(
+    articles=st.lists(
         st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=12
     )
 )
-def test_idempotency_keys_dedupe_resubmissions(keys):
+def test_every_submission_ends_exactly_once(articles):
     queue = DurableJobQueue()
-    received: dict[int, list] = {}
-    pending_subscribers = 0
-    for ordinal, key in enumerate(keys):
+    inboxes: list[list] = []
+    for ordinal, article in enumerate(articles):
         inbox: list = []
-        received[ordinal] = inbox
-        job, payload = submit(
+        inboxes.append(inbox)
+        submit(
             queue,
-            key,
-            group=key,
-            index=0,
-            subscriber=lambda kind, job, p, inbox=inbox: inbox.append(p),
+            article,
+            lambda kind, job, p, inbox=inbox: inbox.append((job.id, p)),
         )
-        if payload is not None:
-            # Already completed before this submission — delivered inline.
-            inbox.append(payload)
-        else:
-            pending_subscribers += 1
-        if ordinal == len(keys) // 2:
+        if ordinal == len(articles) // 2:
             drain_all(queue)
     drain_all(queue)
-    # One execution per distinct key, ever.
-    assert queue.stats()["enqueued"] == len(set(keys))
-    assert queue.stats()["deduped"] == len(keys) - len(set(keys))
-    # Every submission got exactly one result, and all submissions of a
-    # key got the same payload.
-    by_key: dict[str, dict] = {}
-    for ordinal, key in enumerate(keys):
-        assert len(received[ordinal]) == 1
-        payload = received[ordinal][0]
-        assert payload["key"] == key
-        assert by_key.setdefault(key, payload) == payload
+    # One execution per submission: equal documents never share a job,
+    # and no acked job stays in the queue.
+    stats = queue.stats()
+    assert stats["enqueued"] == stats["acked"] == len(articles)
+    assert stats["duplicate_acks"] == 0 and not queue._jobs
+    # Every submission got exactly one result: its own job's payload.
+    assert all(len(inbox) == 1 for inbox in inboxes)
+    assert all(payload["id"] == job_id for [(job_id, payload)] in inboxes)
+    assert len({job_id for [(job_id, _)] in inboxes}) == len(articles)

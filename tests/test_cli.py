@@ -199,20 +199,18 @@ class TestServeParser:
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve"
         assert (args.host, args.port) == ("127.0.0.1", 8765)
-        assert args.no_incremental is False
-        assert args.incremental_capacity == 16384
+        assert args.max_databases == 64
 
     def test_serve_flags(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
             [
-                "serve", "--port", "0", "--no-incremental",
+                "serve", "--port", "0",
                 "--cache-dir", ".cubecache", "--backend", "row",
             ]
         )
         assert args.port == 0
-        assert args.no_incremental is True
         assert args.cache_dir == ".cubecache"
         assert args.backend == "row"
 
@@ -247,10 +245,13 @@ class TestCorpusRun:
             ["serve", "--audit-backlog", "64"],
             ["serve", "--trust-recover-after", "8"],
             ["serve", "--visibility-timeout", "30"],
+            ["serve", "--no-incremental"],
+            ["serve", "--incremental-capacity", "64"],
         ],
         ids=[
             "workers", "checkpoint", "resume", "max-retries", "scrub-checkpoint",
             "audit-backlog", "trust-recover-after", "visibility-timeout",
+            "no-incremental", "incremental-capacity",
         ],
     )
     def test_removed_flags_are_usage_errors(self, capsys, argv):
